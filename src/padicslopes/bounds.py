@@ -118,14 +118,12 @@ def n_threshold(kappa: int, alpha: int, d: int, h: int) -> int:
 
 @dataclass(frozen=True)
 class HilbertParams:
-    """Shape parameters of the tensor-structure profile plus the slope and
-    congruence exponent under study."""
+    """Shape parameters of the tensor-structure profile plus the slope under study."""
 
     d: int
     h: int
     n: int
     alpha: int = 0
-    kappa: int | None = None
 
     def __post_init__(self):
         for name, v in (("d", self.d), ("h", self.h), ("n", self.n)):

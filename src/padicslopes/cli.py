@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .bounds import (
@@ -43,7 +44,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer literal beyond the int-to-str limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -55,12 +56,28 @@ def _load_matrix(path):
 
 
 def _emit(doc, output) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _write(json.dumps(_json_safe(doc), indent=2, sort_keys=True) + "\n", output)
+
+
+def _write(text: str, output) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _json_safe(x):
+    """x with every int that str() refuses (sys.get_int_max_str_digits) as a decimal string."""
+    if isinstance(x, dict):
+        return {k: _json_safe(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(v) for v in x]
+    try:
+        str(x)
+    except ValueError:  # an int past the limit; Decimal converts it exactly
+        return str(Decimal(x))
+    return x
 
 
 def _prime_arg(value: str) -> int:
@@ -73,24 +90,19 @@ def _prime_arg(value: str) -> int:
     return p
 
 
-def _positive_int(value: str) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {value!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be positive: {n}")
-    return n
+def _int_at_least(low: int):
+    def parse(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {value!r}")
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be {'positive' if low else 'nonnegative'}: {n}")
+        return n
+    return parse
 
 
-def _nonnegative_int(value: str) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {value!r}")
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative: {n}")
-    return n
+_positive_int, _nonnegative_int = _int_at_least(1), _int_at_least(0)
 
 
 def _int_list(value: str) -> list:
@@ -218,18 +230,13 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def cmd_verify(args, mode: str) -> int:
+def cmd_verify(args) -> int:
     try:
         config = read_config(args.config)
-        report = run_experiment(config, mode=mode, jobs=args.jobs)
+        report = run_experiment(config, mode=args.mode, jobs=args.jobs)
     except (ConfigError, OSError) as exc:
         raise InputError(str(exc)) from exc
-    text = report_to_json(report)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(report_to_json(report), args.output)
     if report.accepted == 0:
         rejected = sum(report.rejected_by_reason().values())
         print(f"warning: 0 accepted trials ({rejected} rejected)", file=sys.stderr)
@@ -269,16 +276,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--prime", type=_prime_arg, required=True)
     sp.add_argument("--input", required=True, help="matrix file (JSON with 'rows')")
     sp.add_argument("--output")
+    sp.set_defaults(func=cmd_polygon)
 
     sp = sub.add_parser("snf", help="Smith normal form with transforms")
     sp.add_argument("--input", required=True)
     sp.add_argument("--output")
+    sp.set_defaults(func=cmd_snf)
 
     sp = sub.add_parser("profile", help="elementary-divisor profile of a sublattice")
     sp.add_argument("--prime", type=_prime_arg, required=True)
     sp.add_argument("--level", type=_positive_int, required=True)
     sp.add_argument("--input", required=True, help="generator matrix of K")
     sp.add_argument("--output")
+    sp.set_defaults(func=cmd_profile)
 
     sp = sub.add_parser("bounds", help="boundary functions, c, and closed forms")
     sp.add_argument("--d", type=_positive_int, required=True)
@@ -287,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=_nonnegative_int, required=True)
     sp.add_argument("--kappa", type=_kappa_arg, default="auto")
     sp.add_argument("--output")
+    sp.set_defaults(func=cmd_bounds)
 
     for mode in ("prop", "constancy"):
         sp = sub.add_parser(
@@ -296,13 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True)
         sp.add_argument("--jobs", type=_positive_int, default=1)
         sp.add_argument("--output")
-        sp.set_defaults(mode=mode)
+        sp.set_defaults(func=cmd_verify, mode=mode)
 
     sp = sub.add_parser("compare-c", help="exact c versus the closed-form bound")
     sp.add_argument("--d-list", type=_int_list, required=True)
     sp.add_argument("--h-list", type=_int_list, required=True)
     sp.add_argument("--n-max", type=_positive_int, required=True)
     sp.add_argument("--output")
+    sp.set_defaults(func=cmd_compare_c)
 
     return parser
 
@@ -311,25 +323,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "polygon":
-            return cmd_polygon(args)
-        if args.command == "snf":
-            return cmd_snf(args)
-        if args.command == "profile":
-            return cmd_profile(args)
-        if args.command == "bounds":
-            return cmd_bounds(args)
-        if args.command in ("verify-prop", "verify-constancy"):
-            return cmd_verify(args, args.mode)
-        if args.command == "compare-c":
-            return cmd_compare_c(args)
-    except InputError as exc:
+        return args.func(args)
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from .newton import (
     eigenvector_mod,
     hensel_slope_root,
     newton_polygon,
+    slope_multiplicity,
     slope_to_string,
 )
 from .padics import INFINITY, is_prime, padic_valuation
@@ -157,7 +158,7 @@ def read_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer literal beyond the int-to-str limit
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_document(doc)
 
@@ -393,14 +394,6 @@ def prepare_plan(config: ExperimentConfig, mode: str) -> ExperimentPlan:
                           hypotheses_pass=ok, precision=precision)
 
 
-def _census_multiplicity(segments: tuple, alpha: int) -> int:
-    target = Fraction(alpha)
-    for seg in segments:
-        if seg.slope == target:
-            return seg.length
-    return 0
-
-
 def _generate_pair(plan: ExperimentPlan, rng: SplitMix64, seed: int,
                    min_exponent: int = 0) -> InstancePair | None:
     cfg = plan.config
@@ -440,13 +433,11 @@ def _evaluate_proposition_pair(plan: ExperimentPlan, pair: InstancePair,
     N = plan.precision
     cp = char_poly(pair.xi)
     cp_prime = char_poly(pair.xi_prime)
-    census = newton_polygon(cp, cfg.p).segments
-    census_prime = newton_polygon(cp_prime, cfg.p).segments
-    base = TrialReport(index=index, seed=seed, status=REJECTED, alpha=cfg.alpha,
-                       kappa=kappa, census=census, census_prime=census_prime)
-    if _census_multiplicity(census, cfg.alpha) != 1 or \
-            _census_multiplicity(census_prime, cfg.alpha) != 1:
-        return _replace(base, reason="not-simple")
+    poly, poly_prime = newton_polygon(cp, cfg.p), newton_polygon(cp_prime, cfg.p)
+    base = TrialReport(index=index, seed=seed, status=REJECTED, alpha=cfg.alpha, kappa=kappa,
+                       census=poly.segments, census_prime=poly_prime.segments)
+    if slope_multiplicity(poly, cfg.alpha) != 1 or slope_multiplicity(poly_prime, cfg.alpha) != 1:
+        return replace(base, reason="not-simple")
 
     try:
         root = hensel_slope_root(cp, cfg.p, cfg.alpha, N)
@@ -454,17 +445,17 @@ def _evaluate_proposition_pair(plan: ExperimentPlan, pair: InstancePair,
         cap = min(N - root.derivative_valuation - cfg.alpha,
                   N - root_prime.derivative_valuation - cfg.alpha)
         if cap < kappa:
-            return _replace(base, reason="precision")
+            return replace(base, reason="precision")
         vec = eigenvector_mod(pair.xi, root.value, cfg.p, N)
         vec_prime = eigenvector_mod(pair.xi_prime, root_prime.value, cfg.p, N)
         a = commuting_eigenvalue(pair.psi, vec.vector, cfg.p, cap)
         a_prime = commuting_eigenvalue(pair.psi_prime, vec_prime.vector, cfg.p, cap)
     except (HenselError, EigenvectorError, ConsistencyError):
-        return _replace(base, reason="precision")
+        return replace(base, reason="precision")
 
     margin = padic_valuation(a - a_prime, cfg.p)
     violated = margin is not INFINITY and margin < kappa
-    return _replace(
+    return replace(
         base,
         status=VIOLATION if violated else ACCEPTED,
         reason=None,
@@ -523,10 +514,6 @@ def _evaluate_constancy_pair(plan: ExperimentPlan, pair: InstancePair,
 
 def _slope_sort_key(slope):
     return (1, Fraction(0)) if slope is INFINITY else (0, slope)
-
-
-def _replace(report: TrialReport, **kw) -> TrialReport:
-    return replace(report, **kw)
 
 
 # --- experiment driver ------------------------------------------------------------

@@ -7,8 +7,8 @@ for xi(K) in p^n L (adapted basis, K diagonal), and kernels modulo p^N.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from .padics import INFINITY, _require_prime, padic_valuation, unit_part
 
@@ -65,7 +65,6 @@ class IntMatrix:
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_dim(other)
-        r = self.r
         cols = list(zip(*other.rows))
         return IntMatrix(tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows))
 
@@ -77,9 +76,6 @@ class IntMatrix:
         if len(vec) != self.r:
             raise ValueError("vector length mismatch")
         return tuple(sum(a * v for a, v in zip(row, vec)) for row in self.rows)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
@@ -134,8 +130,13 @@ class DivisorProfile:
 class SmithDecomposition:
     """A = U * D * V with U, V unimodular, D diagonal, d_1 | d_2 | ... | d_r >= 0.
 
-    u_inverse and v_inverse are accumulated alongside so that
-    v_inverse * A applications and kernel extraction need no matrix inversion.
+    Over Z/p^N everything is reduced mod p^N: U and V are invertible mod p^N,
+    A = U * D * V holds mod p^N and D = diag(p^{v_i}), with 0 where v_i >= N.
+    u_inverse and v_inverse are accumulated alongside so that v_inverse * A
+    applications and kernel extraction need no matrix inversion. When
+    d_r = 0 mod p^N, the last column of v_inverse generates the top order of
+    ker(A mod p^N) and is fixed, up to a unit, only mod p^(N - v_p(d_{r-1})):
+    other pivots may add that power times earlier columns.
     """
 
     U: IntMatrix
@@ -158,39 +159,70 @@ def _swap_cols(m, j, l):
         row[j], row[l] = row[l], row[j]
 
 
-def _add_row(m, k, i, q):
-    """row_k += q * row_i"""
+def _add_row(m, k, i, q, mod=0):
+    """row_k += q * row_i, reduced mod `mod` unless it is 0"""
     ri, rk = m[i], m[k]
     for j in range(len(rk)):
         rk[j] += q * ri[j]
+    if mod:
+        m[k] = [x % mod for x in rk]
 
 
-def _add_col(m, l, j, q):
-    """col_l += q * col_j"""
+def _add_col(m, l, j, q, mod=0):
+    """col_l += q * col_j, reduced mod `mod` unless it is 0"""
     for row in m:
         row[l] += q * row[j]
+        if mod:
+            row[l] %= mod
 
 
-def _negate_row(m, i):
-    m[i] = [-x for x in m[i]]
+def _scale_row(m, i, c, mod=0):
+    m[i] = [c * x % mod for x in m[i]] if mod else [c * x for x in m[i]]
 
 
-def _negate_col(m, j):
+def _scale_col(m, j, c, mod=0):
     for row in m:
-        row[j] = -row[j]
+        row[j] = c * row[j] % mod if mod else c * row[j]
 
 
-def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    """Exact Smith normal form by integer elimination.
+def _least_valuation(B, s, p, floor):
+    """(i, j, v) of the first entry of least valuation v in the block B[s:, s:], or
+    None if the block is 0; no entry lies below `floor`, so one there ends the search."""
+    best = None
+    for i in range(s, len(B)):
+        for j in range(s, len(B)):
+            x, v = B[i][j], 0
+            if x:
+                while x % p == 0:
+                    x //= p
+                    v += 1
+                if best is None or v < best[2]:
+                    best = (i, j, v)
+                    if v == floor:
+                        return best
+    return best
 
-    Pivots are chosen by minimal nonzero absolute value; after each pivot is
-    isolated, any entry of the remaining block it fails to divide is folded
-    into the pivot row and elimination repeats, which yields the divisibility
-    chain directly. All four transforms are accumulated under the invariant
-    A = U * B * V.
+
+def smith_normal_form(A: IntMatrix, p: int | None = None, N: int | None = None) -> SmithDecomposition:
+    """Exact Smith normal form by elimination over Z, or over Z/p^N if p and N are given.
+
+    Over Z, pivots are chosen by minimal nonzero absolute value; after each
+    pivot is isolated, any entry of the remaining block it fails to divide is
+    folded into the pivot row and elimination repeats, which yields the
+    divisibility chain directly. Over Z/p^N (p-local elimination, after
+    Storjohann) the pivot is an entry of least valuation v, scaled by a unit
+    to p^v, so it divides the rest of the block and no fold step is needed;
+    every entry stays reduced mod p^N. All four transforms are accumulated
+    under the invariant A = U * B * V.
     """
+    mod = 0
+    if p is not None or N is not None:
+        _require_prime(p)
+        if not isinstance(N, int) or N < 1:
+            raise ValueError(f"precision must be a positive integer, got {N!r}")
+        mod = p ** N
     r = A.r
-    B = [list(row) for row in A.rows]
+    B = [[x % mod for x in row] if mod else list(row) for row in A.rows]
     U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     Ui = [row[:] for row in U]
     V = [row[:] for row in U]
@@ -208,22 +240,41 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 
     def row_add(k, i, q):
         # B <- E*B with E = I + q*e_k e_i^T; U <- U*E^{-1}; Ui <- E*Ui
-        _add_row(B, k, i, q)
-        _add_col(U, i, k, -q)
-        _add_row(Ui, k, i, q)
+        _add_row(B, k, i, q, mod)
+        _add_col(U, i, k, -q, mod)
+        _add_row(Ui, k, i, q, mod)
 
     def col_add(l, j, q):
         # B <- B*F with F = I + q*e_j e_l^T; V <- F^{-1}*V; Vi <- Vi*F
-        _add_col(B, l, j, q)
-        _add_row(V, j, l, -q)
-        _add_col(Vi, l, j, q)
+        _add_col(B, l, j, q, mod)
+        _add_row(V, j, l, -q, mod)
+        _add_col(Vi, l, j, q, mod)
 
-    def row_negate(i):
-        _negate_row(B, i)
-        _negate_col(U, i)
-        _negate_row(Ui, i)
+    def row_scale(i, c, c_inverse):
+        # B <- E*B with E = I + (c - 1)*e_i e_i^T; U <- U*E^{-1}; Ui <- E*Ui
+        _scale_row(B, i, c, mod)
+        _scale_col(U, i, c_inverse, mod)
+        _scale_row(Ui, i, c, mod)
 
+    floor = 0  # over Z/p^N the pivot valuations never fall
     for s in range(r):
+        if mod:
+            pivot = _least_valuation(B, s, p, floor)
+            if pivot is None:
+                break  # the rest of the block is 0 mod p^N
+            i, j, floor = pivot
+            row_swap(s, i)
+            col_swap(s, j)
+            ps = p ** floor
+            u = B[s][s] // ps
+            row_scale(s, pow(u, -1, mod), u)  # the pivot becomes p^v
+            for i in range(s + 1, r):
+                if B[i][s]:
+                    row_add(i, s, -(B[i][s] // ps))
+            for j in range(s + 1, r):
+                if B[s][j]:
+                    col_add(j, s, -(B[s][j] // ps))
+            continue
         while True:
             pivot = None
             best = None
@@ -269,7 +320,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 break
             row_add(s, fold, 1)
         if B[s][s] < 0:
-            row_negate(s)
+            row_scale(s, -1, -1)
 
     return SmithDecomposition(
         U=IntMatrix.from_rows(U),
@@ -341,15 +392,13 @@ class KernelGenerator:
 
 
 def kernel_mod(A: IntMatrix, p: int, N: int) -> list:
-    """Generators of {v mod p^N : A v = 0 mod p^N}, via Smith normal form.
+    """Generators of {v mod p^N : A v = 0 mod p^N}, via the Smith form over Z/p^N.
 
     Returned in nondecreasing order of the p-power order they carry; each
     vector is scaled so its first unit coordinate is 1 and reduced mod p^N.
+    The last is fixed only mod p^(N - v_p(d_{r-1})) (see SmithDecomposition).
     """
-    _require_prime(p)
-    if N < 1:
-        raise ValueError(f"precision must be positive, got {N}")
-    dec = smith_normal_form(A)
+    dec = smith_normal_form(A, p, N)
     pN = p ** N
     out = []
     for i, d in enumerate(dec.divisors):
@@ -403,17 +452,6 @@ def _parse_entry(x) -> int:
     if isinstance(x, str):
         s = x.strip()
         body = s[1:] if s[:1] in "+-" else s
-        if body.isdigit():
-            return int(s)
+        if body.isdecimal():  # not isdigit: Decimal refuses digits such as "²"
+            return int(Decimal(s))  # int(s) refuses more than sys.get_int_max_str_digits()
     raise ValueError(f"not an integer entry: {x!r}")
-
-
-def write_matrix(path, A: IntMatrix) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_document(A), fh)
-        fh.write("\n")
-
-
-def read_matrix(path) -> IntMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_document(json.load(fh))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import IntMatrix, smith_normal_form
+from .lattice import IntMatrix, kernel_mod
 from .padics import INFINITY, _require_prime, as_slope, padic_valuation
 
 
@@ -33,17 +33,8 @@ class CharPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def eval(self, x: int) -> int:
-        acc = 0
-        for c in self.coeffs:
-            acc = acc * x + c
-        return acc
-
     def eval_mod(self, x: int, m: int) -> int:
-        acc = 0
-        for c in self.coeffs:
-            acc = (acc * x + c) % m
-        return acc
+        return _poly_eval_mod(self.coeffs, x, m)
 
 @dataclass(frozen=True)
 class SlopeSegment:
@@ -251,7 +242,11 @@ class EigenvectorError(ValueError):
 
 @dataclass(frozen=True)
 class Eigenvector:
-    """Primitive vector F with (A - lambda I) F = 0 mod p^{kernel_valuation}."""
+    """Primitive vector F with (A - lambda I) F = 0 mod p^{kernel_valuation}.
+
+    A kernel mod p^N fixes F only mod p^(N - v_p(d_{r-1})), d_{r-1} the divisor
+    of A - lambda I before the last; eigenvector_mod works mod p^{2N}.
+    """
 
     vector: tuple
     kernel_valuation: int
@@ -260,32 +255,15 @@ class Eigenvector:
 def eigenvector_mod(A: IntMatrix, lam: int, p: int, N: int) -> Eigenvector:
     """Extract a primitive eigenvector for an eigenvalue residue lam.
 
-    Works from the Smith form of A - lam I: the last transform column is a
-    primitive kernel vector whose achieved precision is the p-valuation of
-    the last elementary divisor (capped at N). The vector is unit-scaled so
-    its first unit coordinate is 1.
+    F is the top-order generator of kernel_mod(A - lam I, p, 2N) reduced mod
+    p^N, first unit coordinate 1, kernel_valuation = min(N, its order). Working
+    mod p^{2N} fixes F mod p^(2N - v_p(d_{r-1})), all of p^N if v_p(d_{r-1}) <= N.
     """
-    _require_prime(p)
-    if N < 1:
-        raise ValueError(f"precision must be positive, got {N}")
-    M = A - IntMatrix.identity(A.r).scale(lam)
-    dec = smith_normal_form(M)
-    d_last = dec.divisors[-1]
-    v = padic_valuation(d_last, p)
-    achieved = N if v is INFINITY else min(N, v)
-    if achieved < 1:
-        raise EigenvectorError(
-            "no kernel modulo p: the residue is not an eigenvalue at this precision"
-        )
-    col = dec.v_inverse.column(A.r - 1)
-    pN = p ** N
-    for x in col:
-        if x % p != 0:
-            inv = pow(x % pN, -1, pN)
-            return Eigenvector(
-                vector=tuple(yv * inv % pN for yv in col), kernel_valuation=achieved
-            )
-    raise EigenvectorError("kernel generator has no unit coordinate (F would lie in pL)")
+    gens = kernel_mod(A - IntMatrix.identity(A.r).scale(lam), p, 2 * N)
+    if not gens:
+        raise EigenvectorError("no kernel modulo p: the residue is not an eigenvalue at this precision")
+    top, pN = gens[-1], p ** N
+    return Eigenvector(tuple(x % pN for x in top.vector), kernel_valuation=min(N, top.order))
 
 
 class ConsistencyError(ValueError):

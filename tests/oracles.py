@@ -3,12 +3,14 @@
 These deliberately avoid the library's code paths: determinants via exact
 rational Gaussian elimination, characteristic polynomials via cofactor
 expansion of the polynomial matrix, valuations via repeated division, and
-plain list-based polynomial arithmetic.
+plain list-based polynomial arithmetic. The one exception is the reference
+eigenvector, which is built from the integer-mode Smith form: that is the
+computation the Z/p^N mode replaced on the eigenvector path.
 """
 
 from fractions import Fraction
 
-from padicslopes.lattice import IntMatrix
+from padicslopes.lattice import IntMatrix, smith_normal_form
 
 
 def det_fraction(A: IntMatrix) -> Fraction:
@@ -92,3 +94,14 @@ def horner_mod(coeffs, x: int, m: int) -> int:
     for c in reversed(coeffs):
         acc = (acc * x + c) % m
     return acc
+
+
+def eigenvector_by_integer_snf(A: IntMatrix, lam: int, p: int, N: int) -> tuple:
+    """Last column of V^-1 in the integer Smith form of A - lam I, scaled so its
+    first unit coordinate is 1, mod p^N."""
+    dec = smith_normal_form(A - IntMatrix.identity(A.r).scale(lam))
+    col = dec.v_inverse.column(A.r - 1)
+    pN = p**N
+    unit = next(x for x in col if x % p != 0)
+    inv = pow(unit % pN, -1, pN)
+    return tuple(x * inv % pN for x in col)

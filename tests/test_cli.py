@@ -1,6 +1,8 @@
 import json
+import random
 import subprocess
 import sys
+from decimal import Decimal
 
 import padicslopes.cli as cli
 from padicslopes.lattice import IntMatrix, matrix_from_document
@@ -78,6 +80,44 @@ def test_polygon_errors(tmp_path):
     missing = str(tmp_path / "nope.json")
     rc, _, _ = invoke("polygon", "--prime", "2", "--input", missing)
     assert rc == 2
+
+
+def test_polygon_output_beyond_the_int_to_str_limit(tmp_path, capsys):
+    # 1500-digit entries give a char_poly coefficient of about 4500 digits, past
+    # CPython's default limit of 4300 for int-to-str conversion
+    rng = random.Random(1500)
+    rows = [[str(rng.randrange(10**1499, 10**1500)) for _ in range(3)] for _ in range(3)]
+    path = write_json(tmp_path / "big.json", {"rows": rows})
+    rc, out, err = invoke("polygon", "--prime", "3", "--input", path)
+    assert (rc, err) == (0, "")
+    emitted = json.loads(out)["char_poly"]
+    expected = char_poly(matrix_from_document({"rows": rows})).coeffs
+    assert isinstance(emitted[-1], str) and len(emitted[-1]) > 4300
+    assert decimal(emitted) == [str(Decimal(c)) for c in expected]
+
+    # the emitted strings read back through --input unchanged
+    back = write_json(tmp_path / "back.json", {"rows": [emitted[:2], emitted[2:]]})
+    assert matrix_from_document(json.loads((tmp_path / "back.json").read_text())) == \
+        IntMatrix.from_rows([expected[:2], expected[2:]])
+    assert run_main(["polygon", "--prime", "3", "--input", back]) == 0
+    again = json.loads(capsys.readouterr().out)["char_poly"]
+    A = IntMatrix.from_rows([expected[:2], expected[2:]])
+    assert decimal(again) == [str(Decimal(c)) for c in char_poly(A).coeffs]
+
+
+def decimal(values):
+    return [str(c) if isinstance(c, int) else c for c in values]
+
+
+def test_integer_literal_beyond_the_int_to_str_limit_is_an_input_error(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": [[' + "7" * 5000 + "]]}")
+    rc, _, err = invoke("polygon", "--prime", "3", "--input", str(path))
+    assert rc == 2 and err.startswith("error:")
+    config = json.dumps(verify_config(trials=1, master_seed=0))
+    path.write_text(config.replace('"master_seed": 0', '"master_seed": ' + "7" * 5000))
+    rc, _, err = invoke("verify-prop", "--config", str(path))
+    assert rc == 2 and err.startswith("error:")
 
 
 # --- snf / profile --------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -16,7 +17,7 @@ from padicslopes.lattice import (
 )
 from padicslopes.rng import SplitMix64
 
-from oracles import det_fraction
+from oracles import det_fraction, valuation_by_division
 
 
 def random_matrix(rng, r, bound):
@@ -81,6 +82,78 @@ def test_snf_singular_matrices():
         rows = list(A.rows)
         rows[-1] = tuple(2 * x for x in rows[0])  # force rank deficiency
         assert_snf_contract(IntMatrix.from_rows(rows))
+
+
+def reduced(A, m):
+    return tuple(tuple(x % m for x in row) for row in A.rows)
+
+
+def assert_snf_mod_contract(A, p, N):
+    m = p**N
+    dec = smith_normal_form(A, p, N)
+    ident = reduced(IntMatrix.identity(A.r), m)
+    assert reduced(dec.U * dec.D * dec.V, m) == reduced(A, m)
+    assert reduced(dec.U * dec.u_inverse, m) == ident
+    assert reduced(dec.V * dec.v_inverse, m) == ident
+    for M in (dec.U, dec.D, dec.V, dec.u_inverse, dec.v_inverse):
+        assert all(0 <= x < m for row in M.rows for x in row)
+    assert dec.D == IntMatrix.diagonal(dec.divisors)
+    vals = [N if d == 0 else valuation_by_division(d, p) for d in dec.divisors]
+    assert list(dec.divisors) == [0 if v >= N else p**v for v in vals]
+    assert vals == sorted(vals)
+    exact = smith_normal_form(A).divisors
+    assert vals == [N if d == 0 else min(N, valuation_by_division(d, p)) for d in exact]
+    return vals
+
+
+def test_matrix_document_decimal_strings_of_any_length():
+    big = 7**9000  # 7606 digits, past the default int-to-str limit of 4300
+    doc = {"rows": [[str(Decimal(big)), "-" + str(Decimal(big))], ["+12", "0"]]}
+    assert matrix_from_document(doc) == IntMatrix.from_rows([[big, -big], [12, 0]])
+    for bad in ("\u00b2", "1e3", "1_000", "NaN", "0x1f", ""):
+        with pytest.raises(ValueError):
+            matrix_from_document({"rows": [[bad]]})
+
+
+def test_snf_mod_examples():
+    dec = smith_normal_form(IntMatrix.diagonal([2, 3]), 3, 2)
+    assert dec.divisors == (1, 3)
+    dec = smith_normal_form(IntMatrix.from_rows([[5, 1], [0, 5]]), 5, 3)
+    assert dec.divisors == (1, 25)
+    assert smith_normal_form(IntMatrix.diagonal([0, 27, 6]), 3, 2).divisors == (3, 0, 0)
+    assert smith_normal_form(IntMatrix.zero(2), 2, 4).divisors == (0, 0)
+    with pytest.raises(ValueError):
+        smith_normal_form(IntMatrix.identity(2), 4, 2)
+    with pytest.raises(ValueError):
+        smith_normal_form(IntMatrix.identity(2), 3, 0)
+    with pytest.raises(ValueError):
+        smith_normal_form(IntMatrix.identity(2), None, 2)
+
+
+def test_snf_mod_random_contract():
+    rng = SplitMix64(7301)
+    for _ in range(150):
+        p = rng.choice((2, 3, 5))
+        r = rng.randint(1, 8)
+        N = rng.randint(1, 12)
+        A = random_matrix(rng, r, rng.choice((p, 10**4)))
+        assert_snf_mod_contract(A, p, N)
+
+
+def test_snf_mod_planted_contract():
+    rng = SplitMix64(7302)
+    for _ in range(120):
+        p = rng.choice((2, 3, 5))
+        r = rng.randint(1, 8)
+        N = rng.randint(1, 10)
+        vals = [rng.randint(0, N + 2) for _ in range(r)]
+        diag = [p**v * rng.unit(p, 50) for v in vals]
+        if rng.randint(0, 3) == 0:
+            diag[rng.randint(0, r - 1)] = 0  # singular
+            vals = [N + 3 if x == 0 else v for x, v in zip(diag, vals)]
+        U, Ui = random_unimodular(r, rng)
+        got = assert_snf_mod_contract(U * IntMatrix.diagonal(diag) * Ui, p, N)
+        assert got == sorted(min(N, v) for v in vals)
 
 
 def test_quotient_profile_examples():

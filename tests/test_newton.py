@@ -1,8 +1,10 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from padicslopes.family import poly_of_matrix, random_unimodular
+from padicslopes import family
+from padicslopes.family import poly_of_matrix, random_unimodular, read_config, run_experiment
 from padicslopes.lattice import IntMatrix
 from padicslopes.newton import (
     CharPoly,
@@ -22,7 +24,9 @@ from padicslopes.newton import (
 from padicslopes.padics import INFINITY, padic_valuation
 from padicslopes.rng import SplitMix64
 
-from oracles import charpoly_cofactor, poly_mul
+from oracles import charpoly_cofactor, eigenvector_by_integer_snf, poly_mul
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def segments_as_pairs(segs):
@@ -236,6 +240,39 @@ def test_eigenvector_conjugation_oracle():
         assert all((F.vector[j] - scale * truth[j]) % m == 0 for j in range(2))
         residual = (A - IntMatrix.identity(2).scale(p)).apply(F.vector)
         assert all(x % m == 0 for x in residual)
+
+
+@pytest.mark.parametrize("name", ["prop_default.json", "prop_planted.json"])
+def test_eigenvector_matches_integer_snf_on_shipped_trials(name, monkeypatch):
+    # every eigenvector call of the shipped config's 100 trials, against the vector
+    # the integer Smith form gives: equal mod p^(N - e), e the Hensel root's
+    # derivative valuation, and the same commuting eigenvalue
+    config = read_config(CONFIG_DIR / name)
+    reference = {}
+
+    def eigenvector(A, lam, p, N):
+        vec = eigenvector_mod(A, lam, p, N)
+        root = hensel_slope_root(char_poly(A), p, config.alpha, N)
+        assert root.value == lam
+        old = eigenvector_by_integer_snf(A, lam, p, N)
+        m = p ** (N - root.derivative_valuation)
+        assert all((x - y) % m == 0 for x, y in zip(vec.vector, old))
+        reference[vec.vector] = old
+        return vec
+
+    checked = []
+
+    def eigenvalue(B, F, p, M):
+        a = commuting_eigenvalue(B, F, p, M)
+        assert commuting_eigenvalue(B, reference[tuple(F)], p, M) == a
+        checked.append(a)
+        return a
+
+    monkeypatch.setattr(family, "eigenvector_mod", eigenvector)
+    monkeypatch.setattr(family, "commuting_eigenvalue", eigenvalue)
+    report = run_experiment(config)
+    assert config.trials == 100
+    assert len(checked) == 2 * report.accepted > 0
 
 
 def test_commuting_eigenvalue_examples():
