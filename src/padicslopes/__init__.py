@@ -4,7 +4,6 @@ eigenvalue congruences on lattice quotients."""
 
 from .padics import (
     INFINITY,
-    PrecisionContext,
     congruent_mod_power,
     is_prime,
     padic_valuation,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .lattice import DivisorProfile, profile_mod
 
@@ -35,14 +36,10 @@ class BoundaryFunctions:
 def boundary_functions(profile: DivisorProfile) -> BoundaryFunctions:
     n = profile.n
     b = tuple(n - a for a in profile.a)
-    B = []
-    acc = 0
-    for x in b:
-        acc += x
-        B.append(acc)
+    B = tuple(accumulate(b))
     M = (n + 1) // 2
     T = tuple(M + (B[j - 1] if j > 0 else 0) for j in range(profile.r))
-    return BoundaryFunctions(n=n, b=b, B=tuple(B), M=M, T=T)
+    return BoundaryFunctions(n=n, b=b, B=B, M=M, T=T)
 
 
 @dataclass(frozen=True)

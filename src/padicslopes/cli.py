@@ -3,7 +3,8 @@
 Subcommands: polygon, snf, profile, bounds, verify-prop, verify-constancy,
 compare-c. Machine-readable JSON goes to stdout (or --output); exit codes
 are 0 for success, 1 for a verification run that found violations, 2 for
-malformed input or arguments.
+malformed input or arguments, 3 for an internal error (any other exception,
+such as a failed runtime invariant; its traceback goes to stderr).
 
 Exact quantities (valuations, slopes, c) are serialized as integers or
 "num/den" strings; only the floating-point closed forms are decimal.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal
+import traceback
 from fractions import Fraction
 
 from .bounds import (
@@ -29,8 +30,8 @@ from .bounds import (
     resolve_kappa,
 )
 from .family import ConfigError, read_config, report_to_json, run_experiment
-from .lattice import matrix_from_document, quotient_profile, smith_normal_form
-from .newton import char_poly, newton_polygon, polygon_to_document
+from .lattice import json_text, matrix_from_document, quotient_profile, smith_normal_form
+from .newton import char_poly, newton_polygon, polygon_to_document, slope_to_string
 from .padics import is_prime
 
 
@@ -56,7 +57,7 @@ def _load_matrix(path):
 
 
 def _emit(doc, output) -> None:
-    _write(json.dumps(_json_safe(doc), indent=2, sort_keys=True) + "\n", output)
+    _write(json_text(doc), output)
 
 
 def _write(text: str, output) -> None:
@@ -65,19 +66,6 @@ def _write(text: str, output) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_safe(x):
-    """x with every int that str() refuses (sys.get_int_max_str_digits) as a decimal string."""
-    if isinstance(x, dict):
-        return {k: _json_safe(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_json_safe(v) for v in x]
-    try:
-        str(x)
-    except ValueError:  # an int past the limit; Decimal converts it exactly
-        return str(Decimal(x))
-    return x
 
 
 def _prime_arg(value: str) -> int:
@@ -191,7 +179,7 @@ def cmd_bounds(args) -> int:
         "auto_resolved": resolved,
         "kappa_in_range": report.kappa_in_range,
         "checks": [
-            {"nprime": ch.nprime, "c": _frac_str(ch.c_value), "ok": ch.ok}
+            {"nprime": ch.nprime, "c": slope_to_string(ch.c_value), "ok": ch.ok}
             for ch in report.checks
         ],
         "passed": report.passed,
@@ -206,11 +194,11 @@ def cmd_bounds(args) -> int:
             },
             "M": bf.M,
             "T_table": [
-                {"i": i + 1, "T": bf.T[i], "ratio": _frac_str(Fraction(bf.T[i], i + 1))}
+                {"i": i + 1, "T": bf.T[i], "ratio": slope_to_string(Fraction(bf.T[i], i + 1))}
                 for i in range(profile.r)
             ],
             "c_exact": {
-                "value": _frac_str(c.value),
+                "value": slope_to_string(c.value),
                 "argmin": c.argmin,
                 "capped": c.capped,
             },
@@ -224,10 +212,6 @@ def cmd_bounds(args) -> int:
         args.output,
     )
     return 0
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def cmd_verify(args) -> int:
@@ -255,7 +239,7 @@ def cmd_compare_c(args) -> int:
                         "d": d,
                         "h": h,
                         "n": n,
-                        "c_exact": _frac_str(exact),
+                        "c_exact": slope_to_string(exact),
                         "closed_form": closed,
                         "difference": closed - float(exact),
                         "closed_exceeds_exact": closed > float(exact),
@@ -327,6 +311,9 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a bug, not bad input: keep exit 1 for "violations found"
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bounds import c_exact, proposition_hypotheses, resolve_kappa, hilbert_profile
-from .lattice import DivisorProfile, IntMatrix, check_xi_condition, profile_mod
+from .lattice import DivisorProfile, IntMatrix, check_xi_condition, json_text, profile_mod
 from .newton import (
     ConsistencyError,
     EigenvectorError,
@@ -231,9 +231,8 @@ def gen_congruent_pair(
 def poly_of_matrix(coeffs, A: IntMatrix) -> IntMatrix:
     """sum_k coeffs[k] A^k by Horner."""
     acc = IntMatrix.zero(A.r)
-    ident = IntMatrix.identity(A.r)
     for c in reversed(coeffs):
-        acc = acc * A + ident.scale(c)
+        acc = (acc * A).shift(c)
     return acc
 
 
@@ -616,12 +615,8 @@ def trial_to_document(t: TrialReport) -> dict:
         doc["mismatched_slopes"] = _slope_triples_json(t.mismatched_slopes)
         doc["informational_slopes"] = _slope_triples_json(t.informational_slopes)
     if t.pair is not None:
-        doc["matrices"] = {
-            "xi": [list(r) for r in t.pair.xi.rows],
-            "xi_prime": [list(r) for r in t.pair.xi_prime.rows],
-            "psi": [list(r) for r in t.pair.psi.rows],
-            "psi_prime": [list(r) for r in t.pair.psi_prime.rows],
-        }
+        doc["matrices"] = {name: [list(r) for r in getattr(t.pair, name).rows]
+                           for name in ("xi", "xi_prime", "psi", "psi_prime")}
     return doc
 
 
@@ -662,4 +657,4 @@ def report_to_document(report: ExperimentReport) -> dict:
 
 
 def report_to_json(report: ExperimentReport) -> str:
-    return json.dumps(report_to_document(report), indent=2, sort_keys=True) + "\n"
+    return json_text(report_to_document(report))

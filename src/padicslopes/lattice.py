@@ -7,15 +7,23 @@ for xi(K) in p^n L (adapted basis, K diagonal), and kernels modulo p^N.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from decimal import Decimal
+from itertools import groupby
+from operator import add, index, mul, sub
 
 from .padics import INFINITY, _require_prime, padic_valuation, unit_part
 
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Square matrix of exact integers, stored row-major as a tuple of tuples."""
+    """Square matrix of exact integers, stored row-major as a tuple of tuples.
+
+    IntMatrix(rows), from_rows and diagonal coerce every entry with int() and
+    check the shape; arithmetic builds its results from checked operands by
+    _of. A product entry is sum(map(mul, row, col)), columns transposed once.
+    """
 
     rows: tuple
 
@@ -28,6 +36,13 @@ class IntMatrix:
             if len(row) != r:
                 raise ValueError("matrix must be square")
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _of(cls, rows: tuple) -> "IntMatrix":
+        """Wraps rows, a nonempty square tuple of int tuples, without __post_init__."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
 
     @property
     def r(self) -> int:
@@ -43,11 +58,13 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, r: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r)))
+        return cls.zero(r).shift(1)
 
     @classmethod
     def zero(cls, r: int) -> "IntMatrix":
-        return cls(tuple((0,) * r for _ in range(r)))
+        if index(r) < 1:
+            raise ValueError("matrix must be nonempty")
+        return cls._of(((0,) * r,) * r)
 
     @classmethod
     def diagonal(cls, entries) -> "IntMatrix":
@@ -57,25 +74,31 @@ class IntMatrix:
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_dim(other)
-        return IntMatrix(tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)))
+        return IntMatrix._of(tuple([tuple(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows)]))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_dim(other)
-        return IntMatrix(tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)))
+        return IntMatrix._of(tuple([tuple(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows)]))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_dim(other)
-        cols = list(zip(*other.rows))
-        return IntMatrix(tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows))
+        cols = tuple(zip(*other.rows))
+        return IntMatrix._of(tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.rows]))
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(c * x for x in row) for row in self.rows))
+        c = index(c)
+        return IntMatrix._of(tuple([tuple([c * x for x in row]) for row in self.rows]))
+
+    def shift(self, c: int) -> "IntMatrix":
+        """self + c * I, without building the identity."""
+        c = index(c)
+        return IntMatrix._of(tuple([row[:i] + (row[i] + c,) + row[i + 1:] for i, row in enumerate(self.rows)]))
 
     def apply(self, vec) -> tuple:
         """Matrix-vector product."""
         if len(vec) != self.r:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * v for a, v in zip(row, vec)) for row in self.rows)
+        return tuple([sum(map(mul, row, vec)) for row in self.rows])
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
@@ -117,13 +140,7 @@ class DivisorProfile:
 
     def sigma_counts(self) -> tuple:
         """Multiplicities as (exponent, count) pairs, exponent descending."""
-        out = []
-        for x in self.a:
-            if out and out[-1][0] == x:
-                out[-1][1] += 1
-            else:
-                out.append([x, 1])
-        return tuple((x, c) for x, c in out)
+        return tuple((x, len(list(run))) for x, run in groupby(self.a))
 
 
 @dataclass(frozen=True)
@@ -420,7 +437,7 @@ def _canonical_primitive(vec: tuple, p: int, pN: int) -> tuple:
     raise ValueError("vector has no unit coordinate")
 
 
-# --- matrix file format (shared with the CLI) ---------------------------------
+# --- matrix file format and JSON text (shared with the CLI and the reports) ----
 
 def matrix_to_document(A: IntMatrix) -> dict:
     return {"rows": [list(row) for row in A.rows]}
@@ -455,3 +472,25 @@ def _parse_entry(x) -> int:
         if body.isdecimal():  # not isdigit: Decimal refuses digits such as "²"
             return int(Decimal(s))  # int(s) refuses more than sys.get_int_max_str_digits()
     raise ValueError(f"not an integer entry: {x!r}")
+
+
+def json_text(doc) -> str:
+    """doc as indented, key-sorted JSON; an int that str() refuses (see
+    sys.get_int_max_str_digits) becomes a decimal string, read back by _parse_entry."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True)
+    except ValueError:
+        text = json.dumps(_json_safe(doc), indent=2, sort_keys=True)
+    return text + "\n"
+
+
+def _json_safe(x):
+    if isinstance(x, dict):
+        return {k: _json_safe(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(v) for v in x]
+    try:
+        str(x)
+    except ValueError:  # an int past the limit; Decimal converts it exactly
+        return str(Decimal(x))
+    return x

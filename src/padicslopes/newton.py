@@ -83,7 +83,7 @@ def char_poly(A: IntMatrix) -> CharPoly:
         ck = -q
         coeffs.append(ck)
         if k < r:
-            M = AM + IntMatrix.identity(r).scale(ck)
+            M = AM.shift(ck)
     return CharPoly(tuple(coeffs))
 
 
@@ -259,7 +259,7 @@ def eigenvector_mod(A: IntMatrix, lam: int, p: int, N: int) -> Eigenvector:
     p^N, first unit coordinate 1, kernel_valuation = min(N, its order). Working
     mod p^{2N} fixes F mod p^(2N - v_p(d_{r-1})), all of p^N if v_p(d_{r-1}) <= N.
     """
-    gens = kernel_mod(A - IntMatrix.identity(A.r).scale(lam), p, 2 * N)
+    gens = kernel_mod(A.shift(-lam), p, 2 * N)
     if not gens:
         raise EigenvectorError("no kernel modulo p: the residue is not an eigenvalue at this precision")
     top, pN = gens[-1], p ** N

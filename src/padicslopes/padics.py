@@ -7,7 +7,6 @@ distinguished INFINITY sentinel, which compares above every finite value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -64,8 +63,7 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for q in small:
+    for q in _MR_WITNESSES:
         if n == q:
             return True
         if n % q == 0:
@@ -93,23 +91,6 @@ def is_prime(n: int) -> bool:
 def _require_prime(p: int) -> None:
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"p must be prime, got {p!r}")
-
-
-@dataclass(frozen=True)
-class PrecisionContext:
-    """A prime p and a working precision exponent N (arithmetic mod p^N)."""
-
-    p: int
-    N: int
-
-    def __post_init__(self):
-        _require_prime(self.p)
-        if not isinstance(self.N, int) or self.N < 1:
-            raise ValueError(f"precision exponent must be a positive integer, got {self.N!r}")
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.N
 
 
 def padic_valuation(x: int, p: int) -> int | PadicInfinity:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's code paths: determinants via exact
 rational Gaussian elimination, characteristic polynomials via cofactor
-expansion of the polynomial matrix, valuations via repeated division, and
-plain list-based polynomial arithmetic. The one exception is the reference
+expansion of the polynomial matrix, valuations via repeated division,
+plain list-based polynomial arithmetic, and matrix products and sums by the
+schoolbook loops. The one exception is the reference
 eigenvector, which is built from the integer-mode Smith form: that is the
 computation the Z/p^N mode replaced on the eigenvector path.
 """
@@ -105,3 +106,21 @@ def eigenvector_by_integer_snf(A: IntMatrix, lam: int, p: int, N: int) -> tuple:
     unit = next(x for x in col if x % p != 0)
     inv = pow(unit % pN, -1, pN)
     return tuple(x * inv % pN for x in col)
+
+
+def mat_mul_naive(a, b):
+    """a * b for matrices given as lists of rows, by the schoolbook triple loop."""
+    out = [[0] * len(b[0]) for _ in a]
+    for i in range(len(a)):
+        for j in range(len(b[0])):
+            for k in range(len(b)):
+                out[i][j] += a[i][k] * b[k][j]
+    return out
+
+
+def mat_add_naive(a, b):
+    """Entrywise a + b for matrices given as lists of rows."""
+    out = []
+    for i in range(len(a)):
+        out.append([a[i][j] + b[i][j] for j in range(len(a[i]))])
+    return out

@@ -5,6 +5,7 @@ import sys
 from decimal import Decimal
 
 import padicslopes.cli as cli
+from padicslopes.family import config_from_document, run_experiment
 from padicslopes.lattice import IntMatrix, matrix_from_document
 from padicslopes.newton import char_poly, newton_polygon, polygon_from_document, polygon_to_document
 
@@ -283,6 +284,34 @@ def test_verify_violation_exit_code(tmp_path, capsys, monkeypatch):
     rc = run_main(["verify-prop", "--config", cfg_path])
     capsys.readouterr()
     assert rc == 1
+
+
+def test_verify_report_integers_beyond_the_int_to_str_limit(tmp_path):
+    # precision_guard 9100 gives cap about 9100, so a and a' mod 3^cap reach about 4340 digits
+    doc = {"p": 3, "profile": {"kind": "explicit", "n": 16, "a": [16, 16, 16]}, "alpha": 1,
+           "kappa": "auto", "trials": 3, "master_seed": 5, "generator": "PLANTED",
+           "precision_guard": 9100}
+    rc, out, err = invoke("verify-prop", "--config", write_json(tmp_path / "cfg.json", doc))
+    assert (rc, err) == (0, "")
+    emitted = json.loads(out)["trials"]
+    assert [t["status"] for t in emitted] == ["ACCEPTED"] * 3
+    assert any(isinstance(t["a"], str) for t in emitted)
+    for t, expected in zip(emitted, run_experiment(config_from_document(doc)).trials):
+        for key in ("lam", "lam_prime", "a", "a_prime"):
+            value = t[key]
+            assert (int(Decimal(value)) if isinstance(value, str) else value) == getattr(expected, key)
+
+
+def test_internal_error_exits_three_with_its_traceback(tmp_path, capsys, monkeypatch):
+    cfg_path = write_json(tmp_path / "cfg.json", verify_config(trials=1))
+
+    def broken(config, mode="prop", jobs=1):
+        raise AssertionError("xi and psi do not commute")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    assert run_main(["verify-prop", "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "AssertionError: xi and psi do not commute" in err
 
 
 def test_verify_output_file_and_jobs_determinism(tmp_path):

@@ -17,7 +17,7 @@ from padicslopes.lattice import (
 )
 from padicslopes.rng import SplitMix64
 
-from oracles import det_fraction, valuation_by_division
+from oracles import det_fraction, mat_add_naive, mat_mul_naive, valuation_by_division
 
 
 def random_matrix(rng, r, bound):
@@ -298,3 +298,91 @@ def test_matrix_document_round_trip():
         matrix_from_document({"rows": [[True, 2], [3, 4]]})
     with pytest.raises(ValueError):
         matrix_from_document({"rows": []})
+
+
+# --- the product kernel against the schoolbook oracle ---------------------------------
+
+def kernel_entry(rng):
+    """0, a small signed value, or a signed value of 200 to 264 bits, with equal odds."""
+    kind = rng.randint(0, 2)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-9, 9)
+    return rng.choice((1, -1)) * (1 << 200 | rng.next_u64() << 136 | rng.next_u64())
+
+
+def kernel_rows(rng, r):
+    return [[kernel_entry(rng) for _ in range(r)] for _ in range(r)]
+
+
+def scaled(rows, c):
+    return [[c * x for x in row] for row in rows]
+
+
+def identity_rows(r):
+    return [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_kernel_arithmetic_matches_the_schoolbook_oracle(r):
+    rng = SplitMix64(0x6B65726E + r)
+    for _ in range(4):
+        a, b = kernel_rows(rng, r), kernel_rows(rng, r)
+        c = kernel_entry(rng)
+        vec = [kernel_entry(rng) for _ in range(r)]
+        A, B = IntMatrix.from_rows(a), IntMatrix.from_rows(b)
+        cases = [
+            (A * B, mat_mul_naive(a, b)),
+            (B * A, mat_mul_naive(b, a)),
+            (A * A, mat_mul_naive(a, a)),
+            (A + B, mat_add_naive(a, b)),
+            (A - B, mat_add_naive(a, scaled(b, -1))),
+            (A.scale(c), scaled(a, c)),
+            (A.shift(c), mat_add_naive(a, scaled(identity_rows(r), c))),
+            (IntMatrix.identity(r), identity_rows(r)),
+            (IntMatrix.zero(r), scaled(identity_rows(r), 0)),
+        ]
+        for got, rows in cases:
+            expected = IntMatrix.from_rows(rows)
+            assert got == expected
+            assert hash(got) == hash(expected)
+            assert all(type(x) is int for row in got.rows for x in row)
+        assert A.apply(vec) == tuple(row[0] for row in mat_mul_naive(a, [[v] for v in vec]))
+
+
+def test_kernel_entries_reach_200_bits_zero_and_negative_values():
+    rng = SplitMix64(0x6B65726E + 8)
+    entries = [x for row in kernel_rows(rng, 8) for x in row]
+    assert 0 in entries and min(entries) < 0
+    assert max(abs(x) for x in entries).bit_length() > 200
+
+
+def test_public_constructors_still_validate():
+    for rows in ([[1, 2]], [[1], [2, 3]], [], [[]], [[1, 2], [3]]):
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows(rows)
+    for rows in ([["x"]], [[None]], [[1, 2], [3, []]]):
+        with pytest.raises((ValueError, TypeError)):
+            IntMatrix.from_rows(rows)
+    with pytest.raises(ValueError):
+        IntMatrix(())
+    with pytest.raises(ValueError):
+        IntMatrix.diagonal([])
+    with pytest.raises(ValueError):
+        matrix_from_document({"rows": [[1.5]]})
+    for r in (0, -1):
+        with pytest.raises(ValueError):
+            IntMatrix.identity(r)
+        with pytest.raises(ValueError):
+            IntMatrix.zero(r)
+    A = IntMatrix.from_rows([[True, 2], [3, 4]])
+    assert type(A[0, 0]) is int
+    with pytest.raises(TypeError):
+        A.scale(1.5)
+    with pytest.raises(TypeError):
+        A.shift(0.5)
+    with pytest.raises(ValueError):
+        A * IntMatrix.identity(3)
+    with pytest.raises(ValueError):
+        A.apply((1, 2, 3))

@@ -2,7 +2,6 @@ import pytest
 
 from padicslopes.padics import (
     INFINITY,
-    PrecisionContext,
     congruent_mod_power,
     is_prime,
     padic_valuation,
@@ -85,15 +84,6 @@ def test_infinity_ordering():
     assert INFINITY != 5
     assert INFINITY + 7 is INFINITY
     assert 7 + INFINITY is INFINITY
-
-
-def test_precision_context_validation():
-    ctx = PrecisionContext(p=7, N=3)
-    assert ctx.modulus == 343
-    with pytest.raises(ValueError):
-        PrecisionContext(p=6, N=3)
-    with pytest.raises(ValueError):
-        PrecisionContext(p=7, N=0)
 
 
 def test_is_prime_spot_checks():
