@@ -107,15 +107,7 @@ def _int_list(value: str) -> list:
 
 
 def _kappa_arg(value: str):
-    if value == "auto":
-        return "auto"
-    try:
-        k = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"kappa must be 'auto' or an integer: {value!r}")
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"kappa must be positive: {k}")
-    return k
+    return "auto" if value == "auto" else _positive_int(value)
 
 
 def cmd_polygon(args) -> int:

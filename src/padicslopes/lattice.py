@@ -20,9 +20,9 @@ from .padics import INFINITY, _require_prime, padic_valuation, unit_part
 class IntMatrix:
     """Square matrix of exact integers, stored row-major as a tuple of tuples.
 
-    IntMatrix(rows), from_rows and diagonal coerce every entry with int() and
-    check the shape; arithmetic builds its results from checked operands by
-    _of. A product entry is sum(map(mul, row, col)), columns transposed once.
+    IntMatrix(rows), from_rows and diagonal take entries through operator.index
+    (a float or a string raises TypeError) and check the shape; arithmetic builds
+    its results by _of. A product entry is sum(map(mul, row, col)), columns transposed once.
     """
 
     rows: tuple
@@ -31,7 +31,7 @@ class IntMatrix:
         r = len(self.rows)
         if r == 0:
             raise ValueError("matrix must be nonempty")
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(index, row)) for row in self.rows)
         for row in rows:
             if len(row) != r:
                 raise ValueError("matrix must be square")
@@ -122,9 +122,11 @@ class DivisorProfile:
     a: tuple
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError(f"level must be a positive integer, got {self.n!r}")
-        a = tuple(int(x) for x in self.a)
+        if any(isinstance(x, bool) for x in self.a):
+            raise TypeError(f"profile exponents must be integers, got {self.a!r}")
+        a = tuple(map(index, self.a))
         if len(a) == 0:
             raise ValueError("profile must be nonempty")
         for prev, cur in zip(a, a[1:]):

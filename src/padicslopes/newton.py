@@ -273,8 +273,9 @@ class ConsistencyError(ValueError):
 def commuting_eigenvalue(B: IntMatrix, F, p: int, M: int) -> int:
     """Eigenvalue of B on the eigenvector F, mod p^M.
 
-    Divides at a unit coordinate of F and then verifies B F = a F in every
-    coordinate; a failure signals a non-eigenvector or exhausted precision.
+    B needs only .apply: an IntMatrix, or a family.PolynomialOperator, which applies
+    q(xi) without forming it. Divides at a unit coordinate of F and then verifies
+    B F = a F in every coordinate; a failure signals a non-eigenvector or exhausted precision.
     """
     _require_prime(p)
     if M < 1:

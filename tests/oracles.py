@@ -124,3 +124,13 @@ def mat_add_naive(a, b):
     for i in range(len(a)):
         out.append([a[i][j] + b[i][j] for j in range(len(a[i]))])
     return out
+
+
+def poly_apply_naive(coeffs, a, vec):
+    """sum_k coeffs[k] a^k vec, each power applied to vec by the schoolbook loop."""
+    out = [0] * len(vec)
+    power = list(vec)
+    for c in coeffs:
+        out = [x + c * y for x, y in zip(out, power)]
+        power = [sum(a[i][k] * power[k] for k in range(len(vec))) for i in range(len(vec))]
+    return out

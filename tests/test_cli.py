@@ -230,6 +230,14 @@ def test_verify_unknown_field_is_config_error(tmp_path):
     assert rc == 2
 
 
+def test_verify_inexact_profile_exponents_are_config_errors(tmp_path):
+    # once ran silently as a = (16, 15, 1)
+    profile = {"kind": "explicit", "n": 16, "a": [16.7, "15", True]}
+    cfg = write_json(tmp_path / "cfg.json", verify_config(profile=profile))
+    rc, out, err = invoke("verify-prop", "--config", cfg)
+    assert rc == 2 and out == "" and "error" in err and "Traceback" not in err
+
+
 def test_verify_missing_config_file(tmp_path):
     rc, _, err = invoke("verify-prop", "--config", str(tmp_path / "absent.json"))
     assert rc == 2 and "error" in err

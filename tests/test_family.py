@@ -1,5 +1,8 @@
+import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,8 @@ from padicslopes.family import (
     VIOLATION,
     ConfigError,
     InstancePair,
+    PolynomialOperator,
+    _assert_pair_invariants,
     _evaluate_constancy_pair,
     _evaluate_proposition_pair,
     _generate_pair,
@@ -19,17 +24,21 @@ from padicslopes.family import (
     poly_of_matrix,
     prepare_plan,
     random_unimodular,
+    read_config,
     report_to_document,
     report_to_json,
     run_experiment,
     same_quotient_action,
+    trial_to_document,
 )
-from padicslopes.lattice import DivisorProfile, IntMatrix, check_xi_condition
+from padicslopes.lattice import DivisorProfile, IntMatrix, check_xi_condition, json_text
 from padicslopes.newton import char_poly, newton_polygon
 from padicslopes.padics import INFINITY
 from padicslopes.rng import SplitMix64, trial_seed
 
-from oracles import det_fraction, horner_mod
+from oracles import det_fraction, horner_mod, poly_apply_naive
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def base_doc(**overrides):
@@ -114,6 +123,31 @@ def test_gen_congruent_pair_min_exponent():
     assert all(x % p**4 == 0 for row in diff.rows for x in row)
 
 
+def test_pair_invariants_reject_a_pair_that_disagrees_on_the_quotient():
+    p = 3
+    profile = DivisorProfile(n=4, a=(4, 0))
+    xi = IntMatrix.from_rows([[2, 81], [5, 162]])
+    psi = PolynomialOperator((1, 1), xi)
+    good = InstancePair(xi=xi, xi_prime=xi + IntMatrix.from_rows([[81, 0], [0, 0]]),
+                        psi=psi, psi_prime=psi, profile=profile, seed=0)
+    _assert_pair_invariants(good, p)
+    # 3 in row 0 keeps xi' structural but moves row 0 mod p^{a_0} = 81
+    bad = replace(good, xi_prime=xi + IntMatrix.from_rows([[3, 0], [0, 0]]))
+    assert check_xi_condition(bad.xi_prime, profile, p)
+    assert not same_quotient_action(bad.xi, bad.xi_prime, profile, p)
+    with pytest.raises(AssertionError):
+        _assert_pair_invariants(bad, p)
+    # 1 in column 1 breaks xi'(K) in p^n L while xi keeps it
+    broken = replace(good, xi_prime=xi + IntMatrix.from_rows([[0, 1], [0, 0]]))
+    assert not check_xi_condition(broken.xi_prime, profile, p)
+    with pytest.raises(AssertionError):
+        _assert_pair_invariants(broken, p)
+    # matrices that do not commute are still caught where psi is a matrix
+    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+    with pytest.raises(AssertionError):
+        _assert_pair_invariants(replace(good, psi=swap, psi_prime=swap), p)
+
+
 def test_gen_psi_polynomial_commutes():
     rng = SplitMix64(91)
     profile = DivisorProfile(n=3, a=(3, 2, 1))
@@ -130,6 +164,58 @@ def test_poly_of_matrix_degenerate_cases():
     xi = gen_xi(DivisorProfile(n=2, a=(2, 1)), 3, 1, rng)
     assert poly_of_matrix([0, 1], xi) == xi  # q = X
     assert poly_of_matrix([5], xi) == IntMatrix.identity(2).scale(5)  # q constant
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_polynomial_operator_matches_the_formed_matrix(r):
+    # vector Horner against poly_of_matrix(q, A).apply and the power-sum oracle
+    rng = SplitMix64(0x486F726E + r)
+
+    def check(coeffs, A, vec):
+        got = PolynomialOperator(coeffs, A).apply(vec)
+        assert got == poly_of_matrix(coeffs, A).apply(vec)
+        assert got == tuple(poly_apply_naive(coeffs, [list(row) for row in A.rows], list(vec)))
+        assert all(type(x) is int for x in got)
+        assert PolynomialOperator(coeffs, A).rows == poly_of_matrix(coeffs, A).rows
+
+    def entry(big):
+        x = rng.randint(-9, 9)
+        return x << 200 | rng.next_u64() if big else x
+
+    for deg in range(r):
+        for big in (False, True):
+            A = IntMatrix.from_rows([[entry(big) for _ in range(r)] for _ in range(r)])
+            vec = tuple(entry(big) for _ in range(r))
+            coeffs = tuple(entry(big) for _ in range(deg + 1))
+            check(coeffs, A, vec)
+            check((0,) * (deg + 1), A, vec)
+            check(coeffs, A, (0,) * r)
+            check(coeffs, IntMatrix.zero(r), vec)
+    assert min(min(row) for row in A.rows) < 0
+    assert max(abs(x) for row in A.rows for x in row).bit_length() > 190
+
+
+def test_generated_polynomial_psi_commutes_on_the_shipped_configs():
+    # psi = q(xi) commutes with xi by construction, so trials no longer check it
+    for name, mode in (("prop_default.json", "prop"), ("constancy_default.json", "constancy")):
+        cfg = read_config(CONFIG_DIR / name)
+        plan = prepare_plan(cfg, mode)
+        min_exponent = cfg.nprime if mode == "constancy" else 0
+        for index in range(cfg.trials):
+            seed = trial_seed(cfg.master_seed, index)
+            pair = _generate_pair(plan, SplitMix64(seed), seed, min_exponent=min_exponent)
+            assert pair.psi == PolynomialOperator(pair.psi_coeffs, pair.xi)
+            assert pair.psi_prime == PolynomialOperator(pair.psi_coeffs, pair.xi_prime)
+            # gen_psi_polynomial draws the same q from the same stream
+            rng = SplitMix64(seed)
+            xi = gen_xi(cfg.profile, cfg.p, cfg.entry_bound, rng)
+            xi_prime = gen_congruent_pair(xi, cfg.profile, cfg.p, cfg.entry_bound, rng,
+                                          min_exponent=min_exponent)
+            _, _, q = gen_psi_polynomial(xi, xi_prime, cfg.p, cfg.entry_bound, rng)
+            assert q == pair.psi_coeffs
+            for xi in (pair.xi, pair.xi_prime):
+                psi = poly_of_matrix(pair.psi_coeffs, xi)
+                assert xi * psi == psi * xi
 
 
 def test_planted_quadruple():
@@ -184,6 +270,21 @@ def test_config_validation():
         base_doc(profile={"kind": "explicit", "n": 3, "a": [3, 2, 0]})
     )
     assert explicit.profile.a == (3, 2, 0)
+
+
+def test_config_refuses_inexact_and_boolean_integers():
+    for a in ([16.7, "15", True], [16, 15.0], [16, "15"], [16, True]):
+        with pytest.raises(ConfigError):
+            config_from_document(base_doc(profile={"kind": "explicit", "n": 16, "a": a}))
+    with pytest.raises(ConfigError):
+        config_from_document(base_doc(profile={"kind": "explicit", "n": True, "a": [1]}))
+    with pytest.raises(ConfigError):
+        config_from_document(base_doc(profile={"kind": "hilbert", "d": True, "h": 1, "n": 6}))
+    for key in ("alpha", "kappa", "trials", "master_seed", "entry_bound", "nprime"):
+        with pytest.raises(ConfigError):
+            config_from_document(base_doc(**{key: True}))
+        with pytest.raises(ConfigError):
+            config_from_document(base_doc(**{key: 1.0}))
 
 
 def test_prepare_plan_kappa_resolution():
@@ -262,6 +363,68 @@ def test_violation_branch_reports_matrices():
             assert report.pair is not None
             return
     raise AssertionError("expected a violation from unrelated operators")
+
+
+# SHA-256 prefixes of the two violation trials below, with psi formed up front
+PROP_VIOLATION_DIGEST = "8fd9a8df44186795"
+CONSTANCY_VIOLATION_DIGEST = "526fb61ae57c99ce"
+
+
+def lazy_pair(xi, xi_prime, coeffs, profile):
+    return InstancePair(xi=xi, xi_prime=xi_prime, psi=PolynomialOperator(coeffs, xi),
+                        psi_prime=PolynomialOperator(coeffs, xi_prime),
+                        profile=profile, seed=0, psi_coeffs=coeffs)
+
+
+def assert_report_forms_psi(report, coeffs, digest):
+    """The VIOLATION report embeds q(xi), q(xi'), and its bytes are those of the
+    same trial with psi and psi' formed up front (pinned before psi became lazy)."""
+    pair = report.pair
+    doc = trial_to_document(report)
+    for name, xi in (("psi", pair.xi), ("psi_prime", pair.xi_prime)):
+        assert doc["matrices"][name] == [list(r) for r in poly_of_matrix(coeffs, xi).rows]
+    text = json_text(doc)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digest
+    return text
+
+
+def test_polynomial_psi_violation_report_forms_the_matrices():
+    cfg = config_from_document(
+        base_doc(profile={"kind": "explicit", "n": 4, "a": [4, 4, 4]}, alpha=0, kappa=2)
+    )
+    plan = prepare_plan(cfg, "prop")
+    rng = SplitMix64(41)
+    coeffs = (7, -4, 2)
+    for _ in range(40):
+        U, Ui = random_unimodular(3, rng)
+        xi, xi_prime = (
+            U * IntMatrix.diagonal([rng.unit(3, 80), 3 * rng.unit(3, 80), 9 * rng.unit(3, 80)]) * Ui
+            for _ in range(2)
+        )
+        pair = lazy_pair(xi, xi_prime, coeffs, cfg.profile)
+        report = _evaluate_proposition_pair(plan, pair, 0, 0)
+        if report.status == VIOLATION:
+            break
+    else:
+        raise AssertionError("expected a violation from unrelated operators")
+    text = assert_report_forms_psi(report, coeffs, PROP_VIOLATION_DIGEST)
+    formed = replace(pair, psi=poly_of_matrix(coeffs, xi),
+                     psi_prime=poly_of_matrix(coeffs, xi_prime))
+    assert json_text(trial_to_document(_evaluate_proposition_pair(plan, formed, 0, 0))) == text
+
+
+def test_polynomial_psi_constancy_violation_report_forms_the_matrices():
+    cfg = config_from_document(
+        constancy_doc(profile={"kind": "explicit", "n": 2, "a": [2, 2]}, nprime=2, p=2)
+    )
+    plan = prepare_plan(cfg, "constancy")
+    U, Ui = random_unimodular(2, SplitMix64(5))
+    coeffs = (3, -2)
+    xi = U * IntMatrix.diagonal([1, 2]) * Ui
+    xi_prime = U * IntMatrix.diagonal([2, 6]) * Ui
+    report = _evaluate_constancy_pair(plan, lazy_pair(xi, xi_prime, coeffs, cfg.profile), 0, 0)
+    assert report.status == VIOLATION
+    assert_report_forms_psi(report, coeffs, CONSTANCY_VIOLATION_DIGEST)
 
 
 def test_planted_extraction_matches_diagonal():

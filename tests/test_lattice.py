@@ -242,6 +242,23 @@ def test_profile_validation():
         DivisorProfile(n=3, a=())
 
 
+def test_constructors_refuse_inexact_entries():
+    # operator.index: a float or a string is refused, not truncated or parsed
+    for bad in (1.5, 2.0, "12", Decimal(3)):
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[bad]])
+        with pytest.raises(TypeError):
+            IntMatrix.diagonal([1, bad])
+        with pytest.raises(TypeError):
+            DivisorProfile(n=16, a=(16, bad))
+    with pytest.raises(TypeError):
+        DivisorProfile(n=16, a=(16, True))
+    with pytest.raises(ValueError):
+        DivisorProfile(n=True, a=(1,))
+    assert IntMatrix.from_rows([[12]]).rows == ((12,),)
+    assert DivisorProfile(n=16, a=[16, 15]).a == (16, 15)
+
+
 def test_kernel_mod_examples():
     assert kernel_mod(IntMatrix.identity(3), 5, 3) == []
     gens = kernel_mod(IntMatrix.diagonal([5, 1]), 5, 3)
