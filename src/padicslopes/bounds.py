@@ -13,6 +13,7 @@ floating-point code in the package and carry a boundary-proximity flag.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -74,6 +75,9 @@ def hilbert_profile(d: int, h: int, n: int) -> DivisorProfile:
     for name, v in (("d", d), ("h", h), ("n", n)):
         if not isinstance(v, int) or v < 1:
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
+    # n ** d is formed only when it is small (d < 64) or trivial (n = 1)
+    if (n > 1 and d >= 64) or h * n ** d > sys.maxsize:
+        raise ValueError(f"profile rank h * n^d exceeds {sys.maxsize}")
     a = []
     for r in range(n):
         a.extend([n - r] * (((r + 1) ** d - r ** d) * h))
@@ -111,26 +115,6 @@ def n_threshold(kappa: int, alpha: int, d: int, h: int) -> int:
     x = ((kappa + 1 + 3 * alpha) / c1_closed(d, h)) ** (d + 1)
     snapped = round(x) if abs(x - round(x)) < BOUNDARY_EPS else math.floor(x)
     return snapped + 1
-
-
-@dataclass(frozen=True)
-class HilbertParams:
-    """Shape parameters of the tensor-structure profile plus the slope under study."""
-
-    d: int
-    h: int
-    n: int
-    alpha: int = 0
-
-    def __post_init__(self):
-        for name, v in (("d", self.d), ("h", self.h), ("n", self.n)):
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if not isinstance(self.alpha, int) or self.alpha < 0:
-            raise ValueError(f"alpha must be a nonnegative integer, got {self.alpha!r}")
-
-    def profile(self) -> DivisorProfile:
-        return hilbert_profile(self.d, self.h, self.n)
 
 
 @dataclass(frozen=True)

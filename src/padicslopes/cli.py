@@ -19,7 +19,6 @@ import traceback
 from fractions import Fraction
 
 from .bounds import (
-    HilbertParams,
     boundary_functions,
     c1_closed,
     c_exact,
@@ -110,6 +109,13 @@ def _kappa_arg(value: str):
     return "auto" if value == "auto" else _positive_int(value)
 
 
+def _hilbert_profile(d: int, h: int, n: int):
+    try:
+        return hilbert_profile(d, h, n)
+    except ValueError as exc:  # a rank past sys.maxsize
+        raise InputError(str(exc)) from exc
+
+
 def cmd_polygon(args) -> int:
     A = _load_matrix(args.input)
     cp = char_poly(A)
@@ -153,8 +159,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    params = HilbertParams(d=args.d, h=args.h, n=args.n, alpha=args.alpha)
-    profile = params.profile()
+    profile = _hilbert_profile(args.d, args.h, args.n)
     bf = boundary_functions(profile)
     c = c_exact(profile)
     kc = kappa_closed(args.n, args.alpha, args.d, args.h)
@@ -224,7 +229,7 @@ def cmd_compare_c(args) -> int:
     for d in args.d_list:
         for h in args.h_list:
             for n in range(1, args.n_max + 1):
-                exact = c_exact(hilbert_profile(d, h, n)).value
+                exact = c_exact(_hilbert_profile(d, h, n)).value
                 closed = c1_closed(d, h) * n ** (1.0 / (d + 1)) - 1.0
                 rows.append(
                     {

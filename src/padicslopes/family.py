@@ -19,7 +19,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bounds import c_exact, proposition_hypotheses, resolve_kappa, hilbert_profile
-from .lattice import DivisorProfile, IntMatrix, check_xi_condition, json_text, profile_mod
+from .lattice import (
+    DivisorProfile, IntMatrix, _add_col, _add_row, _swap_cols, _swap_rows,
+    check_xi_condition, json_text, profile_mod,
+)
 from .newton import (
     ConsistencyError,
     EigenvectorError,
@@ -32,7 +35,7 @@ from .newton import (
     slope_multiplicity,
     slope_to_string,
 )
-from .padics import INFINITY, is_prime, padic_valuation
+from .padics import _MR_DETERMINISTIC_BOUND, INFINITY, is_prime, padic_valuation
 from .rng import SplitMix64, trial_seed
 
 POLYNOMIAL_PSI = "POLYNOMIAL_PSI"
@@ -92,7 +95,10 @@ def profile_from_document(doc) -> DivisorProfile:
         for key in ("d", "h", "n"):
             _require(type(doc.get(key)) is int and doc[key] >= 1,
                      f"profile.{key} must be a positive integer")
-        profile = hilbert_profile(doc["d"], doc["h"], doc["n"])
+        try:
+            profile = hilbert_profile(doc["d"], doc["h"], doc["n"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         max_rank = doc.get("max_rank")
         if max_rank is not None:
             _require(type(max_rank) is int and max_rank >= 1,
@@ -119,7 +125,9 @@ def config_from_document(doc) -> ExperimentConfig:
     for key in ("p", "profile", "alpha", "trials", "master_seed"):
         _require(key in doc, f"missing config field: {key}")
     p = doc["p"]
-    _require(type(p) is int and is_prime(p), f"p must be prime, got {p!r}")
+    # is_prime refuses p at or above its deterministic bound
+    _require(type(p) is int and p < _MR_DETERMINISTIC_BOUND and is_prime(p),
+             f"p must be a prime below {_MR_DETERMINISTIC_BOUND}, got {p!r}")
     profile = profile_from_document(doc["profile"])
     alpha = doc["alpha"]
     _require(type(alpha) is int and alpha >= 0, "alpha must be a nonnegative integer")
@@ -136,8 +144,9 @@ def config_from_document(doc) -> ExperimentConfig:
     _require(type(max_attempts) is int and max_attempts >= 1,
              "max_attempts must be a positive integer")
     entry_bound = doc.get("entry_bound", 2)
-    _require(type(entry_bound) is int and entry_bound >= 0,
-             "entry_bound must be a nonnegative integer")
+    # draws come from [-p^entry_bound, p^entry_bound], at most 64 bits wide
+    _require(type(entry_bound) is int and 0 <= entry_bound < 64 and p ** entry_bound < 1 << 63,
+             "entry_bound must be a nonnegative integer with p^entry_bound < 2^63")
     precision_guard = doc.get("precision_guard", 8)
     _require(type(precision_guard) is int and precision_guard >= 0,
              "precision_guard must be a nonnegative integer")
@@ -165,7 +174,7 @@ def read_config(path) -> ExperimentConfig:
 
 # --- generators ----------------------------------------------------------------
 
-def random_unimodular(r: int, rng: SplitMix64, coeff_bound: int = 2) -> tuple:
+def random_unimodular(r: int, rng: SplitMix64) -> tuple:
     """(U, U^{-1}) built from 2r random shears and swaps; det is +-1 by construction."""
     if r == 1:
         s = rng.choice((1, -1))
@@ -177,17 +186,14 @@ def random_unimodular(r: int, rng: SplitMix64, coeff_bound: int = 2) -> tuple:
         j = rng.randint(0, r - 2)
         if j >= i:
             j += 1
-        q = rng.randint(-coeff_bound, coeff_bound)
+        q = rng.randint(-2, 2)
         if q == 0:
-            U[i], U[j] = U[j], U[i]
-            for row in Ui:
-                row[i], row[j] = row[j], row[i]
+            _swap_rows(U, i, j)
+            _swap_cols(Ui, i, j)
         else:
             # U <- E U with E = I + q e_i e_j^T; Ui <- Ui E^{-1}
-            for k in range(r):
-                U[i][k] += q * U[j][k]
-            for row in Ui:
-                row[j] -= q * row[i]
+            _add_row(U, i, j, q)
+            _add_col(Ui, j, i, -q)
     return IntMatrix.from_rows(U), IntMatrix.from_rows(Ui)
 
 
@@ -279,10 +285,9 @@ class InstancePair:
     psi_prime: IntMatrix | PolynomialOperator
     profile: DivisorProfile
     seed: int
-    # PLANTED ground truth (None for POLYNOMIAL_PSI); q coefficients otherwise
+    # PLANTED ground truth (None for POLYNOMIAL_PSI, whose q is psi.coeffs)
     planted_valuations: tuple | None = None
     planted_psi_diagonal: tuple | None = None
-    psi_coeffs: tuple | None = None
 
 
 def gen_planted_quadruple(
@@ -429,7 +434,7 @@ def _generate_pair(plan: ExperimentPlan, rng: SplitMix64, seed: int,
     coeffs = tuple([rng.randint(-bound, bound) for _ in range(xi.r)])
     return InstancePair(xi=xi, xi_prime=xi_prime, psi=PolynomialOperator(coeffs, xi),
                         psi_prime=PolynomialOperator(coeffs, xi_prime),
-                        profile=cfg.profile, seed=seed, psi_coeffs=coeffs)
+                        profile=cfg.profile, seed=seed)
 
 
 def run_proposition_trial(plan: ExperimentPlan, index: int) -> TrialReport:

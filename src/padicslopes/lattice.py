@@ -441,10 +441,6 @@ def _canonical_primitive(vec: tuple, p: int, pN: int) -> tuple:
 
 # --- matrix file format and JSON text (shared with the CLI and the reports) ----
 
-def matrix_to_document(A: IntMatrix) -> dict:
-    return {"rows": [list(row) for row in A.rows]}
-
-
 def matrix_from_document(doc) -> IntMatrix:
     if not isinstance(doc, dict):
         raise ValueError("matrix document must be an object")

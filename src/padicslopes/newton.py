@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .lattice import IntMatrix, kernel_mod
 from .padics import INFINITY, _require_prime, as_slope, padic_valuation
@@ -17,12 +18,12 @@ from .padics import INFINITY, _require_prime, as_slope, padic_valuation
 
 @dataclass(frozen=True)
 class CharPoly:
-    """Integer polynomial sum_s c_s X^{t-s} with c_0 != 0."""
+    """Integer polynomial sum_s c_s X^{t-s}, c_0 != 0; coefficients go through operator.index."""
 
     coeffs: tuple
 
     def __post_init__(self):
-        c = tuple(int(x) for x in self.coeffs)
+        c = tuple(map(index, self.coeffs))
         if len(c) == 0:
             raise ValueError("polynomial needs at least one coefficient")
         if c[0] == 0:
@@ -61,9 +62,6 @@ class NewtonPolygon:
 
     def finite_segments(self) -> tuple:
         return tuple(s for s in self.segments if s.slope is not INFINITY)
-
-    def infinity_length(self) -> int:
-        return sum(s.length for s in self.segments if s.slope is INFINITY)
 
 
 def char_poly(A: IntMatrix) -> CharPoly:
@@ -143,10 +141,6 @@ class HenselRoot:
     p: int
     N: int
     alpha: int
-
-    @property
-    def unique_modulus_exponent(self) -> int:
-        return self.N - self.derivative_valuation
 
 
 def hensel_slope_root(cp: CharPoly, p: int, alpha: int, N: int) -> HenselRoot:
@@ -305,13 +299,6 @@ def slope_to_string(slope) -> str:
     return f"{slope.numerator}/{slope.denominator}"
 
 
-def slope_from_string(s: str):
-    if s == "inf":
-        return INFINITY
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
-
-
 def polygon_to_document(np: NewtonPolygon) -> dict:
     return {
         "vertices": [[i, v] for i, v in np.vertices],
@@ -319,15 +306,3 @@ def polygon_to_document(np: NewtonPolygon) -> dict:
             {"slope": slope_to_string(seg.slope), "length": seg.length} for seg in np.segments
         ],
     }
-
-
-def polygon_from_document(doc) -> NewtonPolygon:
-    unknown = set(doc) - {"vertices", "segments"}
-    if unknown:
-        raise ValueError(f"unknown polygon fields: {sorted(unknown)}")
-    vertices = tuple((int(i), int(v)) for i, v in doc["vertices"])
-    segments = tuple(
-        SlopeSegment(slope=slope_from_string(seg["slope"]), length=int(seg["length"]))
-        for seg in doc["segments"]
-    )
-    return NewtonPolygon(vertices=vertices, segments=segments)

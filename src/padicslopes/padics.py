@@ -1,4 +1,4 @@
-"""Exact integer p-adic primitives: valuations, unit parts, congruences.
+"""Exact integer p-adic primitives: valuations, unit parts, primality, slopes.
 
 Everything in this module is arbitrary-precision integer arithmetic; there
 is deliberately no floating point anywhere. The valuation of 0 is the
@@ -114,16 +114,6 @@ def unit_part(x: int, p: int) -> int:
     while x % p == 0:
         x //= p
     return x
-
-
-def congruent_mod_power(x: int, y: int, p: int, m: int) -> bool:
-    """True iff p^m divides x - y (always true for m = 0)."""
-    _require_prime(p)
-    if m < 0:
-        raise ValueError(f"modulus exponent must be nonnegative, got {m}")
-    if m == 0:
-        return True
-    return (x - y) % p ** m == 0
 
 
 def as_slope(value) -> Fraction | PadicInfinity:

@@ -1,10 +1,10 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from padicslopes.bounds import (
-    HilbertParams,
     boundary_functions,
     c1_closed,
     c_exact,
@@ -79,12 +79,14 @@ def test_hilbert_profile_examples():
 
 
 def test_hilbert_params():
-    params = HilbertParams(d=1, h=2, n=3, alpha=1)
-    assert params.profile().a == (3, 3, 2, 2, 1, 1)
+    assert hilbert_profile(1, 2, 3).a == (3, 3, 2, 2, 1, 1)
     with pytest.raises(ValueError):
-        HilbertParams(d=1, h=0, n=3)
-    with pytest.raises(ValueError):
-        HilbertParams(d=1, h=1, n=3, alpha=-1)
+        hilbert_profile(1, 0, 3)
+    assert hilbert_profile(10**6, 3, 1).a == (1, 1, 1)  # n = 1: rank h for any d
+    # a rank h * n^d past sys.maxsize is refused before any list is built
+    for d, h, n in ((63, 1, 2), (64, 1, 2), (100, 1, 2), (10**18, 1, 3), (1, sys.maxsize, 2)):
+        with pytest.raises(ValueError, match="rank"):
+            hilbert_profile(d, h, n)
 
 
 def test_hilbert_profile_b_increments():

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import random
 import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
+
+import pytest
 
 import padicslopes.cli as cli
 from padicslopes.family import config_from_document, run_experiment
 from padicslopes.lattice import IntMatrix, matrix_from_document
-from padicslopes.newton import char_poly, newton_polygon, polygon_from_document, polygon_to_document
+from padicslopes.newton import char_poly, newton_polygon, polygon_to_document
 
 
 def invoke(*args):
@@ -67,7 +72,6 @@ def test_polygon_round_trip(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     A = matrix_from_document({"rows": [[0, 1], [32, 4]]})
     in_memory = newton_polygon(char_poly(A), 2)
-    assert polygon_from_document(doc["polygon"]) == in_memory
     assert polygon_to_document(in_memory) == doc["polygon"]
 
 
@@ -186,6 +190,21 @@ def test_compare_c(capsys):
     assert clear["closed_exceeds_exact"] is False
 
 
+def assert_one_error_line(argv, capsys):
+    assert run_main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1, err
+
+
+# each once raised OverflowError (exit 3, with a traceback) building the profile list
+def test_bounds_rank_beyond_sys_maxsize_is_an_input_error(capsys):
+    assert_one_error_line(["bounds", "--d", "100", "--h", "1", "--n", "2", "--alpha", "0"], capsys)
+
+
+def test_compare_c_rank_beyond_sys_maxsize_is_an_input_error(capsys):
+    assert_one_error_line(["compare-c", "--d-list", "100", "--h-list", "1", "--n-max", "2"], capsys)
+
+
 def test_compare_c_bad_lists():
     rc, _, _ = invoke("compare-c", "--d-list", "", "--h-list", "1", "--n-max", "3")
     assert rc == 2
@@ -236,6 +255,37 @@ def test_verify_inexact_profile_exponents_are_config_errors(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", verify_config(profile=profile))
     rc, out, err = invoke("verify-prop", "--config", cfg)
     assert rc == 2 and out == "" and "error" in err and "Traceback" not in err
+
+
+PROP_DEFAULT = json.loads(
+    (Path(__file__).resolve().parent.parent / "configs" / "prop_default.json").read_text()
+)
+# each once ended in exit 3 with a traceback
+CONFIGS_BEYOND_THE_LIMITS = (
+    {"p": 3317044064679887385961987},  # is_prime refuses p at or above 3317044064679887385961981
+    {"entry_bound": 50},  # every draw from [-3^50, 3^50] raised "range wider than 64 bits"
+    {"entry_bound": 50, "generator": "PLANTED"},
+    {"profile": {"kind": "hilbert", "d": 100, "h": 1, "n": 2}},  # rank 2^100: OverflowError
+)
+
+
+@pytest.mark.parametrize("mode", ["prop", "constancy"])
+@pytest.mark.parametrize("overrides", CONFIGS_BEYOND_THE_LIMITS,
+                         ids=["p-past-the-primality-bound", "entry-bound-50",
+                              "entry-bound-50-planted", "rank-2^100"])
+def test_verify_config_beyond_the_limits_is_an_input_error(tmp_path, capsys, mode, overrides):
+    cfg = write_json(tmp_path / "cfg.json", {**PROP_DEFAULT, "nprime": 1, **overrides})
+    assert_one_error_line([f"verify-{mode}", "--config", cfg], capsys)
+
+
+def test_entry_bound_limit_is_the_64_bit_draw_range():
+    for p, widest in ((2, 62), (3, 39), (2**61 - 1, 1)):
+        for generator in ("POLYNOMIAL_PSI", "PLANTED"):
+            doc = {**PROP_DEFAULT, "p": p, "generator": generator, "trials": 2,
+                   "max_attempts": 4, "entry_bound": widest}
+            run_experiment(config_from_document(doc))  # draws without a range error
+            with pytest.raises(ValueError, match="entry_bound"):
+                config_from_document({**doc, "entry_bound": widest + 1})
 
 
 def test_verify_missing_config_file(tmp_path):
@@ -335,3 +385,75 @@ def test_verify_output_file_and_jobs_determinism(tmp_path):
 def test_unknown_subcommand():
     rc, _, _ = invoke("frobnicate")
     assert rc == 2
+
+
+# --- fuzzing the config path ---------------------------------------------------------------
+
+def test_fuzzed_configs_exit_with_a_documented_code(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    junk = st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none(),
+                     st.lists(st.integers(0, 2), max_size=2))
+    huge = st.sampled_from([2**63, 2**64, 10**30, -(2**70)])
+
+    def small(lo, hi):
+        return st.one_of(st.integers(lo, hi), junk)
+
+    # d and h keep a well-formed profile at rank <= 8, unless one is past the rank limit
+    hilbert = st.fixed_dictionaries(
+        {"kind": st.just("hilbert"), "d": st.one_of(st.just(1), st.just(64), huge, junk),
+         "h": st.one_of(st.integers(1, 2), huge, junk), "n": small(-1, 4)},
+        optional={"max_rank": small(-1, 4)},
+    )
+    explicit = st.fixed_dictionaries(
+        {"kind": st.just("explicit"), "n": small(-1, 4), "a": st.lists(small(-1, 5), max_size=4)},
+    )
+    values = {  # trials, n, precision_guard and max_attempts drive the cost: all small
+        "p": st.one_of(st.sampled_from([2, 5, 2**61 - 1, 2**89 - 1, 3317044064679887385961987,
+                                        1, 4, -3]), junk),
+        "profile": st.one_of(hilbert, explicit, st.just({"kind": "other"}), junk),
+        "alpha": small(-1, 3),  # a PLANTED constancy trial forms p^alpha, whatever alpha is
+        "kappa": st.one_of(small(-1, 3), huge),
+        "trials": small(-1, 3),
+        "master_seed": st.one_of(st.integers(), huge, junk),
+        "generator": st.one_of(st.sampled_from(["PLANTED", "planted"]), junk),
+        "max_attempts": small(-1, 4),
+        "entry_bound": st.one_of(small(-1, 1), st.sampled_from([39, 40, 50, 62, 63, 64]), huge),
+        "precision_guard": small(-1, 10),
+        "nprime": small(-1, 4),
+        "spurious": st.integers(0, 1),
+    }
+    valid = {"p": 3, "profile": {"kind": "hilbert", "d": 1, "h": 1, "n": 6, "max_rank": 4},
+             "alpha": 0, "kappa": "auto", "trials": 3, "master_seed": 7,
+             "generator": "POLYNOMIAL_PSI", "max_attempts": 4, "entry_bound": 2,
+             "precision_guard": 2, "nprime": 3}
+
+    @st.composite
+    def documents(draw):
+        """Not an object, or the valid config with up to three fields replaced or dropped."""
+        if draw(st.integers(0, 7)) == 0:
+            return draw(junk)
+        doc = dict(valid)
+        for key in draw(st.lists(st.sampled_from(sorted(values)), max_size=3, unique=True)):
+            if draw(st.booleans()):
+                doc[key] = draw(values[key])
+            else:
+                doc.pop(key, None)
+        return doc
+
+    path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @given(mode=st.sampled_from(["prop", "constancy"]), doc=documents())
+    def check(mode, doc):
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main([f"verify-{mode}", "--config", str(path), "--output", str(out)])
+        assert rc in (0, 1, 2) and "Traceback" not in err.getvalue(), (rc, err.getvalue())
+
+    for overrides in CONFIGS_BEYOND_THE_LIMITS:
+        for mode in ("prop", "constancy"):
+            check = example(mode=mode, doc={**PROP_DEFAULT, "nprime": 1, **overrides})(check)
+    check()

@@ -204,17 +204,16 @@ def test_generated_polynomial_psi_commutes_on_the_shipped_configs():
         for index in range(cfg.trials):
             seed = trial_seed(cfg.master_seed, index)
             pair = _generate_pair(plan, SplitMix64(seed), seed, min_exponent=min_exponent)
-            assert pair.psi == PolynomialOperator(pair.psi_coeffs, pair.xi)
-            assert pair.psi_prime == PolynomialOperator(pair.psi_coeffs, pair.xi_prime)
             # gen_psi_polynomial draws the same q from the same stream
             rng = SplitMix64(seed)
             xi = gen_xi(cfg.profile, cfg.p, cfg.entry_bound, rng)
             xi_prime = gen_congruent_pair(xi, cfg.profile, cfg.p, cfg.entry_bound, rng,
                                           min_exponent=min_exponent)
             _, _, q = gen_psi_polynomial(xi, xi_prime, cfg.p, cfg.entry_bound, rng)
-            assert q == pair.psi_coeffs
+            assert pair.psi == PolynomialOperator(q, pair.xi)
+            assert pair.psi_prime == PolynomialOperator(q, pair.xi_prime)
             for xi in (pair.xi, pair.xi_prime):
-                psi = poly_of_matrix(pair.psi_coeffs, xi)
+                psi = poly_of_matrix(q, xi)
                 assert xi * psi == psi * xi
 
 
@@ -335,8 +334,8 @@ def test_accepted_trial_matches_polynomial_oracle():
         found += 1
         # a must equal q(lambda) mod p^cap: the polynomial-functoriality oracle
         m = cfg.p**report.margin_cap
-        assert report.a == horner_mod(pair.psi_coeffs, report.lam, m)
-        assert report.a_prime == horner_mod(pair.psi_coeffs, report.lam_prime, m)
+        assert report.a == horner_mod(pair.psi.coeffs, report.lam, m)
+        assert report.a_prime == horner_mod(pair.psi.coeffs, report.lam_prime, m)
         assert report.margin is INFINITY or report.margin >= plan.kappa
         if found >= 3:
             break
@@ -373,7 +372,7 @@ CONSTANCY_VIOLATION_DIGEST = "526fb61ae57c99ce"
 def lazy_pair(xi, xi_prime, coeffs, profile):
     return InstancePair(xi=xi, xi_prime=xi_prime, psi=PolynomialOperator(coeffs, xi),
                         psi_prime=PolynomialOperator(coeffs, xi_prime),
-                        profile=profile, seed=0, psi_coeffs=coeffs)
+                        profile=profile, seed=0)
 
 
 def assert_report_forms_psi(report, coeffs, digest):

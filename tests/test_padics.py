@@ -2,7 +2,6 @@ import pytest
 
 from padicslopes.padics import (
     INFINITY,
-    congruent_mod_power,
     is_prime,
     padic_valuation,
     unit_part,
@@ -56,24 +55,6 @@ def test_unit_part_decomposition():
         u = unit_part(x, p)
         assert u % p != 0
         assert x == p**v * u
-
-
-def test_congruence_examples():
-    assert congruent_mod_power(7, 7, 2, 10)
-    assert congruent_mod_power(1, 1 + 2**5, 2, 5)
-    assert not congruent_mod_power(1, 1 + 2**5, 2, 6)
-    assert congruent_mod_power(3, 1000, 5, 0)
-
-
-def test_congruence_iff_valuation():
-    rng = SplitMix64(17)
-    for _ in range(200):
-        p = rng.choice((2, 3, 5))
-        x = rng.randint(-10**6, 10**6)
-        y = rng.randint(-10**6, 10**6)
-        m = rng.randint(0, 8)
-        expected = True if m == 0 else (x == y or padic_valuation(x - y, p) >= m)
-        assert congruent_mod_power(x, y, p, m) == expected
 
 
 def test_infinity_ordering():
