@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
 
 from .lattice import DivisorProfile, profile_mod
 
@@ -70,18 +70,17 @@ def c_exact(profile: DivisorProfile) -> CBound:
     return CBound(value=Fraction(best_num, best_den), argmin=best_i, capped=False)
 
 
-def hilbert_profile(d: int, h: int, n: int) -> DivisorProfile:
-    """Tensor-structure profile: ((r+1)^d - r^d) h copies of n - r, r = 0..n-1."""
+def hilbert_profile(d: int, h: int, n: int, max_rank: int | None = None) -> DivisorProfile:
+    """Tensor-structure profile: ((r+1)^d - r^d) h copies of n - r, r = 0..n-1,
+    truncated to its first max_rank exponents, which are the only ones formed."""
     for name, v in (("d", d), ("h", h), ("n", n)):
         if not isinstance(v, int) or v < 1:
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
     # n ** d is formed only when it is small (d < 64) or trivial (n = 1)
     if (n > 1 and d >= 64) or h * n ** d > sys.maxsize:
         raise ValueError(f"profile rank h * n^d exceeds {sys.maxsize}")
-    a = []
-    for r in range(n):
-        a.extend([n - r] * (((r + 1) ** d - r ** d) * h))
-    return DivisorProfile(n=n, a=tuple(a))
+    runs = (repeat(n - r, ((r + 1) ** d - r ** d) * h) for r in range(n))
+    return DivisorProfile(n=n, a=tuple(islice(chain.from_iterable(runs), max_rank)))
 
 
 def c1_closed(d: int, h: int) -> float:

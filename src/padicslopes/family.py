@@ -95,17 +95,13 @@ def profile_from_document(doc) -> DivisorProfile:
         for key in ("d", "h", "n"):
             _require(type(doc.get(key)) is int and doc[key] >= 1,
                      f"profile.{key} must be a positive integer")
+        max_rank = doc.get("max_rank")
+        _require(max_rank is None or (type(max_rank) is int and max_rank >= 1),
+                 "profile.max_rank must be a positive integer")
         try:
-            profile = hilbert_profile(doc["d"], doc["h"], doc["n"])
+            return hilbert_profile(doc["d"], doc["h"], doc["n"], max_rank)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        max_rank = doc.get("max_rank")
-        if max_rank is not None:
-            _require(type(max_rank) is int and max_rank >= 1,
-                     "profile.max_rank must be a positive integer")
-            if profile.r > max_rank:
-                profile = DivisorProfile(n=profile.n, a=profile.a[:max_rank])
-        return profile
     if kind == "explicit":
         unknown = set(doc) - _PROFILE_FIELDS_EXPLICIT
         _require(not unknown, f"unknown profile fields: {sorted(unknown)}")
@@ -130,7 +126,9 @@ def config_from_document(doc) -> ExperimentConfig:
              f"p must be a prime below {_MR_DETERMINISTIC_BOUND}, got {p!r}")
     profile = profile_from_document(doc["profile"])
     alpha = doc["alpha"]
-    _require(type(alpha) is int and alpha >= 0, "alpha must be a nonnegative integer")
+    # alpha <= n is all a trial can use; a larger one only makes PLANTED form p^alpha
+    _require(type(alpha) is int and 0 <= alpha <= profile.n,
+             f"alpha must be an integer with 0 <= alpha <= n = {profile.n}")
     kappa = doc.get("kappa", "auto")
     _require(kappa == "auto" or (type(kappa) is int and kappa >= 1),
              "kappa must be 'auto' or a positive integer")

@@ -106,9 +106,6 @@ class IntMatrix:
     def diagonal_entries(self) -> tuple:
         return tuple(self.rows[i][i] for i in range(self.r))
 
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.r))
-
     def _check_dim(self, other: "IntMatrix") -> None:
         if self.r != other.r:
             raise ValueError(f"dimension mismatch: {self.r} vs {other.r}")
@@ -341,13 +338,8 @@ def smith_normal_form(A: IntMatrix, p: int | None = None, N: int | None = None) 
         if B[s][s] < 0:
             row_scale(s, -1, -1)
 
-    return SmithDecomposition(
-        U=IntMatrix.from_rows(U),
-        D=IntMatrix.from_rows(B),
-        V=IntMatrix.from_rows(V),
-        u_inverse=IntMatrix.from_rows(Ui),
-        v_inverse=IntMatrix.from_rows(Vi),
-    )
+    # in field order U, D, V, u_inverse, v_inverse; every entry is already an int
+    return SmithDecomposition(*(IntMatrix._of(tuple(map(tuple, m))) for m in (U, B, V, Ui, Vi)))
 
 
 def quotient_profile(Kgen: IntMatrix, p: int, n: int) -> DivisorProfile:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
+from operator import index, mul
 
 from .lattice import IntMatrix, kernel_mod
 from .padics import INFINITY, _require_prime, as_slope, padic_valuation
@@ -65,23 +65,26 @@ class NewtonPolygon:
 
 
 def char_poly(A: IntMatrix) -> CharPoly:
-    """Characteristic polynomial det(X I - A) by the Faddeev-LeVerrier recursion.
+    """Characteristic polynomial det(X I - A) by Berkowitz's division-free algorithm.
 
-    Every division is by the step index and is exact over the integers, so
-    the result is exact and reproducible.
+    Step k takes the polynomial of the leading k x k block A_k to that of the
+    next block: with R and S the new row and column, it multiplies by the
+    lower-triangular Toeplitz matrix whose first column is
+    (1, -a_kk, -R S, -R A_k S, ..., -R A_k^{k-1} S). Only products and sums
+    occur, so the result is exact and reproducible.
     """
-    r = A.r
-    coeffs = [1]
-    M = IntMatrix.identity(r)
-    for k in range(1, r + 1):
-        AM = A * M
-        q, rem = divmod(AM.trace(), k)
-        if rem:
-            raise ArithmeticError("Faddeev-LeVerrier division was not exact")
-        ck = -q
-        coeffs.append(ck)
-        if k < r:
-            M = AM.shift(ck)
+    rows = A.rows
+    coeffs = [1, -rows[0][0]]
+    for k in range(1, len(rows)):
+        block = [row[:k] for row in rows[:k]]
+        R = rows[k][:k]
+        v = [row[k] for row in rows[:k]]
+        col = [1, -rows[k][k], -sum(map(mul, R, v))]
+        for _ in range(k - 1):
+            v = [sum(map(mul, row, v)) for row in block]
+            col.append(-sum(map(mul, R, v)))
+        # Toeplitz product: entry i is sum_j col[i - j] * coeffs[j]
+        coeffs = [sum(map(mul, coeffs, col[i::-1])) for i in range(k + 2)]
     return CharPoly(tuple(coeffs))
 
 
@@ -124,7 +127,7 @@ def slope_census(A: IntMatrix, p: int) -> tuple:
 
 
 class HenselError(ValueError):
-    """Root extraction failed (absent slope, non-simple residue, bad precision)."""
+    """Root extraction failed (slope absent or of multiplicity above 1, bad precision)."""
 
 
 @dataclass(frozen=True)
@@ -147,10 +150,9 @@ def hensel_slope_root(cp: CharPoly, p: int, alpha: int, N: int) -> HenselRoot:
     """Lift the slope-alpha root of cp to a residue mod p^N.
 
     Substitutes X = p^alpha Y, strips the content p^C, and Newton-iterates
-    from the unique simple unit root of the reduction mod p. When the
-    slope-alpha segment has length 1 that seed exists and is unique; for a
-    longer segment the reduction may still have simple unit roots, in which
-    case the smallest residue is used, otherwise the extraction is refused.
+    from the unique simple unit root of the reduction mod p. That seed exists
+    and is closed-form when the slope-alpha segment has length 1; a longer
+    segment is refused.
     """
     _require_prime(p)
     if isinstance(alpha, bool) or not isinstance(alpha, int):
@@ -166,6 +168,8 @@ def hensel_slope_root(cp: CharPoly, p: int, alpha: int, N: int) -> HenselRoot:
     segment = next((s for s in poly.finite_segments() if s.slope == Fraction(alpha)), None)
     if segment is None:
         raise HenselError(f"polygon has no slope-{alpha} segment")
+    if segment.length != 1:
+        raise HenselError(f"slope-{alpha} segment has length {segment.length}, not 1")
 
     t = cp.degree
     scaled = [c * p ** (alpha * (t - s)) for s, c in enumerate(cp.coeffs)]
@@ -177,26 +181,16 @@ def hensel_slope_root(cp: CharPoly, p: int, alpha: int, N: int) -> HenselRoot:
 
     g_mod = [x % p for x in g]
     dg = _poly_derivative(g)
-    if segment.length == 1:
-        # the reduction is Y^{t-i0-1} (u1 Y + u0) with u0, u1 the unit
-        # coefficients at the segment endpoints, so the seed is closed-form
-        i0 = next(
-            x0
-            for (x0, y0), (x1, y1) in zip(poly.vertices, poly.vertices[1:])
-            if Fraction(y1 - y0, x1 - x0) == Fraction(alpha)
-        )
-        y = -g_mod[i0 + 1] * pow(g_mod[i0], -1, p) % p
-        if y == 0 or _poly_eval_mod(g_mod, y, p) != 0 or _poly_eval_mod(dg, y, p) == 0:
-            raise AssertionError("length-1 segment must yield a simple unit seed")
-    else:
-        seeds = [y for y in range(1, p)
-                 if _poly_eval_mod(g_mod, y, p) == 0 and _poly_eval_mod(dg, y, p) != 0]
-        if not seeds:
-            raise HenselError(
-                f"slope-{alpha} residual polynomial has no simple unit root mod {p} "
-                "(segment of length >= 2 without separable reduction)"
-            )
-        y = seeds[0]
+    # the reduction is Y^{t-i0-1} (u1 Y + u0) with u0, u1 the unit
+    # coefficients at the segment endpoints, so the seed is closed-form
+    i0 = next(
+        x0
+        for (x0, y0), (x1, y1) in zip(poly.vertices, poly.vertices[1:])
+        if Fraction(y1 - y0, x1 - x0) == Fraction(alpha)
+    )
+    y = -g_mod[i0 + 1] * pow(g_mod[i0], -1, p) % p
+    if y == 0 or _poly_eval_mod(g_mod, y, p) != 0 or _poly_eval_mod(dg, y, p) == 0:
+        raise AssertionError("length-1 segment must yield a simple unit seed")
 
     # quadratic Newton lifting; g'(y) stays a unit throughout
     prec = 1

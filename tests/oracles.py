@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's code paths: determinants via exact
 rational Gaussian elimination, characteristic polynomials via cofactor
-expansion of the polynomial matrix, valuations via repeated division,
+expansion of the polynomial matrix or the Faddeev-LeVerrier trace recursion
+(Cohen, GTM 138, section 2.2), valuations via repeated division,
 plain list-based polynomial arithmetic, and matrix products and sums by the
 schoolbook loops. The one exception is the reference
 eigenvector, which is built from the integer-mode Smith form: that is the
@@ -76,6 +77,23 @@ def charpoly_cofactor(A: IntMatrix):
     coeffs = det_poly(rows)
     while len(coeffs) > 1 and coeffs[0] == 0:
         coeffs = coeffs[1:]
+    return tuple(coeffs)
+
+
+def charpoly_faddeev(A: IntMatrix):
+    """det(X I - A) by the Faddeev-LeVerrier recursion over lists of rows:
+    c_k = -tr(A M_k) / k with M_1 = I, M_{k+1} = A M_k + c_k I. Every division
+    is exact over the integers; descending powers."""
+    a = [list(row) for row in A.rows]
+    r = len(a)
+    coeffs = [1]
+    m = [[int(i == j) for j in range(r)] for i in range(r)]
+    for k in range(1, r + 1):
+        am = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in a]
+        q, rem = divmod(sum(am[i][i] for i in range(r)), k)
+        assert rem == 0, "Faddeev-LeVerrier division was not exact"
+        coeffs.append(-q)
+        m = [[x - q * (i == j) for j, x in enumerate(row)] for i, row in enumerate(am)]
     return tuple(coeffs)
 
 

@@ -83,6 +83,9 @@ def test_hilbert_params():
     with pytest.raises(ValueError):
         hilbert_profile(1, 0, 3)
     assert hilbert_profile(10**6, 3, 1).a == (1, 1, 1)  # n = 1: rank h for any d
+    # only the first max_rank exponents are formed, here of 2^40
+    assert hilbert_profile(40, 1, 2, max_rank=4).a == (2, 1, 1, 1)
+    assert hilbert_profile(1, 2, 3, max_rank=10).a == (3, 3, 2, 2, 1, 1)
     # a rank h * n^d past sys.maxsize is refused before any list is built
     for d, h, n in ((63, 1, 2), (64, 1, 2), (100, 1, 2), (10**18, 1, 3), (1, sys.maxsize, 2)):
         with pytest.raises(ValueError, match="rank"):

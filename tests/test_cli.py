@@ -278,6 +278,27 @@ def test_verify_config_beyond_the_limits_is_an_input_error(tmp_path, capsys, mod
     assert_one_error_line([f"verify-{mode}", "--config", cfg], capsys)
 
 
+def test_alpha_past_the_level_is_an_input_error(tmp_path, capsys):
+    # a PLANTED trial once computed 3 ** 10**12 for this config
+    doc = {**PROP_DEFAULT, "nprime": 1, "generator": "PLANTED", "alpha": 10**12}
+    assert_one_error_line(["verify-constancy", "--config", write_json(tmp_path / "cfg.json", doc)],
+                          capsys)
+    n = PROP_DEFAULT["profile"]["n"]
+    assert config_from_document({**PROP_DEFAULT, "alpha": n}).alpha == n
+    with pytest.raises(ValueError, match="alpha"):
+        config_from_document({**PROP_DEFAULT, "alpha": n + 1})
+
+
+def test_hilbert_profile_forms_only_max_rank_exponents(tmp_path):
+    # rank 2^40: building the whole list once raised MemoryError, exit 3
+    profile = {"kind": "hilbert", "d": 40, "h": 1, "n": 2, "max_rank": 4}
+    assert config_from_document({**PROP_DEFAULT, "profile": profile}).profile.a == (2, 1, 1, 1)
+    cfg = write_json(tmp_path / "cfg.json", {**PROP_DEFAULT, "profile": profile, "trials": 2})
+    rc, out, err = invoke("verify-prop", "--config", cfg)
+    assert rc == 0 and "Traceback" not in err, err
+    assert json.loads(out)["config"]["profile"] == profile
+
+
 def test_entry_bound_limit_is_the_64_bit_draw_range():
     for p, widest in ((2, 62), (3, 39), (2**61 - 1, 1)):
         for generator in ("POLYNOMIAL_PSI", "PLANTED"):
@@ -413,7 +434,7 @@ def test_fuzzed_configs_exit_with_a_documented_code(tmp_path):
         "p": st.one_of(st.sampled_from([2, 5, 2**61 - 1, 2**89 - 1, 3317044064679887385961987,
                                         1, 4, -3]), junk),
         "profile": st.one_of(hilbert, explicit, st.just({"kind": "other"}), junk),
-        "alpha": small(-1, 3),  # a PLANTED constancy trial forms p^alpha, whatever alpha is
+        "alpha": st.one_of(small(-1, 3), st.integers(5, 10**12), huge),  # past n: refused
         "kappa": st.one_of(small(-1, 3), huge),
         "trials": small(-1, 3),
         "master_seed": st.one_of(st.integers(), huge, junk),

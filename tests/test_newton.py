@@ -22,7 +22,7 @@ from padicslopes.newton import (
 from padicslopes.padics import INFINITY, padic_valuation
 from padicslopes.rng import SplitMix64
 
-from oracles import charpoly_cofactor, eigenvector_by_integer_snf, poly_mul
+from oracles import charpoly_cofactor, charpoly_faddeev, eigenvector_by_integer_snf, poly_mul
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -68,6 +68,53 @@ def test_char_poly_matches_cofactor_oracle():
             [[rng.randint(-20, 20) for _ in range(r)] for _ in range(r)]
         )
         assert char_poly(A).coeffs == charpoly_cofactor(A)
+
+
+def random_matrices(rng, ranks):
+    """One matrix per listed rank, entries of 1 to 40 bits, some with a zero row and column."""
+    for r in ranks:
+        bound = rng.choice((1, 9, 3**6, 10**12))
+        rows = [[rng.randint(-bound, bound) for _ in range(r)] for _ in range(r)]
+        if r > 1 and rng.randint(0, 3) == 0:  # a zero row and column: det is 0
+            k = rng.randint(0, r - 1)
+            rows = [[0 if k in (i, j) else x for j, x in enumerate(row)]
+                    for i, row in enumerate(rows)]
+        yield IntMatrix.from_rows(rows)
+
+
+def test_char_poly_matches_faddeev_oracle_at_random_ranks():
+    rng = SplitMix64(0xBE4C0)
+    ranks = [r for r in range(1, 25) for _ in range(3)] + [32, 32, 48]
+    for A in random_matrices(rng, ranks):
+        assert char_poly(A).coeffs == charpoly_faddeev(A), A.r
+    for A in (IntMatrix.zero(7), IntMatrix.identity(9).scale(-3)):
+        assert char_poly(A).coeffs == charpoly_faddeev(A)
+
+
+def test_char_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = SplitMix64(0x5E4B)
+    for A in random_matrices(rng, [r for r in range(1, 13) for _ in range(3)]):
+        expected = tuple(int(c) for c in sympy.Matrix(A.rows).charpoly().all_coeffs())
+        assert char_poly(A).coeffs == expected, A.r
+
+
+@pytest.mark.parametrize("name,mode", [("prop_default.json", "prop"),
+                                       ("prop_planted.json", "prop"),
+                                       ("constancy_default.json", "constancy")])
+def test_char_poly_matches_faddeev_on_shipped_trials(name, mode, monkeypatch):
+    # every xi and xi' whose polynomial a shipped config's trials read
+    checked = []
+
+    def checked_char_poly(A):
+        cp = char_poly(A)
+        assert cp.coeffs == charpoly_faddeev(A)
+        checked.append(A.r)
+        return cp
+
+    monkeypatch.setattr(family, "char_poly", checked_char_poly)
+    report = run_experiment(read_config(CONFIG_DIR / name), mode=mode)
+    assert len(checked) == 2 * sum(t.reason != "no-instance" for t in report.trials) > 0
 
 
 def test_char_poly_conjugation_invariance():
@@ -169,11 +216,6 @@ def test_slope_census_planted_oracle():
 # --- Hensel lifting ---------------------------------------------------------------
 
 def test_hensel_examples():
-    root = hensel_slope_root(CharPoly((1, 0, -2)), 7, 0, 3)
-    assert root.value == 108
-    assert 108**2 % 343 == 2  # direct squaring check
-    assert root.derivative_valuation == 0
-
     root = hensel_slope_root(CharPoly((1, -12, 27)), 3, 1, 5)
     assert root.value == 3
     assert root.derivative_valuation == 1
@@ -191,6 +233,14 @@ def test_hensel_rejections():
         hensel_slope_root(CharPoly((1, 0, -2)), 7, Fraction(1, 2), 3)
     with pytest.raises(HenselError):
         hensel_slope_root(CharPoly((1, -12, 27)), 3, 1, 1)  # N <= alpha
+
+
+def test_hensel_refuses_a_segment_longer_than_one():
+    # X^2 - 2 has a slope-0 segment of length 2; a search for seeds over
+    # range(1, p) once kept the second call busy for more than 5 s
+    for p in (7, 2**61 - 1):
+        with pytest.raises(HenselError, match="length 2"):
+            hensel_slope_root(CharPoly((1, 0, -2)), p, 0, 3)
 
 
 def test_hensel_planted_suite():
