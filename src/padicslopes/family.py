@@ -14,7 +14,6 @@ and may run in parallel without changing the output.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -199,11 +198,11 @@ def gen_xi(profile: DivisorProfile, p: int, entry_bound: int, rng: SplitMix64) -
     """Random operator with xi(K) in p^n L by construction: column j is p^{n-a_j} times
     a uniform draw from [-p^entry_bound, p^entry_bound]."""
     bound = p ** entry_bound
-    n = profile.n
-    rows = []
-    for _ in range(profile.r):
-        rows.append([p ** (n - aj) * rng.randint(-bound, bound) for aj in profile.a])
-    return IntMatrix.from_rows(rows)
+    r = profile.r
+    scales = [p ** (profile.n - aj) for aj in profile.a]
+    draws = rng.randints(-bound, bound, r * r)  # row-major, as r * r randint calls
+    return IntMatrix.from_rows([s * x for s, x in zip(scales, draws[i * r:(i + 1) * r])]
+                               for i in range(r))
 
 
 def gen_congruent_pair(
@@ -221,14 +220,13 @@ def gen_congruent_pair(
     adds the entrywise p^{n'} congruence the constancy experiment needs.
     """
     bound = p ** entry_bound
-    n = profile.n
+    r = profile.r
+    col_exps = [max(profile.n - aj, min_exponent) for aj in profile.a]
+    draws = rng.randints(-bound, bound, r * r)  # row-major, as r * r randint calls
     rows = []
-    for i, ai in enumerate(profile.a):
-        row = []
-        for j, aj in enumerate(profile.a):
-            exp = max(ai, n - aj, min_exponent)
-            row.append(xi[i, j] + p ** exp * rng.randint(-bound, bound))
-        rows.append(row)
+    for i, (ai, xrow) in enumerate(zip(profile.a, xi.rows)):
+        batch = draws[i * r:(i + 1) * r]
+        rows.append([x + p ** max(ai, e) * d for x, e, d in zip(xrow, col_exps, batch)])
     return IntMatrix.from_rows(rows)
 
 
@@ -268,7 +266,7 @@ def gen_psi_polynomial(
     those of xi and xi' do. Trials draw q the same way but never form q(xi).
     """
     bound = p ** entry_bound
-    coeffs = [rng.randint(-bound, bound) for _ in range(xi.r)]
+    coeffs = rng.randints(-bound, bound, xi.r)
     return poly_of_matrix(coeffs, xi), poly_of_matrix(coeffs, xi_prime), tuple(coeffs)
 
 
@@ -318,11 +316,12 @@ def gen_planted_quadruple(
         xi = U * IntMatrix.diagonal(diag) * Ui
         if not check_xi_condition(xi, profile, p):
             continue
-        psi_diag = [rng.randint(-bound, bound) for _ in range(r)]
+        psi_diag = rng.randints(-bound, bound, r)
         psi = U * IntMatrix.diagonal(psi_diag) * Ui
         shift = p ** max(n, min_exponent)
-        diag_prime = [x + shift * rng.randint(-bound, bound) for x in diag]
-        psi_diag_prime = [x + p ** n * rng.randint(-bound, bound) for x in psi_diag]
+        diag_prime = [x + shift * d for x, d in zip(diag, rng.randints(-bound, bound, r))]
+        pn = p ** n
+        psi_diag_prime = [x + pn * d for x, d in zip(psi_diag, rng.randints(-bound, bound, r))]
         xi_prime = U * IntMatrix.diagonal(diag_prime) * Ui
         psi_prime = U * IntMatrix.diagonal(psi_diag_prime) * Ui
         if not check_xi_condition(xi_prime, profile, p):
@@ -347,15 +346,15 @@ def same_quotient_action(x: IntMatrix, y: IntMatrix, profile: DivisorProfile, p:
 
 def _assert_pair_invariants(pair: InstancePair, p: int, min_exponent: int = 0) -> None:
     profile = pair.profile
-    n = profile.n
     if not check_xi_condition(pair.xi, profile, p):
         raise AssertionError("xi violates the structural condition")
     # p^{n - a_j} | Delta_ij gives xi'(K) in p^n L; p^{a_i} | Delta_ij is same_quotient_action
-    for i, ai in enumerate(profile.a):
-        for j, aj in enumerate(profile.a):
-            exp = max(ai, n - aj, min_exponent)
-            if (pair.xi[i, j] - pair.xi_prime[i, j]) % p ** exp != 0:
-                raise AssertionError(f"pair difference at ({i},{j}) misses p^{exp}")
+    col_exps = [max(profile.n - aj, min_exponent) for aj in profile.a]
+    rows = zip(profile.a, pair.xi.rows, pair.xi_prime.rows, strict=True)
+    for i, (ai, row, row_prime) in enumerate(rows):
+        for j, (x, y, e) in enumerate(zip(row, row_prime, col_exps)):
+            if (x - y) % p ** max(ai, e):
+                raise AssertionError(f"pair difference at ({i},{j}) misses p^{max(ai, e)}")
     if not isinstance(pair.psi, IntMatrix):  # q(xi) commutes with xi by construction
         return
     if pair.xi * pair.psi != pair.psi * pair.xi:
@@ -390,13 +389,19 @@ class TrialReport:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Config plus the per-experiment resolutions shared by every trial."""
+    """Config plus the per-experiment resolutions shared by every trial.
+
+    A prop plan resolves kappa, the hypotheses and the working precision; a
+    constancy plan resolves the bound c(L/(K + p^{n'} L)) below which the
+    slope multiplicities of xi and xi' must agree.
+    """
 
     config: ExperimentConfig
     mode: str
     kappa: int | None
     hypotheses_pass: bool
     precision: int | None
+    constancy_bound: Fraction | None = None
 
 
 def prepare_plan(config: ExperimentConfig, mode: str) -> ExperimentPlan:
@@ -404,8 +409,9 @@ def prepare_plan(config: ExperimentConfig, mode: str) -> ExperimentPlan:
         raise ConfigError(f"mode must be 'prop' or 'constancy', got {mode!r}")
     if mode == "constancy":
         _require(config.nprime is not None, "constancy mode needs the config field nprime")
+        bound = c_exact(profile_mod(config.profile, config.nprime)).value
         return ExperimentPlan(config=config, mode=mode, kappa=None,
-                              hypotheses_pass=True, precision=None)
+                              hypotheses_pass=True, precision=None, constancy_bound=bound)
     if config.kappa == "auto":
         kappa = resolve_kappa(config.profile, config.alpha)
         ok = kappa is not None
@@ -429,7 +435,7 @@ def _generate_pair(plan: ExperimentPlan, rng: SplitMix64, seed: int,
     xi_prime = gen_congruent_pair(xi, cfg.profile, cfg.p, cfg.entry_bound, rng,
                                   min_exponent=min_exponent)
     bound = cfg.p ** cfg.entry_bound
-    coeffs = tuple([rng.randint(-bound, bound) for _ in range(xi.r)])
+    coeffs = tuple(rng.randints(-bound, bound, xi.r))
     return InstancePair(xi=xi, xi_prime=xi_prime, psi=PolynomialOperator(coeffs, xi),
                         psi_prime=PolynomialOperator(coeffs, xi_prime),
                         profile=cfg.profile, seed=seed)
@@ -510,7 +516,7 @@ def _evaluate_constancy_pair(plan: ExperimentPlan, pair: InstancePair,
                              index: int, seed: int) -> TrialReport:
     """Compare slope multiplicities below the exact constancy bound."""
     cfg = plan.config
-    bound = c_exact(profile_mod(cfg.profile, cfg.nprime)).value
+    bound = plan.constancy_bound
     census = newton_polygon(char_poly(pair.xi), cfg.p).segments
     census_prime = newton_polygon(char_poly(pair.xi_prime), cfg.p).segments
     mult = {seg.slope: seg.length for seg in census}
@@ -590,6 +596,9 @@ def run_experiment(config: ExperimentConfig, mode: str = "prop", jobs: int = 1) 
     plan = prepare_plan(config, mode)
     indices = range(config.trials)
     if jobs > 1:
+        # imported here: multiprocessing adds about 20 ms to every start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, config.trials // (4 * jobs))  # a task pickles the plan once per chunk
             results = list(pool.map(_trial_worker, [(plan, i) for i in indices], chunksize=chunk))

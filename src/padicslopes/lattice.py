@@ -374,10 +374,10 @@ def check_xi_condition(xi: IntMatrix, profile: DivisorProfile, p: int) -> bool:
     _require_prime(p)
     if xi.r != profile.r:
         raise ValueError(f"dimension mismatch: matrix is {xi.r}, profile has rank {profile.r}")
-    for j, aj in enumerate(profile.a):
-        need = p ** (profile.n - aj)
-        for i in range(xi.r):
-            if xi[i, j] % need != 0:
+    needs = [p ** (profile.n - aj) for aj in profile.a]
+    for row in xi.rows:
+        for x, need in zip(row, needs):
+            if x % need:
                 return False
     return True
 

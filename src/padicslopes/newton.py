@@ -92,7 +92,14 @@ def newton_polygon(cp: CharPoly, p: int) -> NewtonPolygon:
     """Lower convex hull of the points (i, v_p(c_i)), skipping zero coefficients."""
     _require_prime(p)
     t = cp.degree
-    points = [(i, padic_valuation(c, p)) for i, c in enumerate(cp.coeffs) if c != 0]
+    points = []
+    for i, c in enumerate(cp.coeffs):
+        if c:
+            v = 0
+            while c % p == 0:
+                c //= p
+                v += 1
+            points.append((i, v))
     hull = [points[0]]
     for pt in points[1:]:
         while len(hull) >= 2:

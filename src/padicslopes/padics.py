@@ -8,6 +8,7 @@ distinguished INFINITY sentinel, which compares above every finite value.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Deterministic Miller-Rabin with the witness set above is proven correct
@@ -88,7 +89,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=64, typed=True)
 def _require_prime(p: int) -> None:
+    """Raises ValueError unless p is a prime int (TypeError if p is unhashable). The
+    cache holds the 64 primes last passed, so each is tested once per process; a
+    raise is never cached, and typed=True keeps 3.0 from hitting the entry of 3."""
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"p must be prime, got {p!r}")
 
@@ -117,9 +122,10 @@ def unit_part(x: int, p: int) -> int:
 
 
 def as_slope(value) -> Fraction | PadicInfinity:
-    """Normalize a slope-like value (int, Fraction, INFINITY) to canonical form."""
-    if value is INFINITY:
-        return INFINITY
+    """Normalize a slope-like value (int, Fraction, INFINITY) to canonical form;
+    a Fraction, already in lowest terms, passes through unchanged."""
+    if value is INFINITY or type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise TypeError("slope cannot be a bool")
     if isinstance(value, (int, Fraction)):

@@ -31,7 +31,10 @@ from padicslopes.family import (
     same_quotient_action,
     trial_to_document,
 )
-from padicslopes.lattice import DivisorProfile, IntMatrix, check_xi_condition, json_text
+from padicslopes.bounds import c_exact
+from padicslopes.lattice import (
+    DivisorProfile, IntMatrix, check_xi_condition, json_text, profile_mod,
+)
 from padicslopes.newton import char_poly, newton_polygon
 from padicslopes.padics import INFINITY
 from padicslopes.rng import SplitMix64, trial_seed
@@ -73,6 +76,54 @@ def test_splitmix_randint_deterministic_and_bounded():
     assert len(set(xs)) == 11  # every value hit at this sample size
     u = SplitMix64(10)
     assert all(u.unit(3, 9) % 3 != 0 for _ in range(50))
+
+
+def _randint_by_next_u64(rng, lo, hi):
+    # the rejection sampler written out over next_u64, independent of randints
+    span = hi - lo + 1
+    limit = 2**64 - 2**64 % span
+    while True:
+        x = rng.next_u64()
+        if x < limit:
+            return lo + x % span
+
+
+@pytest.mark.parametrize("k", [0, 1, 40])
+@pytest.mark.parametrize("lo,hi", [(5, 5), (-9, 9), (0, 2**32 - 1), (-2**62, 2**62)])
+def test_randints_is_k_randint_calls(lo, hi, k):
+    batch, single, oracle = SplitMix64(31), SplitMix64(31), SplitMix64(31)
+    xs = batch.randints(lo, hi, k)
+    assert xs == [single.randint(lo, hi) for _ in range(k)]
+    assert xs == [_randint_by_next_u64(oracle, lo, hi) for _ in range(k)]
+    assert all(lo <= x <= hi for x in xs)
+    assert batch.next_u64() == single.next_u64() == oracle.next_u64()
+
+
+def test_randints_rejects_the_draws_above_the_last_whole_span():
+    # span 2^63 + 1 takes words below 2^63 + 1 only, so about half the words are
+    # rejected: 40 values must take more than 40 steps of the stream
+    lo, hi = -2**62, 2**62
+    rng = SplitMix64(31)
+    rng.randints(lo, hi, 40)
+    words, steps = SplitMix64(31), 0
+    while words._state != rng._state:
+        words.next_u64()
+        steps += 1
+    assert steps > 40
+
+
+def test_randints_range_errors():
+    rng = SplitMix64(1)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="empty range"):
+            rng.randints(1, 0, k)
+        with pytest.raises(ValueError, match="wider than 64 bits"):
+            rng.randints(0, 2**64, k)
+    with pytest.raises(ValueError, match="empty range"):
+        rng.randint(1, 0)
+    with pytest.raises(ValueError, match="wider than 64 bits"):
+        rng.randint(-2**63, 2**63)
+    assert 0 <= rng.randint(0, 2**64 - 2) < 2**64 - 1  # the widest span allowed
 
 
 def test_random_unimodular():
@@ -146,6 +197,53 @@ def test_pair_invariants_reject_a_pair_that_disagrees_on_the_quotient():
     swap = IntMatrix.from_rows([[0, 1], [1, 0]])
     with pytest.raises(AssertionError):
         _assert_pair_invariants(replace(good, psi=swap, psi_prime=swap), p)
+
+
+# a = (3, 2, 1) at n = 4, p = 3: column j of xi is divisible by 3^(1 + j), and the
+# pair difference at (i, j) by 3^max(a_i, 1 + j)
+EDGE_PROFILE = DivisorProfile(n=4, a=(3, 2, 1))
+EDGE_XI = IntMatrix.from_rows([[3, 9, 27], [6, 18, 54], [-3, -9, 81]])
+
+
+@pytest.mark.parametrize("where", ["last row", "last column"])
+def test_checks_reject_a_pair_broken_only_at_an_edge(where):
+    p = 3
+    assert check_xi_condition(EDGE_XI, EDGE_PROFILE, p)
+    # (2, 0) lies in the last row only, (0, 2) in the last column only
+    i, j = (2, 0) if where == "last row" else (0, 2)
+    bump = [[0] * 3 for _ in range(3)]
+    bump[i][j] = 1
+    assert not check_xi_condition(EDGE_XI + IntMatrix.from_rows(bump), EDGE_PROFILE, p)
+
+    xi_prime = EDGE_XI + IntMatrix.from_rows([[27, 27, 27]] * 3)
+    good = InstancePair(xi=EDGE_XI, xi_prime=xi_prime,
+                        psi=PolynomialOperator((1, 1), EDGE_XI),
+                        psi_prime=PolynomialOperator((1, 1), xi_prime),
+                        profile=EDGE_PROFILE, seed=0)
+    _assert_pair_invariants(good, p)
+    # one power of p short of what (i, j) needs
+    need = max(EDGE_PROFILE.a[i], EDGE_PROFILE.n - EDGE_PROFILE.a[j])
+    bump[i][j] = p ** (need - 1)
+    bad = replace(good, xi_prime=EDGE_XI + IntMatrix.from_rows(bump))
+    with pytest.raises(AssertionError, match=rf"at \({i},{j}\) misses p\^{need}$"):
+        _assert_pair_invariants(bad, p)
+    # min_exponent raises every need to p^4
+    with pytest.raises(AssertionError, match=r"misses p\^4$"):
+        _assert_pair_invariants(good, p, min_exponent=4)
+    bump[i][j] = 27
+    with pytest.raises(AssertionError, match=rf"at \({i},{j}\) misses p\^4$"):
+        _assert_pair_invariants(replace(good, xi_prime=EDGE_XI + IntMatrix.from_rows(bump)),
+                                p, min_exponent=4)
+
+
+def test_constancy_plan_holds_the_bound_at_its_nprime():
+    for nprime in range(1, 7):
+        cfg = config_from_document(constancy_doc(nprime=nprime))
+        plan = prepare_plan(cfg, "constancy")
+        assert plan.constancy_bound == c_exact(profile_mod(cfg.profile, nprime)).value
+        assert run_experiment(replace(cfg, trials=2), "constancy").trials[0].constancy_bound \
+            == plan.constancy_bound
+    assert prepare_plan(config_from_document(base_doc()), "prop").constancy_bound is None
 
 
 def test_gen_psi_polynomial_commutes():

@@ -73,3 +73,12 @@ def test_is_prime_spot_checks():
     assert not is_prime(561)  # Carmichael
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
+
+
+def test_prime_check_is_cached_but_never_for_a_refusal():
+    assert padic_valuation(9, 3) == 2
+    for bad in (3.0, True, 4, -3):
+        for _ in range(2):  # a refusal is not cached: it raises again
+            with pytest.raises(ValueError):
+                padic_valuation(9, bad)
+    assert padic_valuation(9, 3) == 2

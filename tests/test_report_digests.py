@@ -3,6 +3,10 @@
 Acceptance criterion 7 compares a run with a rerun, so a deterministic but
 wrong rewrite of a hot path passes it; these pins do not. A change that is
 meant to alter report bytes updates them and says why.
+
+The shipped configs all run at p = 3, constancy only at n' = 5 and PLANTED
+only in prop mode; the configs of VARIANTS cover p = 2 and 5, n' = 1 and
+n' = n, and PLANTED at p = 5 in both modes.
 """
 
 import hashlib
@@ -10,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from padicslopes.family import read_config, report_to_json, run_experiment
+from padicslopes.family import config_from_document, read_config, report_to_json, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -25,5 +29,33 @@ PINNED = [
 @pytest.mark.parametrize("name,mode,digest", PINNED)
 def test_shipped_report_digest(name, mode, digest, jobs):
     report = run_experiment(read_config(CONFIG_DIR / name), mode=mode, jobs=jobs)
+    text = report_to_json(report)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digest
+
+
+PROP = {"profile": {"kind": "hilbert", "d": 1, "h": 1, "n": 12, "max_rank": 8},
+        "alpha": 1, "kappa": "auto", "generator": "POLYNOMIAL_PSI", "trials": 40}
+CONSTANCY = {"profile": {"kind": "hilbert", "d": 1, "h": 1, "n": 6},
+             "alpha": 0, "generator": "POLYNOMIAL_PSI", "trials": 40}
+PLANTED = {"profile": {"kind": "explicit", "n": 16, "a": [16] * 6},
+           "alpha": 1, "kappa": "auto", "generator": "PLANTED", "trials": 40}
+
+VARIANTS = [
+    ("constancy", dict(CONSTANCY, p=3, nprime=1, master_seed=11), "020528cc4e7bcd24"),
+    ("constancy", dict(CONSTANCY, p=3, nprime=6, master_seed=12), "c5cd93861c423618"),
+    ("constancy", dict(CONSTANCY, p=2, nprime=4, master_seed=13), "dda88d2d849fe8e1"),
+    ("constancy", dict(CONSTANCY, p=5, nprime=3, master_seed=14), "ed5ff37fa999143e"),
+    ("prop", dict(PROP, p=2, master_seed=15), "4b004a7f167b466f"),
+    ("prop", dict(PROP, p=5, master_seed=16), "d752d0cfcf8c8729"),
+    ("prop", dict(PLANTED, p=5, master_seed=17), "783dc73d4aac6270"),
+    ("constancy", dict(PLANTED, p=5, nprime=9, master_seed=18), "3460df3fba1c99c0"),
+]
+
+
+@pytest.mark.parametrize("mode,doc,digest", VARIANTS,
+                         ids=[f"{m}-p{d['p']}-{d['generator']}-nprime{d.get('nprime')}"
+                              for m, d, _ in VARIANTS])
+def test_variant_report_digest(mode, doc, digest):
+    report = run_experiment(config_from_document(doc), mode=mode)
     text = report_to_json(report)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digest
