@@ -2,6 +2,7 @@ import pytest
 
 from padicslopes.padics import (
     INFINITY,
+    _require_prime,
     is_prime,
     padic_valuation,
     unit_part,
@@ -77,8 +78,10 @@ def test_is_prime_spot_checks():
 
 def test_prime_check_is_cached_but_never_for_a_refusal():
     assert padic_valuation(9, 3) == 2
+    hits = _require_prime.cache_info().hits
     for bad in (3.0, True, 4, -3):
         for _ in range(2):  # a refusal is not cached: it raises again
             with pytest.raises(ValueError):
                 padic_valuation(9, bad)
     assert padic_valuation(9, 3) == 2
+    assert _require_prime.cache_info().hits == hits + 1
