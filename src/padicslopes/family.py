@@ -175,7 +175,8 @@ def random_unimodular(r: int, rng: SplitMix64) -> tuple:
     """(U, U^{-1}) built from 2r random shears and swaps; det is +-1 by construction."""
     if r == 1:
         s = rng.choice((1, -1))
-        return IntMatrix.from_rows([[s]]), IntMatrix.from_rows([[s]])
+        m = IntMatrix._of(((s,),))
+        return m, m
     U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     Ui = [row[:] for row in U]
     for _ in range(2 * r):
@@ -191,7 +192,7 @@ def random_unimodular(r: int, rng: SplitMix64) -> tuple:
             # U <- E U with E = I + q e_i e_j^T; Ui <- Ui E^{-1}
             _add_row(U, i, j, q)
             _add_col(Ui, j, i, -q)
-    return IntMatrix.from_rows(U), IntMatrix.from_rows(Ui)
+    return IntMatrix._of(tuple(map(tuple, U))), IntMatrix._of(tuple(map(tuple, Ui)))
 
 
 def gen_xi(profile: DivisorProfile, p: int, entry_bound: int, rng: SplitMix64) -> IntMatrix:
@@ -201,8 +202,8 @@ def gen_xi(profile: DivisorProfile, p: int, entry_bound: int, rng: SplitMix64) -
     r = profile.r
     scales = [p ** (profile.n - aj) for aj in profile.a]
     draws = rng.randints(-bound, bound, r * r)  # row-major, as r * r randint calls
-    return IntMatrix.from_rows([s * x for s, x in zip(scales, draws[i * r:(i + 1) * r])]
-                               for i in range(r))
+    rows = [[s * x for s, x in zip(scales, draws[i * r:(i + 1) * r])] for i in range(r)]
+    return IntMatrix._of(tuple(map(tuple, rows)))
 
 
 def gen_congruent_pair(
@@ -227,7 +228,7 @@ def gen_congruent_pair(
     for i, (ai, xrow) in enumerate(zip(profile.a, xi.rows)):
         batch = draws[i * r:(i + 1) * r]
         rows.append([x + p ** max(ai, e) * d for x, e, d in zip(xrow, col_exps, batch)])
-    return IntMatrix.from_rows(rows)
+    return IntMatrix._of(tuple(map(tuple, rows)))
 
 
 def poly_of_matrix(coeffs, A: IntMatrix) -> IntMatrix:
@@ -519,14 +520,9 @@ def _evaluate_constancy_pair(plan: ExperimentPlan, pair: InstancePair,
     bound = plan.constancy_bound
     census = newton_polygon(char_poly(pair.xi), cfg.p).segments
     census_prime = newton_polygon(char_poly(pair.xi_prime), cfg.p).segments
-    mult = {seg.slope: seg.length for seg in census}
-    mult_prime = {seg.slope: seg.length for seg in census_prime}
     mismatched = []
     informational = []
-    for slope in sorted(set(mult) | set(mult_prime), key=_slope_sort_key):
-        m, mp = mult.get(slope, 0), mult_prime.get(slope, 0)
-        if m == mp:
-            continue
+    for slope, m, mp in _multiplicity_differences(census, census_prime):
         if slope is not INFINITY and slope < bound:
             mismatched.append((slope, m, mp))
         else:
@@ -543,8 +539,30 @@ def _evaluate_constancy_pair(plan: ExperimentPlan, pair: InstancePair,
     )
 
 
-def _slope_sort_key(slope):
-    return (1, Fraction(0)) if slope is INFINITY else (0, slope)
+def _multiplicity_differences(census, census_prime):
+    """(slope, m, m') for every slope whose multiplicities m in census and m' in
+    census_prime differ (0 where a census lacks it), in increasing slope order.
+
+    A polygon's segments have strictly increasing slopes, INFINITY last, so the
+    two are walked together and no slope is hashed.
+    """
+    out = []
+    i = j = 0
+    while i < len(census) or j < len(census_prime):
+        seg = census[i] if i < len(census) else None
+        seg_prime = census_prime[j] if j < len(census_prime) else None
+        if seg_prime is None or (seg is not None and seg.slope < seg_prime.slope):
+            out.append((seg.slope, seg.length, 0))
+            i += 1
+        elif seg is None or seg_prime.slope < seg.slope:
+            out.append((seg_prime.slope, 0, seg_prime.length))
+            j += 1
+        else:
+            if seg.length != seg_prime.length:
+                out.append((seg.slope, seg.length, seg_prime.length))
+            i += 1
+            j += 1
+    return out
 
 
 # --- experiment driver ------------------------------------------------------------

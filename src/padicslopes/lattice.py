@@ -1,6 +1,6 @@
 """Exact integer matrix algebra over lattices.
 
-Smith normal form with accumulated unimodular transforms, elementary-divisor
+Smith normal form with its unimodular transforms formed on demand, elementary-divisor
 profiles of finite p-power quotients L/K, the per-column divisibility check
 for xi(K) in p^n L (adapted basis, K diagonal), and kernels modulo p^N.
 """
@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from decimal import Decimal
-from itertools import groupby
+from functools import cached_property
+from itertools import chain, groupby
+from math import gcd
 from operator import add, index, mul, sub
 
 from .padics import INFINITY, _require_prime, padic_valuation, unit_part
@@ -146,24 +148,52 @@ class DivisorProfile:
 class SmithDecomposition:
     """A = U * D * V with U, V unimodular, D diagonal, d_1 | d_2 | ... | d_r >= 0.
 
-    Over Z/p^N everything is reduced mod p^N: U and V are invertible mod p^N,
-    A = U * D * V holds mod p^N and D = diag(p^{v_i}), with 0 where v_i >= N.
-    u_inverse and v_inverse are accumulated alongside so that v_inverse * A
-    applications and kernel extraction need no matrix inversion. When
-    d_r = 0 mod p^N, the last column of v_inverse generates the top order of
-    ker(A mod p^N) and is fixed, up to a unit, only mod p^(N - v_p(d_{r-1})):
-    other pivots may add that power times earlier columns.
+    Over Z/p^N (modulus p^N) everything is reduced mod p^N: U and V are
+    invertible mod p^N, A = U * D * V holds mod p^N and D = diag(p^{v_i}), with
+    0 where v_i >= N. Over Z the modulus is 0.
+
+    The elimination is recorded, not accumulated: row_ops are the operations
+    E_1, ..., E_n applied to the rows of A and col_ops the operations F_1, ...,
+    F_m applied to its columns, each in the order applied (see _ADD for the
+    encoding), so D = E_n ... E_1 A F_1 ... F_m. U, V, u_inverse and v_inverse
+    are each formed on first read, by replaying a log in that order, and kept;
+    a caller that reads only D and v_inverse (kernel_mod) never forms the other
+    three. When d_r = 0 mod p^N, the last column of v_inverse generates the top
+    order of ker(A mod p^N) and is fixed, up to a unit, only mod
+    p^(N - v_p(d_{r-1})): other pivots may add that power times earlier columns.
     """
 
-    U: IntMatrix
     D: IntMatrix
-    V: IntMatrix
-    u_inverse: IntMatrix = field(repr=False)
-    v_inverse: IntMatrix = field(repr=False)
+    row_ops: tuple = field(repr=False)
+    col_ops: tuple = field(repr=False)
+    modulus: int = 0
 
     @property
     def divisors(self) -> tuple:
         return self.D.diagonal_entries()
+
+    # A row replay multiplies from the left, so the products taken from the right
+    # (U, v_inverse) are formed as their transposes, from the transposed operations.
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        """E_1^-1 ... E_n^-1, the transpose of E_n^-T ... E_1^-T."""
+        return _transposed(_replay(self.D.r, map(_inverse_transposed, self.row_ops), self.modulus))
+
+    @cached_property
+    def u_inverse(self) -> IntMatrix:
+        """E_n ... E_1."""
+        return _rows(_replay(self.D.r, self.row_ops, self.modulus))
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        """F_m^-1 ... F_1^-1; a logged column operation F, read as a row operation, is F^T."""
+        return _rows(_replay(self.D.r, map(_inverse_transposed, self.col_ops), self.modulus))
+
+    @cached_property
+    def v_inverse(self) -> IntMatrix:
+        """F_1 ... F_m, the transpose of F_m^T ... F_1^T."""
+        return _transposed(_replay(self.D.r, self.col_ops, self.modulus))
 
 
 def _swap_rows(m, i, k):
@@ -175,48 +205,74 @@ def _swap_cols(m, j, l):
         row[j], row[l] = row[l], row[j]
 
 
-def _add_row(m, k, i, q, mod=0):
-    """row_k += q * row_i, reduced mod `mod` unless it is 0"""
-    ri, rk = m[i], m[k]
-    for j in range(len(rk)):
-        rk[j] += q * ri[j]
-    if mod:
-        m[k] = [x % mod for x in rk]
+def _add_row(m, k, i, q):
+    """row_k += q * row_i"""
+    m[k] = [x + q * y for x, y in zip(m[k], m[i])]
 
 
-def _add_col(m, l, j, q, mod=0):
-    """col_l += q * col_j, reduced mod `mod` unless it is 0"""
+def _add_col(m, l, j, q):
+    """col_l += q * col_j"""
     for row in m:
         row[l] += q * row[j]
-        if mod:
-            row[l] %= mod
 
 
-def _scale_row(m, i, c, mod=0):
-    m[i] = [c * x % mod for x in m[i]] if mod else [c * x for x in m[i]]
+# Logged elementary operations on lines (the rows of a matrix, or the columns for
+# col_ops): (_ADD, k, i, q) is line_k += q * line_i, (_SWAP, i, k, None) exchanges
+# lines i and k, (_SCALE, i, c, c_inverse) multiplies line i by the unit c.
+_ADD, _SWAP, _SCALE = range(3)
 
 
-def _scale_col(m, j, c, mod=0):
-    for row in m:
-        row[j] = c * row[j] % mod if mod else c * row[j]
+def _inverse_transposed(op):
+    """The operation whose matrix is the inverse transpose of op's."""
+    kind, a, b, c = op
+    if kind == _ADD:
+        return _ADD, b, a, -c
+    if kind == _SCALE:
+        return _SCALE, a, c, b
+    return op
+
+
+def _replay(r, ops, mod):
+    """Rows of the r x r identity after ops are applied to its rows in order, every
+    changed row reduced mod `mod` unless it is 0."""
+    m = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    for kind, a, b, c in ops:
+        if kind == _SWAP:
+            m[a], m[b] = m[b], m[a]
+        elif kind == _SCALE:
+            m[a] = [b * x % mod for x in m[a]] if mod else [b * x for x in m[a]]
+        elif mod:  # entries are reduced, so a zero source entry leaves the target's as it is
+            m[a] = [(x + c * y) % mod if y else x for x, y in zip(m[a], m[b])]
+        else:
+            m[a] = [x + c * y for x, y in zip(m[a], m[b])]
+    return m
+
+
+def _rows(m) -> IntMatrix:
+    return IntMatrix._of(tuple(map(tuple, m)))
+
+
+def _transposed(m) -> IntMatrix:
+    return IntMatrix._of(tuple(zip(*m)))
 
 
 def _least_valuation(B, s, p, floor):
     """(i, j, v) of the first entry of least valuation v in the block B[s:, s:], or
-    None if the block is 0; no entry lies below `floor`, so one there ends the search."""
-    best = None
+    None if the block is 0. No entry lies below `floor`, so the first entry off
+    p^(floor + 1) is one; failing that, the least valuation is that of the block's gcd."""
+    q = p ** (floor + 1)
     for i in range(s, len(B)):
-        for j in range(s, len(B)):
-            x, v = B[i][j], 0
-            if x:
-                while x % p == 0:
-                    x //= p
-                    v += 1
-                if best is None or v < best[2]:
-                    best = (i, j, v)
-                    if v == floor:
-                        return best
-    return best
+        for j, x in enumerate(B[i][s:], s):
+            if x % q:
+                return i, j, floor
+    g = gcd(*chain.from_iterable(row[s:] for row in B[s:]))
+    if not g:
+        return None
+    v = 0
+    while g % p == 0:
+        g //= p
+        v += 1
+    return _least_valuation(B, s, p, v)
 
 
 def smith_normal_form(A: IntMatrix, p: int | None = None, N: int | None = None) -> SmithDecomposition:
@@ -228,8 +284,11 @@ def smith_normal_form(A: IntMatrix, p: int | None = None, N: int | None = None) 
     divisibility chain directly. Over Z/p^N (p-local elimination, after
     Storjohann) the pivot is an entry of least valuation v, scaled by a unit
     to p^v, so it divides the rest of the block and no fold step is needed;
-    every entry stays reduced mod p^N. All four transforms are accumulated
-    under the invariant A = U * B * V.
+    every entry stays reduced mod p^N. There a row elimination touches only the
+    columns right of the pivot, and once the rows are cleared the pivot column
+    is p^v e_s, so clearing the pivot row's tail is the whole column
+    elimination. Every row and column operation is logged, and the transforms
+    are formed from the logs only when read (see SmithDecomposition).
     """
     mod = 0
     if p is not None or N is not None:
@@ -239,38 +298,24 @@ def smith_normal_form(A: IntMatrix, p: int | None = None, N: int | None = None) 
         mod = p ** N
     r = A.r
     B = [[x % mod for x in row] if mod else list(row) for row in A.rows]
-    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    Ui = [row[:] for row in U]
-    V = [row[:] for row in U]
-    Vi = [row[:] for row in U]
+    row_ops, col_ops = [], []
 
     def row_swap(i, k):
         _swap_rows(B, i, k)
-        _swap_cols(U, i, k)
-        _swap_rows(Ui, i, k)
+        row_ops.append((_SWAP, i, k, None))
 
     def col_swap(j, l):
         _swap_cols(B, j, l)
-        _swap_rows(V, j, l)
-        _swap_cols(Vi, j, l)
+        col_ops.append((_SWAP, j, l, None))
 
+    # adds over Z; the Z/p^N branch updates only the entries that can change, and logs its own
     def row_add(k, i, q):
-        # B <- E*B with E = I + q*e_k e_i^T; U <- U*E^{-1}; Ui <- E*Ui
-        _add_row(B, k, i, q, mod)
-        _add_col(U, i, k, -q, mod)
-        _add_row(Ui, k, i, q, mod)
+        _add_row(B, k, i, q)
+        row_ops.append((_ADD, k, i, q))
 
     def col_add(l, j, q):
-        # B <- B*F with F = I + q*e_j e_l^T; V <- F^{-1}*V; Vi <- Vi*F
-        _add_col(B, l, j, q, mod)
-        _add_row(V, j, l, -q, mod)
-        _add_col(Vi, l, j, q, mod)
-
-    def row_scale(i, c, c_inverse):
-        # B <- E*B with E = I + (c - 1)*e_i e_i^T; U <- U*E^{-1}; Ui <- E*Ui
-        _scale_row(B, i, c, mod)
-        _scale_col(U, i, c_inverse, mod)
-        _scale_row(Ui, i, c, mod)
+        _add_col(B, l, j, q)
+        col_ops.append((_ADD, l, j, q))
 
     floor = 0  # over Z/p^N the pivot valuations never fall
     for s in range(r):
@@ -279,17 +324,28 @@ def smith_normal_form(A: IntMatrix, p: int | None = None, N: int | None = None) 
             if pivot is None:
                 break  # the rest of the block is 0 mod p^N
             i, j, floor = pivot
-            row_swap(s, i)
-            col_swap(s, j)
+            if i != s:
+                row_swap(s, i)
+            if j != s:
+                col_swap(s, j)
             ps = p ** floor
-            u = B[s][s] // ps
-            row_scale(s, pow(u, -1, mod), u)  # the pivot becomes p^v
+            top = B[s]
+            u = top[s] // ps
+            c = _unit_inverse(u, p, mod)
+            row_ops.append((_SCALE, s, c, u))  # the pivot becomes p^v
+            top[s] = ps
+            tail = [c * x % mod for x in top[s + 1:]]
             for i in range(s + 1, r):
-                if B[i][s]:
-                    row_add(i, s, -(B[i][s] // ps))
-            for j in range(s + 1, r):
-                if B[s][j]:
-                    col_add(j, s, -(B[s][j] // ps))
+                row = B[i]
+                if row[s]:
+                    q = -(row[s] // ps)
+                    row_ops.append((_ADD, i, s, q))
+                    row[s] = 0
+                    row[s + 1:] = [(x + q * y) % mod for x, y in zip(row[s + 1:], tail)]
+            for j, x in enumerate(tail, s + 1):
+                if x:
+                    col_ops.append((_ADD, j, s, -(x // ps)))
+            top[s + 1:] = [0] * (r - s - 1)
             continue
         while True:
             pivot = None
@@ -311,14 +367,12 @@ def smith_normal_form(A: IntMatrix, p: int | None = None, N: int | None = None) 
             dirty = False
             for i in range(s + 1, r):
                 if B[i][s] != 0:
-                    q = B[i][s] // d
-                    row_add(i, s, -q)
+                    row_add(i, s, -(B[i][s] // d))
                     if B[i][s] != 0:
                         dirty = True
             for j in range(s + 1, r):
                 if B[s][j] != 0:
-                    q = B[s][j] // d
-                    col_add(j, s, -q)
+                    col_add(j, s, -(B[s][j] // d))
                     if B[s][j] != 0:
                         dirty = True
             if dirty:
@@ -336,10 +390,10 @@ def smith_normal_form(A: IntMatrix, p: int | None = None, N: int | None = None) 
                 break
             row_add(s, fold, 1)
         if B[s][s] < 0:
-            row_scale(s, -1, -1)
+            B[s] = [-x for x in B[s]]
+            row_ops.append((_SCALE, s, -1, -1))
 
-    # in field order U, D, V, u_inverse, v_inverse; every entry is already an int
-    return SmithDecomposition(*(IntMatrix._of(tuple(map(tuple, m))) for m in (U, B, V, Ui, Vi)))
+    return SmithDecomposition(_rows(B), tuple(row_ops), tuple(col_ops), mod)
 
 
 def quotient_profile(Kgen: IntMatrix, p: int, n: int) -> DivisorProfile:
@@ -408,6 +462,8 @@ def kernel_mod(A: IntMatrix, p: int, N: int) -> list:
     Returned in nondecreasing order of the p-power order they carry; each
     vector is scaled so its first unit coordinate is 1 and reduced mod p^N.
     The last is fixed only mod p^(N - v_p(d_{r-1})) (see SmithDecomposition).
+    Reads only D and v_inverse, so the column log alone is replayed; U, V and
+    u_inverse are never formed.
     """
     dec = smith_normal_form(A, p, N)
     pN = p ** N
@@ -422,11 +478,25 @@ def kernel_mod(A: IntMatrix, p: int, N: int) -> list:
     return out
 
 
+def _unit_inverse(u: int, p: int, pN: int) -> int:
+    """u^-1 mod pN, for u a unit mod the prime p and pN a power of p.
+
+    Newton's step x <- x (2 - u x) doubles the p-adic precision of x, from
+    u^-1 mod p; on the ~150-bit moduli of the trials it is about 4x faster than
+    pow(u, -1, pN), whose extended Euclid gives the same integer.
+    """
+    x, pk = pow(u, -1, p), p
+    while pk < pN:
+        pk *= pk
+        x = x * (2 - u * x) % pk
+    return x % pN
+
+
 def _canonical_primitive(vec: tuple, p: int, pN: int) -> tuple:
     """Scale a primitive vector by a unit so its first unit coordinate is 1, mod p^N."""
     for x in vec:
         if x % p != 0:
-            inv = pow(x % pN, -1, pN)
+            inv = _unit_inverse(x, p, pN)
             return tuple(y * inv % pN for y in vec)
     raise ValueError("vector has no unit coordinate")
 

@@ -623,6 +623,35 @@ def test_constancy_above_bound_mismatch_is_informational():
     assert len(report.informational_slopes) == 2
 
 
+def test_constancy_slopes_in_one_census_only_keep_their_order():
+    # census {0: 1, 2: 1, 4: 2} against {2: 1, 3: 1, 4: 1, INFINITY: 1}: a slope only in
+    # the first census leads, one only in the second sits in the middle, and the second
+    # alone ends in an INFINITY segment; c = 1/4, so only slope 0 is below the bound
+    cfg = config_from_document(
+        constancy_doc(profile={"kind": "explicit", "n": 2, "a": [2, 2, 2, 2]}, nprime=1, p=2)
+    )
+    plan = prepare_plan(cfg, "constancy")
+    assert plan.constancy_bound == Fraction(1, 4)
+    xi = IntMatrix.diagonal([1, 4, 16, 16])
+    xi_prime = IntMatrix.diagonal([4, 8, 16, 0])
+
+    def evaluate(a, b):
+        pair = InstancePair(xi=a, xi_prime=b, psi=a, psi_prime=b, profile=cfg.profile, seed=0)
+        return _evaluate_constancy_pair(plan, pair, 0, 0)
+
+    report = evaluate(xi, xi_prime)
+    assert report.status == VIOLATION
+    assert report.mismatched_slopes == ((Fraction(0), 1, 0),)
+    assert report.informational_slopes == (
+        (Fraction(3), 0, 1), (Fraction(4), 2, 1), (INFINITY, 0, 1),
+    )
+    swapped = evaluate(xi_prime, xi)
+    assert swapped.mismatched_slopes == ((Fraction(0), 0, 1),)
+    assert swapped.informational_slopes == (
+        (Fraction(3), 1, 0), (Fraction(4), 1, 2), (INFINITY, 1, 0),
+    )
+
+
 def test_constancy_planted_generator():
     cfg = config_from_document(
         constancy_doc(

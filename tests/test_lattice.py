@@ -155,6 +155,56 @@ def test_snf_mod_planted_contract():
         assert got == sorted(min(N, v) for v in vals)
 
 
+def oracle_matrices(rng, count):
+    """Random matrices of rank 1 to 8; about a third are singular, their last row
+    a combination of the first and the last but one (0 at rank 1)."""
+    for _ in range(count):
+        r = rng.randint(1, 8)
+        rows = list(random_matrix(rng, r, rng.choice((3, 50, 10**4))).rows)
+        if rng.randint(0, 2) == 0:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[-1] = [0] if r == 1 else [a * x + b * y for x, y in zip(rows[0], rows[-2])]
+        yield IntMatrix.from_rows(rows)
+
+
+def sympy_invariant_factors(A):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    return tuple(abs(int(f)) for f in invariant_factors(sympy.Matrix(A.rows), domain=sympy.ZZ))
+
+
+def test_snf_divisors_match_sympy_invariant_factors():
+    rng = SplitMix64(0x5A17)
+    singular = 0
+    for A in oracle_matrices(rng, 150):
+        factors = sympy_invariant_factors(A)
+        assert smith_normal_form(A).divisors == factors, A.rows
+        singular += factors[-1] == 0
+    assert singular >= 20
+
+
+def test_snf_mod_valuations_match_sympy_invariant_factors():
+    rng = SplitMix64(0x5A18)
+    for A in oracle_matrices(rng, 150):
+        factors = sympy_invariant_factors(A)
+        p = rng.choice((2, 3, 5, 7))
+        N = rng.randint(1, 12)
+        divisors = smith_normal_form(A, p, N).divisors
+        got = [N if d == 0 else valuation_by_division(d, p) for d in divisors]
+        assert got == [N if f == 0 else min(N, valuation_by_division(f, p)) for f in factors]
+
+
+def test_snf_forms_each_transform_only_when_read():
+    rng = SplitMix64(0x5A19)
+    A = random_matrix(rng, 6, 10**4)
+    for dec in (smith_normal_form(A), smith_normal_form(A, 3, 20)):
+        assert dec.divisors and dec.v_inverse.r == 6  # what kernel_mod reads
+        formed = {"U", "V", "u_inverse", "v_inverse"} & set(vars(dec))
+        assert formed == {"v_inverse"}
+        assert dec.U is dec.U and dec.V is dec.V and dec.u_inverse is dec.u_inverse
+        assert {"U", "V", "u_inverse", "v_inverse"} <= set(vars(dec))
+
+
 def test_quotient_profile_examples():
     p = 5
     assert quotient_profile(IntMatrix.diagonal([p**2, p]), p, 3).a == (2, 1)
