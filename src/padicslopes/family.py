@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 
 from .bounds import c_exact, proposition_hypotheses, resolve_kappa, hilbert_profile
 from .lattice import (
@@ -271,15 +272,39 @@ def gen_psi_polynomial(
     return poly_of_matrix(coeffs, xi), poly_of_matrix(coeffs, xi_prime), tuple(coeffs)
 
 
+def _conjugated(U: IntMatrix, diagonal, Ui: IntMatrix) -> IntMatrix:
+    """U diag(diagonal) Ui as one product: U with column j scaled by diagonal[j], times Ui."""
+    return IntMatrix._of(tuple([tuple(map(mul, row, diagonal)) for row in U.rows])) * Ui
+
+
+@dataclass(frozen=True)
+class ConjugatedDiagonal:
+    """U diag(diagonal) U^-1, applied as U (diagonal * (U^-1 vec)): two matrix-vector
+    products and a scaling. Reading rows forms the matrix, which only violation
+    reports need."""
+
+    U: IntMatrix
+    diagonal: tuple
+    U_inverse: IntMatrix
+
+    def apply(self, vec) -> tuple:
+        return self.U.apply(tuple(map(mul, self.diagonal, self.U_inverse.apply(vec))))
+
+    @property
+    def rows(self) -> tuple:
+        return _conjugated(self.U, self.diagonal, self.U_inverse).rows
+
+
 @dataclass(frozen=True)
 class InstancePair:
-    """xi, xi' and commuting psi, psi': IntMatrix for PLANTED, PolynomialOperator
-    q(xi), q(xi') for POLYNOMIAL_PSI (applied to the eigenvector, never formed)."""
+    """xi, xi' and commuting psi, psi'. Trials only apply psi to the eigenvector, so
+    it is never formed: ConjugatedDiagonal U E U^-1 for PLANTED, PolynomialOperator
+    q(xi) for POLYNOMIAL_PSI; tests may pass an IntMatrix."""
 
     xi: IntMatrix
     xi_prime: IntMatrix
-    psi: IntMatrix | PolynomialOperator
-    psi_prime: IntMatrix | PolynomialOperator
+    psi: IntMatrix | PolynomialOperator | ConjugatedDiagonal
+    psi_prime: IntMatrix | PolynomialOperator | ConjugatedDiagonal
     profile: DivisorProfile
     seed: int
     # PLANTED ground truth (None for POLYNOMIAL_PSI, whose q is psi.coeffs)
@@ -301,7 +326,9 @@ def gen_planted_quadruple(
 
     xi = U D U^{-1}, psi = U E U^{-1} share the conjugator, and the primed
     side shifts both diagonals by multiples of p^n, which realizes the pair
-    constraints for every profile. Attempts whose xi fails the structural
+    constraints for every profile. xi and xi' are formed by one product each
+    (see _conjugated); psi and psi' are ConjugatedDiagonal operators, formed only
+    if a violation report reads them. Attempts whose xi fails the structural
     check are rejected; None means the attempt budget ran out.
     """
     r = profile.r
@@ -314,23 +341,23 @@ def gen_planted_quadruple(
         vals = [rng.choice(val_choices) for _ in range(r)]
         vals[slot] = alpha
         diag = [p ** v * rng.unit(p, bound) for v in vals]
-        xi = U * IntMatrix.diagonal(diag) * Ui
+        xi = _conjugated(U, diag, Ui)
         if not check_xi_condition(xi, profile, p):
             continue
-        psi_diag = rng.randints(-bound, bound, r)
-        psi = U * IntMatrix.diagonal(psi_diag) * Ui
+        psi_diag = tuple(rng.randints(-bound, bound, r))
         shift = p ** max(n, min_exponent)
         diag_prime = [x + shift * d for x, d in zip(diag, rng.randints(-bound, bound, r))]
         pn = p ** n
-        psi_diag_prime = [x + pn * d for x, d in zip(psi_diag, rng.randints(-bound, bound, r))]
-        xi_prime = U * IntMatrix.diagonal(diag_prime) * Ui
-        psi_prime = U * IntMatrix.diagonal(psi_diag_prime) * Ui
+        psi_shifts = rng.randints(-bound, bound, r)
+        psi_diag_prime = tuple([x + pn * d for x, d in zip(psi_diag, psi_shifts)])
+        xi_prime = _conjugated(U, diag_prime, Ui)
         if not check_xi_condition(xi_prime, profile, p):
             raise AssertionError("p^n-shifted planted operator lost the structural condition")
         return InstancePair(
-            xi=xi, xi_prime=xi_prime, psi=psi, psi_prime=psi_prime,
+            xi=xi, xi_prime=xi_prime, psi=ConjugatedDiagonal(U, psi_diag, Ui),
+            psi_prime=ConjugatedDiagonal(U, psi_diag_prime, Ui),
             profile=profile, seed=seed,
-            planted_valuations=tuple(vals), planted_psi_diagonal=tuple(psi_diag),
+            planted_valuations=tuple(vals), planted_psi_diagonal=psi_diag,
         )
     return None
 
@@ -356,7 +383,8 @@ def _assert_pair_invariants(pair: InstancePair, p: int, min_exponent: int = 0) -
         for j, (x, y, e) in enumerate(zip(row, row_prime, col_exps)):
             if (x - y) % p ** max(ai, e):
                 raise AssertionError(f"pair difference at ({i},{j}) misses p^{max(ai, e)}")
-    if not isinstance(pair.psi, IntMatrix):  # q(xi) commutes with xi by construction
+    # q(xi), and U E U^-1 beside xi = U D U^-1, commute with xi by construction
+    if not isinstance(pair.psi, IntMatrix):
         return
     if pair.xi * pair.psi != pair.psi * pair.xi:
         raise AssertionError("xi and psi do not commute")
@@ -472,8 +500,8 @@ def _evaluate_proposition_pair(plan: ExperimentPlan, pair: InstancePair,
         return replace(base, reason="not-simple")
 
     try:
-        root = hensel_slope_root(cp, cfg.p, cfg.alpha, N)
-        root_prime = hensel_slope_root(cp_prime, cfg.p, cfg.alpha, N)
+        root = hensel_slope_root(cp, poly, cfg.p, cfg.alpha, N)
+        root_prime = hensel_slope_root(cp_prime, poly_prime, cfg.p, cfg.alpha, N)
         cap = min(N - root.derivative_valuation - cfg.alpha,
                   N - root_prime.derivative_valuation - cfg.alpha)
         if cap < kappa:

@@ -1,8 +1,8 @@
 """Exact integer matrix algebra over lattices.
 
 Smith normal form with its unimodular transforms formed on demand, elementary-divisor
-profiles of finite p-power quotients L/K, the per-column divisibility check
-for xi(K) in p^n L (adapted basis, K diagonal), and kernels modulo p^N.
+profiles of finite p-power quotients L/K, and the per-column divisibility check
+for xi(K) in p^n L (adapted basis, K diagonal).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from itertools import chain, groupby
 from math import gcd
 from operator import add, index, mul, sub
 
-from .padics import INFINITY, _require_prime, padic_valuation, unit_part
+from .padics import _require_prime, padic_valuation, unit_part
 
 
 @dataclass(frozen=True)
@@ -157,9 +157,10 @@ class SmithDecomposition:
     F_m applied to its columns, each in the order applied (see _ADD for the
     encoding), so D = E_n ... E_1 A F_1 ... F_m. U, V, u_inverse and v_inverse
     are each formed on first read, by replaying a log in that order, and kept;
-    a caller that reads only D and v_inverse (kernel_mod) never forms the other
-    three. When d_r = 0 mod p^N, the last column of v_inverse generates the top
-    order of ker(A mod p^N) and is fixed, up to a unit, only mod
+    v_inverse_column(j) replays the column log on e_j alone and forms none of
+    them. Over Z/p^N the divisors' valuations are nondecreasing, zeros last, so
+    column r-1 of v_inverse generates the top order of ker(A mod p^N) (the
+    eigenvector reads it); that column is fixed, up to a unit, only mod
     p^(N - v_p(d_{r-1})): other pivots may add that power times earlier columns.
     """
 
@@ -194,6 +195,21 @@ class SmithDecomposition:
     def v_inverse(self) -> IntMatrix:
         """F_1 ... F_m, the transpose of F_m^T ... F_1^T."""
         return _transposed(_replay(self.D.r, self.col_ops, self.modulus))
+
+    def v_inverse_column(self, j: int) -> tuple:
+        """Column j of v_inverse, F_1 (... (F_m e_j)), without forming a transform:
+        the column log is applied backwards to e_j, one entry per operation."""
+        v = [0] * self.D.r
+        v[j] = 1
+        mod = self.modulus
+        for kind, a, b, c in reversed(self.col_ops):
+            if kind == _SWAP:
+                v[a], v[b] = v[b], v[a]
+            elif kind == _SCALE:
+                v[a] = b * v[a] % mod if mod else b * v[a]
+            elif v[a]:  # F = I + c e_b e_a^T adds c v_a to v_b
+                v[b] = (v[b] + c * v[a]) % mod if mod else v[b] + c * v[a]
+        return tuple(v)
 
 
 def _swap_rows(m, i, k):
@@ -443,41 +459,6 @@ def profile_mod(profile: DivisorProfile, nprime: int) -> DivisorProfile:
     return DivisorProfile(n=nprime, a=tuple(min(x, nprime) for x in profile.a))
 
 
-@dataclass(frozen=True)
-class KernelGenerator:
-    """One cyclic factor of ker(A mod p^N).
-
-    vector is primitive (it has a unit coordinate); the kernel elements it
-    accounts for are t * p^{N - order} * vector, a cyclic group of order
-    p^{order}.
-    """
-
-    vector: tuple
-    order: int
-
-
-def kernel_mod(A: IntMatrix, p: int, N: int) -> list:
-    """Generators of {v mod p^N : A v = 0 mod p^N}, via the Smith form over Z/p^N.
-
-    Returned in nondecreasing order of the p-power order they carry; each
-    vector is scaled so its first unit coordinate is 1 and reduced mod p^N.
-    The last is fixed only mod p^(N - v_p(d_{r-1})) (see SmithDecomposition).
-    Reads only D and v_inverse, so the column log alone is replayed; U, V and
-    u_inverse are never formed.
-    """
-    dec = smith_normal_form(A, p, N)
-    pN = p ** N
-    out = []
-    for i, d in enumerate(dec.divisors):
-        v = padic_valuation(d, p)
-        order = N if v is INFINITY else min(N, v)
-        if order < 1:
-            continue
-        col = dec.v_inverse.column(i)
-        out.append(KernelGenerator(vector=_canonical_primitive(col, p, pN), order=order))
-    return out
-
-
 def _unit_inverse(u: int, p: int, pN: int) -> int:
     """u^-1 mod pN, for u a unit mod the prime p and pN a power of p.
 
@@ -490,15 +471,6 @@ def _unit_inverse(u: int, p: int, pN: int) -> int:
         pk *= pk
         x = x * (2 - u * x) % pk
     return x % pN
-
-
-def _canonical_primitive(vec: tuple, p: int, pN: int) -> tuple:
-    """Scale a primitive vector by a unit so its first unit coordinate is 1, mod p^N."""
-    for x in vec:
-        if x % p != 0:
-            inv = _unit_inverse(x, p, pN)
-            return tuple(y * inv % pN for y in vec)
-    raise ValueError("vector has no unit coordinate")
 
 
 # --- matrix file format and JSON text (shared with the CLI and the reports) ----

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import index, mul
 
-from .lattice import IntMatrix, kernel_mod
+from .lattice import IntMatrix, _unit_inverse, smith_normal_form
 from .padics import INFINITY, _require_prime, as_slope, padic_valuation
 
 
@@ -153,13 +153,14 @@ class HenselRoot:
     alpha: int
 
 
-def hensel_slope_root(cp: CharPoly, p: int, alpha: int, N: int) -> HenselRoot:
-    """Lift the slope-alpha root of cp to a residue mod p^N.
+def hensel_slope_root(cp: CharPoly, poly: NewtonPolygon, p: int, alpha: int, N: int) -> HenselRoot:
+    """Lift the slope-alpha root of cp to a residue mod p^N, given poly = newton_polygon(cp, p).
 
-    Substitutes X = p^alpha Y, strips the content p^C, and Newton-iterates
-    from the unique simple unit root of the reduction mod p. That seed exists
-    and is closed-form when the slope-alpha segment has length 1; a longer
-    segment is refused.
+    Substitutes X = p^alpha Y, strips the content p^C read off the segment's first
+    vertex, and Newton-iterates from the unique simple unit root of the reduction
+    mod p. That seed exists and is closed-form when the slope-alpha segment has
+    length 1; a longer segment is refused. The seed check confirms the segment
+    against cp's coefficients: a polygon that disagrees there raises, never returns.
     """
     _require_prime(p)
     if isinstance(alpha, bool) or not isinstance(alpha, int):
@@ -171,50 +172,43 @@ def hensel_slope_root(cp: CharPoly, p: int, alpha: int, N: int) -> HenselRoot:
     if N <= alpha:
         raise HenselError(f"precision {N} cannot resolve a residue of valuation {alpha}")
 
-    poly = newton_polygon(cp, p)
-    segment = next((s for s in poly.finite_segments() if s.slope == Fraction(alpha)), None)
-    if segment is None:
+    k = next((k for k, s in enumerate(poly.finite_segments()) if s.slope == alpha), None)
+    if k is None:
         raise HenselError(f"polygon has no slope-{alpha} segment")
-    if segment.length != 1:
-        raise HenselError(f"slope-{alpha} segment has length {segment.length}, not 1")
+    length = poly.segments[k].length
+    if length != 1:
+        raise HenselError(f"slope-{alpha} segment has length {length}, not 1")
 
     t = cp.degree
-    scaled = [c * p ** (alpha * (t - s)) for s, c in enumerate(cp.coeffs)]
-    content = min(padic_valuation(g, p) for g in scaled if g != 0)
-    g = [x // p ** content for x in scaled]
-    e = content - alpha
-    if e < 0:
-        raise AssertionError("content bookkeeping violated (e < 0)")
+    i0, v0 = poly.vertices[k]  # segment k runs from vertex k to vertex k + 1
+    # the line of slope alpha through (i0, v0) supports the polygon, so p^content
+    # divides every scaled coefficient and exactly two quotients are units
+    content = v0 + alpha * (t - i0)
+    pc = p ** content
+    g, rems = zip(*[divmod(c * p ** (alpha * (t - s)), pc) for s, c in enumerate(cp.coeffs)])
 
+    # the reduction must be Y^{t-i0-1} (u0 Y + u1) with u0, u1 the unit coefficients
+    # at the segment's endpoints, so the seed -u1/u0 is a simple unit root
     g_mod = [x % p for x in g]
-    dg = _poly_derivative(g)
-    # the reduction is Y^{t-i0-1} (u1 Y + u0) with u0, u1 the unit
-    # coefficients at the segment endpoints, so the seed is closed-form
-    i0 = next(
-        x0
-        for (x0, y0), (x1, y1) in zip(poly.vertices, poly.vertices[1:])
-        if Fraction(y1 - y0, x1 - x0) == Fraction(alpha)
-    )
+    if any(rems) or [s for s, x in enumerate(g_mod) if x] != [i0, i0 + 1]:
+        raise AssertionError(f"polygon's slope-{alpha} segment is not that of cp")
     y = -g_mod[i0 + 1] * pow(g_mod[i0], -1, p) % p
-    if y == 0 or _poly_eval_mod(g_mod, y, p) != 0 or _poly_eval_mod(dg, y, p) == 0:
-        raise AssertionError("length-1 segment must yield a simple unit seed")
 
     # quadratic Newton lifting; g'(y) stays a unit throughout
+    dg = _poly_derivative(g)
     prec = 1
     while prec < N:
         prec = min(2 * prec, N)
         m = p ** prec
         fy = _poly_eval_mod(g, y, m)
         dy = _poly_eval_mod(dg, y, m)
-        y = (y - fy * pow(dy, -1, m)) % m
+        y = (y - fy * _unit_inverse(dy, p, m)) % m
 
     pN = p ** N
-    lam = p ** alpha * y % pN
-    if padic_valuation(lam, p) != alpha:
-        raise AssertionError("lifted root lost its valuation")
+    lam = p ** alpha * y % pN  # y is a unit and alpha < N, so v_p(lam) = alpha
     if cp.eval_mod(lam, pN) != 0:
         raise AssertionError("lifted root fails the residual check")
-    return HenselRoot(value=lam, derivative_valuation=e, p=p, N=N, alpha=alpha)
+    return HenselRoot(value=lam, derivative_valuation=content - alpha, p=p, N=N, alpha=alpha)
 
 
 def _poly_derivative(coeffs) -> list:
@@ -250,15 +244,23 @@ class Eigenvector:
 def eigenvector_mod(A: IntMatrix, lam: int, p: int, N: int) -> Eigenvector:
     """Extract a primitive eigenvector for an eigenvalue residue lam.
 
-    F is the top-order generator of kernel_mod(A - lam I, p, 2N) reduced mod
-    p^N, first unit coordinate 1, kernel_valuation = min(N, its order). Working
-    mod p^{2N} fixes F mod p^(2N - v_p(d_{r-1})), all of p^N if v_p(d_{r-1}) <= N.
+    F is column r-1 of V^-1 in the Smith form of A - lam I over Z/p^{2N}, the
+    generator of the top order of the kernel (see SmithDecomposition), reduced
+    mod p^N with first unit coordinate 1; kernel_valuation = min(N, its order),
+    the order read off d_r. Only that column is formed, from the column log.
+    Working mod p^{2N} fixes F mod p^(2N - v_p(d_{r-1})), all of p^N if
+    v_p(d_{r-1}) <= N.
     """
-    gens = kernel_mod(A.shift(-lam), p, 2 * N)
-    if not gens:
+    dec = smith_normal_form(A.shift(-lam), p, 2 * N)
+    d = dec.divisors[-1]
+    order = 2 * N if d == 0 else padic_valuation(d, p)
+    if order < 1:
         raise EigenvectorError("no kernel modulo p: the residue is not an eigenvalue at this precision")
-    top, pN = gens[-1], p ** N
-    return Eigenvector(tuple(x % pN for x in top.vector), kernel_valuation=min(N, top.order))
+    pN = p ** N
+    col = dec.v_inverse_column(A.r - 1)
+    unit = next(x for x in col if x % p)  # V^-1 is invertible mod p: its columns are primitive
+    inv = _unit_inverse(unit, p, pN)
+    return Eigenvector(tuple([x * inv % pN for x in col]), kernel_valuation=min(N, order))
 
 
 class ConsistencyError(ValueError):
@@ -268,9 +270,10 @@ class ConsistencyError(ValueError):
 def commuting_eigenvalue(B: IntMatrix, F, p: int, M: int) -> int:
     """Eigenvalue of B on the eigenvector F, mod p^M.
 
-    B needs only .apply: an IntMatrix, or a family.PolynomialOperator, which applies
-    q(xi) without forming it. Divides at a unit coordinate of F and then verifies
-    B F = a F in every coordinate; a failure signals a non-eigenvector or exhausted precision.
+    B needs only .apply: an IntMatrix, or a family.PolynomialOperator or
+    family.ConjugatedDiagonal, which apply psi without forming it. Divides at a
+    unit coordinate of F and then verifies B F = a F in every coordinate; a
+    failure signals a non-eigenvector or exhausted precision.
     """
     _require_prime(p)
     if M < 1:
@@ -281,7 +284,7 @@ def commuting_eigenvalue(B: IntMatrix, F, p: int, M: int) -> int:
     if pivot is None:
         raise ConsistencyError("eigenvector has no unit coordinate")
     BF = B.apply(F)
-    a = BF[pivot] * pow(F[pivot] % pM, -1, pM) % pM
+    a = BF[pivot] * _unit_inverse(F[pivot], p, pM) % pM
     for i, (lhs, rhs) in enumerate(zip(BF, F)):
         if (lhs - a * rhs) % pM != 0:
             raise ConsistencyError(

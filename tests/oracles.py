@@ -5,11 +5,14 @@ rational Gaussian elimination, characteristic polynomials via cofactor
 expansion of the polynomial matrix or the Faddeev-LeVerrier trace recursion
 (Cohen, GTM 138, section 2.2), valuations via repeated division,
 plain list-based polynomial arithmetic, and matrix products and sums by the
-schoolbook loops. The one exception is the reference
-eigenvector, which is built from the integer-mode Smith form: that is the
-computation the Z/p^N mode replaced on the eigenvector path.
+schoolbook loops. Two exceptions read the library's Smith form: the
+reference eigenvector, built from the integer-mode Smith form (the computation
+the Z/p^N mode replaced on the eigenvector path), and kernel_mod, every
+generator of a kernel mod p^N from the whole of V^-1 (where eigenvector_mod
+replays one column of it).
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from padicslopes.lattice import IntMatrix, smith_normal_form
@@ -151,4 +154,39 @@ def poly_apply_naive(coeffs, a, vec):
     for c in coeffs:
         out = [x + c * y for x, y in zip(out, power)]
         power = [sum(a[i][k] * power[k] for k in range(len(vec))) for i in range(len(vec))]
+    return out
+
+
+@dataclass(frozen=True)
+class KernelGenerator:
+    """One cyclic factor of ker(A mod p^N).
+
+    vector is primitive (it has a unit coordinate); the kernel elements it
+    accounts for are t * p^{N - order} * vector, a cyclic group of order
+    p^{order}.
+    """
+
+    vector: tuple
+    order: int
+
+
+def kernel_mod(A: IntMatrix, p: int, N: int) -> list:
+    """Generators of {v mod p^N : A v = 0 mod p^N}, from the Smith form over Z/p^N.
+
+    Returned in nondecreasing order of the p-power order they carry (column i
+    of V^-1 for each divisor p^{v_i} off the units, order min(N, v_i), N for a
+    zero divisor); each vector is scaled so its first unit coordinate is 1 and
+    reduced mod p^N.
+    """
+    dec = smith_normal_form(A, p, N)
+    pN = p**N
+    out = []
+    for i, d in enumerate(dec.divisors):
+        order = N if d == 0 else min(N, valuation_by_division(d, p))
+        if order < 1:
+            continue
+        col = dec.v_inverse.column(i)
+        unit = next(x for x in col if x % p != 0)
+        inv = pow(unit, -1, pN)
+        out.append(KernelGenerator(vector=tuple(x * inv % pN for x in col), order=order))
     return out

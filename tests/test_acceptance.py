@@ -24,7 +24,7 @@ from padicslopes.family import (
     run_experiment,
 )
 from padicslopes.lattice import IntMatrix, smith_normal_form
-from padicslopes.newton import CharPoly, hensel_slope_root, slope_census
+from padicslopes.newton import CharPoly, hensel_slope_root, newton_polygon, slope_census
 from padicslopes.padics import INFINITY, padic_valuation
 from padicslopes.rng import SplitMix64
 
@@ -224,7 +224,7 @@ def test_criterion_6_hensel_suite():
         e = sum(min(alpha, b) for b in betas)
         N = e + alpha + 8
         cp = CharPoly(tuple(f))
-        root = hensel_slope_root(cp, p, alpha, N)
+        root = hensel_slope_root(cp, newton_polygon(cp, p), p, alpha, N)
         ok = (
             root.derivative_valuation == e
             and (root.value - p**alpha * u) % p ** (N - e) == 0

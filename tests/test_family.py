@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,7 @@ from padicslopes.family import (
     ACCEPTED,
     VIOLATION,
     ConfigError,
+    ConjugatedDiagonal,
     InstancePair,
     PolynomialOperator,
     _assert_pair_invariants,
@@ -293,6 +295,27 @@ def test_polynomial_operator_matches_the_formed_matrix(r):
     assert max(abs(x) for row in A.rows for x in row).bit_length() > 190
 
 
+@pytest.mark.parametrize("r", range(1, 9))
+def test_conjugated_diagonal_matches_the_formed_matrix(r):
+    # U (d * (U^-1 v)) against U diag(d) U^-1 formed by two products
+    rng = SplitMix64(0x436F6E6A + r)
+
+    def entry():
+        return rng.randint(-9, 9) << 200 | rng.next_u64()
+
+    U, Ui = random_unimodular(r, rng)
+    big = tuple(entry() for _ in range(r))
+    assert max(abs(x) for x in big).bit_length() > 190
+    for diagonal in (big, (0,) * r):
+        op = ConjugatedDiagonal(U, diagonal, Ui)
+        formed = U * IntMatrix.diagonal(diagonal) * Ui
+        assert op.rows == formed.rows
+        for vec in (tuple(entry() for _ in range(r)), (0,) * r):
+            got = op.apply(vec)
+            assert got == formed.apply(vec)
+            assert all(type(x) is int for x in got)
+
+
 def test_generated_polynomial_psi_commutes_on_the_shipped_configs():
     # psi = q(xi) commutes with xi by construction, so trials no longer check it
     for name, mode in (("prop_default.json", "prop"), ("constancy_default.json", "constancy")):
@@ -322,8 +345,10 @@ def test_planted_quadruple():
     assert pair is not None
     assert check_xi_condition(pair.xi, profile, 3)
     assert check_xi_condition(pair.xi_prime, profile, 3)
-    assert pair.xi * pair.psi == pair.psi * pair.xi
-    assert pair.xi_prime * pair.psi_prime == pair.psi_prime * pair.xi_prime
+    # trials never form psi, so its commutation with xi is checked here
+    psi, psi_prime = IntMatrix._of(pair.psi.rows), IntMatrix._of(pair.psi_prime.rows)
+    assert pair.xi * psi == psi * pair.xi
+    assert pair.xi_prime * psi_prime == psi_prime * pair.xi_prime
     assert sorted(pair.planted_valuations).count(1) == 1
     census = {seg.slope: seg.length for seg in newton_polygon(char_poly(pair.xi), 3).segments}
     want = {}
@@ -462,9 +487,10 @@ def test_violation_branch_reports_matrices():
     raise AssertionError("expected a violation from unrelated operators")
 
 
-# SHA-256 prefixes of the two violation trials below, with psi formed up front
+# SHA-256 prefixes of the three violation trials below, with psi formed up front
 PROP_VIOLATION_DIGEST = "8fd9a8df44186795"
 CONSTANCY_VIOLATION_DIGEST = "526fb61ae57c99ce"
+PLANTED_VIOLATION_DIGEST = "a6e9986b3e2d480c"
 
 
 def lazy_pair(xi, xi_prime, coeffs, profile):
@@ -522,6 +548,43 @@ def test_polynomial_psi_constancy_violation_report_forms_the_matrices():
     report = _evaluate_constancy_pair(plan, lazy_pair(xi, xi_prime, coeffs, cfg.profile), 0, 0)
     assert report.status == VIOLATION
     assert_report_forms_psi(report, coeffs, CONSTANCY_VIOLATION_DIGEST)
+
+
+def test_planted_violation_report_forms_the_matrices():
+    # xi and xi' share U but not their diagonals, so the margin gate can fire; psi and
+    # psi' are the lazy U E U^-1 of a planted pair
+    cfg = config_from_document(
+        base_doc(profile={"kind": "explicit", "n": 4, "a": [4, 4, 4]}, alpha=0, kappa=2,
+                 generator="PLANTED")
+    )
+    plan = prepare_plan(cfg, "prop")
+    rng = SplitMix64(43)
+    for _ in range(40):
+        U, Ui = random_unimodular(3, rng)
+        xi, xi_prime = (
+            U * IntMatrix.diagonal([rng.unit(3, 80), 3 * rng.unit(3, 80), 9 * rng.unit(3, 80)]) * Ui
+            for _ in range(2)
+        )
+        diagonals = [tuple(rng.randints(-80, 80, 3)) for _ in range(2)]
+        pair = InstancePair(xi=xi, xi_prime=xi_prime,
+                            psi=ConjugatedDiagonal(U, diagonals[0], Ui),
+                            psi_prime=ConjugatedDiagonal(U, diagonals[1], Ui),
+                            profile=cfg.profile, seed=0)
+        report = _evaluate_proposition_pair(plan, pair, 0, 0)
+        if report.status == VIOLATION:
+            break
+    else:
+        raise AssertionError("expected a violation from unrelated operators")
+    formed = [U * IntMatrix.diagonal(d) * Ui for d in diagonals]
+    doc = trial_to_document(report)
+    assert doc["matrices"]["psi"] == [list(r) for r in formed[0].rows]
+    assert doc["matrices"]["psi_prime"] == [list(r) for r in formed[1].rows]
+    text = json_text(doc)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == PLANTED_VIOLATION_DIGEST
+    formed_pair = replace(pair, psi=formed[0], psi_prime=formed[1])
+    assert json_text(trial_to_document(_evaluate_proposition_pair(plan, formed_pair, 0, 0))) == text
+    # the pool sends a VIOLATION report back pickled
+    assert json_text(trial_to_document(pickle.loads(pickle.dumps(report)))) == text
 
 
 def test_planted_extraction_matches_diagonal():

@@ -7,8 +7,11 @@ from padicslopes.family import random_unimodular
 from padicslopes.lattice import (
     DivisorProfile,
     IntMatrix,
+    SmithDecomposition,
+    _ADD,
+    _SCALE,
+    _SWAP,
     check_xi_condition,
-    kernel_mod,
     matrix_from_document,
     profile_mod,
     quotient_profile,
@@ -16,7 +19,7 @@ from padicslopes.lattice import (
 )
 from padicslopes.rng import SplitMix64
 
-from oracles import det_fraction, mat_add_naive, mat_mul_naive, valuation_by_division
+from oracles import det_fraction, kernel_mod, mat_add_naive, mat_mul_naive, valuation_by_division
 
 
 def random_matrix(rng, r, bound):
@@ -203,6 +206,40 @@ def test_snf_forms_each_transform_only_when_read():
         assert formed == {"v_inverse"}
         assert dec.U is dec.U and dec.V is dec.V and dec.u_inverse is dec.u_inverse
         assert {"U", "V", "u_inverse", "v_inverse"} <= set(vars(dec))
+
+
+def test_v_inverse_column_equals_the_formed_column():
+    rng = SplitMix64(0x5A1A)
+    for A in oracle_matrices(rng, 150):
+        p = rng.choice((2, 3, 5, 7))
+        for dec in (smith_normal_form(A), smith_normal_form(A, p, rng.randint(1, 20))):
+            columns = [dec.v_inverse_column(j) for j in range(A.r)]
+            assert {"U", "V", "u_inverse", "v_inverse"}.isdisjoint(vars(dec))  # nothing formed
+            assert columns == [dec.v_inverse.column(j) for j in range(A.r)]
+
+
+def test_v_inverse_column_replays_every_kind_of_logged_operation():
+    # elimination logs no column scale, so random logs of adds, swaps and unit
+    # scales (+-1 over Z, units mod p^N) check the replay itself
+    rng = SplitMix64(0x5A1B)
+    for _ in range(150):
+        r = rng.randint(1, 8)
+        p, N = rng.choice((2, 3, 5, 7)), rng.randint(1, 20)
+        for mod in (0, p**N):
+            ops = []
+            for _ in range(rng.randint(0, 30)):
+                a, b = rng.randint(0, r - 1), rng.randint(0, r - 1)
+                kind = rng.randint(0, 2)
+                if kind == 0 and a != b:
+                    ops.append((_ADD, a, b, rng.randint(-10**6, 10**6)))
+                elif kind == 1:
+                    ops.append((_SWAP, a, b, None))
+                else:
+                    c = rng.unit(p, 10**6) % mod if mod else rng.choice((1, -1))
+                    ops.append((_SCALE, a, c, pow(c, -1, mod) if mod else c))
+            dec = SmithDecomposition(IntMatrix.identity(r), (), tuple(ops), mod)
+            columns = [dec.v_inverse_column(j) for j in range(r)]
+            assert columns == [dec.v_inverse.column(j) for j in range(r)]
 
 
 def test_quotient_profile_examples():

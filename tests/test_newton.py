@@ -22,7 +22,9 @@ from padicslopes.newton import (
 from padicslopes.padics import INFINITY, padic_valuation
 from padicslopes.rng import SplitMix64
 
-from oracles import charpoly_cofactor, charpoly_faddeev, eigenvector_by_integer_snf, poly_mul
+from oracles import (
+    charpoly_cofactor, charpoly_faddeev, eigenvector_by_integer_snf, kernel_mod, poly_mul,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -215,24 +217,29 @@ def test_slope_census_planted_oracle():
 
 # --- Hensel lifting ---------------------------------------------------------------
 
+def lift(cp, p, alpha, N):
+    """hensel_slope_root on cp with cp's own polygon, as a trial passes it."""
+    return hensel_slope_root(cp, newton_polygon(cp, p), p, alpha, N)
+
+
 def test_hensel_examples():
-    root = hensel_slope_root(CharPoly((1, -12, 27)), 3, 1, 5)
+    root = lift(CharPoly((1, -12, 27)), 3, 1, 5)
     assert root.value == 3
     assert root.derivative_valuation == 1
 
-    root = hensel_slope_root(CharPoly((1, -10)), 5, 1, 4)
+    root = lift(CharPoly((1, -10)), 5, 1, 4)
     assert root.value == 10
 
 
 def test_hensel_rejections():
     with pytest.raises(HenselError):
-        hensel_slope_root(CharPoly((1, 0, -2)), 7, 1, 3)  # no slope-1 segment
+        lift(CharPoly((1, 0, -2)), 7, 1, 3)  # no slope-1 segment
     with pytest.raises(HenselError):
-        hensel_slope_root(CharPoly((1, 0, -1)), 2, 0, 4)  # (X-1)^2 mod 2: not simple
+        lift(CharPoly((1, 0, -1)), 2, 0, 4)  # (X-1)^2 mod 2: not simple
     with pytest.raises(HenselError):
-        hensel_slope_root(CharPoly((1, 0, -2)), 7, Fraction(1, 2), 3)
+        lift(CharPoly((1, 0, -2)), 7, Fraction(1, 2), 3)
     with pytest.raises(HenselError):
-        hensel_slope_root(CharPoly((1, -12, 27)), 3, 1, 1)  # N <= alpha
+        lift(CharPoly((1, -12, 27)), 3, 1, 1)  # N <= alpha
 
 
 def test_hensel_refuses_a_segment_longer_than_one():
@@ -240,7 +247,32 @@ def test_hensel_refuses_a_segment_longer_than_one():
     # range(1, p) once kept the second call busy for more than 5 s
     for p in (7, 2**61 - 1):
         with pytest.raises(HenselError, match="length 2"):
-            hensel_slope_root(CharPoly((1, 0, -2)), p, 0, 3)
+            lift(CharPoly((1, 0, -2)), p, 0, 3)
+
+
+def test_hensel_refuses_the_polygon_of_another_polynomial():
+    # the root reads only the polygon's slope-alpha segment; where another
+    # polynomial's segment differs from cp's, the seed check raises
+    cases = [
+        # cp, another polynomial, p, alpha, what cp's own polygon gives
+        ((1, -12, 27), (1, -4, 3), 3, 1, 3),        # slope-1 segment starts at 1, not 0
+        ((1, -12, 27), (3, -36, 81), 3, 1, 3),      # content 3^3 does not divide cp's
+        ((3, -36, 81), (1, -12, 27), 3, 1, 3),      # content 3^2 leaves every residue 0
+        ((1, -3, 2), (1, -6, 5), 5, 0, None),       # cp's slope-0 segment has length 2
+        ((4, -9), (3, -18), 3, 1, None),            # floor quotients (1, -1) would fit
+    ]
+    for coeffs, other, p, alpha, value in cases:
+        cp = CharPoly(coeffs)
+        if value is None:
+            with pytest.raises(HenselError, match="length 2|no slope-"):
+                lift(cp, p, alpha, 6)
+        else:
+            assert lift(cp, p, alpha, 6).value == value
+        with pytest.raises(AssertionError, match=f"slope-{alpha} segment is not that of cp"):
+            hensel_slope_root(cp, newton_polygon(CharPoly(other), p), p, alpha, 6)
+    # a polygon without the segment is refused before the seed
+    with pytest.raises(HenselError, match="no slope-1 segment"):
+        hensel_slope_root(CharPoly((1, -12, 27)), newton_polygon(CharPoly((1, 0, -2)), 3), 3, 1, 6)
 
 
 def test_hensel_planted_suite():
@@ -259,7 +291,7 @@ def test_hensel_planted_suite():
             f = poly_mul(f, [1, -(p**beta) * rng.unit(p, 9)])
         e_true = sum(min(alpha, b) for b in betas)
         N = e_true + alpha + 8
-        root = hensel_slope_root(CharPoly(tuple(f)), p, alpha, N)
+        root = lift(CharPoly(tuple(f)), p, alpha, N)
         assert root.derivative_valuation == e_true
         assert (root.value - p**alpha * u) % p ** (N - e_true) == 0
         assert CharPoly(tuple(f)).eval_mod(root.value, p**N) == 0
@@ -280,6 +312,66 @@ def test_eigenvector_examples():
 
     with pytest.raises(EigenvectorError):
         eigenvector_mod(IntMatrix.identity(2), 0, 5, 4)
+
+
+def assert_eigenvector_is_the_top_kernel_generator(A, lam, p, N):
+    """eigenvector_mod(A, lam, p, N) is the last generator of the kernel oracle mod
+    p^{2N}, reduced mod p^N, or raises where the oracle finds no kernel; returns the
+    oracle's generators."""
+    gens = kernel_mod(A.shift(-lam), p, 2 * N)
+    if not gens:
+        with pytest.raises(EigenvectorError):
+            eigenvector_mod(A, lam, p, N)
+        return gens
+    F = eigenvector_mod(A, lam, p, N)
+    assert F.vector == tuple(x % p**N for x in gens[-1].vector)
+    assert F.kernel_valuation == min(N, gens[-1].order)
+    return gens
+
+
+@pytest.mark.parametrize("name", ["prop_default.json", "prop_planted.json", "constancy_default.json"])
+def test_eigenvector_is_the_top_kernel_generator_on_shipped_trials(name, monkeypatch):
+    config = read_config(CONFIG_DIR / name)
+    mode = "constancy" if config.nprime is not None else "prop"
+    calls = []
+
+    def eigenvector(A, lam, p, N):
+        calls.append(assert_eigenvector_is_the_top_kernel_generator(A, lam, p, N))
+        return eigenvector_mod(A, lam, p, N)
+
+    monkeypatch.setattr(family, "eigenvector_mod", eigenvector)
+    report = run_experiment(config, mode)
+    if mode == "constancy":
+        assert calls == []  # constancy trials never extract an eigenvector
+    else:
+        assert len(calls) >= 2 * report.accepted > 0
+
+
+def test_eigenvector_is_the_top_kernel_generator_on_random_kernels():
+    # diagonal entries equal to lam give d_r = 0 mod p^{2N}; entries congruent to
+    # lam mod p give kernels of finite order, several generators when there are more
+    rng = SplitMix64(0x4B45)
+    seen = {"none": 0, "several": 0, "zero divisor": 0}
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7))
+        r, N = rng.randint(1, 8), rng.randint(1, 8)
+        lam = p ** rng.randint(0, 3) * rng.unit(p, 9)
+        diag = []
+        for _ in range(r):
+            kind = rng.randint(0, 3)
+            if kind == 0:
+                diag.append(lam)
+            elif kind == 1:
+                diag.append(lam + p ** rng.randint(1, 2 * N + 2) * rng.unit(p, 9))
+            else:
+                diag.append(rng.randint(-50, 50))
+        U, Ui = random_unimodular(r, rng)
+        gens = assert_eigenvector_is_the_top_kernel_generator(
+            U * IntMatrix.diagonal(diag) * Ui, lam, p, N)
+        seen["none"] += not gens
+        seen["several"] += len(gens) > 1
+        seen["zero divisor"] += lam in diag
+    assert min(seen.values()) >= 20, seen
 
 
 def test_eigenvector_conjugation_oracle():
@@ -310,7 +402,7 @@ def test_eigenvector_matches_integer_snf_on_shipped_trials(name, monkeypatch):
 
     def eigenvector(A, lam, p, N):
         vec = eigenvector_mod(A, lam, p, N)
-        root = hensel_slope_root(char_poly(A), p, config.alpha, N)
+        root = lift(char_poly(A), p, config.alpha, N)
         assert root.value == lam
         old = eigenvector_by_integer_snf(A, lam, p, N)
         m = p ** (N - root.derivative_valuation)
@@ -352,7 +444,7 @@ def test_commuting_eigenvalue_polynomial_functoriality():
         alpha = rng.randint(0, r - 1)
         N = 12
         cp = char_poly(A)
-        root = hensel_slope_root(cp, p, alpha, N)
+        root = lift(cp, p, alpha, N)
         vec = eigenvector_mod(A, root.value, p, N)
         coeffs = [rng.randint(-9, 9) for _ in range(r)]
         B = poly_of_matrix(coeffs, A)
@@ -362,6 +454,21 @@ def test_commuting_eigenvalue_polynomial_functoriality():
         for c in reversed(coeffs):
             expected = (expected * root.value + c) % p**cap
         assert a == expected
+
+
+def test_commuting_eigenvalue_on_an_eigenvector_of_any_scale():
+    # B = U diag(d) U^-1 takes the value d_j on column j of U, and on any unit multiple
+    rng = SplitMix64(1324)
+    for _ in range(60):
+        p = rng.choice((2, 3, 5, 7))
+        r, M = rng.randint(1, 6), rng.randint(1, 60)
+        U, Ui = random_unimodular(r, rng)
+        diag = [rng.randint(-10**18, 10**18) << 64 | rng.next_u64() for _ in range(r)]
+        B = U * IntMatrix.diagonal(diag) * Ui
+        j = rng.randint(0, r - 1)
+        c = rng.unit(p, 10**18)
+        F = tuple(c * x for x in U.column(j))
+        assert commuting_eigenvalue(B, F, p, M) == diag[j] % p**M
 
 
 def test_commuting_eigenvalue_consistency_error():
