@@ -13,7 +13,7 @@ from decimal import Decimal
 from functools import cached_property
 from itertools import chain, groupby
 from math import gcd
-from operator import add, index, mul, sub
+from operator import add, index, itemgetter, mul, sub
 
 from .padics import _require_prime, padic_valuation, unit_part
 
@@ -291,20 +291,28 @@ def _least_valuation(B, s, p, floor):
     return _least_valuation(B, s, p, v)
 
 
+def _least_abs(B, s):
+    """(i, j, |x|) of the first nonzero entry of least absolute value in the block
+    B[s:, s:], or None if the block is 0."""
+    entries = ((i, j, abs(x)) for i in range(s, len(B)) for j, x in enumerate(B[i][s:], s) if x)
+    return min(entries, key=itemgetter(2), default=None)
+
+
 def smith_normal_form(A: IntMatrix, p: int | None = None, N: int | None = None) -> SmithDecomposition:
     """Exact Smith normal form by elimination over Z, or over Z/p^N if p and N are given.
 
-    Over Z, pivots are chosen by minimal nonzero absolute value; after each
-    pivot is isolated, any entry of the remaining block it fails to divide is
-    folded into the pivot row and elimination repeats, which yields the
-    divisibility chain directly. Over Z/p^N (p-local elimination, after
-    Storjohann) the pivot is an entry of least valuation v, scaled by a unit
-    to p^v, so it divides the rest of the block and no fold step is needed;
-    every entry stays reduced mod p^N. There a row elimination touches only the
-    columns right of the pivot, and once the rows are cleared the pivot column
-    is p^v e_s, so clearing the pivot row's tail is the whole column
-    elimination. Every row and column operation is logged, and the transforms
-    are formed from the logs only when read (see SmithDecomposition).
+    One pivot loop serves both rings. It takes the first entry of least size in
+    the remaining block: least |x| over Z, least valuation v over Z/p^N
+    (p-local elimination, after Storjohann), where a unit scales the pivot to
+    p^v. It clears the rows below the pivot, touching only the columns from the
+    pivot's on; the pivot column is then d e_s, so clearing the pivot row's tail
+    changes that row alone. Over Z/p^N the pivot divides the whole block, every
+    entry stays reduced mod p^N and one pass places the pivot. Over Z a nonzero
+    remainder in the pivot's column or row becomes the next pivot, and an entry
+    of the block the pivot fails to divide is folded into the pivot row, which
+    yields the divisibility chain; a negative pivot's row is then negated.
+    Every row and column operation is logged, and the transforms are formed
+    from the logs only when read (see SmithDecomposition).
     """
     mod = 0
     if p is not None or N is not None:
@@ -315,100 +323,61 @@ def smith_normal_form(A: IntMatrix, p: int | None = None, N: int | None = None) 
     r = A.r
     B = [[x % mod for x in row] if mod else list(row) for row in A.rows]
     row_ops, col_ops = [], []
-
-    def row_swap(i, k):
-        _swap_rows(B, i, k)
-        row_ops.append((_SWAP, i, k, None))
-
-    def col_swap(j, l):
-        _swap_cols(B, j, l)
-        col_ops.append((_SWAP, j, l, None))
-
-    # adds over Z; the Z/p^N branch updates only the entries that can change, and logs its own
-    def row_add(k, i, q):
-        _add_row(B, k, i, q)
-        row_ops.append((_ADD, k, i, q))
-
-    def col_add(l, j, q):
-        _add_col(B, l, j, q)
-        col_ops.append((_ADD, l, j, q))
-
     floor = 0  # over Z/p^N the pivot valuations never fall
-    for s in range(r):
+    s = 0
+    while s < r:
+        pivot = _least_valuation(B, s, p, floor) if mod else _least_abs(B, s)
+        if pivot is None:
+            break  # the rest of the block is 0 (mod p^N)
+        i, j, v = pivot
+        if i != s:
+            _swap_rows(B, s, i)
+            row_ops.append((_SWAP, s, i, None))
+        if j != s:
+            _swap_cols(B, s, j)
+            col_ops.append((_SWAP, s, j, None))
+        top = B[s]
+        d = top[s]
         if mod:
-            pivot = _least_valuation(B, s, p, floor)
-            if pivot is None:
-                break  # the rest of the block is 0 mod p^N
-            i, j, floor = pivot
-            if i != s:
-                row_swap(s, i)
-            if j != s:
-                col_swap(s, j)
-            ps = p ** floor
-            top = B[s]
-            u = top[s] // ps
+            floor, d = v, p ** v
+            u = top[s] // d
             c = _unit_inverse(u, p, mod)
             row_ops.append((_SCALE, s, c, u))  # the pivot becomes p^v
-            top[s] = ps
+            top[s] = d
             tail = [c * x % mod for x in top[s + 1:]]
-            for i in range(s + 1, r):
-                row = B[i]
-                if row[s]:
-                    q = -(row[s] // ps)
-                    row_ops.append((_ADD, i, s, q))
-                    row[s] = 0
+        else:
+            tail = top[s + 1:]
+        rest = 0
+        for i in range(s + 1, r):
+            row = B[i]
+            if row[s]:
+                q = -(row[s] // d)
+                row_ops.append((_ADD, i, s, q))
+                row[s] %= d
+                rest = rest or row[s]
+                if mod:
                     row[s + 1:] = [(x + q * y) % mod for x, y in zip(row[s + 1:], tail)]
-            for j, x in enumerate(tail, s + 1):
-                if x:
-                    col_ops.append((_ADD, j, s, -(x // ps)))
-            top[s + 1:] = [0] * (r - s - 1)
-            continue
-        while True:
-            pivot = None
-            best = None
-            for i in range(s, r):
-                for j in range(s, r):
-                    x = B[i][j]
-                    if x != 0 and (best is None or abs(x) < best):
-                        best = abs(x)
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            i, j = pivot
-            if i != s:
-                row_swap(s, i)
-            if j != s:
-                col_swap(s, j)
-            d = B[s][s]
-            dirty = False
-            for i in range(s + 1, r):
-                if B[i][s] != 0:
-                    row_add(i, s, -(B[i][s] // d))
-                    if B[i][s] != 0:
-                        dirty = True
-            for j in range(s + 1, r):
-                if B[s][j] != 0:
-                    col_add(j, s, -(B[s][j] // d))
-                    if B[s][j] != 0:
-                        dirty = True
-            if dirty:
+                else:
+                    row[s + 1:] = [x + q * y for x, y in zip(row[s + 1:], tail)]
+        if rest:
+            continue  # over Z the remainder is the next pivot
+        for j, x in enumerate(tail, s + 1):
+            if x:
+                col_ops.append((_ADD, j, s, -(x // d)))
+        top[s + 1:] = [x % d for x in tail]
+        if not mod:
+            if any(top[s + 1:]):
                 continue
-            # pivot must divide the remaining block for the chain d_s | d_{s+1}
-            fold = None
-            for i in range(s + 1, r):
-                for j in range(s + 1, r):
-                    if B[i][j] % d != 0:
-                        fold = i
-                        break
-                if fold is not None:
-                    break
-            if fold is None:
-                break
-            row_add(s, fold, 1)
-        if B[s][s] < 0:
-            B[s] = [-x for x in B[s]]
-            row_ops.append((_SCALE, s, -1, -1))
-
+            # the pivot must divide the remaining block for the chain d_s | d_{s+1}
+            fold = next((i for i in range(s + 1, r) if any(x % d for x in B[i][s + 1:])), None)
+            if fold is not None:
+                _add_row(B, s, fold, 1)
+                row_ops.append((_ADD, s, fold, 1))
+                continue
+            if d < 0:
+                top[s] = -d
+                row_ops.append((_SCALE, s, -1, -1))
+        s += 1
     return SmithDecomposition(_rows(B), tuple(row_ops), tuple(col_ops), mod)
 
 

@@ -128,11 +128,6 @@ def slope_multiplicity(np: NewtonPolygon, alpha) -> int:
     return 0
 
 
-def slope_census(A: IntMatrix, p: int) -> tuple:
-    """Multiset of (slope, multiplicity) of the eigenvalue valuations of A."""
-    return newton_polygon(char_poly(A), p).segments
-
-
 class HenselError(ValueError):
     """Root extraction failed (slope absent or of multiplicity above 1, bad precision)."""
 

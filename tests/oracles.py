@@ -3,13 +3,13 @@
 These deliberately avoid the library's code paths: determinants via exact
 rational Gaussian elimination, characteristic polynomials via cofactor
 expansion of the polynomial matrix or the Faddeev-LeVerrier trace recursion
-(Cohen, GTM 138, section 2.2), valuations via repeated division,
-plain list-based polynomial arithmetic, and matrix products and sums by the
-schoolbook loops. Two exceptions read the library's Smith form: the
-reference eigenvector, built from the integer-mode Smith form (the computation
-the Z/p^N mode replaced on the eigenvector path), and kernel_mod, every
-generator of a kernel mod p^N from the whole of V^-1 (where eigenvector_mod
-replays one column of it).
+(Cohen, GTM 138, section 2.2), valuations via repeated division, the
+quotient action by entrywise differences, plain list-based polynomial
+arithmetic, and matrix products and sums by the schoolbook loops. Two
+exceptions read the library's Smith form: the reference eigenvector, built
+from the integer-mode Smith form (the computation the Z/p^N mode replaced on
+the eigenvector path), and kernel_mod, every generator of a kernel mod p^N
+from the whole of V^-1 (where eigenvector_mod replays one column of it).
 """
 
 from dataclasses import dataclass
@@ -98,6 +98,16 @@ def charpoly_faddeev(A: IntMatrix):
         coeffs.append(-q)
         m = [[x - q * (i == j) for j, x in enumerate(row)] for i, row in enumerate(am)]
     return tuple(coeffs)
+
+
+def same_quotient_action(x: IntMatrix, y: IntMatrix, profile, p: int) -> bool:
+    """True iff x and y induce the same endomorphism of L/K, K = sum_i p^{a_i} Z e_i:
+    row i of x - y vanishes mod p^{a_i}."""
+    for i, ai in enumerate(profile.a):
+        for j in range(profile.r):
+            if (x[i, j] - y[i, j]) % p**ai != 0:
+                return False
+    return True
 
 
 def valuation_by_division(x: int, p: int):

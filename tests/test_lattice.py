@@ -1,9 +1,11 @@
+import hashlib
 import json
 from decimal import Decimal
 
 import pytest
 
-from padicslopes.family import random_unimodular
+from padicslopes.bounds import hilbert_profile
+from padicslopes.family import gen_xi, random_unimodular
 from padicslopes.lattice import (
     DivisorProfile,
     IntMatrix,
@@ -68,6 +70,15 @@ def test_snf_examples():
     dec = smith_normal_form(IntMatrix.zero(2))
     assert dec.divisors == (0, 0)
 
+    # 2 clears its row and column but fails to divide 3: row 1 is folded into row 0
+    dec = assert_snf_contract(IntMatrix.from_rows([[2, 4], [6, 15]]))
+    assert dec.divisors == (1, 6)
+    assert any(kind == _ADD and k < i for kind, k, i, _ in dec.row_ops)
+    # the least |x| is -2, so the first divisor comes out of a negated row
+    dec = assert_snf_contract(IntMatrix.from_rows([[-2, 4], [6, 8]]))
+    assert dec.divisors == (2, 20)
+    assert (_SCALE, 0, -1, -1) in dec.row_ops
+
 
 def test_snf_random_contract():
     rng = SplitMix64(2024)
@@ -130,6 +141,60 @@ def test_snf_mod_examples():
         smith_normal_form(IntMatrix.identity(2), 3, 0)
     with pytest.raises(ValueError):
         smith_normal_form(IntMatrix.identity(2), None, 2)
+
+
+def p_local_corpus(rng, count):
+    """(A, p, N) of ranks 1 to 9 over p in {2, 3, 5, 7}: in turn random, singular (the
+    last row a combination of two others), with trailing rows 0 mod p^N (all of
+    them at times), and conjugated diagonals of valuations up to N + 2."""
+    for k in range(count):
+        r, p, N = 1 + k % 9, (2, 3, 5, 7)[k // 9 % 4], rng.randint(1, 24)
+        if k % 4 == 3:
+            diag = [p ** rng.randint(0, N + 2) * rng.unit(p, 50) for _ in range(r)]
+            U, Ui = random_unimodular(r, rng)
+            yield U * IntMatrix.diagonal(diag) * Ui, p, N
+            continue
+        rows = [rng.randints(-10**4, 10**4, r) for _ in range(r)]
+        if k % 4 == 1:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[-2 % r])]
+        elif k % 4 == 2:
+            for i in range(rng.randint(r // 2, r), r):
+                rows[i] = [p**N * x for x in rows[i]]
+        yield IntMatrix.from_rows(rows), p, N
+
+
+# SHA-256 of every (D.rows, row_ops, col_ops) of p_local_corpus(SplitMix64(0x5A1C), 300),
+# taken when the two rings had separate elimination loops; the eigenvector reads
+# these logs, so the shipped report digests rest on them
+P_LOCAL_LOG_DIGEST = "86aff1b9910d284bd7f3e715a8741ba7818c89988d5db64157f2863a99efbcca"
+
+
+def test_p_local_elimination_logs_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    zero_blocks = 0
+    for A, p, N in p_local_corpus(SplitMix64(0x5A1C), 300):
+        dec = smith_normal_form(A, p, N)
+        digest.update(repr((dec.D.rows, dec.row_ops, dec.col_ops)).encode())
+        zero_blocks += dec.divisors[-1] == 0
+    assert zero_blocks >= 150  # 179: the block below the last pivot is 0 mod p^N
+    assert digest.hexdigest() == P_LOCAL_LOG_DIGEST
+
+
+def test_integer_transforms_stay_small_at_rank_12():
+    # xi - lam I, lam a unit below 3^32 as at the eigenvector's working precision.
+    # The largest entry of U, V, U^-1 and V^-1 is at most 2,116 bits on these four;
+    # an earlier integer loop, which went on clearing the pivot's row after a
+    # remainder was left in its column, reached 20,334 to 23,148 bits on them
+    profile = hilbert_profile(2, 1, 12, max_rank=12)
+    rng = SplitMix64(0x5A1D)
+    bits = 0
+    for _ in range(4):
+        xi = gen_xi(profile, 3, 2, rng)
+        dec = assert_snf_contract(xi.shift(-rng.unit(3, 3**32)))
+        for M in (dec.U, dec.V, dec.u_inverse, dec.v_inverse):
+            bits = max(bits, max(abs(x).bit_length() for row in M.rows for x in row))
+    assert bits <= 8000
 
 
 def test_snf_mod_random_contract():
