@@ -162,7 +162,10 @@ def cmd_bounds(args) -> int:
     profile = _hilbert_profile(args.d, args.h, args.n)
     bf = boundary_functions(profile)
     c = c_exact(profile)
-    kc = kappa_closed(args.n, args.alpha, args.d, args.h)
+    try:
+        kc = kappa_closed(args.n, args.alpha, args.d, args.h)
+    except OverflowError as exc:  # 3 alpha past the float range
+        raise InputError(f"alpha is too large for the closed-form kappa: {exc}") from exc
     if args.kappa == "auto":
         resolved = resolve_kappa(profile, args.alpha)
         # show why even kappa = 1 fails when nothing resolves

@@ -16,11 +16,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import mul
+from functools import lru_cache
+from operator import add, mul
 
 from .bounds import c_exact, proposition_hypotheses, resolve_kappa, hilbert_profile
 from .lattice import (
-    DivisorProfile, IntMatrix, _add_col, _add_row, _swap_cols, _swap_rows,
+    DivisorProfile, IntMatrix, _add_col, _add_row, _column_scales, _swap_cols, _swap_rows,
     check_xi_condition, json_text, profile_mod,
 )
 from .newton import (
@@ -201,10 +202,10 @@ def gen_xi(profile: DivisorProfile, p: int, entry_bound: int, rng: SplitMix64) -
     a uniform draw from [-p^entry_bound, p^entry_bound]."""
     bound = p ** entry_bound
     r = profile.r
-    scales = [p ** (profile.n - aj) for aj in profile.a]
+    scales = _column_scales(profile, p)
     draws = rng.randints(-bound, bound, r * r)  # row-major, as r * r randint calls
-    rows = [[s * x for s, x in zip(scales, draws[i * r:(i + 1) * r])] for i in range(r)]
-    return IntMatrix._of(tuple(map(tuple, rows)))
+    rows = [tuple(map(mul, scales, draws[i * r:(i + 1) * r])) for i in range(r)]
+    return IntMatrix._of(tuple(rows))
 
 
 def gen_congruent_pair(
@@ -223,13 +224,17 @@ def gen_congruent_pair(
     """
     bound = p ** entry_bound
     r = profile.r
-    col_exps = [max(profile.n - aj, min_exponent) for aj in profile.a]
     draws = rng.randints(-bound, bound, r * r)  # row-major, as r * r randint calls
-    rows = []
-    for i, (ai, xrow) in enumerate(zip(profile.a, xi.rows)):
-        batch = draws[i * r:(i + 1) * r]
-        rows.append([x + p ** max(ai, e) * d for x, e, d in zip(xrow, col_exps, batch)])
-    return IntMatrix._of(tuple(map(tuple, rows)))
+    table = _congruence_moduli(profile, p, min_exponent)
+    return IntMatrix._of(tuple([tuple(map(add, xrow, map(mul, moduli, draws[i * r:(i + 1) * r])))
+                                for i, (moduli, xrow) in enumerate(zip(table, xi.rows))]))
+
+
+@lru_cache(maxsize=32)
+def _congruence_moduli(profile: DivisorProfile, p: int, min_exponent: int) -> tuple:
+    """The r x r table of p^max(a_i, n - a_j, min_exponent), which divides Delta_ij."""
+    return tuple([tuple([p ** max(ai, profile.n - aj, min_exponent) for aj in profile.a])
+                  for ai in profile.a])
 
 
 def poly_of_matrix(coeffs, A: IntMatrix) -> IntMatrix:
@@ -308,8 +313,6 @@ class InstancePair:
     psi_prime: PolynomialOperator | ConjugatedDiagonal
     profile: DivisorProfile
     seed: int
-    # PLANTED ground truth, beside psi.diagonal (None for POLYNOMIAL_PSI, whose q is psi.coeffs)
-    planted_valuations: tuple | None = None
 
 
 def gen_planted_quadruple(
@@ -357,7 +360,6 @@ def gen_planted_quadruple(
             xi=xi, xi_prime=xi_prime, psi=ConjugatedDiagonal(U, psi_diag, Ui),
             psi_prime=ConjugatedDiagonal(U, psi_diag_prime, Ui),
             profile=profile, seed=seed,
-            planted_valuations=tuple(vals),
         )
     return None
 
@@ -367,12 +369,12 @@ def _assert_pair_invariants(pair: InstancePair, p: int, min_exponent: int = 0) -
     if not check_xi_condition(pair.xi, profile, p):
         raise AssertionError("xi violates the structural condition")
     # p^{n - a_j} | Delta_ij gives xi'(K) in p^n L; p^{a_i} | Delta_ij, the same action on L/K
-    col_exps = [max(profile.n - aj, min_exponent) for aj in profile.a]
-    rows = zip(profile.a, pair.xi.rows, pair.xi_prime.rows, strict=True)
-    for i, (ai, row, row_prime) in enumerate(rows):
-        for j, (x, y, e) in enumerate(zip(row, row_prime, col_exps)):
-            if (x - y) % p ** max(ai, e):
-                raise AssertionError(f"pair difference at ({i},{j}) misses p^{max(ai, e)}")
+    rows = zip(_congruence_moduli(profile, p, min_exponent), pair.xi.rows, pair.xi_prime.rows,
+               strict=True)
+    for i, (moduli, row, row_prime) in enumerate(rows):
+        for j, (x, y, m) in enumerate(zip(row, row_prime, moduli)):
+            if (x - y) % m:
+                raise AssertionError(f"pair difference at ({i},{j}) misses p^{padic_valuation(m, p)}")
     # psi is q(xi), or U E U^-1 beside xi = U D U^-1: it commutes with xi by construction
 
 
@@ -556,14 +558,18 @@ def _multiplicity_differences(census, census_prime):
     census_prime differ (0 where a census lacks it), in increasing slope order.
 
     A polygon's segments have strictly increasing slopes, INFINITY last, so the
-    two are walked together and no slope is hashed.
+    two are walked together and no slope is hashed; a segment that is its
+    partner (polygons share one per (rise, run)) is skipped before any compare.
     """
     out = []
     i = j = 0
     while i < len(census) or j < len(census_prime):
         seg = census[i] if i < len(census) else None
         seg_prime = census_prime[j] if j < len(census_prime) else None
-        if seg_prime is None or (seg is not None and seg.slope < seg_prime.slope):
+        if seg is seg_prime:
+            i += 1
+            j += 1
+        elif seg_prime is None or (seg is not None and seg.slope < seg_prime.slope):
             out.append((seg.slope, seg.length, 0))
             i += 1
         elif seg is None or seg_prime.slope < seg.slope:

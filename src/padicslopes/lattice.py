@@ -10,10 +10,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from decimal import Decimal
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, groupby
 from math import gcd
-from operator import add, index, itemgetter, mul, sub
+from operator import add, index, itemgetter, mod, mul, sub
 
 from .padics import _require_prime, padic_valuation, unit_part
 
@@ -413,12 +413,14 @@ def check_xi_condition(xi: IntMatrix, profile: DivisorProfile, p: int) -> bool:
     _require_prime(p)
     if xi.r != profile.r:
         raise ValueError(f"dimension mismatch: matrix is {xi.r}, profile has rank {profile.r}")
-    needs = [p ** (profile.n - aj) for aj in profile.a]
-    for row in xi.rows:
-        for x, need in zip(row, needs):
-            if x % need:
-                return False
-    return True
+    needs = _column_scales(profile, p)
+    return not any([any(map(mod, row, needs)) for row in xi.rows])
+
+
+@lru_cache(maxsize=32)
+def _column_scales(profile: DivisorProfile, p: int) -> tuple:
+    """(p^(n - a_j))_j, the divisor of column j under xi(K) in p^n L; kept per (profile, p)."""
+    return tuple([p ** (profile.n - aj) for aj in profile.a])
 
 
 def profile_mod(profile: DivisorProfile, nprime: int) -> DivisorProfile:

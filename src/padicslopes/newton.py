@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import index, mul
 
 from .lattice import IntMatrix, _unit_inverse, smith_normal_form
@@ -110,13 +111,17 @@ def newton_polygon(cp: CharPoly, p: int) -> NewtonPolygon:
             else:
                 break
         hull.append(pt)
-    segments = []
-    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
-        segments.append(SlopeSegment(slope=Fraction(y1 - y0, x1 - x0), length=x1 - x0))
+    segments = [_segment(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
     i_last = points[-1][0]
     if i_last < t:
-        segments.append(SlopeSegment(slope=INFINITY, length=t - i_last))
+        segments.append(_segment(INFINITY, t - i_last))
     return NewtonPolygon(vertices=tuple(hull), segments=tuple(segments))
+
+
+@lru_cache(maxsize=1024)
+def _segment(rise, run: int) -> SlopeSegment:
+    """Slope rise/run (INFINITY if rise is) and length run: one object per key, shared."""
+    return SlopeSegment(rise if rise is INFINITY else Fraction(rise, run), run)
 
 
 def slope_multiplicity(np: NewtonPolygon, alpha) -> int:

@@ -121,6 +121,15 @@ def valuation_by_division(x: int, p: int):
     return v
 
 
+def multiplicity_differences_by_dict(census, census_prime) -> list:
+    """(slope, m, m') for every slope whose multiplicities differ, from one dict per
+    census keyed by slope, in increasing slope order (INFINITY sorts last)."""
+    m = {seg.slope: seg.length for seg in census}
+    m_prime = {seg.slope: seg.length for seg in census_prime}
+    return [(s, m.get(s, 0), m_prime.get(s, 0)) for s in sorted(m.keys() | m_prime.keys())
+            if m.get(s, 0) != m_prime.get(s, 0)]
+
+
 def horner_mod(coeffs, x: int, m: int) -> int:
     acc = 0
     for c in reversed(coeffs):

@@ -201,6 +201,19 @@ def test_bounds_rank_beyond_sys_maxsize_is_an_input_error(capsys):
     assert_one_error_line(["bounds", "--d", "100", "--h", "1", "--n", "2", "--alpha", "0"], capsys)
 
 
+# 3 alpha past the float range once raised OverflowError in kappa_closed (exit 3)
+@pytest.mark.parametrize("alpha", [10**400, 10**308])
+def test_bounds_alpha_beyond_float_range_is_an_input_error(alpha, capsys):
+    assert_one_error_line(["bounds", "--d", "1", "--h", "1", "--n", "4", "--alpha", str(alpha)],
+                          capsys)
+
+
+def test_bounds_alpha_within_float_range_still_runs(capsys):
+    assert run_main(["bounds", "--d", "1", "--h", "1", "--n", "4", "--alpha", str(10**18)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["hypotheses"]["passed"] is False and doc["n_threshold"] is None
+
+
 def test_compare_c_rank_beyond_sys_maxsize_is_an_input_error(capsys):
     assert_one_error_line(["compare-c", "--d-list", "100", "--h-list", "1", "--n-max", "2"], capsys)
 

@@ -15,9 +15,11 @@ from padicslopes.family import (
     InstancePair,
     PolynomialOperator,
     _assert_pair_invariants,
+    _congruence_moduli,
     _evaluate_constancy_pair,
     _evaluate_proposition_pair,
     _generate_pair,
+    _multiplicity_differences,
     config_from_document,
     gen_congruent_pair,
     gen_planted_quadruple,
@@ -34,13 +36,17 @@ from padicslopes.family import (
 )
 from padicslopes.bounds import c_exact
 from padicslopes.lattice import (
-    DivisorProfile, IntMatrix, check_xi_condition, json_text, profile_mod,
+    DivisorProfile, IntMatrix, _column_scales, check_xi_condition, json_text, profile_mod,
 )
 from padicslopes.newton import char_poly, newton_polygon
-from padicslopes.padics import INFINITY
+from padicslopes.padics import INFINITY, padic_valuation
 from padicslopes.rng import SplitMix64, trial_seed
 
-from oracles import det_fraction, horner_mod, poly_apply_naive, same_quotient_action
+from oracles import (
+    det_fraction, horner_mod, multiplicity_differences_by_dict, poly_apply_naive,
+    same_quotient_action,
+)
+from test_report_digests import VARIANTS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -173,6 +179,26 @@ def test_gen_congruent_pair_min_exponent():
     xi_prime = gen_congruent_pair(xi, profile, p, 2, rng, min_exponent=4)
     diff = xi - xi_prime
     assert all(x % p**4 == 0 for row in diff.rows for x in row)
+
+
+def test_per_profile_tables_match_the_per_entry_formulas():
+    base = DivisorProfile(n=6, a=(5, 3, 3, 0))
+    keys = [
+        (base, 3, 2),
+        (DivisorProfile(n=7, a=base.a), 3, 2),  # only n differs
+        (base, 5, 2),                           # only p differs
+        (base, 3, 4),                           # only n' differs
+    ]
+    scales, moduli = set(), set()
+    for profile, p, nprime in keys:
+        n, a = profile.n, profile.a
+        assert _column_scales(profile, p) == tuple(p ** (n - aj) for aj in a)
+        table = _congruence_moduli(profile, p, nprime)
+        assert table == tuple(tuple(p ** max(ai, n - aj, nprime) for aj in a) for ai in a)
+        assert _congruence_moduli(profile, p, nprime) is table  # kept, not rebuilt
+        scales.add(_column_scales(profile, p))
+        moduli.add(table)
+    assert len(scales) == 3 and len(moduli) == 4  # n' leaves only the column scales alone
 
 
 def test_pair_invariants_reject_a_pair_that_disagrees_on_the_quotient():
@@ -333,6 +359,14 @@ def test_generated_polynomial_psi_commutes_on_the_shipped_configs():
                 assert xi * psi == psi * xi
 
 
+def planted_valuations(pair, p) -> list:
+    """Valuations of xi's planted diagonal, read off D = U^-1 xi U, which must be diagonal."""
+    D = pair.psi.U_inverse * pair.xi * pair.psi.U
+    off = [D[i, j] for i in range(D.r) for j in range(D.r) if i != j]
+    assert not any(off)
+    return [padic_valuation(x, p) for x in D.diagonal_entries()]
+
+
 def test_planted_quadruple():
     rng = SplitMix64(92)
     profile = DivisorProfile(n=10, a=(10,) * 5)
@@ -344,10 +378,11 @@ def test_planted_quadruple():
     psi, psi_prime = IntMatrix._of(pair.psi.rows), IntMatrix._of(pair.psi_prime.rows)
     assert pair.xi * psi == psi * pair.xi
     assert pair.xi_prime * psi_prime == psi_prime * pair.xi_prime
-    assert sorted(pair.planted_valuations).count(1) == 1
+    vals = planted_valuations(pair, 3)
+    assert vals.count(1) == 1
     census = {seg.slope: seg.length for seg in newton_polygon(char_poly(pair.xi), 3).segments}
     want = {}
-    for v in pair.planted_valuations:
+    for v in vals:
         want[Fraction(v)] = want.get(Fraction(v), 0) + 1
     assert census == want
 
@@ -595,7 +630,7 @@ def test_planted_extraction_matches_diagonal():
     pair = _generate_pair(plan, SplitMix64(seed), seed)
     report = _evaluate_proposition_pair(plan, pair, 0, seed)
     assert report.status == ACCEPTED
-    slot = pair.planted_valuations.index(cfg.alpha)
+    slot = planted_valuations(pair, cfg.p).index(cfg.alpha)
     truth = pair.psi.diagonal[slot]
     assert (report.a - truth) % cfg.p**report.margin_cap == 0
     # the pn-shifted diagonals keep the pair margin at least n
@@ -745,6 +780,20 @@ def test_constancy_violation_branch():
     assert report.status == VIOLATION
     assert (Fraction(0), 1, 0) in report.mismatched_slopes
     assert report.pair is not None
+
+
+def test_multiplicity_differences_match_the_dict_oracle_on_shipped_trials():
+    configs = [read_config(CONFIG_DIR / "constancy_default.json")]
+    configs += [config_from_document(doc) for mode, doc, _ in VARIANTS if mode == "constancy"]
+    differing = 0
+    for cfg in configs:
+        for t in run_experiment(cfg, mode="constancy").trials:
+            want = multiplicity_differences_by_dict(t.census, t.census_prime)
+            assert _multiplicity_differences(t.census, t.census_prime) == want
+            # the report splits the same triples at the bound, in the same order
+            assert list(t.mismatched_slopes + t.informational_slopes) == want
+            differing += bool(want)
+    assert differing > 0  # the oracle is not compared on equal censuses alone
 
 
 # --- determinism -------------------------------------------------------------------------

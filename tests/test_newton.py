@@ -11,6 +11,7 @@ from padicslopes.newton import (
     ConsistencyError,
     EigenvectorError,
     HenselError,
+    SlopeSegment,
     char_poly,
     commuting_eigenvalue,
     eigenvector_mod,
@@ -163,6 +164,26 @@ def test_polygon_convexity_and_lengths():
         i_last = max(i for i, c in enumerate(coeffs) if c != 0)
         assert sum(s.length for s in poly.finite_segments()) == i_last
         assert poly.vertices[0] == (0, 0)
+
+
+def test_polygon_segments_are_shared_per_rise_and_run():
+    rng = SplitMix64(1121)
+    shared, total = {}, 0
+    for _ in range(200):
+        p = rng.choice((2, 3, 5))
+        coeffs = [1] + [rng.randint(-500, 500) for _ in range(rng.randint(1, 6))]
+        coeffs += [0] * rng.randint(0, 2)  # trailing zeros give an INFINITY segment
+        poly = newton_polygon(CharPoly(tuple(coeffs)), p)
+        keys = [(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(poly.vertices, poly.vertices[1:])]
+        fresh = [SlopeSegment(Fraction(rise, run), run) for rise, run in keys]
+        if len(poly.segments) > len(keys):
+            keys.append((INFINITY, poly.segments[-1].length))
+            fresh.append(SlopeSegment(INFINITY, keys[-1][1]))
+        assert list(poly.segments) == fresh
+        for key, seg in zip(keys, poly.segments):
+            assert shared.setdefault(key, seg) is seg
+        total += len(keys)
+    assert len(shared) < total and any(k[0] is INFINITY for k in shared)
 
 
 def test_polygon_multiplicativity():

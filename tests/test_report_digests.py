@@ -10,13 +10,17 @@ n' = n, and PLANTED at p = 5 in both modes.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from padicslopes.family import config_from_document, read_config, report_to_json, run_experiment
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 PINNED = [
     ("prop_default.json", "prop", "123ec10ab0b3c70e"),
@@ -31,6 +35,28 @@ def test_shipped_report_digest(name, mode, digest, jobs):
     report = run_experiment(read_config(CONFIG_DIR / name), mode=mode, jobs=jobs)
     text = report_to_json(report)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digest
+
+
+# the spawn start method gives each worker a fresh interpreter, so a report byte that
+# depended on a cache warmed in the parent before a fork would show here
+SPAWN_SCRIPT = """
+import hashlib, multiprocessing, sys
+from pathlib import Path
+from padicslopes.family import read_config, report_to_json, run_experiment
+multiprocessing.set_start_method("spawn")
+for name, mode in zip(sys.argv[2::2], sys.argv[3::2]):
+    report = run_experiment(read_config(Path(sys.argv[1]) / name), mode=mode, jobs=2)
+    print(hashlib.sha256(report_to_json(report).encode("utf-8")).hexdigest()[:16])
+"""
+
+
+def test_shipped_report_digests_under_spawn():
+    argv = [str(CONFIG_DIR)] + [x for name, mode, _ in PINNED for x in (name, mode)]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", SPAWN_SCRIPT, *argv], capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [digest for _, _, digest in PINNED]
 
 
 PROP = {"profile": {"kind": "hilbert", "d": 1, "h": 1, "n": 12, "max_rank": 8},
