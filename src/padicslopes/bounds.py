@@ -170,10 +170,14 @@ def proposition_hypotheses(profile: DivisorProfile, alpha: int, kappa: int) -> H
 def resolve_kappa(profile: DivisorProfile, alpha: int) -> int | None:
     """Largest kappa >= 1 whose hypotheses pass, or None.
 
-    Passing is downward-closed in kappa (smaller kappa means a narrower n'
-    range), so scanning from the top finds the maximum.
+    kappa passes exactly when the top 2 alpha + kappa levels n' = n, n - 1, ...
+    pass, so one downward scan that stops at the first failing level counts
+    2 alpha + kappa. The count is at most n, so kappa <= n - 2 alpha holds.
     """
-    for kappa in range(profile.n - 2 * alpha, 0, -1):
-        if proposition_hypotheses(profile, alpha, kappa).passed:
-            return kappa
-    return None
+    passing = 0
+    for nprime in range(profile.n, 0, -1):
+        if not alpha < c_exact(profile_mod(profile, nprime)).value:
+            break
+        passing += 1
+    kappa = passing - 2 * alpha
+    return kappa if kappa >= 1 else None

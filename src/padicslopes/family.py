@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
 
-from .bounds import c_exact, proposition_hypotheses, resolve_kappa, hilbert_profile
+from .bounds import c_exact, resolve_kappa, hilbert_profile
 from .lattice import (
     DivisorProfile, IntMatrix, _add_col, _add_row, _column_scales, _swap_cols, _swap_rows,
     check_xi_condition, json_text, profile_mod,
@@ -312,7 +312,6 @@ class InstancePair:
     psi: PolynomialOperator | ConjugatedDiagonal
     psi_prime: PolynomialOperator | ConjugatedDiagonal
     profile: DivisorProfile
-    seed: int
 
 
 def gen_planted_quadruple(
@@ -322,7 +321,6 @@ def gen_planted_quadruple(
     entry_bound: int,
     rng: SplitMix64,
     max_attempts: int,
-    seed: int,
     min_exponent: int = 0,
 ) -> InstancePair | None:
     """Conjugated commuting diagonals with exactly one slope-alpha eigenvalue.
@@ -359,7 +357,7 @@ def gen_planted_quadruple(
         return InstancePair(
             xi=xi, xi_prime=xi_prime, psi=ConjugatedDiagonal(U, psi_diag, Ui),
             psi_prime=ConjugatedDiagonal(U, psi_diag_prime, Ui),
-            profile=profile, seed=seed,
+            profile=profile,
         )
     return None
 
@@ -427,24 +425,21 @@ def prepare_plan(config: ExperimentConfig, mode: str) -> ExperimentPlan:
         bound = c_exact(profile_mod(config.profile, config.nprime)).value
         return ExperimentPlan(config=config, mode=mode, kappa=None,
                               hypotheses_pass=True, precision=None, constancy_bound=bound)
-    if config.kappa == "auto":
-        kappa = resolve_kappa(config.profile, config.alpha)
-        ok = kappa is not None
-    else:
-        kappa = config.kappa
-        ok = proposition_hypotheses(config.profile, config.alpha, kappa).passed
+    resolved = resolve_kappa(config.profile, config.alpha)
+    kappa = resolved if config.kappa == "auto" else config.kappa
+    ok = resolved is not None and kappa <= resolved
     precision = config.working_precision(kappa) if kappa is not None else None
     return ExperimentPlan(config=config, mode=mode, kappa=kappa,
                           hypotheses_pass=ok, precision=precision)
 
 
-def _generate_pair(plan: ExperimentPlan, rng: SplitMix64, seed: int,
+def _generate_pair(plan: ExperimentPlan, rng: SplitMix64,
                    min_exponent: int = 0) -> InstancePair | None:
     cfg = plan.config
     if cfg.generator == PLANTED:
         return gen_planted_quadruple(
             cfg.profile, cfg.p, cfg.alpha, cfg.entry_bound, rng,
-            cfg.max_attempts, seed, min_exponent=min_exponent,
+            cfg.max_attempts, min_exponent=min_exponent,
         )
     xi = gen_xi(cfg.profile, cfg.p, cfg.entry_bound, rng)
     xi_prime = gen_congruent_pair(xi, cfg.profile, cfg.p, cfg.entry_bound, rng,
@@ -453,7 +448,7 @@ def _generate_pair(plan: ExperimentPlan, rng: SplitMix64, seed: int,
     coeffs = tuple(rng.randints(-bound, bound, xi.r))
     return InstancePair(xi=xi, xi_prime=xi_prime, psi=PolynomialOperator(coeffs, xi),
                         psi_prime=PolynomialOperator(coeffs, xi_prime),
-                        profile=cfg.profile, seed=seed)
+                        profile=cfg.profile)
 
 
 def run_proposition_trial(plan: ExperimentPlan, index: int) -> TrialReport:
@@ -463,7 +458,7 @@ def run_proposition_trial(plan: ExperimentPlan, index: int) -> TrialReport:
         return TrialReport(index=index, seed=seed, status=REJECTED, reason="hypotheses",
                            alpha=cfg.alpha, kappa=plan.kappa)
     rng = SplitMix64(seed)
-    pair = _generate_pair(plan, rng, seed)
+    pair = _generate_pair(plan, rng)
     if pair is None:
         return TrialReport(index=index, seed=seed, status=REJECTED, reason="no-instance",
                            alpha=cfg.alpha, kappa=plan.kappa)
@@ -519,7 +514,7 @@ def run_constancy_trial(plan: ExperimentPlan, index: int) -> TrialReport:
     cfg = plan.config
     seed = trial_seed(cfg.master_seed, index)
     rng = SplitMix64(seed)
-    pair = _generate_pair(plan, rng, seed, min_exponent=cfg.nprime)
+    pair = _generate_pair(plan, rng, min_exponent=cfg.nprime)
     if pair is None:
         return TrialReport(index=index, seed=seed, status=REJECTED, reason="no-instance",
                            alpha=cfg.alpha)

@@ -148,9 +148,6 @@ class HenselRoot:
 
     value: int
     derivative_valuation: int
-    p: int
-    N: int
-    alpha: int
 
 
 def hensel_slope_root(cp: CharPoly, poly: NewtonPolygon, p: int, alpha: int, N: int) -> HenselRoot:
@@ -208,7 +205,7 @@ def hensel_slope_root(cp: CharPoly, poly: NewtonPolygon, p: int, alpha: int, N: 
     lam = p ** alpha * y % pN  # y is a unit and alpha < N, so v_p(lam) = alpha
     if cp.eval_mod(lam, pN) != 0:
         raise AssertionError("lifted root fails the residual check")
-    return HenselRoot(value=lam, derivative_valuation=content - alpha, p=p, N=N, alpha=alpha)
+    return HenselRoot(value=lam, derivative_valuation=content - alpha)
 
 
 def _poly_derivative(coeffs) -> list:

@@ -10,11 +10,15 @@ exceptions read the library's Smith form: the reference eigenvector, built
 from the integer-mode Smith form (the computation the Z/p^N mode replaced on
 the eigenvector path), and kernel_mod, every generator of a kernel mod p^N
 from the whole of V^-1 (where eigenvector_mod replays one column of it).
+The largest passing kappa is found by trying every kappa against the
+library's per-kappa checker proposition_hypotheses, where resolve_kappa
+scans the levels n' once.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+from padicslopes.bounds import proposition_hypotheses
 from padicslopes.lattice import IntMatrix, smith_normal_form
 
 
@@ -128,6 +132,15 @@ def multiplicity_differences_by_dict(census, census_prime) -> list:
     m_prime = {seg.slope: seg.length for seg in census_prime}
     return [(s, m.get(s, 0), m_prime.get(s, 0)) for s in sorted(m.keys() | m_prime.keys())
             if m.get(s, 0) != m_prime.get(s, 0)]
+
+
+def resolve_kappa_by_search(profile, alpha: int):
+    """Largest kappa >= 1 for which proposition_hypotheses passes, or None, by
+    trying every kappa from n - 2 alpha down."""
+    for kappa in range(profile.n - 2 * alpha, 0, -1):
+        if proposition_hypotheses(profile, alpha, kappa).passed:
+            return kappa
+    return None
 
 
 def horner_mod(coeffs, x: int, m: int) -> int:

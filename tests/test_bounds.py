@@ -1,9 +1,12 @@
 import math
+import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import padicslopes.bounds as bounds
 from padicslopes.bounds import (
     boundary_functions,
     c1_closed,
@@ -14,7 +17,10 @@ from padicslopes.bounds import (
     proposition_hypotheses,
     resolve_kappa,
 )
+from padicslopes.family import config_from_document, prepare_plan
 from padicslopes.lattice import DivisorProfile, profile_mod
+
+from oracles import resolve_kappa_by_search
 
 
 def test_boundary_functions_examples():
@@ -196,6 +202,68 @@ def test_resolve_kappa():
     k = resolve_kappa(prof, 1)
     assert proposition_hypotheses(prof, 1, k).passed
     assert not proposition_hypotheses(prof, 1, k + 1).passed
+
+
+def kappa_corpus():
+    """(profile, alpha): the Hilbert profiles with d in {1, 2, 3}, h in {1, 2, 4},
+    n <= 12 and rank at most 500 at every alpha from 0 to n, then 400 seeded
+    explicit profiles with n <= 16 and r <= 10."""
+    for d in (1, 2, 3):
+        for h in (1, 2, 4):
+            for n in range(1, 13):
+                if h * n ** d <= 500:
+                    profile = hilbert_profile(d, h, n)
+                    for alpha in range(n + 1):
+                        yield profile, alpha
+    rng = random.Random(20261018)
+    for _ in range(400):
+        n = rng.randint(1, 16)
+        a = sorted((rng.randint(0, n) for _ in range(rng.randint(1, 10))), reverse=True)
+        # c <= M = ceil(n/2), so a larger alpha never passes
+        yield DivisorProfile(n=n, a=tuple(a)), rng.randint(0, (n + 1) // 2)
+
+
+def test_resolve_kappa_equals_the_search_over_every_kappa():
+    resolved = [(resolve_kappa(prof, alpha), resolve_kappa_by_search(prof, alpha))
+                for prof, alpha in kappa_corpus()]
+    assert len(resolved) == 1009
+    assert [got for got, _ in resolved] == [want for _, want in resolved]
+    # the corpus reaches both verdicts and a spread of kappas
+    kappas = {want for _, want in resolved}
+    assert None in kappas and len(kappas) > 8
+
+
+def test_plan_verdict_equals_the_hypotheses_for_every_kappa():
+    base = config_from_document({"p": 3, "profile": {"kind": "explicit", "n": 1, "a": [1]},
+                                 "alpha": 0, "trials": 1, "master_seed": 0})
+    for prof, alpha in kappa_corpus():
+        config = replace(base, profile=prof, alpha=alpha)
+        passing = []
+        for kappa in range(1, prof.n + 3):
+            plan = prepare_plan(replace(config, kappa=kappa), "prop")
+            passed = proposition_hypotheses(prof, alpha, kappa).passed
+            assert (plan.kappa, plan.hypotheses_pass) == (kappa, passed), (prof, alpha, kappa)
+            if passed:
+                passing.append(kappa)
+        auto = prepare_plan(config, "prop")
+        assert (auto.kappa, auto.hypotheses_pass) == (max(passing, default=None), bool(passing))
+
+
+def test_resolve_kappa_scans_each_level_at_most_once(monkeypatch):
+    levels = []
+    real = bounds.c_exact
+
+    def counted(profile):
+        levels.append(profile.n)
+        return real(profile)
+
+    prof = hilbert_profile(1, 1, 40)
+    expected = resolve_kappa_by_search(prof, 2)
+    monkeypatch.setattr(bounds, "c_exact", counted)
+    assert resolve_kappa(prof, 2) == expected
+    # one downward scan from n that stops at the first failing level
+    assert 0 < len(levels) <= prof.n
+    assert levels == list(range(prof.n, prof.n - len(levels), -1))
 
 
 def test_profile_mod_re_leveling():

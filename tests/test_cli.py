@@ -491,3 +491,59 @@ def test_fuzzed_configs_exit_with_a_documented_code(tmp_path):
         for mode in ("prop", "constancy"):
             check = example(mode=mode, doc={**PROP_DEFAULT, "nprime": 1, **overrides})(check)
     check()
+
+
+# --- fuzzing the matrix path ---------------------------------------------------------------
+
+def test_fuzzed_matrix_documents_exit_with_a_documented_code(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    entries = st.one_of(
+        st.integers(-50, 50),
+        st.floats(),
+        st.booleans(),
+        st.none(),
+        st.decimals().map(str),
+        st.sampled_from(["12", "-7", "+3", " 4 ", "1.5", "1e3", "²", "", "7" * 5000,
+                         "-" + "9" * 5000]),
+    )
+
+    def square(entry):
+        return st.integers(1, 3).flatmap(
+            lambda r: st.lists(st.lists(entry, min_size=r, max_size=r), min_size=r, max_size=r))
+
+    @st.composite
+    def triangular(draw):
+        """Upper triangular over 3-power diagonals, so profile can succeed."""
+        r = draw(st.integers(1, 3))
+        return [[draw(st.sampled_from([1, -1, 3, 9, -9])) if i == j else
+                 draw(st.integers(-50, 50)) if j > i else 0 for j in range(r)] for i in range(r)]
+
+    # wrong shapes, bad entries, extra fields and non-objects, beside well-formed matrices
+    rows = st.one_of(square(entries), st.lists(st.lists(entries, max_size=3), max_size=3), entries)
+    documents = st.one_of(
+        st.fixed_dictionaries({"rows": triangular()}),
+        st.fixed_dictionaries({"rows": square(st.integers(-50, 50))}),
+        st.fixed_dictionaries({"rows": rows}),
+        st.fixed_dictionaries({"rows": square(st.integers(-50, 50)), "spurious": entries}),
+        entries,
+        st.lists(entries, max_size=2),
+    )
+    commands = {
+        "polygon": ["polygon", "--prime", "3"],
+        "snf": ["snf"],
+        "profile": ["profile", "--prime", "3", "--level", "4"],
+    }
+    path = tmp_path / "m.json"
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(command=st.sampled_from(sorted(commands)), doc=documents)
+    def check(command, doc):
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run_main([*commands[command], "--input", str(path)])
+        assert rc in (0, 2) and "Traceback" not in err.getvalue(), (rc, err.getvalue())
+
+    check()

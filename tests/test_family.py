@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import pickle
 from dataclasses import replace
 from fractions import Fraction
@@ -207,7 +208,7 @@ def test_pair_invariants_reject_a_pair_that_disagrees_on_the_quotient():
     xi = IntMatrix.from_rows([[2, 81], [5, 162]])
     psi = PolynomialOperator((1, 1), xi)
     good = InstancePair(xi=xi, xi_prime=xi + IntMatrix.from_rows([[81, 0], [0, 0]]),
-                        psi=psi, psi_prime=psi, profile=profile, seed=0)
+                        psi=psi, psi_prime=psi, profile=profile)
     _assert_pair_invariants(good, p)
     # 3 in row 0 keeps xi' structural but moves row 0 mod p^{a_0} = 81
     bad = replace(good, xi_prime=xi + IntMatrix.from_rows([[3, 0], [0, 0]]))
@@ -242,7 +243,7 @@ def test_checks_reject_a_pair_broken_only_at_an_edge(where):
     good = InstancePair(xi=EDGE_XI, xi_prime=xi_prime,
                         psi=PolynomialOperator((1, 1), EDGE_XI),
                         psi_prime=PolynomialOperator((1, 1), xi_prime),
-                        profile=EDGE_PROFILE, seed=0)
+                        profile=EDGE_PROFILE)
     _assert_pair_invariants(good, p)
     # one power of p short of what (i, j) needs
     need = max(EDGE_PROFILE.a[i], EDGE_PROFILE.n - EDGE_PROFILE.a[j])
@@ -345,7 +346,7 @@ def test_generated_polynomial_psi_commutes_on_the_shipped_configs():
         min_exponent = cfg.nprime if mode == "constancy" else 0
         for index in range(cfg.trials):
             seed = trial_seed(cfg.master_seed, index)
-            pair = _generate_pair(plan, SplitMix64(seed), seed, min_exponent=min_exponent)
+            pair = _generate_pair(plan, SplitMix64(seed), min_exponent=min_exponent)
             # gen_psi_polynomial draws the same q from the same stream
             rng = SplitMix64(seed)
             xi = gen_xi(cfg.profile, cfg.p, cfg.entry_bound, rng)
@@ -370,7 +371,7 @@ def planted_valuations(pair, p) -> list:
 def test_planted_quadruple():
     rng = SplitMix64(92)
     profile = DivisorProfile(n=10, a=(10,) * 5)
-    pair = gen_planted_quadruple(profile, 3, 1, 2, rng, 64, seed=0)
+    pair = gen_planted_quadruple(profile, 3, 1, 2, rng, 64)
     assert pair is not None
     assert check_xi_condition(pair.xi, profile, 3)
     assert check_xi_condition(pair.xi_prime, profile, 3)
@@ -391,7 +392,7 @@ def test_planted_rejection_on_incompatible_profile():
     # nontrivial column constraints demand valuations the planted bound cannot give
     rng = SplitMix64(93)
     profile = DivisorProfile(n=12, a=(2, 1, 0))
-    pair = gen_planted_quadruple(profile, 3, 1, 2, rng, max_attempts=8, seed=0)
+    pair = gen_planted_quadruple(profile, 3, 1, 2, rng, max_attempts=8)
     assert pair is None
 
 
@@ -464,7 +465,7 @@ def test_identical_pair_gives_infinite_margin():
         xi = gen_xi(cfg.profile, cfg.p, cfg.entry_bound, rng)
         psi, _, _ = gen_psi_polynomial(xi, xi, cfg.p, cfg.entry_bound, rng)
         pair = InstancePair(xi=xi, xi_prime=xi, psi=psi, psi_prime=psi,
-                            profile=cfg.profile, seed=0)
+                            profile=cfg.profile)
         report = _evaluate_proposition_pair(plan, pair, index, 0)
         if report.status == ACCEPTED:
             assert report.margin is INFINITY
@@ -480,7 +481,7 @@ def test_accepted_trial_matches_polynomial_oracle():
     for index in range(20):
         seed = trial_seed(cfg.master_seed, index)
         rng = SplitMix64(seed)
-        pair = _generate_pair(plan, rng, seed)
+        pair = _generate_pair(plan, rng)
         report = _evaluate_proposition_pair(plan, pair, index, seed)
         if report.status != ACCEPTED:
             continue
@@ -508,7 +509,7 @@ def test_violation_branch_reports_matrices():
         xi = IntMatrix.diagonal([rng.unit(3, 80), 3 * rng.unit(3, 80), 9 * rng.unit(3, 80)])
         xi_prime = IntMatrix.diagonal([rng.unit(3, 80), 3 * rng.unit(3, 80), 9 * rng.unit(3, 80)])
         pair = InstancePair(xi=xi, xi_prime=xi_prime, psi=xi, psi_prime=xi_prime,
-                            profile=cfg.profile, seed=0)
+                            profile=cfg.profile)
         report = _evaluate_proposition_pair(plan, pair, 0, 0)
         if report.status == VIOLATION:
             assert report.margin < plan.kappa
@@ -526,7 +527,7 @@ PLANTED_VIOLATION_DIGEST = "a6e9986b3e2d480c"
 def lazy_pair(xi, xi_prime, coeffs, profile):
     return InstancePair(xi=xi, xi_prime=xi_prime, psi=PolynomialOperator(coeffs, xi),
                         psi_prime=PolynomialOperator(coeffs, xi_prime),
-                        profile=profile, seed=0)
+                        profile=profile)
 
 
 def assert_report_forms_psi(report, coeffs, digest):
@@ -599,7 +600,7 @@ def test_planted_violation_report_forms_the_matrices():
         pair = InstancePair(xi=xi, xi_prime=xi_prime,
                             psi=ConjugatedDiagonal(U, diagonals[0], Ui),
                             psi_prime=ConjugatedDiagonal(U, diagonals[1], Ui),
-                            profile=cfg.profile, seed=0)
+                            profile=cfg.profile)
         report = _evaluate_proposition_pair(plan, pair, 0, 0)
         if report.status == VIOLATION:
             break
@@ -627,7 +628,7 @@ def test_planted_extraction_matches_diagonal():
     plan = prepare_plan(cfg, "prop")
     assert plan.kappa == 2
     seed = trial_seed(cfg.master_seed, 0)
-    pair = _generate_pair(plan, SplitMix64(seed), seed)
+    pair = _generate_pair(plan, SplitMix64(seed))
     report = _evaluate_proposition_pair(plan, pair, 0, seed)
     assert report.status == ACCEPTED
     slot = planted_valuations(pair, cfg.p).index(cfg.alpha)
@@ -645,6 +646,14 @@ def test_run_experiment_prop_smoke():
     assert rep.accepted >= 6
     mm = rep.min_margin()
     assert mm is INFINITY or mm >= rep.plan.kappa
+
+
+def test_run_experiment_leaves_no_worker_process():
+    # a pool dropped without shutdown raises no ResourceWarning, so count the children
+    cfg = read_config(CONFIG_DIR / "prop_default.json")
+    report = run_experiment(cfg, "prop", jobs=2)
+    assert len(report.trials) == cfg.trials
+    assert multiprocessing.active_children() == []
 
 
 def test_corrupted_kappa_rejects_everything():
@@ -684,7 +693,7 @@ def test_constancy_identical_pair_accepts():
     rng = SplitMix64(1)
     xi = gen_xi(cfg.profile, cfg.p, cfg.entry_bound, rng)
     pair = InstancePair(xi=xi, xi_prime=xi, psi=xi, psi_prime=xi,
-                        profile=cfg.profile, seed=0)
+                        profile=cfg.profile)
     report = _evaluate_constancy_pair(plan, pair, 0, 0)
     assert report.status == ACCEPTED
     assert report.mismatched_slopes == ()
@@ -709,7 +718,7 @@ def test_constancy_above_bound_mismatch_is_informational():
     xi = IntMatrix.diagonal([4, 4])
     xi_prime = IntMatrix.diagonal([4, 16])  # slopes {2,2} vs {2,4}, all above c = 1/2
     pair = InstancePair(xi=xi, xi_prime=xi_prime, psi=xi, psi_prime=xi,
-                        profile=cfg.profile, seed=0)
+                        profile=cfg.profile)
     report = _evaluate_constancy_pair(plan, pair, 0, 0)
     assert report.status == ACCEPTED
     assert report.mismatched_slopes == ()
@@ -729,7 +738,7 @@ def test_constancy_slopes_in_one_census_only_keep_their_order():
     xi_prime = IntMatrix.diagonal([4, 8, 16, 0])
 
     def evaluate(a, b):
-        pair = InstancePair(xi=a, xi_prime=b, psi=a, psi_prime=b, profile=cfg.profile, seed=0)
+        pair = InstancePair(xi=a, xi_prime=b, psi=a, psi_prime=b, profile=cfg.profile)
         return _evaluate_constancy_pair(plan, pair, 0, 0)
 
     report = evaluate(xi, xi_prime)
@@ -774,7 +783,6 @@ def test_constancy_violation_branch():
         psi=IntMatrix.identity(2),
         psi_prime=IntMatrix.identity(2),
         profile=cfg.profile,
-        seed=0,
     )
     report = _evaluate_constancy_pair(plan, pair, 0, 0)
     assert report.status == VIOLATION
