@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from operator import add, mul
 
 from .bounds import c_exact, resolve_kappa, hilbert_profile
@@ -69,9 +70,6 @@ class ExperimentConfig:
     precision_guard: int
     nprime: int | None
     profile_doc: dict
-
-    def working_precision(self, kappa: int) -> int:
-        return self.profile.n + 2 * self.alpha + kappa + self.precision_guard
 
 
 _CONFIG_FIELDS = {
@@ -321,7 +319,6 @@ def gen_planted_quadruple(
     entry_bound: int,
     rng: SplitMix64,
     max_attempts: int,
-    min_exponent: int = 0,
 ) -> InstancePair | None:
     """Conjugated commuting diagonals with exactly one slope-alpha eigenvalue.
 
@@ -330,7 +327,8 @@ def gen_planted_quadruple(
     constraints for every profile. xi and xi' are formed by one product each
     (see _conjugated); psi and psi' are ConjugatedDiagonal operators, formed only
     if a violation report reads them. Attempts whose xi fails the structural
-    check are rejected; None means the attempt budget ran out.
+    check are rejected; None means the attempt budget ran out. xi' - xi =
+    p^n U diag(e) U^-1 is divisible by p^n, so xi' passes whenever xi does.
     """
     r = profile.r
     n = profile.n
@@ -346,14 +344,11 @@ def gen_planted_quadruple(
         if not check_xi_condition(xi, profile, p):
             continue
         psi_diag = tuple(rng.randints(-bound, bound, r))
-        shift = p ** max(n, min_exponent)
-        diag_prime = [x + shift * d for x, d in zip(diag, rng.randints(-bound, bound, r))]
         pn = p ** n
+        diag_prime = [x + pn * d for x, d in zip(diag, rng.randints(-bound, bound, r))]
         psi_shifts = rng.randints(-bound, bound, r)
         psi_diag_prime = tuple([x + pn * d for x, d in zip(psi_diag, psi_shifts)])
         xi_prime = _conjugated(U, diag_prime, Ui)
-        if not check_xi_condition(xi_prime, profile, p):
-            raise AssertionError("p^n-shifted planted operator lost the structural condition")
         return InstancePair(
             xi=xi, xi_prime=xi_prime, psi=ConjugatedDiagonal(U, psi_diag, Ui),
             psi_prime=ConjugatedDiagonal(U, psi_diag_prime, Ui),
@@ -428,7 +423,8 @@ def prepare_plan(config: ExperimentConfig, mode: str) -> ExperimentPlan:
     resolved = resolve_kappa(config.profile, config.alpha)
     kappa = resolved if config.kappa == "auto" else config.kappa
     ok = resolved is not None and kappa <= resolved
-    precision = config.working_precision(kappa) if kappa is not None else None
+    precision = None if kappa is None else (
+        config.profile.n + 2 * config.alpha + kappa + config.precision_guard)
     return ExperimentPlan(config=config, mode=mode, kappa=kappa,
                           hypotheses_pass=ok, precision=precision)
 
@@ -436,11 +432,9 @@ def prepare_plan(config: ExperimentConfig, mode: str) -> ExperimentPlan:
 def _generate_pair(plan: ExperimentPlan, rng: SplitMix64,
                    min_exponent: int = 0) -> InstancePair | None:
     cfg = plan.config
-    if cfg.generator == PLANTED:
-        return gen_planted_quadruple(
-            cfg.profile, cfg.p, cfg.alpha, cfg.entry_bound, rng,
-            cfg.max_attempts, min_exponent=min_exponent,
-        )
+    if cfg.generator == PLANTED:  # its p^n shift meets min_exponent, since nprime <= n
+        return gen_planted_quadruple(cfg.profile, cfg.p, cfg.alpha, cfg.entry_bound, rng,
+                                     cfg.max_attempts)
     xi = gen_xi(cfg.profile, cfg.p, cfg.entry_bound, rng)
     xi_prime = gen_congruent_pair(xi, cfg.profile, cfg.p, cfg.entry_bound, rng,
                                   min_exponent=min_exponent)
@@ -489,8 +483,8 @@ def _evaluate_proposition_pair(plan: ExperimentPlan, pair: InstancePair,
             return replace(base, reason="precision")
         vec = eigenvector_mod(pair.xi, root.value, cfg.p, N)
         vec_prime = eigenvector_mod(pair.xi_prime, root_prime.value, cfg.p, N)
-        a = commuting_eigenvalue(pair.psi, vec.vector, cfg.p, cap)
-        a_prime = commuting_eigenvalue(pair.psi_prime, vec_prime.vector, cfg.p, cap)
+        a = commuting_eigenvalue(pair.psi, vec, cfg.p, cap)
+        a_prime = commuting_eigenvalue(pair.psi_prime, vec_prime, cfg.p, cap)
     except (HenselError, EigenvectorError, ConsistencyError):
         return replace(base, reason="precision")
 
@@ -602,29 +596,19 @@ class ExperimentReport:
         return dict(sorted(out.items()))
 
     def min_margin(self):
-        finite = [t.margin for t in self.trials
-                  if t.status == ACCEPTED and isinstance(t.margin, int)]
-        if finite:
-            return min(finite)
-        if any(t.status == ACCEPTED and t.margin is INFINITY for t in self.trials):
-            return INFINITY
-        return None
-
-
-def _trial_worker(args) -> TrialReport:
-    plan, index = args
-    if plan.mode == "prop":
-        return run_proposition_trial(plan, index)
-    return run_constancy_trial(plan, index)
+        # INFINITY sorts above every int; constancy trials carry None
+        return min((t.margin for t in self.trials
+                    if t.status == ACCEPTED and t.margin is not None), default=None)
 
 
 def run_experiment(config: ExperimentConfig, mode: str = "prop", jobs: int = 1) -> ExperimentReport:
     """Run all trials; the report is a pure function of (config, mode).
 
-    jobs > 1 distributes trials over processes; aggregation sorts by trial
-    index, so parallelism cannot change a single output byte.
+    jobs > 1 distributes trials over processes; pool.map, like map, returns
+    them in index order, so parallelism cannot change a single output byte.
     """
     plan = prepare_plan(config, mode)
+    run = run_proposition_trial if mode == "prop" else run_constancy_trial
     indices = range(config.trials)
     if jobs > 1:
         # imported here: multiprocessing adds about 20 ms to every start-up
@@ -632,10 +616,9 @@ def run_experiment(config: ExperimentConfig, mode: str = "prop", jobs: int = 1) 
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, config.trials // (4 * jobs))  # a task pickles the plan once per chunk
-            results = list(pool.map(_trial_worker, [(plan, i) for i in indices], chunksize=chunk))
+            results = list(pool.map(run, repeat(plan), indices, chunksize=chunk))
     else:
-        results = [_trial_worker((plan, i)) for i in indices]
-    results.sort(key=lambda t: t.index)
+        results = list(map(run, repeat(plan), indices))
     return ExperimentReport(mode=mode, plan=plan, trials=tuple(results))
 
 

@@ -15,7 +15,7 @@ from itertools import chain, groupby
 from math import gcd
 from operator import add, index, itemgetter, mod, mul, sub
 
-from .padics import _require_prime, padic_valuation, unit_part
+from .padics import _require_prime, padic_valuation
 
 
 @dataclass(frozen=True)
@@ -392,12 +392,13 @@ def quotient_profile(Kgen: IntMatrix, p: int, n: int) -> DivisorProfile:
         raise ValueError(f"level must be positive, got {n}")
     divisors = smith_normal_form(Kgen).divisors
     vals = []
-    for d in divisors:
+    for d in divisors:  # nonnegative over Z
         if d == 0:
             raise ValueError("generators do not span a finite-index sublattice (zero determinant)")
-        if unit_part(d, p) != 1:
+        v = padic_valuation(d, p)
+        if d != p ** v:
             raise ValueError(f"elementary divisor {d} is not a power of {p}")
-        vals.append(padic_valuation(d, p))
+        vals.append(v)
     a = tuple(sorted(vals, reverse=True))
     if a[0] > n:
         raise ValueError(f"divisor exponent {a[0]} exceeds level {n} (p^n L is not inside K)")

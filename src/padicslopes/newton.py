@@ -61,9 +61,6 @@ class NewtonPolygon:
     vertices: tuple
     segments: tuple
 
-    def finite_segments(self) -> tuple:
-        return tuple(s for s in self.segments if s.slope is not INFINITY)
-
 
 def char_poly(A: IntMatrix) -> CharPoly:
     """Characteristic polynomial det(X I - A) by Berkowitz's division-free algorithm.
@@ -169,7 +166,7 @@ def hensel_slope_root(cp: CharPoly, poly: NewtonPolygon, p: int, alpha: int, N: 
     if N <= alpha:
         raise HenselError(f"precision {N} cannot resolve a residue of valuation {alpha}")
 
-    k = next((k for k, s in enumerate(poly.finite_segments()) if s.slope == alpha), None)
+    k = next((k for k, s in enumerate(poly.segments) if s.slope == alpha), None)
     if k is None:
         raise HenselError(f"polygon has no slope-{alpha} segment")
     length = poly.segments[k].length
@@ -226,27 +223,15 @@ class EigenvectorError(ValueError):
     """No primitive kernel vector at the required precision."""
 
 
-@dataclass(frozen=True)
-class Eigenvector:
-    """Primitive vector F with (A - lambda I) F = 0 mod p^{kernel_valuation}.
-
-    A kernel mod p^N fixes F only mod p^(N - v_p(d_{r-1})), d_{r-1} the divisor
-    of A - lambda I before the last; eigenvector_mod works mod p^{2N}.
-    """
-
-    vector: tuple
-    kernel_valuation: int
-
-
-def eigenvector_mod(A: IntMatrix, lam: int, p: int, N: int) -> Eigenvector:
-    """Extract a primitive eigenvector for an eigenvalue residue lam.
+def eigenvector_mod(A: IntMatrix, lam: int, p: int, N: int) -> tuple:
+    """A primitive eigenvector F for an eigenvalue residue lam, as a tuple mod p^N.
 
     F is column r-1 of V^-1 in the Smith form of A - lam I over Z/p^{2N}, the
     generator of the top order of the kernel (see SmithDecomposition), reduced
-    mod p^N with first unit coordinate 1; kernel_valuation = min(N, its order),
+    mod p^N with first unit coordinate 1; (A - lam I) F = 0 mod p^min(N, order),
     the order read off d_r. Only that column is formed, from the column log.
-    Working mod p^{2N} fixes F mod p^(2N - v_p(d_{r-1})), all of p^N if
-    v_p(d_{r-1}) <= N.
+    A kernel mod p^N fixes F only mod p^(N - v_p(d_{r-1})), so working mod p^{2N}
+    fixes F mod p^(2N - v_p(d_{r-1})), all of p^N if v_p(d_{r-1}) <= N.
     """
     dec = smith_normal_form(A.shift(-lam), p, 2 * N)
     d = dec.divisors[-1]
@@ -257,7 +242,7 @@ def eigenvector_mod(A: IntMatrix, lam: int, p: int, N: int) -> Eigenvector:
     col = dec.v_inverse_column(A.r - 1)
     unit = next(x for x in col if x % p)  # V^-1 is invertible mod p: its columns are primitive
     inv = _unit_inverse(unit, p, pN)
-    return Eigenvector(tuple([x * inv % pN for x in col]), kernel_valuation=min(N, order))
+    return tuple([x * inv % pN for x in col])
 
 
 class ConsistencyError(ValueError):

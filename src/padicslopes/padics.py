@@ -1,4 +1,4 @@
-"""Exact integer p-adic primitives: valuations, unit parts, primality, slopes.
+"""Exact integer p-adic primitives: valuations, primality, slopes.
 
 Everything in this module is arbitrary-precision integer arithmetic; there
 is deliberately no floating point anywhere. The valuation of 0 is the
@@ -109,16 +109,6 @@ def padic_valuation(x: int, p: int) -> int | PadicInfinity:
         x //= p
         v += 1
     return v
-
-
-def unit_part(x: int, p: int) -> int:
-    """x / p^{v_p(x)}, coprime to p; rejects x = 0."""
-    _require_prime(p)
-    if x == 0:
-        raise ValueError("unit_part is undefined at 0")
-    while x % p == 0:
-        x //= p
-    return x
 
 
 def as_slope(value) -> Fraction | PadicInfinity:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -216,6 +217,41 @@ def test_bounds_alpha_within_float_range_still_runs(capsys):
 
 def test_compare_c_rank_beyond_sys_maxsize_is_an_input_error(capsys):
     assert_one_error_line(["compare-c", "--d-list", "100", "--h-list", "1", "--n-max", "2"], capsys)
+
+
+# exit code and SHA-256 prefix of stdout + stderr. The profile corpus covers every branch
+# of quotient_profile: p-power divisors, the same behind unimodular transforms and a sign,
+# a divisor that is not a p-power, a singular K and a divisor past the level.
+PINNED_OUTPUTS = [
+    (["bounds", "--d", "2", "--h", "1", "--n", "80", "--alpha", "1"], None, 0, "1bd7050985834ee3"),
+    (["bounds", "--d", "2", "--h", "1", "--n", "80", "--alpha", "3"], None, 0, "4a698e22f05b0984"),
+    (["bounds", "--d", "2", "--h", "1", "--n", "120", "--alpha", "1"], None, 0, "ef5aa03b5b6b213c"),
+    (["bounds", "--d", "1", "--h", "1", "--n", "100", "--alpha", "0"], None, 0, "f165cf4f59cfbef3"),
+    (["bounds", "--d", "1", "--h", "1", "--n", "100", "--alpha", "3"], None, 0, "67c0fc20d79502fc"),
+    (["compare-c", "--d-list", "1,2", "--h-list", "1,2,4", "--n-max", "32"], None, 0,
+     "78fac5b051679c8b"),
+    (["profile", "--prime", "3", "--level", "3"], [[9, 0, 0], [0, 3, 0], [0, 0, 1]], 0,
+     "62def37eabfe9139"),
+    (["profile", "--prime", "3", "--level", "3"], [[15, 6, 0], [-9, 2, -1], [30, 1, 1]], 0,
+     "5a1aada3752d154d"),
+    (["profile", "--prime", "5", "--level", "3"], [[-25, 5], [0, 1]], 0, "e67bd08b86e909e4"),
+    (["profile", "--prime", "2", "--level", "3"], [[6, 0], [0, 1]], 2, "90fe0ea84eb57dcf"),
+    (["profile", "--prime", "2", "--level", "3"], [[-12, 4], [0, 1]], 2, "0a904e6be771c30d"),
+    (["profile", "--prime", "5", "--level", "2"], [[0, 0], [0, 0]], 2, "078189ee1f6c623a"),
+    (["profile", "--prime", "5", "--level", "2"], [[1, 2], [2, 4]], 2, "078189ee1f6c623a"),
+    (["profile", "--prime", "2", "--level", "2"], [[8, 0], [0, 1]], 2, "295037496fffc34c"),
+]
+
+
+@pytest.mark.parametrize("argv,rows,code,digest", PINNED_OUTPUTS,
+                         ids=[" ".join(a) + (f" {r}" if r else "") for a, r, _, _ in PINNED_OUTPUTS])
+def test_pinned_outputs(argv, rows, code, digest, tmp_path, capsys):
+    if rows is not None:
+        argv = argv + ["--input", write_json(tmp_path / "k.json", {"rows": rows})]
+    assert run_main(argv) == code
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digest
 
 
 def test_compare_c_bad_lists():
@@ -545,5 +581,76 @@ def test_fuzzed_matrix_documents_exit_with_a_documented_code(tmp_path):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = run_main([*commands[command], "--input", str(path)])
         assert rc in (0, 2) and "Traceback" not in err.getvalue(), (rc, err.getvalue())
+
+    check()
+
+
+# --- fuzzing the arguments -----------------------------------------------------------------
+
+def test_fuzzed_arguments_exit_with_a_documented_code(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    matrix = write_json(tmp_path / "m.json", {"rows": [[3, 1], [0, 9]]})
+    config = write_json(tmp_path / "cfg.json", verify_config(trials=5, nprime=3))
+    output = str(tmp_path / "out.json")
+    bad_paths = [str(tmp_path / "missing.json"), str(tmp_path), str(tmp_path / "no" / "out.json")]
+    flags = {
+        "polygon": ["--prime", "--input", "--output"],
+        "snf": ["--input", "--output"],
+        "profile": ["--prime", "--level", "--input", "--output"],
+        "bounds": ["--d", "--h", "--n", "--alpha", "--kappa", "--output"],
+        "verify-prop": ["--config", "--jobs", "--output"],
+        "verify-constancy": ["--config", "--jobs", "--output"],
+        "compare-c": ["--d-list", "--h-list", "--n-max", "--output"],
+    }
+    # no parser takes any of these, so a value that would start work past the bounds
+    # below (h * n^d <= 10^4, --n-max <= 16, --jobs in {1, 2}) is never drawn
+    refused = ["", "x", "1.5", "1e3", "-1", "0", ","]
+    small_rank = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 12)).filter(
+        lambda dhn: dhn[1] * dhn[2] ** dhn[0] <= 10**4)
+    shapes = st.one_of(small_rank, st.tuples(st.sampled_from([64, 10**20]), st.integers(1, 4),
+                                             st.just(1)))
+    int_lists = {key: st.lists(st.integers(1, top), min_size=1, max_size=3).map(
+        lambda xs: ",".join(map(str, xs))) for key, top in (("--d-list", 3), ("--h-list", 2))}
+
+    def mostly(draw, usual, rare):
+        """usual five times in six, else one of rare."""
+        return draw(st.sampled_from(rare)) if draw(st.integers(0, 5)) == 0 else usual
+
+    @st.composite
+    def argvs(draw):
+        command = draw(st.sampled_from(sorted(flags)))
+        d, h, n = draw(shapes)
+        good = {
+            "--prime": draw(st.sampled_from(["2", "3", "5", "4", "2305843009213693951"])),
+            "--level": draw(st.sampled_from(["1", "2", "4"])),
+            "--input": mostly(draw, matrix, [config] + bad_paths),
+            "--config": mostly(draw, config, [matrix] + bad_paths),
+            "--output": mostly(draw, output, bad_paths),
+            "--d": str(d), "--h": str(h), "--n": str(n),
+            "--alpha": draw(st.sampled_from(["0", "1", "3", "1" * 40, "9" * 400])),
+            "--kappa": draw(st.sampled_from(["auto", "1", "4", "1" * 40])),
+            "--jobs": draw(st.sampled_from(["1", "2"])),
+            "--d-list": draw(int_lists["--d-list"]),
+            "--h-list": draw(int_lists["--h-list"]),
+            "--n-max": str(draw(st.integers(1, 16))),
+        }
+        # most flags kept, one maybe from another command, some values refused
+        chosen = [f for f in flags[command] if draw(st.integers(0, 5))]
+        chosen += mostly(draw, [], [[flag] for flag in sorted(good)])
+        argv = [command]
+        for flag in draw(st.permutations(chosen)):  # a path flag draws its bad values above
+            path = flag in ("--input", "--config", "--output")
+            argv += [flag, good[flag] if path else mostly(draw, good[flag], refused)]
+        return argv + mostly(draw, [], [["-h"], ["--frobnicate"], ["x"]])
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(argv=argvs())
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run_main(argv)
+        assert rc in (0, 1, 2) and "Traceback" not in err.getvalue(), (argv, rc, err.getvalue())
 
     check()

@@ -10,6 +10,7 @@ import pytest
 
 from padicslopes.family import (
     ACCEPTED,
+    REJECTED,
     VIOLATION,
     ConfigError,
     ConjugatedDiagonal,
@@ -33,6 +34,7 @@ from padicslopes.family import (
     report_to_document,
     report_to_json,
     run_experiment,
+    run_proposition_trial,
     trial_to_document,
 )
 from padicslopes.bounds import c_exact
@@ -47,7 +49,7 @@ from oracles import (
     det_fraction, horner_mod, multiplicity_differences_by_dict, poly_apply_naive,
     same_quotient_action,
 )
-from test_report_digests import VARIANTS
+from test_report_digests import SHARP_SLACK_ZERO, VARIANTS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -401,7 +403,7 @@ def test_planted_rejection_on_incompatible_profile():
 def test_config_validation():
     cfg = config_from_document(base_doc())
     assert cfg.profile.a == (12, 11, 10, 9, 8, 7, 6, 5)
-    assert cfg.working_precision(1) == 12 + 2 + 1 + 8
+    assert prepare_plan(cfg, "prop").precision == 12 + 2 + 1 + 8  # n + 2 alpha + kappa + guard
 
     with pytest.raises(ConfigError):
         config_from_document(base_doc(trials=0))
@@ -671,6 +673,38 @@ def test_prop_stress_primes(p, seed):
     assert rep.accepted >= 5
     mm = rep.min_margin()
     assert mm is INFINITY or mm >= rep.plan.kappa
+
+
+# --- negative controls on the sharp config: broken hypotheses must show ---------------
+
+def test_pair_differences_off_the_quotient_give_violations(monkeypatch):
+    # Delta_ij divisible by p^(n - a_j) only: xi' keeps xi'(K) in p^n L but acts on L/K
+    # unlike xi; the invariants read the same table, so only the verdict can catch it
+    def without_quotient_factor(profile, p, min_exponent):
+        row = tuple([p ** max(profile.n - aj, min_exponent) for aj in profile.a])
+        return (row,) * profile.r
+
+    monkeypatch.setattr("padicslopes.family._congruence_moduli", without_quotient_factor)
+    report = run_experiment(read_config(CONFIG_DIR / "prop_sharp.json"))
+    assert (report.accepted, len(report.violations)) == (0, 19)
+
+
+def test_kappa_past_the_bound_makes_the_slack_zero_trials_violations():
+    plan = prepare_plan(read_config(CONFIG_DIR / "prop_sharp.json"), "prop")
+    assert (plan.kappa, plan.precision) == (6, 20)
+    plan = replace(plan, kappa=7, precision=21)  # the working precision at kappa 7
+    trials = [run_proposition_trial(plan, i) for i in range(plan.config.trials)]
+    assert tuple(t.index for t in trials if t.status == VIOLATION) == SHARP_SLACK_ZERO
+
+
+@pytest.mark.parametrize("name", ["prop_sharp.json", "prop_default.json"])
+def test_starved_precision_rejects_and_never_violates(name):
+    plan = prepare_plan(read_config(CONFIG_DIR / name), "prop")
+    for N in range(2, 6):
+        starved = replace(plan, precision=N)
+        outcomes = {(t.status, t.reason)
+                    for t in (run_proposition_trial(starved, i) for i in range(plan.config.trials))}
+        assert outcomes == {(REJECTED, "not-simple"), (REJECTED, "precision")}
 
 
 # --- constancy trials ------------------------------------------------------------------

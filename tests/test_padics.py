@@ -5,7 +5,6 @@ from padicslopes.padics import (
     _require_prime,
     is_prime,
     padic_valuation,
-    unit_part,
 )
 from padicslopes.rng import SplitMix64
 
@@ -37,25 +36,6 @@ def test_valuation_is_additive():
         x = rng.randint(1, 10**6) * rng.choice((1, -1))
         y = rng.randint(1, 10**6) * rng.choice((1, -1))
         assert padic_valuation(x * y, p) == padic_valuation(x, p) + padic_valuation(y, p)
-
-
-def test_unit_part_examples():
-    assert unit_part(12, 2) == 3
-    assert unit_part(-2187, 3) == -1
-    assert unit_part(50, 5) == 2
-    with pytest.raises(ValueError):
-        unit_part(0, 5)
-
-
-def test_unit_part_decomposition():
-    rng = SplitMix64(13)
-    for _ in range(200):
-        p = rng.choice((2, 3, 5, 7))
-        x = rng.randint(1, 10**9) * rng.choice((1, -1))
-        v = padic_valuation(x, p)
-        u = unit_part(x, p)
-        assert u % p != 0
-        assert x == p**v * u
 
 
 def test_infinity_ordering():

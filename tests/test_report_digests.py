@@ -6,7 +6,8 @@ meant to alter report bytes updates them and says why.
 
 The shipped configs all run at p = 3, constancy only at n' = 5 and PLANTED
 only in prop mode; the configs of VARIANTS cover p = 2 and 5, n' = 1 and
-n' = n, and PLANTED at p = 5 in both modes.
+n' = n, and PLANTED at p = 5 in both modes. prop_sharp sits at the bound:
+some of its accepted trials have margin exactly kappa.
 """
 
 import hashlib
@@ -17,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from padicslopes.family import config_from_document, read_config, report_to_json, run_experiment
+from padicslopes.family import (
+    ACCEPTED, config_from_document, read_config, report_to_json, run_experiment,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -26,7 +29,16 @@ PINNED = [
     ("prop_default.json", "prop", "123ec10ab0b3c70e"),
     ("prop_planted.json", "prop", "91edabb4fc292942"),
     ("constancy_default.json", "constancy", "de001b5ab0bc7ea2"),
+    ("prop_sharp.json", "prop", "5bb5a4880a1d931d"),
 ]
+
+# the prop_sharp trials whose margin equals kappa = 6, which kappa 7 would make violations
+SHARP_SLACK_ZERO = (3, 10, 13, 14, 17, 19, 42, 43, 44, 46, 54, 55)
+
+
+def test_every_shipped_config_is_pinned():
+    assert sorted(path.name for path in CONFIG_DIR.glob("*.json")) == sorted(
+        name for name, _, _ in PINNED)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -35,6 +47,14 @@ def test_shipped_report_digest(name, mode, digest, jobs):
     report = run_experiment(read_config(CONFIG_DIR / name), mode=mode, jobs=jobs)
     text = report_to_json(report)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digest
+
+
+def test_sharp_config_meets_the_bound_without_violations():
+    report = run_experiment(read_config(CONFIG_DIR / "prop_sharp.json"))
+    assert (report.plan.kappa, report.accepted, len(report.violations)) == (6, 29, 0)
+    assert tuple(t.index for t in report.trials
+                 if t.status == ACCEPTED and t.margin == report.plan.kappa) == SHARP_SLACK_ZERO
+    assert report.min_margin() == 6
 
 
 # the spawn start method gives each worker a fresh interpreter, so a report byte that
