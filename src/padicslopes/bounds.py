@@ -2,9 +2,10 @@
 
 The boundary sequences b and B, the constant M (smallest integer with
 2M >= n), the lower boundary T(j) = M + B(j-1), the exact constant
-c = min(n, min_i T(i)/i), the Hilbert tensor-structure profile, the
-floating-point closed forms c1 / kappa / n-threshold, and the hypothesis
-checker for the eigenvalue-congruence proposition.
+c = min(n, min_i T(i)/i) at any level n' <= n, the Hilbert tensor-structure
+profile, the floating-point closed forms c1 / kappa / n-threshold, and the
+largest kappa for which the eigenvalue-congruence proposition's hypotheses
+hold.
 
 All hypothesis checking is exact (Fractions); the closed forms are the only
 floating-point code in the package and carry a boundary-proximity flag.
@@ -16,9 +17,9 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat, takewhile
 
-from .lattice import DivisorProfile, profile_mod
+from .lattice import DivisorProfile
 
 BOUNDARY_EPS = 1e-9
 
@@ -47,27 +48,36 @@ def boundary_functions(profile: DivisorProfile) -> BoundaryFunctions:
 class CBound:
     """Exact value of c = min(n, min_i T(i)/i).
 
-    argmin is the smallest index attaining the T(i)/i minimum, or None when
-    the level cap n is strictly below every ratio (capped=True).
+    argmin is the smallest index attaining the T(i)/i minimum. The cap n never
+    binds, since T(1) = M = ceil(n/2) <= n, so capped is always False.
     """
 
     value: Fraction
-    argmin: int | None
+    argmin: int
     capped: bool
 
 
-def c_exact(profile: DivisorProfile) -> CBound:
-    bf = boundary_functions(profile)
-    # track the running minimum with integer cross-multiplication; profiles
-    # from hilbert_profile can have 10^5+ entries and Fractions are too slow
-    best_num, best_den, best_i = bf.T[0], 1, 1
-    for i in range(2, profile.r + 1):
-        t = bf.T[i - 1]
+def c_exact(profile: DivisorProfile, nprime: int | None = None) -> CBound:
+    """c(L/(K + p^{n'} L)) at the level n' (default n), from the exponents clipped
+    at n': b_i = n' - min(a_i, n') and M = ceil(n'/2)."""
+    n = profile.n if nprime is None else nprime
+    if not 1 <= n <= profile.n:
+        raise ValueError(f"nprime must satisfy 1 <= nprime <= {profile.n}, got {n}")
+    # running minimum of T(i)/i by integer cross-multiplication; profiles from
+    # hilbert_profile can have 10^5+ entries and Fractions are too slow
+    t = best_num = (n + 1) // 2
+    best_den = best_i = 1
+    for i, a in enumerate(profile.a, 1):  # t = T(i) = M + b_1 + ... + b_{i-1}
         if t * best_den < best_num * i:
             best_num, best_den, best_i = t, i, i
-    if profile.n * best_den < best_num:
-        return CBound(value=Fraction(profile.n), argmin=None, capped=True)
+        if a < n:
+            t += n - a
     return CBound(value=Fraction(best_num, best_den), argmin=best_i, capped=False)
+
+
+def level_bounds(profile: DivisorProfile):
+    """c(L/(K + p^{n'} L)) at n' = n, n - 1, ..., 1, each computed when read."""
+    return (c_exact(profile, nprime) for nprime in range(profile.n, 0, -1))
 
 
 def hilbert_profile(d: int, h: int, n: int, max_rank: int | None = None) -> DivisorProfile:
@@ -116,68 +126,16 @@ def n_threshold(kappa: int, alpha: int, d: int, h: int) -> int:
     return snapped + 1
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
-    nprime: int
-    c_value: Fraction
-    ok: bool
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Outcome of the congruence proposition's hypotheses for (profile, alpha, kappa).
-
-    kappa must satisfy kappa <= n - 2 alpha, and alpha < c(L/(K + p^{n'} L))
-    for every integer n' with n - 2 alpha - kappa < n' <= n.
-    """
-
-    alpha: int
-    kappa: int
-    kappa_in_range: bool
-    checks: tuple
-    passed: bool
-
-    @property
-    def failure_reason(self) -> str | None:
-        if not self.kappa_in_range:
-            return "kappa-range"
-        if not all(c.ok for c in self.checks):
-            return "c-bound"
-        return None
-
-
-def proposition_hypotheses(profile: DivisorProfile, alpha: int, kappa: int) -> HypothesisReport:
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    if kappa < 1:
-        raise ValueError(f"kappa must be a positive integer, got {kappa}")
-    n = profile.n
-    in_range = kappa <= n - 2 * alpha
-    checks = []
-    if in_range:
-        for nprime in range(n - 2 * alpha - kappa + 1, n + 1):
-            c = c_exact(profile_mod(profile, nprime))
-            checks.append(HypothesisCheck(nprime=nprime, c_value=c.value, ok=alpha < c.value))
-    return HypothesisReport(
-        alpha=alpha,
-        kappa=kappa,
-        kappa_in_range=in_range,
-        checks=tuple(checks),
-        passed=in_range and all(c.ok for c in checks),
-    )
-
-
-def resolve_kappa(profile: DivisorProfile, alpha: int) -> int | None:
+def resolve_kappa(profile: DivisorProfile, alpha: int, levels=None) -> int | None:
     """Largest kappa >= 1 whose hypotheses pass, or None.
 
-    kappa passes exactly when the top 2 alpha + kappa levels n' = n, n - 1, ...
-    pass, so one downward scan that stops at the first failing level counts
-    2 alpha + kappa. The count is at most n, so kappa <= n - 2 alpha holds.
+    The hypotheses for kappa are kappa <= n - 2 alpha and alpha < c(L/(K + p^{n'} L))
+    at every level n - 2 alpha - kappa < n' <= n. So kappa passes exactly when the
+    top 2 alpha + kappa levels n' = n, n - 1, ... pass, and one downward scan that
+    stops at the first failing level counts 2 alpha + kappa. The count is at most n,
+    so kappa <= n - 2 alpha holds. levels is that scan, level_bounds(profile) unless
+    given.
     """
-    passing = 0
-    for nprime in range(profile.n, 0, -1):
-        if not alpha < c_exact(profile_mod(profile, nprime)).value:
-            break
-        passing += 1
-    kappa = passing - 2 * alpha
+    scan = level_bounds(profile) if levels is None else levels
+    kappa = sum(1 for _ in takewhile(lambda c: alpha < c.value, scan)) - 2 * alpha
     return kappa if kappa >= 1 else None

@@ -17,6 +17,8 @@ import json
 import sys
 import traceback
 from fractions import Fraction
+from functools import wraps
+from itertools import islice, tee
 
 from .bounds import (
     boundary_functions,
@@ -24,8 +26,8 @@ from .bounds import (
     c_exact,
     hilbert_profile,
     kappa_closed,
+    level_bounds,
     n_threshold,
-    proposition_hypotheses,
     resolve_kappa,
 )
 from .family import ConfigError, read_config, report_to_json, run_experiment
@@ -116,6 +118,17 @@ def _hilbert_profile(d: int, h: int, n: int):
         raise InputError(str(exc)) from exc
 
 
+def _profile_memory(cmd):
+    """A profile too large to form or scan in memory is bad input, not an internal error."""
+    @wraps(cmd)
+    def run(args):
+        try:
+            return cmd(args)
+        except MemoryError:
+            raise InputError("the profile does not fit in memory; lower d, h or n") from None
+    return run
+
+
 def cmd_polygon(args) -> int:
     A = _load_matrix(args.input)
     cp = char_poly(A)
@@ -158,32 +171,36 @@ def cmd_profile(args) -> int:
     return 0
 
 
+@_profile_memory
 def cmd_bounds(args) -> int:
     profile = _hilbert_profile(args.d, args.h, args.n)
     bf = boundary_functions(profile)
-    c = c_exact(profile)
     try:
         kc = kappa_closed(args.n, args.alpha, args.d, args.h)
     except OverflowError as exc:  # 3 alpha past the float range
         raise InputError(f"alpha is too large for the closed-form kappa: {exc}") from exc
+    # one scan of c at n' = n, n - 1, ...: the report re-reads the levels resolve_kappa read
+    for_kappa, for_report = tee(level_bounds(profile))
     if args.kappa == "auto":
-        resolved = resolve_kappa(profile, args.alpha)
+        resolved = resolve_kappa(profile, args.alpha, for_kappa)
         # show why even kappa = 1 fails when nothing resolves
         kappa_used = resolved if resolved is not None else 1
     else:
-        resolved = args.kappa
-        kappa_used = args.kappa
-    report = proposition_hypotheses(profile, args.alpha, kappa_used)
+        resolved = kappa_used = args.kappa
+    # the hypotheses: kappa <= n - 2 alpha, and alpha < c at the top 2 alpha + kappa levels
+    in_range = kappa_used <= args.n - 2 * args.alpha
+    levels = list(islice(for_report, 2 * args.alpha + kappa_used if in_range else 1))
+    checks = [{"nprime": args.n - k, "c": slope_to_string(c.value), "ok": args.alpha < c.value}
+              for k, c in enumerate(levels)][::-1] if in_range else []
+    passed = in_range and all(ch["ok"] for ch in checks)
+    c = levels[0]
     hyp = {
         "kappa": kappa_used,
         "auto_resolved": resolved,
-        "kappa_in_range": report.kappa_in_range,
-        "checks": [
-            {"nprime": ch.nprime, "c": slope_to_string(ch.c_value), "ok": ch.ok}
-            for ch in report.checks
-        ],
-        "passed": report.passed,
-        "failure_reason": report.failure_reason,
+        "kappa_in_range": in_range,
+        "checks": checks,
+        "passed": passed,
+        "failure_reason": None if passed else "c-bound" if in_range else "kappa-range",
     }
     _emit(
         {
@@ -227,6 +244,7 @@ def cmd_verify(args) -> int:
     return 1 if report.violations else 0
 
 
+@_profile_memory
 def cmd_compare_c(args) -> int:
     rows = []
     for d in args.d_list:

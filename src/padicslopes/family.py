@@ -23,7 +23,7 @@ from operator import add, mul
 from .bounds import c_exact, resolve_kappa, hilbert_profile
 from .lattice import (
     DivisorProfile, IntMatrix, _add_col, _add_row, _column_scales, _swap_cols, _swap_rows,
-    check_xi_condition, json_text, profile_mod,
+    check_xi_condition, json_text,
 )
 from .newton import (
     ConsistencyError,
@@ -417,7 +417,7 @@ def prepare_plan(config: ExperimentConfig, mode: str) -> ExperimentPlan:
         raise ConfigError(f"mode must be 'prop' or 'constancy', got {mode!r}")
     if mode == "constancy":
         _require(config.nprime is not None, "constancy mode needs the config field nprime")
-        bound = c_exact(profile_mod(config.profile, config.nprime)).value
+        bound = c_exact(config.profile, config.nprime).value
         return ExperimentPlan(config=config, mode=mode, kappa=None,
                               hypotheses_pass=True, precision=None, constancy_bound=bound)
     resolved = resolve_kappa(config.profile, config.alpha)

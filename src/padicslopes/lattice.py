@@ -424,13 +424,6 @@ def _column_scales(profile: DivisorProfile, p: int) -> tuple:
     return tuple([p ** (profile.n - aj) for aj in profile.a])
 
 
-def profile_mod(profile: DivisorProfile, nprime: int) -> DivisorProfile:
-    """Profile of L / (K + p^{n'} L): entrywise min with n', re-leveled at n'."""
-    if not 1 <= nprime <= profile.n:
-        raise ValueError(f"nprime must satisfy 1 <= nprime <= {profile.n}, got {nprime}")
-    return DivisorProfile(n=nprime, a=tuple(min(x, nprime) for x in profile.a))
-
-
 def _unit_inverse(u: int, p: int, pN: int) -> int:
     """u^-1 mod pN, for u a unit mod the prime p and pN a power of p.
 

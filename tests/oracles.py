@@ -10,15 +10,17 @@ exceptions read the library's Smith form: the reference eigenvector, built
 from the integer-mode Smith form (the computation the Z/p^N mode replaced on
 the eigenvector path), and kernel_mod, every generator of a kernel mod p^N
 from the whole of V^-1 (where eigenvector_mod replays one column of it).
-The largest passing kappa is found by trying every kappa against the
-library's per-kappa checker proposition_hypotheses, where resolve_kappa
-scans the levels n' once.
+c at a level is min(n', min_i T(i)/i) over Fractions from the exponents
+clipped at n', and the largest passing kappa is found by trying every kappa
+against the proposition's hypotheses, where resolve_kappa scans the levels
+n' once.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 
-from padicslopes.bounds import proposition_hypotheses
 from padicslopes.lattice import IntMatrix, smith_normal_form
 
 
@@ -134,11 +136,29 @@ def multiplicity_differences_by_dict(census, census_prime) -> list:
             if m.get(s, 0) != m_prime.get(s, 0)]
 
 
+@lru_cache(maxsize=None)
+def c_at_level(profile, nprime: int) -> Fraction:
+    """c(L/(K + p^{n'} L)): clip every exponent at n', then
+    min(n', min_i T(i)/i) with T(i) = ceil(n'/2) + sum_{k < i} (n' - a'_k)."""
+    clipped = [min(a, nprime) for a in profile.a]
+    B = [0, *accumulate(nprime - a for a in clipped)]  # B[j] = b'_1 + ... + b'_j
+    ratios = [Fraction((nprime + 1) // 2 + B[i - 1], i) for i in range(1, len(clipped) + 1)]
+    return min(Fraction(nprime), min(ratios))
+
+
+def hypotheses_pass(profile, alpha: int, kappa: int) -> bool:
+    """The proposition's hypotheses: kappa <= n - 2 alpha, and alpha < c at every
+    level n' with n - 2 alpha - kappa < n' <= n."""
+    n = profile.n
+    return kappa <= n - 2 * alpha and all(
+        alpha < c_at_level(profile, nprime) for nprime in range(n - 2 * alpha - kappa + 1, n + 1))
+
+
 def resolve_kappa_by_search(profile, alpha: int):
-    """Largest kappa >= 1 for which proposition_hypotheses passes, or None, by
-    trying every kappa from n - 2 alpha down."""
+    """Largest kappa >= 1 whose hypotheses pass, or None, by trying every kappa
+    from n - 2 alpha down."""
     for kappa in range(profile.n - 2 * alpha, 0, -1):
-        if proposition_hypotheses(profile, alpha, kappa).passed:
+        if hypotheses_pass(profile, alpha, kappa):
             return kappa
     return None
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import padicslopes.bounds as bounds
+from padicslopes import cli
 from padicslopes.bounds import (
     boundary_functions,
     c1_closed,
@@ -14,13 +16,19 @@ from padicslopes.bounds import (
     hilbert_profile,
     kappa_closed,
     n_threshold,
-    proposition_hypotheses,
     resolve_kappa,
 )
 from padicslopes.family import config_from_document, prepare_plan
-from padicslopes.lattice import DivisorProfile, profile_mod
+from padicslopes.lattice import DivisorProfile
 
-from oracles import resolve_kappa_by_search
+from oracles import c_at_level, hypotheses_pass, resolve_kappa_by_search
+
+BASE_CONFIG = config_from_document({"p": 3, "profile": {"kind": "explicit", "n": 1, "a": [1]},
+                                    "alpha": 0, "trials": 1, "master_seed": 0})
+
+
+def prop_plan(profile, alpha, kappa="auto"):
+    return prepare_plan(replace(BASE_CONFIG, profile=profile, alpha=alpha, kappa=kappa), "prop")
 
 
 def test_boundary_functions_examples():
@@ -166,30 +174,21 @@ def test_n_threshold_kappa_consistency():
 
 def test_proposition_hypotheses():
     prof = DivisorProfile(n=6, a=(6, 5, 4, 3, 2, 1))
-    rep = proposition_hypotheses(prof, 0, 3)
-    assert rep.passed  # slope 0 is below any positive c
-    assert rep.kappa_in_range
-    assert [ch.nprime for ch in rep.checks] == [4, 5, 6]
-
-    rep = proposition_hypotheses(prof, 2, 5)  # kappa > n - 2 alpha = 2
-    assert not rep.passed
-    assert rep.failure_reason == "kappa-range"
+    assert prop_plan(prof, 0, 3).hypotheses_pass  # slope 0 is below any positive c
+    assert resolve_kappa(prof, 0) == 6  # so every kappa <= n passes
+    assert not prop_plan(prof, 2, 5).hypotheses_pass  # kappa > n - 2 alpha = 2
 
     prof = DivisorProfile(n=3, a=(3, 3, 2, 2, 1, 1))
-    rep = proposition_hypotheses(prof, 1, 1)
-    assert not rep.passed
-    assert rep.failure_reason == "c-bound"
-    by_nprime = {ch.nprime: ch for ch in rep.checks}
-    assert by_nprime[3].c_value == Fraction(2, 3)
-    assert not by_nprime[3].ok
+    assert c_exact(prof, 3).value == Fraction(2, 3)  # alpha 1 fails at the top level
+    assert not prop_plan(prof, 1, 1).hypotheses_pass
+    assert resolve_kappa(prof, 1) is None
 
 
 def test_proposition_hypotheses_reassert_range():
+    prof = DivisorProfile(n=8, a=(8, 7, 6, 5))
     for alpha in (0, 1):
-        for kappa in (1, 2, 3):
-            prof = DivisorProfile(n=8, a=(8, 7, 6, 5))
-            rep = proposition_hypotheses(prof, alpha, kappa)
-            if rep.passed:
+        for kappa in range(1, 11):
+            if prop_plan(prof, alpha, kappa).hypotheses_pass:
                 assert kappa <= prof.n - 2 * alpha
 
 
@@ -200,8 +199,8 @@ def test_resolve_kappa():
     assert resolve_kappa(prof, 5) is None
     # the resolved kappa passes and kappa + 1 does not
     k = resolve_kappa(prof, 1)
-    assert proposition_hypotheses(prof, 1, k).passed
-    assert not proposition_hypotheses(prof, 1, k + 1).passed
+    assert hypotheses_pass(prof, 1, k)
+    assert not hypotheses_pass(prof, 1, k + 1)
 
 
 def kappa_corpus():
@@ -234,28 +233,42 @@ def test_resolve_kappa_equals_the_search_over_every_kappa():
 
 
 def test_plan_verdict_equals_the_hypotheses_for_every_kappa():
-    base = config_from_document({"p": 3, "profile": {"kind": "explicit", "n": 1, "a": [1]},
-                                 "alpha": 0, "trials": 1, "master_seed": 0})
     for prof, alpha in kappa_corpus():
-        config = replace(base, profile=prof, alpha=alpha)
         passing = []
         for kappa in range(1, prof.n + 3):
-            plan = prepare_plan(replace(config, kappa=kappa), "prop")
-            passed = proposition_hypotheses(prof, alpha, kappa).passed
+            plan = prop_plan(prof, alpha, kappa)
+            passed = hypotheses_pass(prof, alpha, kappa)
             assert (plan.kappa, plan.hypotheses_pass) == (kappa, passed), (prof, alpha, kappa)
             if passed:
                 passing.append(kappa)
-        auto = prepare_plan(config, "prop")
+        auto = prop_plan(prof, alpha)
         assert (auto.kappa, auto.hypotheses_pass) == (max(passing, default=None), bool(passing))
+
+
+def corpus_profiles():
+    return list(dict.fromkeys(prof for prof, _ in kappa_corpus()))
+
+
+def test_c_exact_at_every_level_equals_the_oracle():
+    checked = 0
+    for prof in corpus_profiles():
+        for nprime in range(1, prof.n + 1):
+            assert c_exact(prof, nprime).value == c_at_level(prof, nprime), (prof, nprime)
+            checked += 1
+    assert checked > 2000
+    with pytest.raises(ValueError):
+        c_exact(DivisorProfile(n=3, a=(3, 1)), 0)
+    with pytest.raises(ValueError):
+        c_exact(DivisorProfile(n=3, a=(3, 1)), 4)
 
 
 def test_resolve_kappa_scans_each_level_at_most_once(monkeypatch):
     levels = []
     real = bounds.c_exact
 
-    def counted(profile):
-        levels.append(profile.n)
-        return real(profile)
+    def counted(profile, nprime=None):
+        levels.append(nprime)
+        return real(profile, nprime)
 
     prof = hilbert_profile(1, 1, 40)
     expected = resolve_kappa_by_search(prof, 2)
@@ -266,11 +279,28 @@ def test_resolve_kappa_scans_each_level_at_most_once(monkeypatch):
     assert levels == list(range(prof.n, prof.n - len(levels), -1))
 
 
+def test_bounds_command_computes_each_level_once(monkeypatch, capsys):
+    levels = []
+    real = bounds.c_exact
+
+    def counted(profile, nprime=None):
+        levels.append(nprime)
+        return real(profile, nprime)
+
+    monkeypatch.setattr(bounds, "c_exact", counted)
+    assert cli.main(["bounds", "--d", "2", "--h", "1", "--n", "120", "--alpha", "1"]) == 0
+    hyp = json.loads(capsys.readouterr().out)["hypotheses"]
+    # kappa 5: the top 2 alpha + kappa = 7 levels pass and level 113 fails; the report
+    # (its c_exact block and every check) reads the same scan
+    assert (hyp["kappa"], [ch["nprime"] for ch in hyp["checks"]]) == (5, list(range(114, 121)))
+    assert levels == list(range(120, 112, -1))
+
+
 def test_profile_mod_re_leveling():
-    # c of the modded profile is computed at level n' (b' = n' - a')
-    prof = DivisorProfile(n=6, a=(6, 5, 4, 3, 2, 1))
-    modded = profile_mod(prof, 5)
-    assert modded.n == 5
-    fresh = DivisorProfile(n=5, a=tuple(min(x, 5) for x in prof.a))
-    assert c_exact(modded) == c_exact(fresh)
-    assert boundary_functions(modded).b == tuple(5 - min(x, 5) for x in prof.a)
+    # c at level n' equals c of the profile clipped at n' and re-leveled at n'
+    for prof in corpus_profiles():
+        for nprime in range(1, prof.n + 1):
+            fresh = DivisorProfile(n=nprime, a=tuple(min(x, nprime) for x in prof.a))
+            assert c_exact(prof, nprime) == c_exact(fresh), (prof, nprime)
+    assert c_exact(DivisorProfile(n=6, a=(6, 5, 4, 3, 2, 1)), 5) == c_exact(
+        DivisorProfile(n=5, a=(5, 5, 4, 3, 2, 1)))

@@ -11,9 +11,12 @@ from pathlib import Path
 import pytest
 
 import padicslopes.cli as cli
+from padicslopes.bounds import hilbert_profile
 from padicslopes.family import config_from_document, run_experiment
 from padicslopes.lattice import IntMatrix, matrix_from_document
-from padicslopes.newton import char_poly, newton_polygon, polygon_to_document
+from padicslopes.newton import char_poly, newton_polygon, polygon_to_document, slope_to_string
+
+from oracles import c_at_level, hypotheses_pass, resolve_kappa_by_search
 
 
 def invoke(*args):
@@ -228,6 +231,14 @@ PINNED_OUTPUTS = [
     (["bounds", "--d", "2", "--h", "1", "--n", "120", "--alpha", "1"], None, 0, "ef5aa03b5b6b213c"),
     (["bounds", "--d", "1", "--h", "1", "--n", "100", "--alpha", "0"], None, 0, "f165cf4f59cfbef3"),
     (["bounds", "--d", "1", "--h", "1", "--n", "100", "--alpha", "3"], None, 0, "67c0fc20d79502fc"),
+    # explicit kappa: passes, fails on c, out of range; and auto with nothing resolved
+    (["bounds", "--d", "2", "--h", "1", "--n", "80", "--alpha", "1", "--kappa", "3"], None, 0,
+     "391b381272ec5dfe"),
+    (["bounds", "--d", "2", "--h", "1", "--n", "80", "--alpha", "1", "--kappa", "40"], None, 0,
+     "b1de275582dea326"),
+    (["bounds", "--d", "1", "--h", "1", "--n", "100", "--alpha", "3", "--kappa", "99"], None, 0,
+     "a9ab042fe068716c"),
+    (["bounds", "--d", "1", "--h", "1", "--n", "12", "--alpha", "5"], None, 0, "fdc765d1b9439d98"),
     (["compare-c", "--d-list", "1,2", "--h-list", "1,2,4", "--n-max", "32"], None, 0,
      "78fac5b051679c8b"),
     (["profile", "--prime", "3", "--level", "3"], [[9, 0, 0], [0, 3, 0], [0, 0, 1]], 0,
@@ -252,6 +263,42 @@ def test_pinned_outputs(argv, rows, code, digest, tmp_path, capsys):
     captured = capsys.readouterr()
     text = captured.out + captured.err
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--d", "27", "--h", "1", "--n", "2", "--alpha", "0"],
+    ["compare-c", "--d-list", "27", "--h-list", "1", "--n-max", "2"],
+])
+def test_profile_beyond_memory_is_an_input_error(argv):
+    # rank 2^27: the profile tuple alone needs about 1 GB, past the child's address space
+    resource = pytest.importorskip("resource")
+    limit = 256 * 10**6
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run([sys.executable, "-m", "padicslopes.cli", *argv], capture_output=True,
+                          text=True, preexec_fn=cap_address_space)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_bounds_hypotheses_equal_the_oracle(capsys):
+    for d, h, n in ((1, 1, 12), (1, 2, 16), (2, 1, 9), (3, 1, 5)):
+        for alpha in range(n // 2 + 1):
+            for kappa in ("auto", *range(1, n + 2)):
+                assert run_main(["bounds", "--d", str(d), "--h", str(h), "--n", str(n),
+                                 "--alpha", str(alpha), "--kappa", str(kappa)]) == 0
+                hyp = json.loads(capsys.readouterr().out)["hypotheses"]
+                profile = hilbert_profile(d, h, n)
+                if kappa == "auto":
+                    assert hyp["auto_resolved"] == resolve_kappa_by_search(profile, alpha)
+                k = hyp["kappa"]
+                assert hyp["passed"] == hypotheses_pass(profile, alpha, k)
+                assert hyp["kappa_in_range"] == (k <= n - 2 * alpha)
+                levels = range(n - 2 * alpha - k + 1, n + 1) if hyp["kappa_in_range"] else ()
+                assert [(ch["nprime"], ch["c"]) for ch in hyp["checks"]] == [
+                    (m, slope_to_string(c_at_level(profile, m))) for m in levels]
 
 
 def test_compare_c_bad_lists():

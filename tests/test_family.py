@@ -39,7 +39,7 @@ from padicslopes.family import (
 )
 from padicslopes.bounds import c_exact
 from padicslopes.lattice import (
-    DivisorProfile, IntMatrix, _column_scales, check_xi_condition, json_text, profile_mod,
+    DivisorProfile, IntMatrix, _column_scales, check_xi_condition, json_text,
 )
 from padicslopes.newton import char_poly, newton_polygon
 from padicslopes.padics import INFINITY, padic_valuation
@@ -266,7 +266,7 @@ def test_constancy_plan_holds_the_bound_at_its_nprime():
     for nprime in range(1, 7):
         cfg = config_from_document(constancy_doc(nprime=nprime))
         plan = prepare_plan(cfg, "constancy")
-        assert plan.constancy_bound == c_exact(profile_mod(cfg.profile, nprime)).value
+        assert plan.constancy_bound == c_exact(cfg.profile, nprime).value
         assert run_experiment(replace(cfg, trials=2), "constancy").trials[0].constancy_bound \
             == plan.constancy_bound
     assert prepare_plan(config_from_document(base_doc()), "prop").constancy_bound is None
@@ -687,6 +687,22 @@ def test_pair_differences_off_the_quotient_give_violations(monkeypatch):
     monkeypatch.setattr("padicslopes.family._congruence_moduli", without_quotient_factor)
     report = run_experiment(read_config(CONFIG_DIR / "prop_sharp.json"))
     assert (report.accepted, len(report.violations)) == (0, 19)
+
+
+def test_delta_exponent_below_kappa_gives_violations(monkeypatch):
+    # every exponent of the Delta table capped at kappa - 1 = 5: xi' no longer induces
+    # xi's action on L/K, and the same table passes the invariants
+    real = _congruence_moduli
+
+    def below_kappa(profile, p, min_exponent):
+        return tuple([tuple([min(m, p ** 5) for m in row])
+                      for row in real(profile, p, min_exponent)])
+
+    monkeypatch.setattr("padicslopes.family._congruence_moduli", below_kappa)
+    report = run_experiment(read_config(CONFIG_DIR / "prop_sharp.json"))
+    assert report.plan.kappa == 6
+    assert (report.accepted, len(report.violations), report.rejected_by_reason()) == (
+        16, 13, {"not-simple": 31})
 
 
 def test_kappa_past_the_bound_makes_the_slack_zero_trials_violations():

@@ -15,7 +15,6 @@ from padicslopes.lattice import (
     _SWAP,
     check_xi_condition,
     matrix_from_document,
-    profile_mod,
     quotient_profile,
     smith_normal_form,
 )
@@ -366,22 +365,6 @@ def test_check_xi_closed_under_addition():
         assert check_xi_condition(x, profile, p)
         assert check_xi_condition(y, profile, p)
         assert check_xi_condition(x + y, profile, p)
-
-
-def test_profile_mod():
-    prof = DivisorProfile(n=3, a=(3, 3, 2, 2, 1, 1))
-    assert profile_mod(prof, 2).a == (2, 2, 2, 2, 1, 1)
-    assert profile_mod(prof, 2).n == 2
-    assert profile_mod(prof, 3) == prof
-    assert profile_mod(DivisorProfile(n=3, a=(3, 1, 0)), 1).a == (1, 1, 0)
-    # idempotent and monotone
-    once = profile_mod(prof, 2)
-    assert profile_mod(once, 2) == once
-    assert all(x <= y for x, y in zip(once.a, prof.a))
-    with pytest.raises(ValueError):
-        profile_mod(prof, 0)
-    with pytest.raises(ValueError):
-        profile_mod(prof, 4)
 
 
 def test_profile_validation():
