@@ -231,6 +231,7 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+@_profile_memory
 def cmd_verify(args) -> int:
     try:
         config = read_config(args.config)

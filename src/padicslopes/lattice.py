@@ -2,7 +2,9 @@
 
 Smith normal form with its unimodular transforms formed on demand, elementary-divisor
 profiles of finite p-power quotients L/K, and the per-column divisibility check
-for xi(K) in p^n L (adapted basis, K diagonal).
+for xi(K) in p^n L (adapted basis, K diagonal). Matrices are read from JSON
+documents by matrix_from_document, and documents written by json_text, a one-pass
+recursive writer with the bytes of json.dumps(indent=2, sort_keys=True).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import cached_property, lru_cache
 from itertools import chain, groupby
+from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import add, index, itemgetter, mod, mul, sub
 
@@ -472,22 +475,37 @@ def _parse_entry(x) -> int:
 
 
 def json_text(doc) -> str:
-    """doc as indented, key-sorted JSON; an int that str() refuses (see
-    sys.get_int_max_str_digits) becomes a decimal string, read back by _parse_entry."""
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True)
-    except ValueError:
-        text = json.dumps(_json_safe(doc), indent=2, sort_keys=True)
-    return text + "\n"
+    """doc as json.dumps(doc, indent=2, sort_keys=True) writes it, plus a newline, except
+    that an int str() refuses (see sys.get_int_max_str_digits) becomes a decimal string,
+    read back by _parse_entry. Keys must be strings."""
+    return _json(doc, "\n") + "\n"
 
 
-def _json_safe(x):
-    if isinstance(x, dict):
-        return {k: _json_safe(v) for k, v in x.items()}
+def _json(x, pad: str) -> str:
+    # json's own dispatch order; each container returns its text, written in one pass
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        try:
+            return int.__repr__(x)
+        except ValueError:  # past the int-to-str limit; Decimal converts it exactly
+            return '"' + str(Decimal(x)) + '"'
     if isinstance(x, (list, tuple)):
-        return [_json_safe(v) for v in x]
-    try:
-        str(x)
-    except ValueError:  # an int past the limit; Decimal converts it exactly
-        return str(Decimal(x))
-    return x
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in x]) + pad + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(x.items())]
+        ) + pad + "}"
+    return json.dumps(x)  # a float, or TypeError for what JSON cannot hold

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import padicslopes.cli as cli
+import padicslopes.family as family
 from padicslopes.bounds import hilbert_profile
 from padicslopes.family import config_from_document, run_experiment
 from padicslopes.lattice import IntMatrix, matrix_from_document
@@ -322,6 +323,22 @@ def verify_config(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+@pytest.mark.parametrize("mode", ["prop", "constancy"])
+def test_verify_profile_beyond_memory_is_an_input_error(mode, tmp_path, capsys, monkeypatch):
+    # d 27, h 1, n 2 with no max_rank: rank 2^27, which an 800 MB address space cannot hold
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(family, "hilbert_profile", out_of_memory)
+    doc = {"p": 3, "profile": {"kind": "hilbert", "d": 27, "h": 1, "n": 2}, "alpha": 0,
+           "trials": 1, "master_seed": 1, "nprime": 1}
+    rc = run_main([f"verify-{mode}", "--config", write_json(tmp_path / "cfg.json", doc)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_verify_prop_exit_zero(tmp_path):

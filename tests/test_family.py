@@ -2,6 +2,7 @@ import hashlib
 import json
 import multiprocessing
 import pickle
+import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -43,7 +44,7 @@ from padicslopes.lattice import (
 )
 from padicslopes.newton import char_poly, newton_polygon
 from padicslopes.padics import INFINITY, padic_valuation
-from padicslopes.rng import SplitMix64, trial_seed
+from padicslopes.rng import _WORD_STEP, SplitMix64, trial_seed
 
 from oracles import (
     det_fraction, horner_mod, multiplicity_differences_by_dict, poly_apply_naive,
@@ -98,7 +99,7 @@ def _randint_by_next_u64(rng, lo, hi):
             return lo + x % span
 
 
-@pytest.mark.parametrize("k", [0, 1, 40])
+@pytest.mark.parametrize("k", [0, 1, 2, 36, 40, 64, 65, 257])
 @pytest.mark.parametrize("lo,hi", [(5, 5), (-9, 9), (0, 2**32 - 1), (-2**62, 2**62)])
 def test_randints_is_k_randint_calls(lo, hi, k):
     batch, single, oracle = SplitMix64(31), SplitMix64(31), SplitMix64(31)
@@ -107,6 +108,37 @@ def test_randints_is_k_randint_calls(lo, hi, k):
     assert xs == [_randint_by_next_u64(oracle, lo, hi) for _ in range(k)]
     assert all(lo <= x <= hi for x in xs)
     assert batch.next_u64() == single.next_u64() == oracle.next_u64()
+
+
+def test_interleaved_draws_are_one_stream():
+    # randint, randints and next_u64 in any order read one stream of words, as the
+    # rejection sampler over next_u64 reads it, and leave the state where it leaves it
+    spans = [(5, 5), (-9, 9), (0, 2**32 - 1), (-2**62, 2**62), (0, 2**64 - 2)]
+    plan = random.Random(2014)
+    rng, oracle = SplitMix64(77), SplitMix64(77)
+    for _ in range(400):
+        lo, hi = plan.choice(spans)
+        op = plan.randrange(3)
+        if op == 0:
+            k = plan.choice([0, 1, 2, 6, 36, 255, 256, 257, 600])
+            assert rng.randints(lo, hi, k) == [_randint_by_next_u64(oracle, lo, hi) for _ in range(k)]
+        elif op == 1:
+            assert rng.randint(lo, hi) == _randint_by_next_u64(oracle, lo, hi)
+        else:
+            assert rng.next_u64() == oracle.next_u64()
+        assert rng._state == oracle._state
+
+
+@pytest.mark.parametrize("byteorder", ["little", "big"])
+def test_lane_words_read_alike_in_either_byte_order(byteorder):
+    # a 'Q' view reads native 8-byte words; the lanes' high halves hold what the last
+    # shift carried in from the next lane, which the word step must skip
+    source = SplitMix64(5)
+    words = [source.next_u64() for _ in range(9)]
+    z = sum((w | source.next_u64() << 64) << (128 * i) for i, w in enumerate(words))
+    data = z.to_bytes(16 * len(words), byteorder)
+    native = [int.from_bytes(data[j:j + 8], byteorder) for j in range(0, len(data), 8)]
+    assert native[::_WORD_STEP[byteorder]] == words
 
 
 def test_randints_rejects_the_draws_above_the_last_whole_span():
@@ -120,6 +152,37 @@ def test_randints_rejects_the_draws_above_the_last_whole_span():
         words.next_u64()
         steps += 1
     assert steps > 40
+
+
+def _unmix(z):
+    # the inverse of SplitMix64's output function: each multiply and xor-shift undone in turn
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    return unshift(z, 30)
+
+
+@pytest.mark.parametrize("lo,hi", [(-9, 9), (-2**62, 2**62)])
+def test_a_word_at_the_limit_is_rejected_and_one_below_is_kept(lo, hi):
+    span = hi - lo + 1
+    limit = 2**64 - 2**64 % span
+    for first, kept in ((limit, False), (limit - 1, True)):
+        seed = (_unmix(first) - 0x9E3779B97F4A7C15) % 2**64  # the state before that word
+        assert SplitMix64(seed).next_u64() == first
+        one = SplitMix64(seed)
+        one.randint(lo, hi)  # one word if it is kept, more if it is rejected
+        assert (one._state == (seed + 0x9E3779B97F4A7C15) % 2**64) == kept
+        oracle = SplitMix64(seed)
+        expected = [_randint_by_next_u64(oracle, lo, hi) for _ in range(3)]
+        single = SplitMix64(seed)
+        assert [single.randint(lo, hi) for _ in range(3)] == expected
+        batch = SplitMix64(seed)
+        assert batch.randints(lo, hi, 3) == expected
+        assert single._state == batch._state == oracle._state
 
 
 def test_randints_range_errors():

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +16,7 @@ from padicslopes.lattice import (
     _SCALE,
     _SWAP,
     check_xi_condition,
+    json_text,
     matrix_from_document,
     quotient_profile,
     smith_normal_form,
@@ -125,6 +128,33 @@ def test_matrix_document_decimal_strings_of_any_length():
     for bad in ("\u00b2", "1e3", "1_000", "NaN", "0x1f", ""):
         with pytest.raises(ValueError):
             matrix_from_document({"rows": [[bad]]})
+
+
+def test_json_text_is_json_dumps_indented_and_sorted():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(),
+        st.integers(min_value=2**64), st.integers(max_value=-2**64),
+        st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+        st.text(), st.sampled_from(["\x00\x1f\x7f\"\\", "\u00e9\u2028\U0001f600", "\ud800"]),
+    )
+    docs = st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ), max_leaves=40)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(doc=docs)
+    @example(doc={"b": [], "a": {}, "": [[], {}, ()], "c": {"z": -0.0, "y": [None, True]}})
+    def check(doc):
+        assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    check()
+    with pytest.raises(TypeError):
+        json_text({"a": [1, Fraction(1, 2)]})
 
 
 def test_snf_mod_examples():
