@@ -2,10 +2,10 @@
 
 The boundary sequences b and B, the constant M (smallest integer with
 2M >= n), the lower boundary T(j) = M + B(j-1), the exact constant
-c = min(n, min_i T(i)/i) at any level n' <= n, the Hilbert tensor-structure
-profile, the floating-point closed forms c1 / kappa / n-threshold, and the
-largest kappa for which the eigenvalue-congruence proposition's hypotheses
-hold.
+c = min(n, min_i T(i)/i) with its argmin at any level n' <= n (the cap n
+never binds: T(1) = ceil(n/2)), the Hilbert tensor-structure profile, the
+floating-point closed forms c1 / kappa / n-threshold, and the largest kappa
+for which the eigenvalue-congruence proposition's hypotheses hold.
 
 All hypothesis checking is exact (Fractions); the closed forms are the only
 floating-point code in the package and carry a boundary-proximity flag.
@@ -46,15 +46,11 @@ def boundary_functions(profile: DivisorProfile) -> BoundaryFunctions:
 
 @dataclass(frozen=True)
 class CBound:
-    """Exact value of c = min(n, min_i T(i)/i).
-
-    argmin is the smallest index attaining the T(i)/i minimum. The cap n never
-    binds, since T(1) = M = ceil(n/2) <= n, so capped is always False.
-    """
+    """Exact value of c = min(n, min_i T(i)/i); argmin is the smallest index
+    attaining the T(i)/i minimum. The cap n never binds: T(1) = M = ceil(n/2) <= n."""
 
     value: Fraction
     argmin: int
-    capped: bool
 
 
 def c_exact(profile: DivisorProfile, nprime: int | None = None) -> CBound:
@@ -72,7 +68,7 @@ def c_exact(profile: DivisorProfile, nprime: int | None = None) -> CBound:
             best_num, best_den, best_i = t, i, i
         if a < n:
             t += n - a
-    return CBound(value=Fraction(best_num, best_den), argmin=best_i, capped=False)
+    return CBound(value=Fraction(best_num, best_den), argmin=best_i)
 
 
 def level_bounds(profile: DivisorProfile):

@@ -3,8 +3,9 @@
 Subcommands: polygon, snf, profile, bounds, verify-prop, verify-constancy,
 compare-c. Machine-readable JSON goes to stdout (or --output); exit codes
 are 0 for success, 1 for a verification run that found violations, 2 for
-malformed input or arguments, 3 for an internal error (any other exception,
-such as a failed runtime invariant; its traceback goes to stderr).
+malformed input, arguments or config, or an input too large for memory, 3
+for an internal error (any other exception, such as a failed runtime
+invariant; its traceback goes to stderr).
 
 Exact quantities (valuations, slopes, c) are serialized as integers or
 "num/den" strings; only the floating-point closed forms are decimal.
@@ -17,7 +18,6 @@ import json
 import sys
 import traceback
 from fractions import Fraction
-from functools import wraps
 from itertools import islice, tee
 
 from .bounds import (
@@ -118,17 +118,6 @@ def _hilbert_profile(d: int, h: int, n: int):
         raise InputError(str(exc)) from exc
 
 
-def _profile_memory(cmd):
-    """A profile too large to form or scan in memory is bad input, not an internal error."""
-    @wraps(cmd)
-    def run(args):
-        try:
-            return cmd(args)
-        except MemoryError:
-            raise InputError("the profile does not fit in memory; lower d, h or n") from None
-    return run
-
-
 def cmd_polygon(args) -> int:
     A = _load_matrix(args.input)
     cp = char_poly(A)
@@ -171,7 +160,6 @@ def cmd_profile(args) -> int:
     return 0
 
 
-@_profile_memory
 def cmd_bounds(args) -> int:
     profile = _hilbert_profile(args.d, args.h, args.n)
     bf = boundary_functions(profile)
@@ -217,7 +205,7 @@ def cmd_bounds(args) -> int:
             "c_exact": {
                 "value": slope_to_string(c.value),
                 "argmin": c.argmin,
-                "capped": c.capped,
+                "capped": False,  # T(1) = M <= n: the cap n never binds
             },
             "c1": c1_closed(args.d, args.h),
             "kappa_closed": {"value": kc.value, "near_boundary": kc.near_boundary},
@@ -231,13 +219,8 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-@_profile_memory
 def cmd_verify(args) -> int:
-    try:
-        config = read_config(args.config)
-        report = run_experiment(config, mode=args.mode, jobs=args.jobs)
-    except (ConfigError, OSError) as exc:
-        raise InputError(str(exc)) from exc
+    report = run_experiment(read_config(args.config), mode=args.mode, jobs=args.jobs)
     _write(report_to_json(report), args.output)
     if report.accepted == 0:
         rejected = sum(report.rejected_by_reason().values())
@@ -245,7 +228,6 @@ def cmd_verify(args) -> int:
     return 1 if report.violations else 0
 
 
-@_profile_memory
 def cmd_compare_c(args) -> int:
     rows = []
     for d in args.d_list:
@@ -327,8 +309,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, OSError) as exc:
+    except (InputError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # an input too large to hold, not a bug
+        print("error: the input does not fit in memory; make it smaller", file=sys.stderr)
         return 2
     except Exception:  # a bug, not bad input: keep exit 1 for "violations found"
         traceback.print_exc()

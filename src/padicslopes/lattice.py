@@ -1,6 +1,7 @@
 """Exact integer matrix algebra over lattices.
 
-Smith normal form with its unimodular transforms formed on demand, elementary-divisor
+IntMatrix, square and exact, validated by IntMatrix(rows) alone; Smith normal
+form with its unimodular transforms formed on demand, elementary-divisor
 profiles of finite p-power quotients L/K, and the per-column divisibility check
 for xi(K) in p^n L (adapted basis, K diagonal). Matrices are read from JSON
 documents by matrix_from_document, and documents written by json_text, a one-pass
@@ -16,7 +17,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from operator import add, index, itemgetter, mod, mul, sub
+from operator import index, itemgetter, mod, mul, sub
 
 from .padics import _require_prime, padic_valuation
 
@@ -25,9 +26,9 @@ from .padics import _require_prime, padic_valuation
 class IntMatrix:
     """Square matrix of exact integers, stored row-major as a tuple of tuples.
 
-    IntMatrix(rows), from_rows and diagonal take entries through operator.index
-    (a float or a string raises TypeError) and check the shape; arithmetic builds
-    its results by _of. A product entry is sum(map(mul, row, col)), columns transposed once.
+    IntMatrix(rows) takes entries through operator.index (a float or a string
+    raises TypeError) and checks the shape; arithmetic builds its results by _of.
+    A product entry is sum(map(mul, row, col)), columns transposed once.
     """
 
     rows: tuple
@@ -53,14 +54,6 @@ class IntMatrix:
     def r(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        return cls(tuple(tuple(row) for row in rows))
-
     @classmethod
     def identity(cls, r: int) -> "IntMatrix":
         return cls.zero(r).shift(1)
@@ -70,16 +63,6 @@ class IntMatrix:
         if index(r) < 1:
             raise ValueError("matrix must be nonempty")
         return cls._of(((0,) * r,) * r)
-
-    @classmethod
-    def diagonal(cls, entries) -> "IntMatrix":
-        entries = list(entries)
-        r = len(entries)
-        return cls(tuple(tuple(entries[i] if i == j else 0 for j in range(r)) for i in range(r)))
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_dim(other)
-        return IntMatrix._of(tuple([tuple(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows)]))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_dim(other)
@@ -104,12 +87,6 @@ class IntMatrix:
         if len(vec) != self.r:
             raise ValueError("vector length mismatch")
         return tuple([sum(map(mul, row, vec)) for row in self.rows])
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.rows)
-
-    def diagonal_entries(self) -> tuple:
-        return tuple(self.rows[i][i] for i in range(self.r))
 
     def _check_dim(self, other: "IntMatrix") -> None:
         if self.r != other.r:
@@ -174,7 +151,7 @@ class SmithDecomposition:
 
     @property
     def divisors(self) -> tuple:
-        return self.D.diagonal_entries()
+        return tuple([row[i] for i, row in enumerate(self.D.rows)])
 
     # A row replay multiplies from the left, so the products taken from the right
     # (U, v_inverse) are formed as their transposes, from the transposed operations.
@@ -457,7 +434,7 @@ def matrix_from_document(doc) -> IntMatrix:
         if not isinstance(row, list):
             raise ValueError("each row must be a list")
         parsed.append([_parse_entry(x) for x in row])
-    return IntMatrix.from_rows(parsed)
+    return IntMatrix(parsed)
 
 
 def _parse_entry(x) -> int:

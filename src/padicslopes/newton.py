@@ -2,8 +2,9 @@
 
 Polynomials are stored in descending powers: coefficients (c_0, ..., c_t)
 represent sum_s c_s X^{t-s}, so index i pairs with the polygon point
-(i, v_p(c_i)). Slopes are exact Fractions; eigenvalue valuation INFINITY
-(zero eigenvalues) is carried as a final polygon segment.
+(i, v_p(c_i)); Hensel lifting evaluates them mod p^k by Horner's rule. Slopes
+are exact Fractions; eigenvalue valuation INFINITY (zero eigenvalues) is
+carried as a final polygon segment.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ class CharPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def eval_mod(self, x: int, m: int) -> int:
-        return _poly_eval_mod(self.coeffs, x, m)
 
 @dataclass(frozen=True)
 class SlopeSegment:
@@ -194,13 +193,13 @@ def hensel_slope_root(cp: CharPoly, poly: NewtonPolygon, p: int, alpha: int, N: 
     while prec < N:
         prec = min(2 * prec, N)
         m = p ** prec
-        fy = _poly_eval_mod(g, y, m)
-        dy = _poly_eval_mod(dg, y, m)
+        fy = _horner_mod(g, y, m)
+        dy = _horner_mod(dg, y, m)
         y = (y - fy * _unit_inverse(dy, p, m)) % m
 
     pN = p ** N
     lam = p ** alpha * y % pN  # y is a unit and alpha < N, so v_p(lam) = alpha
-    if cp.eval_mod(lam, pN) != 0:
+    if _horner_mod(cp.coeffs, lam, pN) != 0:
         raise AssertionError("lifted root fails the residual check")
     return HenselRoot(value=lam, derivative_valuation=content - alpha)
 
@@ -212,7 +211,7 @@ def _poly_derivative(coeffs) -> list:
     return [c * (t - s) for s, c in enumerate(coeffs[:-1])]
 
 
-def _poly_eval_mod(coeffs, x: int, m: int) -> int:
+def _horner_mod(coeffs, x: int, m: int) -> int:
     acc = 0
     for c in coeffs:
         acc = (acc * x + c) % m

@@ -17,7 +17,8 @@ _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
 class PadicInfinity:
-    """Singleton valuation of zero; larger than every integer and Fraction."""
+    """Singleton valuation of zero, larger than every integer and Fraction; __new__
+    returns the one instance, also when unpickled in a worker process."""
 
     _instance = None
 
@@ -28,12 +29,6 @@ class PadicInfinity:
 
     def __repr__(self):
         return "INFINITY"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("padicslopes.INFINITY")
 
     def __lt__(self, other):
         return False
@@ -46,11 +41,6 @@ class PadicInfinity:
 
     def __ge__(self, other):
         return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
 
 
 INFINITY = PadicInfinity()

@@ -82,7 +82,7 @@ def charpoly_cofactor(A: IntMatrix):
         return acc
 
     r = A.r
-    rows = [[[1, -A[i, j]] if i == j else [-A[i, j]] for j in range(r)] for i in range(r)]
+    rows = [[[1, -A.rows[i][j]] if i == j else [-A.rows[i][j]] for j in range(r)] for i in range(r)]
     coeffs = det_poly(rows)
     while len(coeffs) > 1 and coeffs[0] == 0:
         coeffs = coeffs[1:]
@@ -111,7 +111,7 @@ def same_quotient_action(x: IntMatrix, y: IntMatrix, profile, p: int) -> bool:
     row i of x - y vanishes mod p^{a_i}."""
     for i, ai in enumerate(profile.a):
         for j in range(profile.r):
-            if (x[i, j] - y[i, j]) % p**ai != 0:
+            if (x.rows[i][j] - y.rows[i][j]) % p**ai != 0:
                 return False
     return True
 
@@ -174,11 +174,17 @@ def eigenvector_by_integer_snf(A: IntMatrix, lam: int, p: int, N: int) -> tuple:
     """Last column of V^-1 in the integer Smith form of A - lam I, scaled so its
     first unit coordinate is 1, mod p^N."""
     dec = smith_normal_form(A - IntMatrix.identity(A.r).scale(lam))
-    col = dec.v_inverse.column(A.r - 1)
+    col = tuple(row[A.r - 1] for row in dec.v_inverse.rows)
     pN = p**N
     unit = next(x for x in col if x % p != 0)
     inv = pow(unit % pN, -1, pN)
     return tuple(x * inv % pN for x in col)
+
+
+def diagonal(entries) -> IntMatrix:
+    """diag(entries), every entry through IntMatrix's validating constructor."""
+    r = len(entries)
+    return IntMatrix([[x if i == j else 0 for j in range(r)] for i, x in enumerate(entries)])
 
 
 def mat_mul_naive(a, b):
@@ -237,7 +243,7 @@ def kernel_mod(A: IntMatrix, p: int, N: int) -> list:
         order = N if d == 0 else min(N, valuation_by_division(d, p))
         if order < 1:
             continue
-        col = dec.v_inverse.column(i)
+        col = tuple(row[i] for row in dec.v_inverse.rows)
         unit = next(x for x in col if x % p != 0)
         inv = pow(unit, -1, pN)
         out.append(KernelGenerator(vector=tuple(x * inv % pN for x in col), order=order))

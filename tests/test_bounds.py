@@ -63,7 +63,6 @@ def test_c_exact_examples():
     assert min(ratios) == Fraction(2, 3)
     assert c.value == Fraction(2, 3)
     assert c.argmin == 3
-    assert not c.capped
 
     c = c_exact(DivisorProfile(n=2, a=(2, 2)))
     assert c.value == Fraction(1, 2)
@@ -81,7 +80,6 @@ def test_c_exact_never_exceeds_level():
             prof = DivisorProfile(n=n, a=a)
             c = c_exact(prof)
             assert c.value <= n
-            assert not c.capped
 
 
 def test_hilbert_profile_examples():

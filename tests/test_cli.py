@@ -108,10 +108,10 @@ def test_polygon_output_beyond_the_int_to_str_limit(tmp_path, capsys):
     # the emitted strings read back through --input unchanged
     back = write_json(tmp_path / "back.json", {"rows": [emitted[:2], emitted[2:]]})
     assert matrix_from_document(json.loads((tmp_path / "back.json").read_text())) == \
-        IntMatrix.from_rows([expected[:2], expected[2:]])
+        IntMatrix([expected[:2], expected[2:]])
     assert run_main(["polygon", "--prime", "3", "--input", back]) == 0
     again = json.loads(capsys.readouterr().out)["char_poly"]
-    A = IntMatrix.from_rows([expected[:2], expected[2:]])
+    A = IntMatrix([expected[:2], expected[2:]])
     assert decimal(again) == [str(Decimal(c)) for c in char_poly(A).coeffs]
 
 
@@ -137,10 +137,10 @@ def test_snf_subcommand(tmp_path, capsys):
     assert run_main(["snf", "--input", path]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["divisors"] == [1, 6]
-    U = IntMatrix.from_rows(doc["U"])
-    D = IntMatrix.from_rows(doc["D"])
-    V = IntMatrix.from_rows(doc["V"])
-    assert U * D * V == IntMatrix.diagonal([2, 3])
+    U = IntMatrix(doc["U"])
+    D = IntMatrix(doc["D"])
+    V = IntMatrix(doc["V"])
+    assert U * D * V == IntMatrix(((2, 0), (0, 3)))
 
 
 def test_profile_subcommand(tmp_path, capsys):
@@ -282,6 +282,25 @@ def test_profile_beyond_memory_is_an_input_error(argv):
                           text=True, preexec_fn=cap_address_space)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,layer", [
+    (["snf"], "smith_normal_form"),
+    (["profile", "--prime", "5", "--level", "3"], "quotient_profile"),
+    (["polygon", "--prime", "5"], "char_poly"),
+])
+def test_matrix_beyond_memory_is_an_input_error(argv, layer, tmp_path, capsys, monkeypatch):
+    # a matrix file too large to reduce once ended in exit 3 with a MemoryError traceback
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, layer, out_of_memory)
+    path = write_json(tmp_path / "m.json", {"rows": [[5, 1], [0, 5]]})
+    rc = run_main([*argv, "--input", path])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_bounds_hypotheses_equal_the_oracle(capsys):

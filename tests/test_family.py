@@ -47,8 +47,8 @@ from padicslopes.padics import INFINITY, padic_valuation
 from padicslopes.rng import _WORD_STEP, SplitMix64, trial_seed
 
 from oracles import (
-    det_fraction, horner_mod, multiplicity_differences_by_dict, poly_apply_naive,
-    same_quotient_action,
+    det_fraction, diagonal, horner_mod, mat_add_naive, multiplicity_differences_by_dict,
+    poly_apply_naive, same_quotient_action,
 )
 from test_report_digests import SHARP_SLACK_ZERO, VARIANTS
 
@@ -233,7 +233,7 @@ def test_gen_congruent_pair_constraints():
         for i, ai in enumerate(profile.a):
             for j, aj in enumerate(profile.a):
                 exp = max(ai, profile.n - aj)
-                assert (xi[i, j] - xi_prime[i, j]) % p**exp == 0
+                assert (xi.rows[i][j] - xi_prime.rows[i][j]) % p**exp == 0
         assert same_quotient_action(xi, xi_prime, profile, p)
 
 
@@ -270,19 +270,19 @@ def test_per_profile_tables_match_the_per_entry_formulas():
 def test_pair_invariants_reject_a_pair_that_disagrees_on_the_quotient():
     p = 3
     profile = DivisorProfile(n=4, a=(4, 0))
-    xi = IntMatrix.from_rows([[2, 81], [5, 162]])
+    xi = IntMatrix([[2, 81], [5, 162]])
     psi = PolynomialOperator((1, 1), xi)
-    good = InstancePair(xi=xi, xi_prime=xi + IntMatrix.from_rows([[81, 0], [0, 0]]),
+    good = InstancePair(xi=xi, xi_prime=IntMatrix(mat_add_naive(xi.rows, [[81, 0], [0, 0]])),
                         psi=psi, psi_prime=psi, profile=profile)
     _assert_pair_invariants(good, p)
     # 3 in row 0 keeps xi' structural but moves row 0 mod p^{a_0} = 81
-    bad = replace(good, xi_prime=xi + IntMatrix.from_rows([[3, 0], [0, 0]]))
+    bad = replace(good, xi_prime=IntMatrix(mat_add_naive(xi.rows, [[3, 0], [0, 0]])))
     assert check_xi_condition(bad.xi_prime, profile, p)
     assert not same_quotient_action(bad.xi, bad.xi_prime, profile, p)
     with pytest.raises(AssertionError):
         _assert_pair_invariants(bad, p)
     # 1 in column 1 breaks xi'(K) in p^n L while xi keeps it
-    broken = replace(good, xi_prime=xi + IntMatrix.from_rows([[0, 1], [0, 0]]))
+    broken = replace(good, xi_prime=IntMatrix(mat_add_naive(xi.rows, [[0, 1], [0, 0]])))
     assert not check_xi_condition(broken.xi_prime, profile, p)
     with pytest.raises(AssertionError):
         _assert_pair_invariants(broken, p)
@@ -291,7 +291,7 @@ def test_pair_invariants_reject_a_pair_that_disagrees_on_the_quotient():
 # a = (3, 2, 1) at n = 4, p = 3: column j of xi is divisible by 3^(1 + j), and the
 # pair difference at (i, j) by 3^max(a_i, 1 + j)
 EDGE_PROFILE = DivisorProfile(n=4, a=(3, 2, 1))
-EDGE_XI = IntMatrix.from_rows([[3, 9, 27], [6, 18, 54], [-3, -9, 81]])
+EDGE_XI = IntMatrix([[3, 9, 27], [6, 18, 54], [-3, -9, 81]])
 
 
 @pytest.mark.parametrize("where", ["last row", "last column"])
@@ -302,9 +302,9 @@ def test_checks_reject_a_pair_broken_only_at_an_edge(where):
     i, j = (2, 0) if where == "last row" else (0, 2)
     bump = [[0] * 3 for _ in range(3)]
     bump[i][j] = 1
-    assert not check_xi_condition(EDGE_XI + IntMatrix.from_rows(bump), EDGE_PROFILE, p)
+    assert not check_xi_condition(IntMatrix(mat_add_naive(EDGE_XI.rows, bump)), EDGE_PROFILE, p)
 
-    xi_prime = EDGE_XI + IntMatrix.from_rows([[27, 27, 27]] * 3)
+    xi_prime = IntMatrix(mat_add_naive(EDGE_XI.rows, [[27, 27, 27]] * 3))
     good = InstancePair(xi=EDGE_XI, xi_prime=xi_prime,
                         psi=PolynomialOperator((1, 1), EDGE_XI),
                         psi_prime=PolynomialOperator((1, 1), xi_prime),
@@ -313,7 +313,7 @@ def test_checks_reject_a_pair_broken_only_at_an_edge(where):
     # one power of p short of what (i, j) needs
     need = max(EDGE_PROFILE.a[i], EDGE_PROFILE.n - EDGE_PROFILE.a[j])
     bump[i][j] = p ** (need - 1)
-    bad = replace(good, xi_prime=EDGE_XI + IntMatrix.from_rows(bump))
+    bad = replace(good, xi_prime=IntMatrix(mat_add_naive(EDGE_XI.rows, bump)))
     with pytest.raises(AssertionError, match=rf"at \({i},{j}\) misses p\^{need}$"):
         _assert_pair_invariants(bad, p)
     # min_exponent raises every need to p^4
@@ -321,8 +321,8 @@ def test_checks_reject_a_pair_broken_only_at_an_edge(where):
         _assert_pair_invariants(good, p, min_exponent=4)
     bump[i][j] = 27
     with pytest.raises(AssertionError, match=rf"at \({i},{j}\) misses p\^4$"):
-        _assert_pair_invariants(replace(good, xi_prime=EDGE_XI + IntMatrix.from_rows(bump)),
-                                p, min_exponent=4)
+        _assert_pair_invariants(
+            replace(good, xi_prime=IntMatrix(mat_add_naive(EDGE_XI.rows, bump))), p, min_exponent=4)
 
 
 def test_constancy_plan_holds_the_bound_at_its_nprime():
@@ -371,7 +371,7 @@ def test_polynomial_operator_matches_the_formed_matrix(r):
 
     for deg in range(r):
         for big in (False, True):
-            A = IntMatrix.from_rows([[entry(big) for _ in range(r)] for _ in range(r)])
+            A = IntMatrix([[entry(big) for _ in range(r)] for _ in range(r)])
             vec = tuple(entry(big) for _ in range(r))
             coeffs = tuple(entry(big) for _ in range(deg + 1))
             check(coeffs, A, vec)
@@ -393,9 +393,9 @@ def test_conjugated_diagonal_matches_the_formed_matrix(r):
     U, Ui = random_unimodular(r, rng)
     big = tuple(entry() for _ in range(r))
     assert max(abs(x) for x in big).bit_length() > 190
-    for diagonal in (big, (0,) * r):
-        op = ConjugatedDiagonal(U, diagonal, Ui)
-        formed = U * IntMatrix.diagonal(diagonal) * Ui
+    for entries in (big, (0,) * r):
+        op = ConjugatedDiagonal(U, entries, Ui)
+        formed = U * diagonal(entries) * Ui
         assert op.rows == formed.rows
         for vec in (tuple(entry() for _ in range(r)), (0,) * r):
             got = op.apply(vec)
@@ -428,9 +428,9 @@ def test_generated_polynomial_psi_commutes_on_the_shipped_configs():
 def planted_valuations(pair, p) -> list:
     """Valuations of xi's planted diagonal, read off D = U^-1 xi U, which must be diagonal."""
     D = pair.psi.U_inverse * pair.xi * pair.psi.U
-    off = [D[i, j] for i in range(D.r) for j in range(D.r) if i != j]
+    off = [D.rows[i][j] for i in range(D.r) for j in range(D.r) if i != j]
     assert not any(off)
-    return [padic_valuation(x, p) for x in D.diagonal_entries()]
+    return [padic_valuation(D.rows[i][i], p) for i in range(D.r)]
 
 
 def test_planted_quadruple():
@@ -571,8 +571,8 @@ def test_violation_branch_reports_matrices():
     assert plan.hypotheses_pass
     rng = SplitMix64(4)
     for _ in range(40):
-        xi = IntMatrix.diagonal([rng.unit(3, 80), 3 * rng.unit(3, 80), 9 * rng.unit(3, 80)])
-        xi_prime = IntMatrix.diagonal([rng.unit(3, 80), 3 * rng.unit(3, 80), 9 * rng.unit(3, 80)])
+        xi = diagonal([rng.unit(3, 80), 3 * rng.unit(3, 80), 9 * rng.unit(3, 80)])
+        xi_prime = diagonal([rng.unit(3, 80), 3 * rng.unit(3, 80), 9 * rng.unit(3, 80)])
         pair = InstancePair(xi=xi, xi_prime=xi_prime, psi=xi, psi_prime=xi_prime,
                             profile=cfg.profile)
         report = _evaluate_proposition_pair(plan, pair, 0, 0)
@@ -617,7 +617,7 @@ def test_polynomial_psi_violation_report_forms_the_matrices():
     for _ in range(40):
         U, Ui = random_unimodular(3, rng)
         xi, xi_prime = (
-            U * IntMatrix.diagonal([rng.unit(3, 80), 3 * rng.unit(3, 80), 9 * rng.unit(3, 80)]) * Ui
+            U * diagonal([rng.unit(3, 80), 3 * rng.unit(3, 80), 9 * rng.unit(3, 80)]) * Ui
             for _ in range(2)
         )
         pair = lazy_pair(xi, xi_prime, coeffs, cfg.profile)
@@ -639,8 +639,8 @@ def test_polynomial_psi_constancy_violation_report_forms_the_matrices():
     plan = prepare_plan(cfg, "constancy")
     U, Ui = random_unimodular(2, SplitMix64(5))
     coeffs = (3, -2)
-    xi = U * IntMatrix.diagonal([1, 2]) * Ui
-    xi_prime = U * IntMatrix.diagonal([2, 6]) * Ui
+    xi = U * diagonal([1, 2]) * Ui
+    xi_prime = U * diagonal([2, 6]) * Ui
     report = _evaluate_constancy_pair(plan, lazy_pair(xi, xi_prime, coeffs, cfg.profile), 0, 0)
     assert report.status == VIOLATION
     assert_report_forms_psi(report, coeffs, CONSTANCY_VIOLATION_DIGEST)
@@ -658,7 +658,7 @@ def test_planted_violation_report_forms_the_matrices():
     for _ in range(40):
         U, Ui = random_unimodular(3, rng)
         xi, xi_prime = (
-            U * IntMatrix.diagonal([rng.unit(3, 80), 3 * rng.unit(3, 80), 9 * rng.unit(3, 80)]) * Ui
+            U * diagonal([rng.unit(3, 80), 3 * rng.unit(3, 80), 9 * rng.unit(3, 80)]) * Ui
             for _ in range(2)
         )
         diagonals = [tuple(rng.randints(-80, 80, 3)) for _ in range(2)]
@@ -671,7 +671,7 @@ def test_planted_violation_report_forms_the_matrices():
             break
     else:
         raise AssertionError("expected a violation from unrelated operators")
-    formed = [U * IntMatrix.diagonal(d) * Ui for d in diagonals]
+    formed = [U * diagonal(d) * Ui for d in diagonals]
     doc = trial_to_document(report)
     assert doc["matrices"]["psi"] == [list(r) for r in formed[0].rows]
     assert doc["matrices"]["psi_prime"] == [list(r) for r in formed[1].rows]
@@ -828,8 +828,8 @@ def test_constancy_above_bound_mismatch_is_informational():
         constancy_doc(profile={"kind": "explicit", "n": 2, "a": [2, 2]}, nprime=1, p=2)
     )
     plan = prepare_plan(cfg, "constancy")
-    xi = IntMatrix.diagonal([4, 4])
-    xi_prime = IntMatrix.diagonal([4, 16])  # slopes {2,2} vs {2,4}, all above c = 1/2
+    xi = diagonal([4, 4])
+    xi_prime = diagonal([4, 16])  # slopes {2,2} vs {2,4}, all above c = 1/2
     pair = InstancePair(xi=xi, xi_prime=xi_prime, psi=xi, psi_prime=xi,
                         profile=cfg.profile)
     report = _evaluate_constancy_pair(plan, pair, 0, 0)
@@ -847,8 +847,8 @@ def test_constancy_slopes_in_one_census_only_keep_their_order():
     )
     plan = prepare_plan(cfg, "constancy")
     assert plan.constancy_bound == Fraction(1, 4)
-    xi = IntMatrix.diagonal([1, 4, 16, 16])
-    xi_prime = IntMatrix.diagonal([4, 8, 16, 0])
+    xi = diagonal([1, 4, 16, 16])
+    xi_prime = diagonal([4, 8, 16, 0])
 
     def evaluate(a, b):
         pair = InstancePair(xi=a, xi_prime=b, psi=a, psi_prime=b, profile=cfg.profile)
@@ -891,8 +891,8 @@ def test_constancy_violation_branch():
     )
     plan = prepare_plan(cfg, "constancy")
     pair = InstancePair(
-        xi=IntMatrix.diagonal([1, 2]),
-        xi_prime=IntMatrix.diagonal([2, 2]),
+        xi=diagonal([1, 2]),
+        xi_prime=diagonal([2, 2]),
         psi=IntMatrix.identity(2),
         psi_prime=IntMatrix.identity(2),
         profile=cfg.profile,
