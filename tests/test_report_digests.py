@@ -6,8 +6,10 @@ meant to alter report bytes updates them and says why.
 
 The shipped configs all run at p = 3, constancy only at n' = 5 and PLANTED
 only in prop mode; the configs of VARIANTS cover p = 2 and 5, n' = 1 and
-n' = n, and PLANTED at p = 5 in both modes. prop_sharp sits at the bound:
-some of its accepted trials have margin exactly kappa.
+n' = n, and PLANTED at p = 5 in both modes. The two rank-1 PLANTED configs
+take random_unimodular's r == 1 branch, and at p = 2 half of unit's draws
+are rejected. prop_sharp sits at the bound: some of its accepted trials have
+margin exactly kappa.
 """
 
 import hashlib
@@ -85,6 +87,7 @@ CONSTANCY = {"profile": {"kind": "hilbert", "d": 1, "h": 1, "n": 6},
              "alpha": 0, "generator": "POLYNOMIAL_PSI", "trials": 40}
 PLANTED = {"profile": {"kind": "explicit", "n": 16, "a": [16] * 6},
            "alpha": 1, "kappa": "auto", "generator": "PLANTED", "trials": 40}
+RANK1 = {"kind": "explicit", "n": 6, "a": [6]}
 
 VARIANTS = [
     ("constancy", dict(CONSTANCY, p=3, nprime=1, master_seed=11), "020528cc4e7bcd24"),
@@ -95,6 +98,8 @@ VARIANTS = [
     ("prop", dict(PROP, p=5, master_seed=16), "d752d0cfcf8c8729"),
     ("prop", dict(PLANTED, p=5, master_seed=17), "783dc73d4aac6270"),
     ("constancy", dict(PLANTED, p=5, nprime=9, master_seed=18), "3460df3fba1c99c0"),
+    ("prop", dict(PLANTED, p=3, profile=RANK1, master_seed=19), "d49eead9200da0bf"),
+    ("prop", dict(PLANTED, p=2, alpha=0, profile=RANK1, master_seed=19), "cf7f670251e03a67"),
 ]
 
 
