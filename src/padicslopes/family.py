@@ -14,7 +14,7 @@ and may run in parallel without changing the output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -72,10 +72,8 @@ class ExperimentConfig:
     profile_doc: dict
 
 
-_CONFIG_FIELDS = {
-    "p", "profile", "alpha", "kappa", "trials", "master_seed",
-    "generator", "max_attempts", "entry_bound", "precision_guard", "nprime",
-}
+# what a config document may hold, and what a report echoes: profile as it was given
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)} - {"profile_doc"}
 _PROFILE_FIELDS_HILBERT = {"kind", "d", "h", "n", "max_rank"}
 _PROFILE_FIELDS_EXPLICIT = {"kind", "n", "a"}
 
@@ -675,19 +673,7 @@ def report_to_document(report: ExperimentReport) -> dict:
     cfg = plan.config
     return {
         "mode": report.mode,
-        "config": {
-            "p": cfg.p,
-            "profile": cfg.profile_doc,
-            "alpha": cfg.alpha,
-            "kappa": cfg.kappa,
-            "trials": cfg.trials,
-            "master_seed": cfg.master_seed,
-            "generator": cfg.generator,
-            "max_attempts": cfg.max_attempts,
-            "entry_bound": cfg.entry_bound,
-            "precision_guard": cfg.precision_guard,
-            "nprime": cfg.nprime,
-        },
+        "config": {**{k: getattr(cfg, k) for k in _CONFIG_FIELDS}, "profile": cfg.profile_doc},
         "resolved": {
             "kappa": plan.kappa,
             "hypotheses_pass": plan.hypotheses_pass,

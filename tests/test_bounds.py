@@ -170,6 +170,30 @@ def test_n_threshold_kappa_consistency():
                     assert kappa_closed(n, alpha, d, h).value >= kappa
 
 
+def test_where_the_closed_kappa_exceeds_the_exact_one():
+    # Whether the closed form promises a lower bound on the exact kappa is not settled
+    # here (see README, "Closed form and exact kappa"); this pins where it does not give
+    # one, so that any change to either side shows. Grid: rank h n^d at most 3 * 10^5.
+    closed_positive, disagree = 0, []
+    for d in (1, 2, 3):
+        for h in (1, 2, 4):
+            for n in range(4, 41):
+                if h * n ** d > 3 * 10 ** 5:
+                    continue
+                profile = hilbert_profile(d, h, n)
+                for alpha in range(4):
+                    closed = kappa_closed(n, alpha, d, h).value
+                    if closed < 1:
+                        continue
+                    closed_positive += 1
+                    exact = resolve_kappa(profile, alpha)
+                    if exact is None or exact < closed:
+                        disagree.append((d, h, n, alpha, closed, exact))
+    assert closed_positive == 259
+    assert disagree == ([(1, 4, n, 1, 1, None) for n in range(23, 29)]
+                        + [(1, 4, n, 1, 2, 1) for n in range(32, 38)])
+
+
 def test_proposition_hypotheses():
     prof = DivisorProfile(n=6, a=(6, 5, 4, 3, 2, 1))
     assert prop_plan(prof, 0, 3).hypotheses_pass  # slope 0 is below any positive c

@@ -455,6 +455,17 @@ def test_verify_corrupted_kappa_warns_and_exits_zero(tmp_path):
     assert "warning" in err
 
 
+def test_verify_with_no_accepted_trial_prints_one_warning_line(tmp_path):
+    # alpha 1 at n = 4 leaves no kappa whose hypotheses pass: every trial is REJECTED(hypotheses)
+    cfg = write_json(tmp_path / "cfg.json", {
+        "p": 2, "profile": {"kind": "explicit", "n": 4, "a": [4]}, "alpha": 1, "trials": 40,
+        "master_seed": 19, "generator": "PLANTED"})
+    rc, out, err = invoke("verify-prop", "--config", cfg)
+    assert rc == 0
+    assert json.loads(out)["summary"]["rejected"] == {"hypotheses": 40}
+    assert err == "warning: 0 accepted trials (40 rejected)\n"
+
+
 def test_verify_constancy(tmp_path):
     cfg = write_json(
         tmp_path / "cfg.json",

@@ -44,7 +44,7 @@ from padicslopes.lattice import (
 )
 from padicslopes.newton import char_poly, newton_polygon
 from padicslopes.padics import INFINITY, padic_valuation
-from padicslopes.rng import _WORD_STEP, SplitMix64, trial_seed
+from padicslopes.rng import _BATCH, _WORD_STEP, SplitMix64, _mix, trial_seed
 
 from oracles import (
     det_fraction, diagonal, horner_mod, mat_add_naive, multiplicity_differences_by_dict,
@@ -89,8 +89,22 @@ def test_splitmix_randint_deterministic_and_bounded():
     assert all(u.unit(3, 9) % 3 != 0 for _ in range(50))
 
 
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+class _ScalarSplitMix64:
+    """The reference stream, one word at a time: _mix(seed + i * GOLDEN) for i = 1, 2, ..."""
+
+    def __init__(self, seed):
+        self.state = seed % 2**64
+
+    def next_u64(self):
+        self.state = (self.state + GOLDEN) % 2**64
+        return _mix(self.state)
+
+
 def _randint_by_next_u64(rng, lo, hi):
-    # the rejection sampler written out over next_u64, independent of randints
+    # the rejection sampler written out over next_u64, independent of randint and randints
     span = hi - lo + 1
     limit = 2**64 - 2**64 % span
     while True:
@@ -99,10 +113,17 @@ def _randint_by_next_u64(rng, lo, hi):
             return lo + x % span
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 36, 40, 64, 65, 257])
+@pytest.mark.parametrize("seed", [0, 31, 2**64 - 1])
+def test_next_u64_is_the_scalar_stream_across_batches(seed):
+    rng, oracle = SplitMix64(seed), _ScalarSplitMix64(seed)
+    assert [rng.next_u64() for _ in range(3 * _BATCH + 1)] == [
+        oracle.next_u64() for _ in range(3 * _BATCH + 1)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 36, 40, 64, 65, 80, 81, 257])
 @pytest.mark.parametrize("lo,hi", [(5, 5), (-9, 9), (0, 2**32 - 1), (-2**62, 2**62)])
 def test_randints_is_k_randint_calls(lo, hi, k):
-    batch, single, oracle = SplitMix64(31), SplitMix64(31), SplitMix64(31)
+    batch, single, oracle = SplitMix64(31), SplitMix64(31), _ScalarSplitMix64(31)
     xs = batch.randints(lo, hi, k)
     assert xs == [single.randint(lo, hi) for _ in range(k)]
     assert xs == [_randint_by_next_u64(oracle, lo, hi) for _ in range(k)]
@@ -112,21 +133,22 @@ def test_randints_is_k_randint_calls(lo, hi, k):
 
 def test_interleaved_draws_are_one_stream():
     # randint, randints and next_u64 in any order read one stream of words, as the
-    # rejection sampler over next_u64 reads it, and leave the state where it leaves it
+    # rejection sampler over the scalar stream reads it, and stop where it stops: _mix is
+    # a bijection, so equal next words mean an equal position in the stream
     spans = [(5, 5), (-9, 9), (0, 2**32 - 1), (-2**62, 2**62), (0, 2**64 - 2)]
     plan = random.Random(2014)
-    rng, oracle = SplitMix64(77), SplitMix64(77)
+    rng, oracle = SplitMix64(77), _ScalarSplitMix64(77)
     for _ in range(400):
         lo, hi = plan.choice(spans)
         op = plan.randrange(3)
         if op == 0:
-            k = plan.choice([0, 1, 2, 6, 36, 255, 256, 257, 600])
+            k = plan.choice([0, 1, 2, 6, 36, 79, 80, 81, 255, 256, 257, 600])
             assert rng.randints(lo, hi, k) == [_randint_by_next_u64(oracle, lo, hi) for _ in range(k)]
         elif op == 1:
             assert rng.randint(lo, hi) == _randint_by_next_u64(oracle, lo, hi)
         else:
             assert rng.next_u64() == oracle.next_u64()
-        assert rng._state == oracle._state
+        assert rng.next_u64() == oracle.next_u64()
 
 
 @pytest.mark.parametrize("byteorder", ["little", "big"])
@@ -143,13 +165,14 @@ def test_lane_words_read_alike_in_either_byte_order(byteorder):
 
 def test_randints_rejects_the_draws_above_the_last_whole_span():
     # span 2^63 + 1 takes words below 2^63 + 1 only, so about half the words are
-    # rejected: 40 values must take more than 40 steps of the stream
+    # rejected: 40 values must take more than 40 steps of the stream. The words of a
+    # stream are distinct, so the next word shows how many randints read.
     lo, hi = -2**62, 2**62
     rng = SplitMix64(31)
     rng.randints(lo, hi, 40)
-    words, steps = SplitMix64(31), 0
-    while words._state != rng._state:
-        words.next_u64()
+    after = rng.next_u64()
+    words, steps = _ScalarSplitMix64(31), 0
+    while words.next_u64() != after:
         steps += 1
     assert steps > 40
 
@@ -171,18 +194,18 @@ def test_a_word_at_the_limit_is_rejected_and_one_below_is_kept(lo, hi):
     span = hi - lo + 1
     limit = 2**64 - 2**64 % span
     for first, kept in ((limit, False), (limit - 1, True)):
-        seed = (_unmix(first) - 0x9E3779B97F4A7C15) % 2**64  # the state before that word
+        seed = (_unmix(first) - GOLDEN) % 2**64  # the state before that word
         assert SplitMix64(seed).next_u64() == first
         one = SplitMix64(seed)
         one.randint(lo, hi)  # one word if it is kept, more if it is rejected
-        assert (one._state == (seed + 0x9E3779B97F4A7C15) % 2**64) == kept
-        oracle = SplitMix64(seed)
+        assert (one.next_u64() == _mix((seed + 2 * GOLDEN) % 2**64)) == kept
+        oracle = _ScalarSplitMix64(seed)
         expected = [_randint_by_next_u64(oracle, lo, hi) for _ in range(3)]
         single = SplitMix64(seed)
         assert [single.randint(lo, hi) for _ in range(3)] == expected
         batch = SplitMix64(seed)
         assert batch.randints(lo, hi, 3) == expected
-        assert single._state == batch._state == oracle._state
+        assert single.next_u64() == batch.next_u64() == oracle.next_u64()
 
 
 def test_randints_range_errors():
@@ -784,6 +807,40 @@ def test_starved_precision_rejects_and_never_violates(name):
         outcomes = {(t.status, t.reason)
                     for t in (run_proposition_trial(starved, i) for i in range(plan.config.trials))}
         assert outcomes == {(REJECTED, "not-simple"), (REJECTED, "precision")}
+
+
+# the least finite ACCEPTED margin of each shipped prop config and how many trials have it
+LEAST_MARGINS = {"prop_default.json": (10, 5), "prop_planted.json": (16, 62),
+                 "prop_sharp.json": (6, 12)}
+
+
+@pytest.mark.parametrize("name", sorted(LEAST_MARGINS))
+def test_accepted_margins_stay_at_or_above_n_minus_2_alpha(name):
+    # an observed invariant of these generators, not the paper's claim: no finite ACCEPTED
+    # margin falls below n - 2 alpha, a stronger check than margin >= kappa
+    cfg = read_config(CONFIG_DIR / name)
+    report = run_experiment(cfg)
+    margins = [t.margin for t in report.trials if t.status == ACCEPTED and t.margin is not INFINITY]
+    assert min(margins) >= cfg.profile.n - 2 * cfg.alpha
+    assert (min(margins), margins.count(min(margins))) == LEAST_MARGINS[name]
+
+
+@pytest.mark.parametrize("m,violations,least", [
+    (0, 300, Fraction(0)), (1, 91, Fraction(1, 2)), (2, 0, Fraction(1)), (None, 0, Fraction(5, 2)),
+])
+def test_constancy_control_with_plain_congruence_moduli(monkeypatch, m, violations, least):
+    # every Delta entry a multiple of p^m alone, in place of p^max(a_i, n - a_j, n') (None):
+    # m = 0 and 1 must give VIOLATIONs; at m = 2 the least differing slope is exactly the
+    # bound c = 1, which is no violation (the check is slope < c)
+    if m is not None:
+        monkeypatch.setattr("padicslopes.family._congruence_moduli",
+                            lambda profile, p, min_exponent: ((p ** m,) * profile.r,) * profile.r)
+    cfg = replace(read_config(CONFIG_DIR / "constancy_default.json"), trials=300)
+    report = run_experiment(cfg, mode="constancy")
+    assert (cfg.master_seed, report.plan.constancy_bound) == (424242, 1)
+    differing = [s for t in report.trials for s, _, _ in t.mismatched_slopes + t.informational_slopes
+                 if s is not INFINITY]
+    assert (len(report.violations), min(differing)) == (violations, least)
 
 
 # --- constancy trials ------------------------------------------------------------------

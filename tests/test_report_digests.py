@@ -7,7 +7,7 @@ meant to alter report bytes updates them and says why.
 The shipped configs all run at p = 3, constancy only at n' = 5 and PLANTED
 only in prop mode; the configs of VARIANTS cover p = 2 and 5, n' = 1 and
 n' = n, and PLANTED at p = 5 in both modes. The two rank-1 PLANTED configs
-take random_unimodular's r == 1 branch, and at p = 2 half of unit's draws
+take random_unimodular's r == 1 branch, and at p = 2 more than half of unit's draws
 are rejected. prop_sharp sits at the bound: some of its accepted trials have
 margin exactly kappa.
 """
