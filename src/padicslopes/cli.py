@@ -160,6 +160,15 @@ def cmd_profile(args) -> int:
     return 0
 
 
+def _kappa_closed_block(kc, exact) -> dict:
+    """The report's closed-form kappa beside exact, the resolved kappa (or None). It is
+    backed when the exact check passes at least that kappa; a value below 1 claims
+    nothing, so backed is then None."""
+    backed = None if kc.value < 1 else exact is not None and exact >= kc.value
+    return {"value": kc.value, "near_boundary": kc.near_boundary,
+            "exact_kappa": exact, "backed": backed}
+
+
 def cmd_bounds(args) -> int:
     profile = _hilbert_profile(args.d, args.h, args.n)
     bf = boundary_functions(profile)
@@ -169,8 +178,9 @@ def cmd_bounds(args) -> int:
         raise InputError(f"alpha is too large for the closed-form kappa: {exc}") from exc
     # one scan of c at n' = n, n - 1, ...: the report re-reads the levels resolve_kappa read
     for_kappa, for_report = tee(level_bounds(profile))
+    exact = resolve_kappa(profile, args.alpha, for_kappa)
     if args.kappa == "auto":
-        resolved = resolve_kappa(profile, args.alpha, for_kappa)
+        resolved = exact
         # show why even kappa = 1 fails when nothing resolves
         kappa_used = resolved if resolved is not None else 1
     else:
@@ -208,7 +218,7 @@ def cmd_bounds(args) -> int:
                 "capped": False,  # T(1) = M <= n: the cap n never binds
             },
             "c1": c1_closed(args.d, args.h),
-            "kappa_closed": {"value": kc.value, "near_boundary": kc.near_boundary},
+            "kappa_closed": _kappa_closed_block(kc, exact),
             "n_threshold": n_threshold(kc.value, args.alpha, args.d, args.h)
             if kc.value >= 0
             else None,

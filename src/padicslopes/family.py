@@ -243,15 +243,16 @@ def poly_of_matrix(coeffs, A: IntMatrix) -> IntMatrix:
 
 @dataclass(frozen=True)
 class PolynomialOperator:
-    """q(A), applied by Horner on vectors, acc <- A acc + c_k vec: r matrix-vector
-    products. Reading rows forms the matrix, which only violation reports need."""
+    """q(A), applied by Horner on vectors from acc = c_last vec, acc <- A acc + c_k vec:
+    len(coeffs) - 1 matrix-vector products. Reading rows forms the matrix, which
+    only violation reports need."""
 
     coeffs: tuple
     A: IntMatrix
 
     def apply(self, vec) -> tuple:
-        acc = (0,) * len(vec)
-        for c in reversed(self.coeffs):
+        acc = tuple([self.coeffs[-1] * x for x in vec]) if self.coeffs else (0,) * len(vec)
+        for c in reversed(self.coeffs[:-1]):
             acc = tuple([y + c * x for y, x in zip(self.A.apply(acc), vec)])
         return acc
 

@@ -61,6 +61,9 @@ class NewtonPolygon:
     segments: tuple
 
 
+KERNEL_MAX_RANK = 16
+
+
 def char_poly(A: IntMatrix) -> CharPoly:
     """Characteristic polynomial det(X I - A) by Berkowitz's division-free algorithm.
 
@@ -69,8 +72,56 @@ def char_poly(A: IntMatrix) -> CharPoly:
     lower-triangular Toeplitz matrix whose first column is
     (1, -a_kk, -R S, -R A_k S, ..., -R A_k^{k-1} S). Only products and sums
     occur, so the result is exact and reproducible.
+
+    Up to rank KERNEL_MAX_RANK the steps run as the straight-line code of
+    _berkowitz(r), compiled on the first call at each rank (so once per rank
+    in each pool worker), never at import. Above it _berkowitz_loop runs them:
+    compiling would cost more than it saves, and the loop's memory stays
+    bounded for the large matrices `polygon --input` accepts.
     """
     rows = A.rows
+    r = len(rows)
+    return CharPoly(_berkowitz(r)(rows) if r <= KERNEL_MAX_RANK else _berkowitz_loop(rows))
+
+
+@lru_cache(maxsize=KERNEL_MAX_RANK)
+def _berkowitz(r: int):
+    """The Berkowitz steps of char_poly at rank r as one generated function of the
+    rows: entries unpacked into locals a{i}_{j}, each Krylov step v <- A_k v, each
+    dot R v and each Toeplitz coefficient written out as a sum of products. The
+    loop over Krylov powers stays a loop, so the source grows as r^3. The source
+    depends on r alone; c0 and the Toeplitz column's first entry are both 1."""
+    a = [[f"a{i}_{j}" for j in range(r)] for i in range(r)]
+
+    def dot(xs, ys):
+        return " + ".join(f"{x}*{y}" for x, y in zip(xs, ys))
+
+    lines = ["def berkowitz(rows):",
+             "    [" + ", ".join("[" + ", ".join(row) + "]" for row in a) + "] = rows",
+             f"    c1 = -{a[0][0]}"]
+    for k in range(1, r):
+        R, S = a[k][:k], [a[i][k] for i in range(k)]
+        lines += [f"    t1 = -{a[k][k]}", f"    t2 = -({dot(R, S)})"]
+        if k > 1:
+            v = [f"v{i}" for i in range(k)]
+            lines += [f"    {', '.join(v)}, = {', '.join(S)},", "    w = []",
+                      f"    for _ in range({k - 1}):",
+                      f"        {', '.join(v)}, = {', '.join(f'({dot(row[:k], v)})' for row in a[:k])},",
+                      f"        w.append(-({dot(R, v)}))",
+                      f"    [{', '.join(f't{i}' for i in range(3, k + 2))}] = w"]
+        # coefficient i of the product is sum_j c_j t_{i-j}, with c0 = t0 = 1
+        new = [" + ".join([f"t{i}"] + [f"c{j}*t{i - j}" if j < i else f"c{j}"
+                                       for j in range(1, min(i, k) + 1)])
+               for i in range(1, k + 2)]
+        lines.append(f"    {', '.join(f'c{i}' for i in range(1, k + 2))}, = {', '.join(new)},")
+    lines.append(f"    return (1, {', '.join(f'c{i}' for i in range(1, r + 1))})")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<berkowitz rank {r}>", "exec"), namespace)
+    return namespace["berkowitz"]
+
+
+def _berkowitz_loop(rows) -> tuple:
+    """The Berkowitz steps of char_poly as loops over the rows."""
     coeffs = [1, -rows[0][0]]
     for k in range(1, len(rows)):
         block = [row[:k] for row in rows[:k]]
@@ -82,7 +133,7 @@ def char_poly(A: IntMatrix) -> CharPoly:
             col.append(-sum(map(mul, R, v)))
         # Toeplitz product: entry i is sum_j col[i - j] * coeffs[j]
         coeffs = [sum(map(mul, coeffs, col[i::-1])) for i in range(k + 2)]
-    return CharPoly(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def newton_polygon(cp: CharPoly, p: int) -> NewtonPolygon:
@@ -187,15 +238,18 @@ def hensel_slope_root(cp: CharPoly, poly: NewtonPolygon, p: int, alpha: int, N: 
         raise AssertionError(f"polygon's slope-{alpha} segment is not that of cp")
     y = -g_mod[i0 + 1] * pow(g_mod[i0], -1, p) % p
 
-    # quadratic Newton lifting; g'(y) stays a unit throughout
+    # quadratic Newton lifting; g'(y) stays a unit throughout. z carries its
+    # inverse: correct mod p^prec before a step, it needs one step z(2 - g'(y) z)
+    # to be correct mod the next p^prec (Newton's iteration for 1/g'(y))
     dg = _poly_derivative(g)
+    z = pow(_horner_mod(dg, y, p), -1, p)
     prec = 1
     while prec < N:
         prec = min(2 * prec, N)
         m = p ** prec
-        fy = _horner_mod(g, y, m)
-        dy = _horner_mod(dg, y, m)
-        y = (y - fy * _unit_inverse(dy, p, m)) % m
+        y = (y - _horner_mod(g, y, m) * z) % m
+        if prec < N:
+            z = z * (2 - _horner_mod(dg, y, m) * z) % m
 
     pN = p ** N
     lam = p ** alpha * y % pN  # y is a unit and alpha < N, so v_p(lam) = alpha

@@ -174,7 +174,8 @@ def test_where_the_closed_kappa_exceeds_the_exact_one():
     # Whether the closed form promises a lower bound on the exact kappa is not settled
     # here (see README, "Closed form and exact kappa"); this pins where it does not give
     # one, so that any change to either side shows. Grid: rank h n^d at most 3 * 10^5.
-    closed_positive, disagree = 0, []
+    # The bounds report's kappa_closed block marks exactly these points as not backed.
+    closed_positive, disagree, not_backed = 0, [], []
     for d in (1, 2, 3):
         for h in (1, 2, 4):
             for n in range(4, 41):
@@ -182,16 +183,24 @@ def test_where_the_closed_kappa_exceeds_the_exact_one():
                     continue
                 profile = hilbert_profile(d, h, n)
                 for alpha in range(4):
-                    closed = kappa_closed(n, alpha, d, h).value
-                    if closed < 1:
+                    kc = kappa_closed(n, alpha, d, h)
+                    exact = resolve_kappa(profile, alpha)
+                    block = cli._kappa_closed_block(kc, exact)
+                    assert block["exact_kappa"] == exact
+                    if kc.value < 1:
+                        assert block["backed"] is None
                         continue
                     closed_positive += 1
-                    exact = resolve_kappa(profile, alpha)
-                    if exact is None or exact < closed:
-                        disagree.append((d, h, n, alpha, closed, exact))
+                    if exact is None or exact < kc.value:
+                        disagree.append((d, h, n, alpha, kc.value, exact))
+                    if block["backed"] is False:
+                        not_backed.append((d, h, n, alpha, kc.value, exact))
+                    else:
+                        assert block["backed"] is True
     assert closed_positive == 259
     assert disagree == ([(1, 4, n, 1, 1, None) for n in range(23, 29)]
                         + [(1, 4, n, 1, 2, 1) for n in range(32, 38)])
+    assert not_backed == disagree
 
 
 def test_proposition_hypotheses():

@@ -175,6 +175,24 @@ def test_bounds_subcommand(capsys):
     assert doc["T_table"][0]["ratio"] == "1/1"
 
 
+def test_bounds_says_whether_the_exact_check_backs_the_closed_kappa(capsys):
+    # (d, h, n, alpha, --kappa): the kappa_closed block the report gives
+    cases = [
+        ((1, 4, 23, 1, "auto"), {"value": 1, "exact_kappa": None, "backed": False}),
+        ((1, 4, 32, 1, "auto"), {"value": 2, "exact_kappa": 1, "backed": False}),
+        ((1, 1, 100, 0, "auto"), {"value": 13, "exact_kappa": 100, "backed": True}),
+        # an explicit --kappa does not replace the exact one
+        ((1, 1, 100, 0, "3"), {"value": 13, "exact_kappa": 100, "backed": True}),
+        ((2, 1, 80, 1, "40"), {"value": 0, "exact_kappa": 4, "backed": None}),
+    ]
+    for (d, h, n, alpha, kappa), expected in cases:
+        assert run_main(["bounds", "--d", str(d), "--h", str(h), "--n", str(n),
+                         "--alpha", str(alpha), "--kappa", kappa]) == 0
+        block = json.loads(capsys.readouterr().out)["kappa_closed"]
+        assert {k: block[k] for k in expected} == expected
+        assert block["exact_kappa"] == resolve_kappa_by_search(hilbert_profile(d, h, n), alpha)
+
+
 def test_bounds_bad_arguments():
     rc, _, _ = invoke("bounds", "--d", "0", "--h", "1", "--n", "3", "--alpha", "0")
     assert rc == 2
@@ -227,19 +245,19 @@ def test_compare_c_rank_beyond_sys_maxsize_is_an_input_error(capsys):
 # of quotient_profile: p-power divisors, the same behind unimodular transforms and a sign,
 # a divisor that is not a p-power, a singular K and a divisor past the level.
 PINNED_OUTPUTS = [
-    (["bounds", "--d", "2", "--h", "1", "--n", "80", "--alpha", "1"], None, 0, "1bd7050985834ee3"),
-    (["bounds", "--d", "2", "--h", "1", "--n", "80", "--alpha", "3"], None, 0, "4a698e22f05b0984"),
-    (["bounds", "--d", "2", "--h", "1", "--n", "120", "--alpha", "1"], None, 0, "ef5aa03b5b6b213c"),
-    (["bounds", "--d", "1", "--h", "1", "--n", "100", "--alpha", "0"], None, 0, "f165cf4f59cfbef3"),
-    (["bounds", "--d", "1", "--h", "1", "--n", "100", "--alpha", "3"], None, 0, "67c0fc20d79502fc"),
+    (["bounds", "--d", "2", "--h", "1", "--n", "80", "--alpha", "1"], None, 0, "a140c86b3cdd1b69"),
+    (["bounds", "--d", "2", "--h", "1", "--n", "80", "--alpha", "3"], None, 0, "b321d800f96650de"),
+    (["bounds", "--d", "2", "--h", "1", "--n", "120", "--alpha", "1"], None, 0, "4784372fb05c5055"),
+    (["bounds", "--d", "1", "--h", "1", "--n", "100", "--alpha", "0"], None, 0, "6b5b961499bc580a"),
+    (["bounds", "--d", "1", "--h", "1", "--n", "100", "--alpha", "3"], None, 0, "30f438f76f7bcb3e"),
     # explicit kappa: passes, fails on c, out of range; and auto with nothing resolved
     (["bounds", "--d", "2", "--h", "1", "--n", "80", "--alpha", "1", "--kappa", "3"], None, 0,
-     "391b381272ec5dfe"),
+     "8879047680cf592c"),
     (["bounds", "--d", "2", "--h", "1", "--n", "80", "--alpha", "1", "--kappa", "40"], None, 0,
-     "b1de275582dea326"),
+     "4837ddcdf1c9a087"),
     (["bounds", "--d", "1", "--h", "1", "--n", "100", "--alpha", "3", "--kappa", "99"], None, 0,
-     "a9ab042fe068716c"),
-    (["bounds", "--d", "1", "--h", "1", "--n", "12", "--alpha", "5"], None, 0, "fdc765d1b9439d98"),
+     "fac44581cdb1243d"),
+    (["bounds", "--d", "1", "--h", "1", "--n", "12", "--alpha", "5"], None, 0, "b90dc9d20a857f62"),
     (["compare-c", "--d-list", "1,2", "--h-list", "1,2,4", "--n-max", "32"], None, 0,
      "78fac5b051679c8b"),
     (["profile", "--prime", "3", "--level", "3"], [[9, 0, 0], [0, 3, 0], [0, 0, 1]], 0,

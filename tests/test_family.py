@@ -405,6 +405,25 @@ def test_polynomial_operator_matches_the_formed_matrix(r):
     assert max(abs(x) for row in A.rows for x in row).bit_length() > 190
 
 
+def test_polynomial_operator_skips_the_product_with_zero():
+    # Horner starts at c_last vec: one matrix-vector product per further coefficient
+    class Counted:
+        def __init__(self, A):
+            self.A, self.calls = A, 0
+
+        def apply(self, vec):
+            self.calls += 1
+            return self.A.apply(vec)
+
+    A = IntMatrix([[1, 2], [3, 4]])
+    for coeffs in ((), (7,), (7, -1), (0, 0, 5)):
+        counted = Counted(A)
+        got = PolynomialOperator(coeffs, counted).apply((5, -6))
+        assert got == tuple(poly_apply_naive(coeffs, [[1, 2], [3, 4]], [5, -6]))
+        assert counted.calls == max(len(coeffs) - 1, 0)
+    assert PolynomialOperator((), A).apply((5, -6)) == (0, 0)
+
+
 @pytest.mark.parametrize("r", range(1, 9))
 def test_conjugated_diagonal_matches_the_formed_matrix(r):
     # U (d * (U^-1 v)) against U diag(d) U^-1 formed by two products

@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from padicslopes import family
+from padicslopes import family, newton
 from padicslopes.family import poly_of_matrix, random_unimodular, read_config, run_experiment
 from padicslopes.lattice import IntMatrix
 from padicslopes.newton import (
+    KERNEL_MAX_RANK,
     CharPoly,
     ConsistencyError,
     EigenvectorError,
@@ -118,6 +119,56 @@ def test_char_poly_matches_faddeev_on_shipped_trials(name, mode, monkeypatch):
     monkeypatch.setattr(family, "char_poly", checked_char_poly)
     report = run_experiment(read_config(CONFIG_DIR / name), mode=mode)
     assert len(checked) == 2 * sum(t.reason != "no-instance" for t in report.trials) > 0
+
+
+def kernel_corpus(rng, r):
+    """random_matrices at rank r, the zero matrix, a scaled identity, and entries past +-2^64."""
+    yield from random_matrices(rng, [r] * 4)
+    yield IntMatrix.zero(r)
+    yield IntMatrix.identity(r).scale(-(3**5))
+    big = [[(-1) ** (i + j) * (rng.randint(1, 9) << 66 | rng.next_u64()) for j in range(r)]
+           for i in range(r)]
+    yield IntMatrix(big)
+    yield IntMatrix([[-x for x in row] for row in big])
+
+
+@pytest.mark.parametrize("r", range(1, KERNEL_MAX_RANK + 2))
+def test_generated_berkowitz_matches_the_loop_and_faddeev(r):
+    # ranks 1 and 2 have no Krylov loop, and rank 1 unpacks a one-entry row;
+    # rank KERNEL_MAX_RANK + 1 is compiled here although char_poly never asks for it
+    rng = SplitMix64(0xB3E4C0 + r)
+    kernel = newton._berkowitz.__wrapped__(r)
+    corpus = list(kernel_corpus(rng, r))
+    for A in corpus:
+        expected = charpoly_faddeev(A)
+        assert kernel(A.rows) == expected, A.rows
+        assert newton._berkowitz_loop(A.rows) == expected, A.rows
+        assert char_poly(A).coeffs == expected
+    assert all(abs(x) > 2**64 for A in corpus[-2:] for row in A.rows for x in row)
+
+
+def test_char_poly_compiles_one_kernel_per_rank_up_to_the_cap():
+    newton._berkowitz.cache_clear()
+    rng = SplitMix64(0x17)
+    for r in (KERNEL_MAX_RANK + 1, KERNEL_MAX_RANK + 7):
+        for A in random_matrices(rng, [r] * 2):
+            assert char_poly(A).coeffs == charpoly_faddeev(A)
+    # the ranks above the cap run the loop and never reach the kernel cache
+    assert newton._berkowitz.cache_info().currsize == 0
+    assert newton._berkowitz.cache_info().misses == 0
+    for A in random_matrices(rng, [KERNEL_MAX_RANK, 6, 6, KERNEL_MAX_RANK]):
+        char_poly(A)
+    info = newton._berkowitz.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 2)
+
+
+def test_generated_berkowitz_source_holds_no_input():
+    # the code object is built from the rank alone: its constants are the loop
+    # counts, 1 and None, never a matrix entry
+    for r in (1, 2, 6):
+        code = newton._berkowitz(r).__code__
+        assert code.co_filename == f"<berkowitz rank {r}>"
+        assert set(code.co_consts) <= {None, 1} | set(range(r))
 
 
 def test_char_poly_conjugation_invariance():
@@ -299,6 +350,46 @@ def test_hensel_refuses_the_polygon_of_another_polynomial():
     # a polygon without the segment is refused before the seed
     with pytest.raises(HenselError, match="no slope-1 segment"):
         hensel_slope_root(CharPoly((1, -12, 27)), newton_polygon(CharPoly((1, 0, -2)), 3), 3, 1, 6)
+
+
+def test_hensel_matches_a_search_over_all_residues():
+    # every root of valuation alpha mod p^M, found by trying each residue: mod
+    # p^(N + e), with e the derivative valuation, they all reduce to the lifted
+    # value mod p^N; mod p^N they are exactly the residues of valuation alpha
+    # that agree with it mod p^(N - e)
+    rng = SplitMix64(0x4E5E1)
+    cases = []
+    while len(cases) < 80:
+        p = rng.choice((2, 3, 5))
+        if len(cases) % 2:  # random coefficients
+            coeffs = (1,) + tuple(rng.randint(-40, 40) for _ in range(rng.randint(1, 4)))
+        else:  # roots p^b u, so that other roots can share the root's valuation
+            coeffs = (1,)
+            for _ in range(rng.randint(1, 4)):
+                coeffs = poly_mul(coeffs, [1, -(p ** rng.randint(0, 3)) * rng.unit(p, 9)])
+        cp = CharPoly(tuple(coeffs))
+        poly = newton_polygon(cp, p)
+        simple = [s.slope for s in poly.segments if s.length == 1 and s.slope != INFINITY
+                  and s.slope.denominator == 1]
+        if not simple:
+            continue
+        alpha = int(rng.choice(simple))
+        N = alpha + rng.randint(1, 8)
+        root = hensel_slope_root(cp, poly, p, alpha, N)
+        e = root.derivative_valuation
+        if p ** (N + e) > 2**14:
+            continue
+        cases.append((N, e))
+
+        def roots(M):
+            return [x for x in range(p**M) if horner_mod(cp.coeffs[::-1], x, p**M) == 0
+                    and padic_valuation(x, p) == alpha]
+
+        assert {x % p**N for x in roots(N + e)} == {root.value}
+        assert roots(N) == [x for x in range(p**N) if padic_valuation(x, p) == alpha
+                            and (x - root.value) % p ** max(N - e, 0) == 0]
+    # some lifts take three or more Newton steps, and some roots have e > 0
+    assert sum(N > 4 for N, _ in cases) >= 10 and sum(e > 0 for _, e in cases) >= 10
 
 
 def test_hensel_planted_suite():
