@@ -61,7 +61,8 @@ class NewtonPolygon:
     segments: tuple
 
 
-KERNEL_MAX_RANK = 16
+# the largest rank the shipped trials reach (prop_default's max_rank); see char_poly
+KERNEL_MAX_RANK = 8
 
 
 def char_poly(A: IntMatrix) -> CharPoly:
@@ -75,9 +76,12 @@ def char_poly(A: IntMatrix) -> CharPoly:
 
     Up to rank KERNEL_MAX_RANK the steps run as the straight-line code of
     _berkowitz(r), compiled on the first call at each rank (so once per rank
-    in each pool worker), never at import. Above it _berkowitz_loop runs them:
-    compiling would cost more than it saves, and the loop's memory stays
-    bounded for the large matrices `polygon --input` accepts.
+    in each pool worker, at most about 3 ms), never at import. The cap is the
+    largest rank the shipped trials reach, where the compile is repaid over
+    many calls; a one-shot call, such as `polygon --input`, pays it once.
+    Above the cap _berkowitz_loop runs the steps: no trial reaches those
+    ranks, one call there repays less than its compile, and the loop's
+    memory stays bounded for the large matrices `polygon --input` accepts.
     """
     rows = A.rows
     r = len(rows)
