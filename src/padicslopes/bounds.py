@@ -59,15 +59,17 @@ def c_exact(profile: DivisorProfile, nprime: int | None = None) -> CBound:
     n = profile.n if nprime is None else nprime
     if not 1 <= n <= profile.n:
         raise ValueError(f"nprime must satisfy 1 <= nprime <= {profile.n}, got {n}")
-    # running minimum of T(i)/i by integer cross-multiplication; profiles from
-    # hilbert_profile can have 10^5+ entries and Fractions are too slow
-    t = best_num = (n + 1) // 2
-    best_den = best_i = 1
-    for i, a in enumerate(profile.a, 1):  # t = T(i) = M + b_1 + ... + b_{i-1}
-        if t * best_den < best_num * i:
-            best_num, best_den, best_i = t, i, i
-        if a < n:
-            t += n - a
+    # running minimum of T(i)/i by integer cross-multiplication. Along a run of equal
+    # exponents T(i) is linear in i, so T(i)/i is monotone: only the run's first and last
+    # index can be the minimum, and comparing them in index order keeps the earliest
+    t = best_num = (n + 1) // 2  # t = T(first) = M + b_1 + ... + b_{first-1}
+    best_den = best_i = first = 1
+    for a, count in profile.sigma_counts():
+        b = n - min(a, n)
+        for i, ti in ((first, t), (first + count - 1, t + (count - 1) * b)):
+            if ti * best_den < best_num * i:
+                best_num, best_den, best_i = ti, i, i
+        t, first = t + count * b, first + count
     return CBound(value=Fraction(best_num, best_den), argmin=best_i)
 
 

@@ -18,12 +18,13 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from operator import add, mul
 
 from .bounds import c_exact, resolve_kappa, hilbert_profile
 from .lattice import (
     DivisorProfile, IntMatrix, _add_col, _add_row, _column_scales, _swap_cols, _swap_rows,
-    check_xi_condition, json_text,
+    _int_json, _json, check_xi_condition, json_text,
 )
 from .newton import (
     ConsistencyError,
@@ -631,48 +632,77 @@ def _margin_json(margin):
     return margin
 
 
-def _census_json(census):
+# a trial sits in the report's "trials" list: its fields at six spaces, the rows of a
+# census at eight, a row's items at ten
+_TRIAL = "\n    "
+_FIELD = _TRIAL + "  "
+_ROW = _FIELD + "  "
+_ITEM = _ROW + "  "
+
+
+def _list_text(items, pad: str) -> str:
+    """A JSON list of items, each already JSON text, written at pad."""
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]" if items else "[]"
+
+
+def _census_text(census, memo: dict) -> str:
+    """A census's [slope, length] rows; each segment's row is written once per memo,
+    which is keyed by id and holds the segment, so no id is reused while it lives."""
     if census is None:
-        return None
-    return [[slope_to_string(seg.slope), seg.length] for seg in census]
+        return "null"
+    rows = []
+    for seg in census:
+        hit = memo.get(id(seg))
+        if hit is None:
+            hit = memo[id(seg)] = (_json((slope_to_string(seg.slope), seg.length), _ROW), seg)
+        rows.append(hit[0])
+    return _list_text(rows, _ROW)
 
 
-def _slope_triples_json(triples):
-    if triples is None:
-        return None
-    return [[slope_to_string(s), m, mp] for s, m, mp in triples]
+def _triples_text(triples) -> str:
+    return _list_text([_list_text((encode_basestring_ascii(slope_to_string(s)), _int_json(m),
+                                   _int_json(mp)), _ITEM) for s, m, mp in triples], _ROW)
 
 
-def trial_to_document(t: TrialReport) -> dict:
-    doc = {
-        "index": t.index,
-        "seed": t.seed,
-        "status": t.status,
-        "reason": t.reason,
-        "census": _census_json(t.census),
-        "census_prime": _census_json(t.census_prime),
-    }
+def _trial_text(t: TrialReport, memo: dict) -> str:
+    """The trial as json_text writes it inside the report: its present fields in sorted
+    key order, census rows from memo (see _census_text). A key's closing quote sorts
+    below every character of a key, so the fields' texts sort as their keys do."""
+    fields = ['"census": ' + _census_text(t.census, memo),
+              '"census_prime": ' + _census_text(t.census_prime, memo),
+              '"index": ' + _int_json(t.index),
+              '"reason": ' + ("null" if t.reason is None else encode_basestring_ascii(t.reason)),
+              '"seed": ' + _int_json(t.seed),
+              '"status": ' + encode_basestring_ascii(t.status)]
     if t.alpha is not None:
-        doc["alpha"] = t.alpha
+        fields.append('"alpha": ' + _int_json(t.alpha))
     if t.kappa is not None:
-        doc["kappa"] = t.kappa
+        fields.append('"kappa": ' + _int_json(t.kappa))
     if t.lam is not None:
-        doc.update(lam=t.lam, lam_prime=t.lam_prime, a=t.a, a_prime=t.a_prime,
-                   margin=_margin_json(t.margin), margin_cap=t.margin_cap)
+        fields += ['"lam": ' + _int_json(t.lam), '"lam_prime": ' + _int_json(t.lam_prime),
+                   '"a": ' + _int_json(t.a), '"a_prime": ' + _int_json(t.a_prime),
+                   '"margin": ' + _json(_margin_json(t.margin), _FIELD),
+                   '"margin_cap": ' + _int_json(t.margin_cap)]
     if t.constancy_bound is not None:
-        doc["constancy_bound"] = slope_to_string(t.constancy_bound)
-        doc["mismatched_slopes"] = _slope_triples_json(t.mismatched_slopes)
-        doc["informational_slopes"] = _slope_triples_json(t.informational_slopes)
+        bound = encode_basestring_ascii(slope_to_string(t.constancy_bound))
+        fields += ['"constancy_bound": ' + bound,
+                   '"mismatched_slopes": ' + _triples_text(t.mismatched_slopes),
+                   '"informational_slopes": ' + _triples_text(t.informational_slopes)]
     if t.pair is not None:
-        doc["matrices"] = {name: [list(r) for r in getattr(t.pair, name).rows]
-                           for name in ("xi", "xi_prime", "psi", "psi_prime")}
-    return doc
+        fields.append('"matrices": ' + _json(
+            {name: getattr(t.pair, name).rows for name in ("xi", "xi_prime", "psi", "psi_prime")},
+            _FIELD))
+    fields.sort()
+    return "{" + _FIELD + ("," + _FIELD).join(fields) + _TRIAL + "}"
 
 
-def report_to_document(report: ExperimentReport) -> dict:
+def report_to_json(report: ExperimentReport) -> str:
+    """The report as json_text would write its document, plus a newline. The header goes
+    through json_text; "trials", its last key in sorted order, is written by _trial_text
+    after it, with one census memo for the whole call."""
     plan = report.plan
     cfg = plan.config
-    return {
+    header = json_text({
         "mode": report.mode,
         "config": {**{k: getattr(cfg, k) for k in _CONFIG_FIELDS}, "profile": cfg.profile_doc},
         "resolved": {
@@ -689,9 +719,7 @@ def report_to_document(report: ExperimentReport) -> dict:
             "violations": len(report.violations),
             "min_margin": _margin_json(report.min_margin()),
         },
-        "trials": [trial_to_document(t) for t in report.trials],
-    }
-
-
-def report_to_json(report: ExperimentReport) -> str:
-    return json_text(report_to_document(report))
+    })
+    memo = {}
+    trials = _list_text([_trial_text(t, memo) for t in report.trials], _TRIAL)
+    return header[:-len("\n}\n")] + ',\n  "trials": ' + trials + "\n}\n"

@@ -458,6 +458,14 @@ def json_text(doc) -> str:
     return _json(doc, "\n") + "\n"
 
 
+def _int_json(x: int) -> str:
+    """x as JSON: int.__repr__, or past the int-to-str limit a decimal string."""
+    try:
+        return int.__repr__(x)
+    except ValueError:  # Decimal converts it exactly
+        return '"' + str(Decimal(x)) + '"'
+
+
 def _json(x, pad: str) -> str:
     # json's own dispatch order; each container returns its text, written in one pass
     if isinstance(x, str):
@@ -469,10 +477,7 @@ def _json(x, pad: str) -> str:
     if x is False:
         return "false"
     if isinstance(x, int):
-        try:
-            return int.__repr__(x)
-        except ValueError:  # past the int-to-str limit; Decimal converts it exactly
-            return '"' + str(Decimal(x)) + '"'
+        return _int_json(x)
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"

@@ -32,6 +32,13 @@ class CharPoly:
             raise ValueError("leading coefficient must be nonzero")
         object.__setattr__(self, "coeffs", c)
 
+    @classmethod
+    def _of(cls, coeffs: tuple) -> "CharPoly":
+        """Wraps coeffs, a tuple of ints with c_0 != 0, without __post_init__."""
+        cp = object.__new__(cls)
+        object.__setattr__(cp, "coeffs", coeffs)
+        return cp
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -85,7 +92,7 @@ def char_poly(A: IntMatrix) -> CharPoly:
     """
     rows = A.rows
     r = len(rows)
-    return CharPoly(_berkowitz(r)(rows) if r <= KERNEL_MAX_RANK else _berkowitz_loop(rows))
+    return CharPoly._of(_berkowitz(r)(rows) if r <= KERNEL_MAX_RANK else _berkowitz_loop(rows))
 
 
 @lru_cache(maxsize=KERNEL_MAX_RANK)

@@ -13,15 +13,18 @@ from the whole of V^-1 (where eigenvector_mod replays one column of it).
 c at a level is min(n', min_i T(i)/i) over Fractions from the exponents
 clipped at n', and the largest passing kappa is found by trying every kappa
 against the proposition's hypotheses, where resolve_kappa scans the levels
-n' once.
+n' once. The reference report writer builds the whole report as a document,
+one dict per trial, for json.dumps to write.
 """
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
 from padicslopes.lattice import IntMatrix, smith_normal_form
+from padicslopes.padics import INFINITY
 
 
 def det_fraction(A: IntMatrix) -> Fraction:
@@ -248,3 +251,86 @@ def kernel_mod(A: IntMatrix, p: int, N: int) -> list:
         inv = pow(unit, -1, pN)
         out.append(KernelGenerator(vector=tuple(x * inv % pN for x in col), order=order))
     return out
+
+
+# --- the reference report writer ---------------------------------------------------
+
+def _slope_json(slope) -> str:
+    return "inf" if slope is INFINITY else f"{slope.numerator}/{slope.denominator}"
+
+
+def _margin_json(margin):
+    if margin is None:
+        return None
+    if margin is INFINITY:
+        return "inf"
+    return margin
+
+
+def _census_json(census):
+    if census is None:
+        return None
+    return [[_slope_json(seg.slope), seg.length] for seg in census]
+
+
+def _slope_triples_json(triples):
+    if triples is None:
+        return None
+    return [[_slope_json(s), m, mp] for s, m, mp in triples]
+
+
+def trial_document(t) -> dict:
+    """One TrialReport as the report's document holds it."""
+    doc = {
+        "index": t.index,
+        "seed": t.seed,
+        "status": t.status,
+        "reason": t.reason,
+        "census": _census_json(t.census),
+        "census_prime": _census_json(t.census_prime),
+    }
+    if t.alpha is not None:
+        doc["alpha"] = t.alpha
+    if t.kappa is not None:
+        doc["kappa"] = t.kappa
+    if t.lam is not None:
+        doc.update(lam=t.lam, lam_prime=t.lam_prime, a=t.a, a_prime=t.a_prime,
+                   margin=_margin_json(t.margin), margin_cap=t.margin_cap)
+    if t.constancy_bound is not None:
+        doc["constancy_bound"] = _slope_json(t.constancy_bound)
+        doc["mismatched_slopes"] = _slope_triples_json(t.mismatched_slopes)
+        doc["informational_slopes"] = _slope_triples_json(t.informational_slopes)
+    if t.pair is not None:
+        doc["matrices"] = {name: [list(r) for r in getattr(t.pair, name).rows]
+                           for name in ("xi", "xi_prime", "psi", "psi_prime")}
+    return doc
+
+
+def report_document(report) -> dict:
+    """An ExperimentReport as one document: config as given, the plan's resolutions,
+    the summary counts and every trial's document."""
+    plan = report.plan
+    cfg = plan.config
+    config_fields = [f.name for f in fields(cfg) if f.name != "profile_doc"]
+    return {
+        "mode": report.mode,
+        "config": {**{k: getattr(cfg, k) for k in config_fields}, "profile": cfg.profile_doc},
+        "resolved": {
+            "kappa": plan.kappa,
+            "hypotheses_pass": plan.hypotheses_pass,
+            "precision": plan.precision,
+            "profile_rank": cfg.profile.r,
+            "profile_level": cfg.profile.n,
+        },
+        "summary": {
+            "trials": cfg.trials,
+            "accepted": sum(t.status == "ACCEPTED" for t in report.trials),
+            "rejected": dict(sorted(Counter(
+                t.reason for t in report.trials if t.status == "REJECTED").items())),
+            "violations": sum(t.status == "VIOLATION" for t in report.trials),
+            "min_margin": _margin_json(min((t.margin for t in report.trials
+                                            if t.status == "ACCEPTED" and t.margin is not None),
+                                           default=None)),
+        },
+        "trials": [trial_document(t) for t in report.trials],
+    }

@@ -293,6 +293,35 @@ def test_c_exact_at_every_level_equals_the_oracle():
         c_exact(DivisorProfile(n=3, a=(3, 1)), 4)
 
 
+def argmin_by_brute_force(profile, nprime: int) -> int:
+    """The least i with T(i)/i least, every T(i)/i a Fraction of the clipped exponents."""
+    M = (nprime + 1) // 2
+    clipped = [min(a, nprime) for a in profile.a]
+    ratios = [Fraction(M + sum(nprime - a for a in clipped[:i - 1]), i)
+              for i in range(1, len(clipped) + 1)]
+    return ratios.index(min(ratios)) + 1
+
+
+def test_c_exact_reads_only_the_ends_of_each_run():
+    rng = random.Random(20261019)
+    profiles = [hilbert_profile(d, h, n) for d, h, top in ((1, 1, 12), (1, 3, 8), (2, 1, 8),
+                                                          (2, 2, 5), (3, 1, 5))
+                for n in range(1, top + 1)]
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        profiles.append(DivisorProfile(n=n, a=tuple(sorted(
+            (rng.randint(0, n) for _ in range(rng.randint(1, 24))), reverse=True))))
+    argmins = set()
+    for prof in profiles:
+        for nprime in range(1, prof.n + 1):
+            c = c_exact(prof, nprime)
+            assert (c.value, c.argmin) == (c_at_level(prof, nprime),
+                                           argmin_by_brute_force(prof, nprime)), (prof, nprime)
+            argmins.add(c.argmin)
+    # the minimum is not always at index 1, nor always at the end of a profile
+    assert len(argmins) > 10
+
+
 def test_resolve_kappa_scans_each_level_at_most_once(monkeypatch):
     levels = []
     real = bounds.c_exact

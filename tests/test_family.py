@@ -15,6 +15,7 @@ from padicslopes.family import (
     VIOLATION,
     ConfigError,
     ConjugatedDiagonal,
+    ExperimentReport,
     InstancePair,
     PolynomialOperator,
     _assert_pair_invariants,
@@ -32,11 +33,9 @@ from padicslopes.family import (
     prepare_plan,
     random_unimodular,
     read_config,
-    report_to_document,
     report_to_json,
     run_experiment,
     run_proposition_trial,
-    trial_to_document,
 )
 from padicslopes.bounds import c_exact
 from padicslopes.lattice import (
@@ -48,7 +47,7 @@ from padicslopes.rng import _BATCH, _WORD_STEP, SplitMix64, _mix, trial_seed
 
 from oracles import (
     det_fraction, diagonal, horner_mod, mat_add_naive, multiplicity_differences_by_dict,
-    poly_apply_naive, same_quotient_action,
+    poly_apply_naive, report_document, same_quotient_action, trial_document,
 )
 from test_report_digests import SHARP_SLACK_ZERO, VARIANTS
 
@@ -637,16 +636,23 @@ def lazy_pair(xi, xi_prime, coeffs, profile):
                         profile=profile)
 
 
-def assert_report_forms_psi(report, coeffs, digest):
+def assert_report_forms_psi(plan, report, coeffs, digest):
     """The VIOLATION report embeds q(xi), q(xi'), and its bytes are those of the
     same trial with psi and psi' formed up front (pinned before psi became lazy)."""
     pair = report.pair
-    doc = trial_to_document(report)
+    doc = trial_document(report)
     for name, xi in (("psi", pair.xi), ("psi_prime", pair.xi_prime)):
         assert doc["matrices"][name] == [list(r) for r in poly_of_matrix(coeffs, xi).rows]
     text = json_text(doc)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digest
+    assert_the_writer_forms_them_too(plan, report)
     return text
+
+
+def assert_the_writer_forms_them_too(plan, trial):
+    report = ExperimentReport(mode=plan.mode, plan=plan, trials=(trial,))
+    assert report_to_json(report) == json.dumps(report_document(report), indent=2,
+                                                sort_keys=True) + "\n"
 
 
 def test_polynomial_psi_violation_report_forms_the_matrices():
@@ -668,10 +674,10 @@ def test_polynomial_psi_violation_report_forms_the_matrices():
             break
     else:
         raise AssertionError("expected a violation from unrelated operators")
-    text = assert_report_forms_psi(report, coeffs, PROP_VIOLATION_DIGEST)
+    text = assert_report_forms_psi(plan, report, coeffs, PROP_VIOLATION_DIGEST)
     formed = replace(pair, psi=poly_of_matrix(coeffs, xi),
                      psi_prime=poly_of_matrix(coeffs, xi_prime))
-    assert json_text(trial_to_document(_evaluate_proposition_pair(plan, formed, 0, 0))) == text
+    assert json_text(trial_document(_evaluate_proposition_pair(plan, formed, 0, 0))) == text
 
 
 def test_polynomial_psi_constancy_violation_report_forms_the_matrices():
@@ -685,7 +691,7 @@ def test_polynomial_psi_constancy_violation_report_forms_the_matrices():
     xi_prime = U * diagonal([2, 6]) * Ui
     report = _evaluate_constancy_pair(plan, lazy_pair(xi, xi_prime, coeffs, cfg.profile), 0, 0)
     assert report.status == VIOLATION
-    assert_report_forms_psi(report, coeffs, CONSTANCY_VIOLATION_DIGEST)
+    assert_report_forms_psi(plan, report, coeffs, CONSTANCY_VIOLATION_DIGEST)
 
 
 def test_planted_violation_report_forms_the_matrices():
@@ -714,15 +720,16 @@ def test_planted_violation_report_forms_the_matrices():
     else:
         raise AssertionError("expected a violation from unrelated operators")
     formed = [U * diagonal(d) * Ui for d in diagonals]
-    doc = trial_to_document(report)
+    doc = trial_document(report)
     assert doc["matrices"]["psi"] == [list(r) for r in formed[0].rows]
     assert doc["matrices"]["psi_prime"] == [list(r) for r in formed[1].rows]
     text = json_text(doc)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == PLANTED_VIOLATION_DIGEST
+    assert_the_writer_forms_them_too(plan, report)
     formed_pair = replace(pair, psi=formed[0], psi_prime=formed[1])
-    assert json_text(trial_to_document(_evaluate_proposition_pair(plan, formed_pair, 0, 0))) == text
+    assert json_text(trial_document(_evaluate_proposition_pair(plan, formed_pair, 0, 0))) == text
     # the pool sends a VIOLATION report back pickled
-    assert json_text(trial_to_document(pickle.loads(pickle.dumps(report)))) == text
+    assert json_text(trial_document(pickle.loads(pickle.dumps(report)))) == text
 
 
 def test_planted_extraction_matches_diagonal():
@@ -1006,7 +1013,7 @@ def test_reports_are_byte_identical():
 
 def test_report_document_shape():
     cfg = config_from_document(base_doc(trials=4))
-    doc = report_to_document(run_experiment(cfg, mode="prop"))
+    doc = report_document(run_experiment(cfg, mode="prop"))
     assert set(doc) == {"mode", "config", "resolved", "summary", "trials"}
     assert doc["summary"]["trials"] == 4
     assert doc["config"]["profile"] == base_doc()["profile"]
