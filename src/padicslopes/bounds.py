@@ -66,10 +66,13 @@ def c_exact(profile: DivisorProfile, nprime: int | None = None) -> CBound:
     best_den = best_i = first = 1
     for a, count in profile.sigma_counts():
         b = n - min(a, n)
-        for i, ti in ((first, t), (first + count - 1, t + (count - 1) * b)):
-            if ti * best_den < best_num * i:
-                best_num, best_den, best_i = ti, i, i
-        t, first = t + count * b, first + count
+        last = first + count - 1
+        if t * best_den < best_num * first:
+            best_num, best_den, best_i = t, first, first
+        t += count * b  # T(last + 1), so T(last) = t - b
+        if (t - b) * best_den < best_num * last:
+            best_num, best_den, best_i = t - b, last, last
+        first = last + 1
     return CBound(value=Fraction(best_num, best_den), argmin=best_i)
 
 

@@ -1013,10 +1013,9 @@ def test_reports_are_byte_identical():
 
 def test_report_document_shape():
     cfg = config_from_document(base_doc(trials=4))
-    doc = report_document(run_experiment(cfg, mode="prop"))
+    doc = json.loads(report_to_json(run_experiment(cfg, mode="prop")))
     assert set(doc) == {"mode", "config", "resolved", "summary", "trials"}
     assert doc["summary"]["trials"] == 4
     assert doc["config"]["profile"] == base_doc()["profile"]
     statuses = {t["status"] for t in doc["trials"]}
     assert statuses <= {"ACCEPTED", "REJECTED", "VIOLATION"}
-    json.dumps(doc)  # serializable

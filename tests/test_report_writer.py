@@ -47,6 +47,7 @@ def report_of(plan, trials):
     return ExperimentReport(mode=plan.mode, plan=plan, trials=tuple(trials))
 
 
+# the shipped configs run both generators
 @pytest.mark.parametrize("name,mode", [(name, mode) for name, mode, _ in PINNED])
 def test_shipped_configs(name, mode):
     report = run_experiment(read_config(CONFIG_DIR / name), mode=mode)
@@ -61,41 +62,35 @@ def test_variant_configs(mode, doc):
     assert assert_writes_the_reference(unshared(report)) == assert_writes_the_reference(report)
 
 
-def test_both_generators_are_written():
-    generators = {read_config(CONFIG_DIR / name).generator for name, _, _ in PINNED}
-    assert generators == {"POLYNOMIAL_PSI", "PLANTED"}
-
-
-# (mode, config) of a run whose REJECTED trials all have the reason the key starts with;
+# (reason, mode, config): runs whose REJECTED trials all have that reason and no census;
 # the prop no-instance run also has one ACCEPTED trial, whose a and a' agree exactly
-REJECTING = {
-    "hypotheses": ("prop", {"p": 2, "profile": {"kind": "explicit", "n": 4, "a": [4]},
+REJECTING = [
+    ("hypotheses", "prop", {"p": 2, "profile": {"kind": "explicit", "n": 4, "a": [4]},
                             "alpha": 1, "trials": 10, "master_seed": 19,
                             "generator": "PLANTED"}),
-    "no-instance": ("prop", {"p": 3, "profile": {"kind": "explicit", "n": 4, "a": [4, 2, 0]},
+    ("no-instance", "prop", {"p": 3, "profile": {"kind": "explicit", "n": 4, "a": [4, 2, 0]},
                              "alpha": 0, "trials": 20, "master_seed": 5,
                              "generator": "PLANTED", "max_attempts": 1}),
-    "no-instance-constancy": ("constancy", {"p": 3, "nprime": 2,
-                                            "profile": {"kind": "explicit", "n": 4,
-                                                        "a": [4, 2, 0]},
-                                            "alpha": 0, "trials": 20, "master_seed": 5,
-                                            "generator": "PLANTED", "max_attempts": 1}),
-}
+    ("no-instance", "constancy", {"p": 3, "nprime": 2,
+                                  "profile": {"kind": "explicit", "n": 4, "a": [4, 2, 0]},
+                                  "alpha": 0, "trials": 20, "master_seed": 5,
+                                  "generator": "PLANTED", "max_attempts": 1}),
+]
 
 
-@pytest.mark.parametrize("case", sorted(REJECTING))
-def test_rejections_without_a_census(case):
-    mode, doc = REJECTING[case]
+@pytest.mark.parametrize("reason,mode,doc", REJECTING,
+                         ids=[f"{reason}-{mode}" for reason, mode, _ in REJECTING])
+def test_rejections_without_a_census(reason, mode, doc):
     report = run_experiment(config_from_document(doc), mode=mode)
-    reason = case.split("-constancy")[0]
-    assert {t.reason for t in report.trials if t.status == REJECTED} == {reason}
-    assert all(t.census is None for t in report.trials if t.status == REJECTED)
+    rejected = [t for t in report.trials if t.status == REJECTED]
+    assert {t.reason for t in rejected} == {reason}
+    assert all(t.census is None for t in rejected)
     assert_writes_the_reference(report)
     assert_writes_the_reference(unshared(report))
 
 
 def test_infinity_margin():
-    mode, doc = REJECTING["no-instance"]
+    _, mode, doc = REJECTING[1]
     report = run_experiment(config_from_document(doc), mode=mode)
     assert [t.margin for t in report.trials if t.status == ACCEPTED] == [INFINITY]
     assert '"margin": "inf"' in assert_writes_the_reference(report)
