@@ -59,12 +59,17 @@ def c_exact(profile: DivisorProfile, nprime: int | None = None) -> CBound:
     n = profile.n if nprime is None else nprime
     if not 1 <= n <= profile.n:
         raise ValueError(f"nprime must satisfy 1 <= nprime <= {profile.n}, got {n}")
+    return _c_of_runs(profile.sigma_counts(), n)
+
+
+def _c_of_runs(runs, n: int) -> CBound:
+    """c_exact at the level n from the profile's runs, its (exponent, count) pairs."""
     # running minimum of T(i)/i by integer cross-multiplication. Along a run of equal
     # exponents T(i) is linear in i, so T(i)/i is monotone: only the run's first and last
     # index can be the minimum, and comparing them in index order keeps the earliest
     t = best_num = (n + 1) // 2  # t = T(first) = M + b_1 + ... + b_{first-1}
     best_den = best_i = first = 1
-    for a, count in profile.sigma_counts():
+    for a, count in runs:
         b = n - min(a, n)
         last = first + count - 1
         if t * best_den < best_num * first:
@@ -77,8 +82,10 @@ def c_exact(profile: DivisorProfile, nprime: int | None = None) -> CBound:
 
 
 def level_bounds(profile: DivisorProfile):
-    """c(L/(K + p^{n'} L)) at n' = n, n - 1, ..., 1, each computed when read."""
-    return (c_exact(profile, nprime) for nprime in range(profile.n, 0, -1))
+    """c(L/(K + p^{n'} L)) at n' = n, n - 1, ..., 1, each computed when read, all from
+    one run-length encoding of the exponents."""
+    runs = profile.sigma_counts()
+    return (_c_of_runs(runs, nprime) for nprime in range(profile.n, 0, -1))
 
 
 def hilbert_profile(d: int, h: int, n: int, max_rank: int | None = None) -> DivisorProfile:

@@ -14,7 +14,7 @@ and may run in parallel without changing the output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -23,8 +23,8 @@ from operator import add, mul
 
 from .bounds import c_exact, resolve_kappa, hilbert_profile
 from .lattice import (
-    DivisorProfile, IntMatrix, _add_col, _add_row, _column_scales, _swap_cols, _swap_rows,
-    _int_json, _json, check_xi_condition, json_text,
+    DivisorProfile, IntMatrix, _add_row, _column_scales, _int_json, _json, _rows, _swap_rows,
+    _transposed, check_xi_condition, json_text,
 )
 from .newton import (
     ConsistencyError,
@@ -39,7 +39,7 @@ from .newton import (
     slope_to_string,
 )
 from .padics import _MR_DETERMINISTIC_BOUND, INFINITY, is_prime, padic_valuation
-from .rng import SplitMix64, trial_seed
+from .rng import SplitMix64, _span_limit, trial_seed
 
 POLYNOMIAL_PSI = "POLYNOMIAL_PSI"
 PLANTED = "PLANTED"
@@ -171,27 +171,46 @@ def read_config(path) -> ExperimentConfig:
 # --- generators ----------------------------------------------------------------
 
 def random_unimodular(r: int, rng: SplitMix64) -> tuple:
-    """(U, U^{-1}) built from 2r random shears and swaps; det is +-1 by construction."""
+    """(U, U^{-1}) built from 2r random shears and swaps; det is +-1 by construction.
+
+    Each shear reads the words of three randint calls, row i in [0, r - 1], row j
+    in [0, r - 2] (j >= i moves up one) and q in [-2, 2], in one pass over the
+    stream. U^{-1} is built as its transpose, so its column operations are row
+    operations, and transposed once at the end.
+    """
     if r == 1:
         s = rng.choice((1, -1))
         m = IntMatrix._of(((s,),))
         return m, m
-    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    Ui = [row[:] for row in U]
+    words = rng._words
+    draws = []
     for _ in range(2 * r):
-        i = rng.randint(0, r - 1)
-        j = rng.randint(0, r - 2)
+        for lo, span, limit in _shear_ranges(r):
+            for z in words:
+                if z < limit:  # a word at or above the limit is skipped, as randint skips it
+                    draws.append(lo + z % span)
+                    break
+    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    Uit = [row[:] for row in U]
+    it = iter(draws)
+    for i, j, q in zip(it, it, it):
         if j >= i:
             j += 1
-        q = rng.randint(-2, 2)
         if q == 0:
             _swap_rows(U, i, j)
-            _swap_cols(Ui, i, j)
+            _swap_rows(Uit, i, j)
         else:
-            # U <- E U with E = I + q e_i e_j^T; Ui <- Ui E^{-1}
+            # U <- E U with E = I + q e_i e_j^T; U^-1 <- U^-1 E^-1, so its transpose
+            # takes row_j -= q row_i
             _add_row(U, i, j, q)
-            _add_col(Ui, j, i, -q)
-    return IntMatrix._of(tuple(map(tuple, U))), IntMatrix._of(tuple(map(tuple, Ui)))
+            _add_row(Uit, j, i, -q)
+    return _rows(U), _transposed(Uit)
+
+
+@lru_cache(maxsize=32)
+def _shear_ranges(r: int) -> tuple:
+    """(lo, span, limit) of the three randint ranges a shear of random_unimodular reads."""
+    return tuple((lo, *_span_limit(lo, hi)) for lo, hi in ((0, r - 1), (0, r - 2), (-2, 2)))
 
 
 def gen_xi(profile: DivisorProfile, p: int, entry_bound: int, rng: SplitMix64) -> IntMatrix:
@@ -469,10 +488,11 @@ def _evaluate_proposition_pair(plan: ExperimentPlan, pair: InstancePair,
     cp = char_poly(pair.xi)
     cp_prime = char_poly(pair.xi_prime)
     poly, poly_prime = newton_polygon(cp, cfg.p), newton_polygon(cp_prime, cfg.p)
-    base = TrialReport(index=index, seed=seed, status=REJECTED, alpha=cfg.alpha, kappa=kappa,
-                       census=poly.segments, census_prime=poly_prime.segments)
+    # the fields every outcome shares; each TrialReport is built once from them
+    shared = dict(index=index, seed=seed, alpha=cfg.alpha, kappa=kappa,
+                  census=poly.segments, census_prime=poly_prime.segments)
     if slope_multiplicity(poly, cfg.alpha) != 1 or slope_multiplicity(poly_prime, cfg.alpha) != 1:
-        return replace(base, reason="not-simple")
+        return TrialReport(status=REJECTED, reason="not-simple", **shared)
 
     try:
         root = hensel_slope_root(cp, poly, cfg.p, cfg.alpha, N)
@@ -480,20 +500,18 @@ def _evaluate_proposition_pair(plan: ExperimentPlan, pair: InstancePair,
         cap = min(N - root.derivative_valuation - cfg.alpha,
                   N - root_prime.derivative_valuation - cfg.alpha)
         if cap < kappa:
-            return replace(base, reason="precision")
+            return TrialReport(status=REJECTED, reason="precision", **shared)
         vec = eigenvector_mod(pair.xi, root.value, cfg.p, N)
         vec_prime = eigenvector_mod(pair.xi_prime, root_prime.value, cfg.p, N)
         a = commuting_eigenvalue(pair.psi, vec, cfg.p, cap)
         a_prime = commuting_eigenvalue(pair.psi_prime, vec_prime, cfg.p, cap)
     except (HenselError, EigenvectorError, ConsistencyError):
-        return replace(base, reason="precision")
+        return TrialReport(status=REJECTED, reason="precision", **shared)
 
     margin = padic_valuation(a - a_prime, cfg.p)
     violated = margin is not INFINITY and margin < kappa
-    return replace(
-        base,
+    return TrialReport(
         status=VIOLATION if violated else ACCEPTED,
-        reason=None,
         lam=root.value,
         lam_prime=root_prime.value,
         a=a,
@@ -501,6 +519,7 @@ def _evaluate_proposition_pair(plan: ExperimentPlan, pair: InstancePair,
         margin=margin,
         margin_cap=cap,
         pair=pair if violated else None,
+        **shared,
     )
 
 

@@ -22,13 +22,62 @@ from operator import index, itemgetter, mod, mul, sub
 from .padics import _require_prime, padic_valuation
 
 
+# the largest rank the shipped trials reach (prop_default's max_rank). Up to it, char_poly
+# and IntMatrix's * and apply run code generated from the rank alone, compiled on the first
+# call at each rank (once per rank in each pool worker), never at import; above it they
+# run loops, which need no compile and whose memory stays bounded for large input.
+KERNEL_MAX_RANK = 8
+
+
+def _entries(m: str, r: int) -> tuple:
+    """(names, line): the locals {m}{i}_{j} of an r x r matrix's entries, row by row, and
+    the source line that unpacks the rows of the argument m into them."""
+    names = [[f"{m}{i}_{j}" for j in range(r)] for i in range(r)]
+    return names, "    [" + ", ".join("[" + ", ".join(row) + "]" for row in names) + "] = " + m
+
+
+def _kernel(name: str, r: int, params: str, lines) -> object:
+    """The function def {name}({params}) with body lines, compiled as <{name} rank {r}>."""
+    namespace = {}
+    source = "\n".join([f"def {name}({params}):", *lines])
+    exec(compile(source, f"<{name} rank {r}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _dot(xs, ys) -> str:
+    """Source of the sum of the products of the paired names."""
+    return " + ".join(f"{x}*{y}" for x, y in zip(xs, ys))
+
+
+@lru_cache(maxsize=KERNEL_MAX_RANK)
+def _product(r: int):
+    """IntMatrix * at rank r, from rows a and b to rows: each entry one sum of products."""
+    a, unpack_a = _entries("a", r)
+    b, unpack_b = _entries("b", r)
+    cols = list(zip(*b))
+    rows = ", ".join("(" + "".join(_dot(row, col) + ", " for col in cols) + ")" for row in a)
+    return _kernel("product", r, "a, b", [unpack_a, unpack_b, f"    return ({rows},)"])
+
+
+@lru_cache(maxsize=KERNEL_MAX_RANK)
+def _apply(r: int):
+    """IntMatrix.apply at rank r, from rows a and a vector v to a tuple."""
+    a, unpack_a = _entries("a", r)
+    v = [f"v{j}" for j in range(r)]
+    entries = "".join(_dot(row, v) + ", " for row in a)
+    return _kernel("apply", r, "a, v",
+                   [unpack_a, f"    [{', '.join(v)}] = v", f"    return ({entries})"])
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Square matrix of exact integers, stored row-major as a tuple of tuples.
 
     IntMatrix(rows) takes entries through operator.index (a float or a string
     raises TypeError) and checks the shape; arithmetic builds its results by _of.
-    A product entry is sum(map(mul, row, col)), columns transposed once.
+    Up to rank KERNEL_MAX_RANK, * and apply run the straight-line code of
+    _product(r) and _apply(r); above it a product entry is sum(map(mul, row, col)),
+    columns transposed once.
     """
 
     rows: tuple
@@ -70,6 +119,9 @@ class IntMatrix:
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_dim(other)
+        r = len(self.rows)
+        if r <= KERNEL_MAX_RANK:
+            return IntMatrix._of(_product(r)(self.rows, other.rows))
         cols = tuple(zip(*other.rows))
         return IntMatrix._of(tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.rows]))
 
@@ -84,8 +136,11 @@ class IntMatrix:
 
     def apply(self, vec) -> tuple:
         """Matrix-vector product."""
-        if len(vec) != self.r:
+        r = len(self.rows)
+        if len(vec) != r:
             raise ValueError("vector length mismatch")
+        if r <= KERNEL_MAX_RANK:
+            return _apply(r)(self.rows, vec)
         return tuple([sum(map(mul, row, vec)) for row in self.rows])
 
     def _check_dim(self, other: "IntMatrix") -> None:
@@ -204,12 +259,6 @@ def _swap_cols(m, j, l):
 def _add_row(m, k, i, q):
     """row_k += q * row_i"""
     m[k] = [x + q * y for x, y in zip(m[k], m[i])]
-
-
-def _add_col(m, l, j, q):
-    """col_l += q * col_j"""
-    for row in m:
-        row[l] += q * row[j]
 
 
 # Logged elementary operations on lines (the rows of a matrix, or the columns for

@@ -12,9 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import index, mul
 
-from .lattice import IntMatrix, _unit_inverse, smith_normal_form
+from .lattice import (
+    KERNEL_MAX_RANK, IntMatrix, _dot, _entries, _kernel, _unit_inverse, smith_normal_form,
+)
 from .padics import INFINITY, _require_prime, as_slope, padic_valuation
 
 
@@ -68,10 +71,6 @@ class NewtonPolygon:
     segments: tuple
 
 
-# the largest rank the shipped trials reach (prop_default's max_rank); see char_poly
-KERNEL_MAX_RANK = 8
-
-
 def char_poly(A: IntMatrix) -> CharPoly:
     """Characteristic polynomial det(X I - A) by Berkowitz's division-free algorithm.
 
@@ -81,9 +80,10 @@ def char_poly(A: IntMatrix) -> CharPoly:
     (1, -a_kk, -R S, -R A_k S, ..., -R A_k^{k-1} S). Only products and sums
     occur, so the result is exact and reproducible.
 
-    Up to rank KERNEL_MAX_RANK the steps run as the straight-line code of
-    _berkowitz(r), compiled on the first call at each rank (so once per rank
-    in each pool worker, at most about 3 ms), never at import. The cap is the
+    Up to rank KERNEL_MAX_RANK, the cap IntMatrix's kernels share (see lattice),
+    the steps run as the straight-line code of _berkowitz(r), compiled on the
+    first call at each rank (so once per rank in each pool worker, at most
+    about 3 ms), never at import. The cap is the
     largest rank the shipped trials reach, where the compile is repaid over
     many calls; a one-shot call, such as `polygon --input`, pays it once.
     Above the cap _berkowitz_loop runs the steps: no trial reaches those
@@ -102,23 +102,17 @@ def _berkowitz(r: int):
     dot R v and each Toeplitz coefficient written out as a sum of products. The
     loop over Krylov powers stays a loop, so the source grows as r^3. The source
     depends on r alone; c0 and the Toeplitz column's first entry are both 1."""
-    a = [[f"a{i}_{j}" for j in range(r)] for i in range(r)]
-
-    def dot(xs, ys):
-        return " + ".join(f"{x}*{y}" for x, y in zip(xs, ys))
-
-    lines = ["def berkowitz(rows):",
-             "    [" + ", ".join("[" + ", ".join(row) + "]" for row in a) + "] = rows",
-             f"    c1 = -{a[0][0]}"]
+    a, unpack = _entries("a", r)
+    lines = [unpack, f"    c1 = -{a[0][0]}"]
     for k in range(1, r):
         R, S = a[k][:k], [a[i][k] for i in range(k)]
-        lines += [f"    t1 = -{a[k][k]}", f"    t2 = -({dot(R, S)})"]
+        lines += [f"    t1 = -{a[k][k]}", f"    t2 = -({_dot(R, S)})"]
         if k > 1:
             v = [f"v{i}" for i in range(k)]
             lines += [f"    {', '.join(v)}, = {', '.join(S)},", "    w = []",
                       f"    for _ in range({k - 1}):",
-                      f"        {', '.join(v)}, = {', '.join(f'({dot(row[:k], v)})' for row in a[:k])},",
-                      f"        w.append(-({dot(R, v)}))",
+                      f"        {', '.join(v)}, = {', '.join(f'({_dot(row[:k], v)})' for row in a[:k])},",
+                      f"        w.append(-({_dot(R, v)}))",
                       f"    [{', '.join(f't{i}' for i in range(3, k + 2))}] = w"]
         # coefficient i of the product is sum_j c_j t_{i-j}, with c0 = t0 = 1
         new = [" + ".join([f"t{i}"] + [f"c{j}*t{i - j}" if j < i else f"c{j}"
@@ -126,9 +120,7 @@ def _berkowitz(r: int):
                for i in range(1, k + 2)]
         lines.append(f"    {', '.join(f'c{i}' for i in range(1, k + 2))}, = {', '.join(new)},")
     lines.append(f"    return (1, {', '.join(f'c{i}' for i in range(1, r + 1))})")
-    namespace = {}
-    exec(compile("\n".join(lines), f"<berkowitz rank {r}>", "exec"), namespace)
-    return namespace["berkowitz"]
+    return _kernel("berkowitz", r, "a", lines)
 
 
 def _berkowitz_loop(rows) -> tuple:
@@ -148,16 +140,25 @@ def _berkowitz_loop(rows) -> tuple:
 
 
 def newton_polygon(cp: CharPoly, p: int) -> NewtonPolygon:
-    """Lower convex hull of the points (i, v_p(c_i)), skipping zero coefficients."""
+    """Lower convex hull of the points (i, v_p(c_i)), skipping zero coefficients.
+
+    v_p(c) is read off gcd(c, p^64), which is p^v(c) below 64; only at or past
+    64 does it divide p out one factor at a time.
+    """
     _require_prime(p)
     t = cp.degree
+    exponents, top = _powers(p)
     points = []
     for i, c in enumerate(cp.coeffs):
         if c:
-            v = 0
-            while c % p == 0:
-                c //= p
-                v += 1
+            g = gcd(c, top)
+            if g == top:
+                v = 0
+                while c % p == 0:
+                    c //= p
+                    v += 1
+            else:
+                v = exponents[g]
             points.append((i, v))
     hull = [points[0]]
     for pt in points[1:]:
@@ -174,6 +175,12 @@ def newton_polygon(cp: CharPoly, p: int) -> NewtonPolygon:
     if i_last < t:
         segments.append(_segment(INFINITY, t - i_last))
     return NewtonPolygon(vertices=tuple(hull), segments=tuple(segments))
+
+
+@lru_cache(maxsize=32)
+def _powers(p: int) -> tuple:
+    """({p^k: k for k < 64}, p^64), kept per p."""
+    return {p ** k: k for k in range(64)}, p ** 64
 
 
 @lru_cache(maxsize=1024)
@@ -277,10 +284,11 @@ def _poly_derivative(coeffs) -> list:
 
 
 def _horner_mod(coeffs, x: int, m: int) -> int:
+    """The residue mod m of the polynomial at x, reduced once: the degrees are small."""
     acc = 0
     for c in coeffs:
-        acc = (acc * x + c) % m
-    return acc
+        acc = acc * x + c
+    return acc % m
 
 
 class EigenvectorError(ValueError):

@@ -14,7 +14,9 @@ c at a level is min(n', min_i T(i)/i) over Fractions from the exponents
 clipped at n', and the largest passing kappa is found by trying every kappa
 against the proposition's hypotheses, where resolve_kappa scans the levels
 n' once. The reference report writer builds the whole report as a document,
-one dict per trial, for json.dumps to write.
+one dict per trial, for json.dumps to write. random_unimodular_by_randint
+draws each shear by three randint calls and builds U^-1 by column operations,
+where random_unimodular reads the words in one pass and builds U^-T by rows.
 """
 
 from collections import Counter
@@ -206,6 +208,31 @@ def mat_add_naive(a, b):
     for i in range(len(a)):
         out.append([a[i][j] + b[i][j] for j in range(len(a[i]))])
     return out
+
+
+def random_unimodular_by_randint(r: int, rng):
+    """(U, U^-1) from 2r shears and swaps, each drawn by three rng.randint calls."""
+    if r == 1:
+        s = rng.choice((1, -1))
+        return IntMatrix([[s]]), IntMatrix([[s]])
+    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    Ui = [row[:] for row in U]
+    for _ in range(2 * r):
+        i = rng.randint(0, r - 1)
+        j = rng.randint(0, r - 2)
+        if j >= i:
+            j += 1
+        q = rng.randint(-2, 2)
+        if q == 0:
+            U[i], U[j] = U[j], U[i]
+            for row in Ui:
+                row[i], row[j] = row[j], row[i]
+        else:
+            # U <- E U with E = I + q e_i e_j^T; Ui <- Ui E^{-1}, col_j -= q col_i
+            U[i] = [x + q * y for x, y in zip(U[i], U[j])]
+            for row in Ui:
+                row[j] -= q * row[i]
+    return IntMatrix(U), IntMatrix(Ui)
 
 
 def poly_apply_naive(coeffs, a, vec):

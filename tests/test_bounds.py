@@ -15,6 +15,7 @@ from padicslopes.bounds import (
     c_exact,
     hilbert_profile,
     kappa_closed,
+    level_bounds,
     n_threshold,
     resolve_kappa,
 )
@@ -324,30 +325,46 @@ def test_c_exact_reads_only_the_ends_of_each_run():
 
 def test_resolve_kappa_scans_each_level_at_most_once(monkeypatch):
     levels = []
-    real = bounds.c_exact
+    real = bounds._c_of_runs
 
-    def counted(profile, nprime=None):
+    def counted(runs, nprime):
         levels.append(nprime)
-        return real(profile, nprime)
+        return real(runs, nprime)
 
     prof = hilbert_profile(1, 1, 40)
     expected = resolve_kappa_by_search(prof, 2)
-    monkeypatch.setattr(bounds, "c_exact", counted)
+    monkeypatch.setattr(bounds, "_c_of_runs", counted)
     assert resolve_kappa(prof, 2) == expected
     # one downward scan from n that stops at the first failing level
     assert 0 < len(levels) <= prof.n
     assert levels == list(range(prof.n, prof.n - len(levels), -1))
 
 
+def test_a_scan_encodes_the_runs_once(monkeypatch):
+    # the runs do not depend on the level: level_bounds encodes them once for all n levels
+    calls = []
+    real = DivisorProfile.sigma_counts
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    prof = hilbert_profile(2, 1, 30)
+    expected = [c_exact(prof, nprime) for nprime in range(prof.n, 0, -1)]
+    monkeypatch.setattr(DivisorProfile, "sigma_counts", counted)
+    assert list(level_bounds(prof)) == expected
+    assert calls == [prof]
+
+
 def test_bounds_command_computes_each_level_once(monkeypatch, capsys):
     levels = []
-    real = bounds.c_exact
+    real = bounds._c_of_runs
 
-    def counted(profile, nprime=None):
+    def counted(runs, nprime):
         levels.append(nprime)
-        return real(profile, nprime)
+        return real(runs, nprime)
 
-    monkeypatch.setattr(bounds, "c_exact", counted)
+    monkeypatch.setattr(bounds, "_c_of_runs", counted)
     assert cli.main(["bounds", "--d", "2", "--h", "1", "--n", "120", "--alpha", "1"]) == 0
     hyp = json.loads(capsys.readouterr().out)["hypotheses"]
     # kappa 5: the top 2 alpha + kappa = 7 levels pass and level 113 fails; the report

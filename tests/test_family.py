@@ -47,7 +47,8 @@ from padicslopes.rng import _BATCH, _WORD_STEP, SplitMix64, _mix, trial_seed
 
 from oracles import (
     det_fraction, diagonal, horner_mod, mat_add_naive, multiplicity_differences_by_dict,
-    poly_apply_naive, report_document, same_quotient_action, trial_document,
+    poly_apply_naive, random_unimodular_by_randint, report_document, same_quotient_action,
+    trial_document,
 )
 from test_report_digests import SHARP_SLACK_ZERO, VARIANTS
 
@@ -228,6 +229,30 @@ def test_random_unimodular():
         U, Ui = random_unimodular(r, rng)
         assert U * Ui == IntMatrix.identity(r)
         assert abs(det_fraction(U)) == 1
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_random_unimodular_reads_the_words_of_its_randint_calls(r):
+    # the shears' draws taken at word level are those of 6r randint calls: same U and
+    # U^-1, and the stream stops at the same word
+    for seed in range(200):
+        rng, oracle = SplitMix64(seed), SplitMix64(seed)
+        assert random_unimodular(r, rng) == random_unimodular_by_randint(r, oracle)
+        assert rng.next_u64() == oracle.next_u64()
+
+
+@pytest.mark.parametrize("position,span", [(0, 6), (1, 5), (2, 5)])
+def test_a_shear_word_at_the_limit_is_skipped_for_the_same_draw(position, span):
+    # at rank 6 the first shear reads i from [0, 5], j from [0, 4] and q from [-2, 2];
+    # the word of draw `position` is put at that range's limit, then one below it
+    limit = 2**64 - 2**64 % span
+    for word in (limit, limit - 1):
+        seed = (_unmix(word) - (position + 1) * GOLDEN) % 2**64
+        probe = SplitMix64(seed)
+        assert [probe.next_u64() for _ in range(position + 1)][-1] == word
+        rng, oracle = SplitMix64(seed), SplitMix64(seed)
+        assert random_unimodular(6, rng) == random_unimodular_by_randint(6, oracle)
+        assert rng.next_u64() == oracle.next_u64()
 
 
 # --- generators ---------------------------------------------------------------------

@@ -8,7 +8,9 @@ import pytest
 
 from padicslopes.bounds import hilbert_profile
 from padicslopes.family import gen_xi, random_unimodular
+from padicslopes import lattice
 from padicslopes.lattice import (
+    KERNEL_MAX_RANK,
     DivisorProfile,
     IntMatrix,
     SmithDecomposition,
@@ -507,7 +509,8 @@ def identity_rows(r):
     return [[1 if i == j else 0 for j in range(r)] for i in range(r)]
 
 
-@pytest.mark.parametrize("r", range(1, 9))
+# ranks 1 to KERNEL_MAX_RANK run the generated product and apply, 9 and 10 the loops
+@pytest.mark.parametrize("r", range(1, 11))
 def test_kernel_arithmetic_matches_the_schoolbook_oracle(r):
     rng = SplitMix64(0x6B65726E + r)
     for _ in range(4):
@@ -538,6 +541,37 @@ def test_kernel_entries_reach_200_bits_zero_and_negative_values():
     entries = [x for row in kernel_rows(rng, 8) for x in row]
     assert 0 in entries and min(entries) < 0
     assert max(abs(x) for x in entries).bit_length() > 200
+
+
+def test_products_and_applies_compile_one_kernel_per_rank_up_to_the_cap():
+    kernels = (lattice._product, lattice._apply)
+    for kernel in kernels:
+        kernel.cache_clear()
+    rng = SplitMix64(0x61707079)
+    for r in (KERNEL_MAX_RANK + 1, KERNEL_MAX_RANK + 5):
+        a, b = kernel_rows(rng, r), kernel_rows(rng, r)
+        vec = [kernel_entry(rng) for _ in range(r)]
+        assert IntMatrix(a) * IntMatrix(b) == IntMatrix(mat_mul_naive(a, b))
+        column = mat_mul_naive(a, [[v] for v in vec])
+        assert IntMatrix(a).apply(vec) == tuple(row[0] for row in column)
+    # the ranks above the cap run the loops and never reach the kernel caches
+    infos = [kernel.cache_info() for kernel in kernels]
+    assert [(info.currsize, info.misses) for info in infos] == [(0, 0)] * 2
+    for r in (KERNEL_MAX_RANK, 6, 6, KERNEL_MAX_RANK):
+        A = IntMatrix(kernel_rows(rng, r))
+        A * A
+        A.apply([1] * r)
+    infos = [kernel.cache_info() for kernel in kernels]
+    assert [(info.currsize, info.misses, info.hits) for info in infos] == [(2, 2, 2)] * 2
+
+
+def test_generated_product_and_apply_sources_hold_no_input():
+    # each code object is built from the rank alone: no matrix entry is a constant
+    for r in (1, 2, 6):
+        for name, kernel in (("product", lattice._product), ("apply", lattice._apply)):
+            code = kernel(r).__code__
+            assert code.co_filename == f"<{name} rank {r}>"
+            assert set(code.co_consts) <= {None}
 
 
 def test_public_constructors_still_validate():

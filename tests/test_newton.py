@@ -25,7 +25,7 @@ from padicslopes.rng import SplitMix64
 
 from oracles import (
     charpoly_cofactor, charpoly_faddeev, diagonal, eigenvector_by_integer_snf, horner_mod,
-    kernel_mod, poly_mul,
+    kernel_mod, poly_mul, valuation_by_division,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -202,6 +202,23 @@ def test_polygon_examples():
     # roots 3 and 9: valuations 1 and 2
     poly = newton_polygon(CharPoly((1, -12, 27)), 3)
     assert segments_as_pairs(poly.segments) == [(Fraction(1), 1), (Fraction(2), 1)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_polygon_valuations_match_the_division_loop(p):
+    # newton_polygon reads v_p(c) off gcd(c, p^64) below 64 and divides at or past it;
+    # a two-term polygon's vertices are the points themselves
+    rng = SplitMix64(0x76616C + p)
+    cofactors = [1, rng.randint(2, 10**6), rng.next_u64(),
+                 rng.next_u64() << 236 | rng.next_u64() << 172 | rng.next_u64()]
+    cofactors = [u + 1 if u % p == 0 else u for u in cofactors]
+    assert cofactors[-1].bit_length() > 290
+    for v in range(71):
+        for u in cofactors:
+            for c in (p**v * u, -(p**v) * u):
+                assert valuation_by_division(c, p) == v
+                assert newton_polygon(CharPoly((1, c)), p).vertices == ((0, 0), (1, v))
+                assert newton_polygon(CharPoly((c, 0, 1)), p).vertices == ((0, v), (2, 0))
 
 
 def test_polygon_trailing_zeros_report_infinite_slope():

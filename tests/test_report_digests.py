@@ -8,7 +8,8 @@ The shipped configs all run at p = 3, constancy only at n' = 5 and PLANTED
 only in prop mode; the configs of VARIANTS cover p = 2 and 5, n' = 1 and
 n' = n, and PLANTED at p = 5 in both modes. The two rank-1 PLANTED configs
 take random_unimodular's r == 1 branch, and at p = 2 more than half of unit's draws
-are rejected. prop_sharp sits at the bound: some of its accepted trials have
+are rejected. Two rank-8 and rank-9 PLANTED configs sit at each side of the cap on
+generated matrix code. prop_sharp sits at the bound: some of its accepted trials have
 margin exactly kappa.
 """
 
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from padicslopes import lattice, newton
 from padicslopes.family import (
     ACCEPTED, config_from_document, read_config, report_to_json, run_experiment,
 )
@@ -89,6 +91,11 @@ PLANTED = {"profile": {"kind": "explicit", "n": 16, "a": [16] * 6},
            "alpha": 1, "kappa": "auto", "generator": "PLANTED", "trials": 40}
 RANK1 = {"kind": "explicit", "n": 6, "a": [6]}
 
+
+def flat_profile(r):
+    return {"kind": "explicit", "n": 12, "a": [12] * r}
+
+
 VARIANTS = [
     ("constancy", dict(CONSTANCY, p=3, nprime=1, master_seed=11), "020528cc4e7bcd24"),
     ("constancy", dict(CONSTANCY, p=3, nprime=6, master_seed=12), "c5cd93861c423618"),
@@ -100,13 +107,41 @@ VARIANTS = [
     ("constancy", dict(PLANTED, p=5, nprime=9, master_seed=18), "3460df3fba1c99c0"),
     ("prop", dict(PLANTED, p=3, profile=RANK1, master_seed=19), "d49eead9200da0bf"),
     ("prop", dict(PLANTED, p=2, alpha=0, profile=RANK1, master_seed=19), "cf7f670251e03a67"),
+    # ranks 8 and 9, each side of lattice.KERNEL_MAX_RANK: products and applies run
+    # generated code at rank 8 and loops at rank 9
+    ("prop", dict(PLANTED, p=3, alpha=0, profile=flat_profile(8), master_seed=28),
+     "d6e947b6134b27dc"),
+    ("prop", dict(PLANTED, p=3, alpha=0, profile=flat_profile(9), master_seed=29),
+     "ec71b7868f2b7e5e"),
 ]
 
 
-@pytest.mark.parametrize("mode,doc,digest", VARIANTS,
-                         ids=[f"{m}-p{d['p']}-{d['generator']}-nprime{d.get('nprime')}"
-                              for m, d, _ in VARIANTS])
+def variant_ids(rows):
+    """mode-p<p>-generator-nprime<nprime> per row; a name already taken gets -rank<r>."""
+    ids = []
+    for mode, doc, *_ in rows:
+        name = f"{mode}-p{doc['p']}-{doc['generator']}-nprime{doc.get('nprime')}"
+        ids.append(name if name not in ids else f"{name}-rank{len(doc['profile']['a'])}")
+    return ids
+
+
+@pytest.mark.parametrize("mode,doc,digest", VARIANTS, ids=variant_ids(VARIANTS))
 def test_variant_report_digest(mode, doc, digest):
     report = run_experiment(config_from_document(doc), mode=mode)
     text = report_to_json(report)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digest
+
+
+def test_loops_write_the_bytes_the_kernels_write(monkeypatch):
+    # with the cap at 0, char_poly, products and applies all run their loops and no
+    # kernel is compiled; every report must be byte for byte what the kernels give
+    configs = [config_from_document(doc) for _, doc, _ in VARIANTS[-2:]] + [
+        read_config(CONFIG_DIR / name) for name in ("prop_planted.json", "prop_default.json")]
+    expected = [report_to_json(run_experiment(cfg)) for cfg in configs]
+    kernels = (lattice._product, lattice._apply, newton._berkowitz)
+    for kernel in kernels:
+        kernel.cache_clear()
+    monkeypatch.setattr(lattice, "KERNEL_MAX_RANK", 0)
+    monkeypatch.setattr(newton, "KERNEL_MAX_RANK", 0)
+    assert [report_to_json(run_experiment(cfg)) for cfg in configs] == expected
+    assert [kernel.cache_info().misses for kernel in kernels] == [0, 0, 0]

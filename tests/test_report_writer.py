@@ -26,7 +26,7 @@ from padicslopes.padics import INFINITY
 from padicslopes.rng import SplitMix64
 
 from oracles import diagonal, report_document
-from test_report_digests import PINNED, VARIANTS
+from test_report_digests import PINNED, VARIANTS, variant_ids
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -55,8 +55,7 @@ def test_shipped_configs(name, mode):
 
 
 @pytest.mark.parametrize("mode,doc", [(mode, doc) for mode, doc, _ in VARIANTS],
-                         ids=[f"{m}-p{d['p']}-{d['generator']}-nprime{d.get('nprime')}"
-                              for m, d, _ in VARIANTS])
+                         ids=variant_ids(VARIANTS))
 def test_variant_configs(mode, doc):
     report = run_experiment(config_from_document(doc), mode=mode)
     assert assert_writes_the_reference(unshared(report)) == assert_writes_the_reference(report)
