@@ -1,7 +1,7 @@
 """Quantitative slope bounds derived from a divisor profile.
 
-The boundary sequences b and B, the constant M (smallest integer with
-2M >= n), the lower boundary T(j) = M + B(j-1), the exact constant
+The lower boundary T(j) = M + B(j-1), where B(j) sums b_i = n - a_i over
+i <= j and M is the smallest integer with 2M >= n; the exact constant
 c = min(n, min_i T(i)/i) with its argmin at any level n' <= n (the cap n
 never binds: T(1) = ceil(n/2)), the Hilbert tensor-structure profile, the
 floating-point closed forms c1 / kappa / n-threshold, and the largest kappa
@@ -24,24 +24,11 @@ from .lattice import DivisorProfile
 BOUNDARY_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class BoundaryFunctions:
-    """b_i = n - a_i, prefix sums B, and the lower boundary T(j) = M + B(j-1)."""
-
-    n: int
-    b: tuple
-    B: tuple
-    M: int
-    T: tuple
-
-
-def boundary_functions(profile: DivisorProfile) -> BoundaryFunctions:
+def lower_boundary(profile: DivisorProfile) -> tuple:
+    """(T(1), ..., T(r)) of the lower boundary T(j) = M + B(j-1), B(j) = b_1 + ... + b_j
+    with b_i = n - a_i, so T(1) = M."""
     n = profile.n
-    b = tuple(n - a for a in profile.a)
-    B = tuple(accumulate(b))
-    M = (n + 1) // 2
-    T = tuple(M + (B[j - 1] if j > 0 else 0) for j in range(profile.r))
-    return BoundaryFunctions(n=n, b=b, B=B, M=M, T=T)
+    return tuple(accumulate([n - a for a in profile.a[:-1]], initial=(n + 1) // 2))
 
 
 @dataclass(frozen=True)

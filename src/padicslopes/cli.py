@@ -21,12 +21,12 @@ from fractions import Fraction
 from itertools import islice, tee
 
 from .bounds import (
-    boundary_functions,
     c1_closed,
     c_exact,
     hilbert_profile,
     kappa_closed,
     level_bounds,
+    lower_boundary,
     n_threshold,
     resolve_kappa,
 )
@@ -171,7 +171,7 @@ def _kappa_closed_block(kc, exact) -> dict:
 
 def cmd_bounds(args) -> int:
     profile = _hilbert_profile(args.d, args.h, args.n)
-    bf = boundary_functions(profile)
+    T = lower_boundary(profile)
     try:
         kc = kappa_closed(args.n, args.alpha, args.d, args.h)
     except OverflowError as exc:  # 3 alpha past the float range
@@ -207,10 +207,10 @@ def cmd_bounds(args) -> int:
                 "rank": profile.r,
                 "sigma": [[exp, count] for exp, count in profile.sigma_counts()],
             },
-            "M": bf.M,
+            "M": T[0],
             "T_table": [
-                {"i": i + 1, "T": bf.T[i], "ratio": slope_to_string(Fraction(bf.T[i], i + 1))}
-                for i in range(profile.r)
+                {"i": i, "T": t, "ratio": slope_to_string(Fraction(t, i))}
+                for i, t in enumerate(T, 1)
             ],
             "c_exact": {
                 "value": slope_to_string(c.value),

@@ -623,18 +623,20 @@ class ExperimentReport:
 def run_experiment(config: ExperimentConfig, mode: str = "prop", jobs: int = 1) -> ExperimentReport:
     """Run all trials; the report is a pure function of (config, mode).
 
-    jobs > 1 distributes trials over processes; pool.map, like map, returns
-    them in index order, so parallelism cannot change a single output byte.
+    jobs > 1 distributes trials over min(jobs, trials) processes (one trial runs
+    here), all forked at the first submit; pool.map, like map, returns them in
+    index order, so parallelism cannot change a single output byte.
     """
     plan = prepare_plan(config, mode)
     run = run_proposition_trial if mode == "prop" else run_constancy_trial
     indices = range(config.trials)
-    if jobs > 1:
+    workers = min(jobs, config.trials)
+    if workers > 1:
         # imported here: multiprocessing adds about 20 ms to every start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, config.trials // (4 * jobs))  # a task pickles the plan once per chunk
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, config.trials // (4 * workers))  # a task pickles the plan once per chunk
             results = list(pool.map(run, repeat(plan), indices, chunksize=chunk))
     else:
         results = list(map(run, repeat(plan), indices))

@@ -311,13 +311,7 @@ def _least_valuation(B, s, p, floor):
             if x % q:
                 return i, j, floor
     g = gcd(*chain.from_iterable(row[s:] for row in B[s:]))
-    if not g:
-        return None
-    v = 0
-    while g % p == 0:
-        g //= p
-        v += 1
-    return _least_valuation(B, s, p, v)
+    return _least_valuation(B, s, p, padic_valuation(g, p)) if g else None
 
 
 def _least_abs(B, s):

@@ -13,34 +13,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import index, mul
+from operator import mul
 
 from .lattice import (
     KERNEL_MAX_RANK, IntMatrix, _dot, _entries, _kernel, _unit_inverse, smith_normal_form,
 )
-from .padics import INFINITY, _require_prime, as_slope, padic_valuation
+from .padics import INFINITY, _require_prime, padic_valuation
 
 
 @dataclass(frozen=True)
 class CharPoly:
-    """Integer polynomial sum_s c_s X^{t-s}, c_0 != 0; coefficients go through operator.index."""
+    """Integer polynomial sum_s c_s X^{t-s}, c_0 != 0, as a tuple of ints. char_poly,
+    its one producer, builds it from the Berkowitz steps, so nothing is checked here."""
 
     coeffs: tuple
-
-    def __post_init__(self):
-        c = tuple(map(index, self.coeffs))
-        if len(c) == 0:
-            raise ValueError("polynomial needs at least one coefficient")
-        if c[0] == 0:
-            raise ValueError("leading coefficient must be nonzero")
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def _of(cls, coeffs: tuple) -> "CharPoly":
-        """Wraps coeffs, a tuple of ints with c_0 != 0, without __post_init__."""
-        cp = object.__new__(cls)
-        object.__setattr__(cp, "coeffs", coeffs)
-        return cp
 
     @property
     def degree(self) -> int:
@@ -49,13 +35,8 @@ class CharPoly:
 
 @dataclass(frozen=True)
 class SlopeSegment:
-    slope: object  # Fraction or INFINITY
-    length: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "slope", as_slope(self.slope))
-        if self.length < 1:
-            raise ValueError("segment length must be positive")
+    slope: object  # Fraction or INFINITY; only _segment builds one
+    length: int  # positive
 
 
 @dataclass(frozen=True)
@@ -92,7 +73,7 @@ def char_poly(A: IntMatrix) -> CharPoly:
     """
     rows = A.rows
     r = len(rows)
-    return CharPoly._of(_berkowitz(r)(rows) if r <= KERNEL_MAX_RANK else _berkowitz_loop(rows))
+    return CharPoly(_berkowitz(r)(rows) if r <= KERNEL_MAX_RANK else _berkowitz_loop(rows))
 
 
 @lru_cache(maxsize=KERNEL_MAX_RANK)
@@ -190,8 +171,7 @@ def _segment(rise, run: int) -> SlopeSegment:
 
 
 def slope_multiplicity(np: NewtonPolygon, alpha) -> int:
-    """Horizontal length of the slope-alpha segment, 0 if absent."""
-    alpha = as_slope(alpha)
+    """Horizontal length of the slope-alpha segment (alpha an int or Fraction), 0 if absent."""
     for seg in np.segments:
         if seg.slope == alpha:
             return seg.length
@@ -278,8 +258,6 @@ def hensel_slope_root(cp: CharPoly, poly: NewtonPolygon, p: int, alpha: int, N: 
 
 def _poly_derivative(coeffs) -> list:
     t = len(coeffs) - 1
-    if t == 0:
-        return [0]
     return [c * (t - s) for s, c in enumerate(coeffs[:-1])]
 
 
@@ -351,9 +329,9 @@ def commuting_eigenvalue(B: IntMatrix, F, p: int, M: int) -> int:
 # --- polygon report format (shared with the CLI) -------------------------------
 
 def slope_to_string(slope) -> str:
+    """"inf", or "num/den" of an int or a Fraction."""
     if slope is INFINITY:
         return "inf"
-    slope = as_slope(slope)
     return f"{slope.numerator}/{slope.denominator}"
 
 

@@ -1,13 +1,12 @@
-"""Exact integer p-adic primitives: valuations, primality, slopes.
+"""Exact integer p-adic primitives: valuations and primality.
 
 Everything in this module is arbitrary-precision integer arithmetic; there
 is deliberately no floating point anywhere. The valuation of 0 is the
-distinguished INFINITY sentinel, which compares above every finite value.
+INFINITY sentinel, above every int and Fraction; newton's zero-eigenvalue slope.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -99,15 +98,3 @@ def padic_valuation(x: int, p: int) -> int | PadicInfinity:
         x //= p
         v += 1
     return v
-
-
-def as_slope(value) -> Fraction | PadicInfinity:
-    """Normalize a slope-like value (int, Fraction, INFINITY) to canonical form;
-    a Fraction, already in lowest terms, passes through unchanged."""
-    if value is INFINITY or type(value) is Fraction:
-        return value
-    if isinstance(value, bool):
-        raise TypeError("slope cannot be a bool")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    raise TypeError(f"not a slope: {value!r}")

@@ -10,12 +10,12 @@ import pytest
 import padicslopes.bounds as bounds
 from padicslopes import cli
 from padicslopes.bounds import (
-    boundary_functions,
     c1_closed,
     c_exact,
     hilbert_profile,
     kappa_closed,
     level_bounds,
+    lower_boundary,
     n_threshold,
     resolve_kappa,
 )
@@ -33,25 +33,22 @@ def prop_plan(profile, alpha, kappa="auto"):
 
 
 def test_boundary_functions_examples():
-    bf = boundary_functions(DivisorProfile(n=3, a=(3, 3, 2, 2, 1, 1)))
-    assert bf.b == (0, 0, 1, 1, 2, 2)
-    assert bf.B == (0, 0, 1, 2, 4, 6)
-    assert bf.M == 2
-    assert bf.T == (2, 2, 2, 3, 4, 6)
-
-    bf = boundary_functions(DivisorProfile(n=4, a=(4, 4, 4)))
-    assert bf.b == (0, 0, 0)
-    assert bf.T == (2, 2, 2)
-
-    bf = boundary_functions(DivisorProfile(n=2, a=(0,)))
-    assert bf.b == (2,)
-    assert bf.M == 1
-    assert bf.T == (1,)
+    # b = (0, 0, 1, 1, 2, 2), B = (0, 0, 1, 2, 4, 6), M = 2
+    assert lower_boundary(DivisorProfile(n=3, a=(3, 3, 2, 2, 1, 1))) == (2, 2, 2, 3, 4, 6)
+    assert lower_boundary(DivisorProfile(n=4, a=(4, 4, 4))) == (2, 2, 2)
+    assert lower_boundary(DivisorProfile(n=2, a=(0,))) == (1,)  # b = (2,), M = 1
+    # T(j) = M + B(j-1) against a sum per j
+    rng = random.Random(4)
+    for _ in range(50):
+        n = rng.randint(1, 9)
+        a = tuple(sorted((rng.randint(0, n) for _ in range(rng.randint(1, 8))), reverse=True))
+        want = [(n + 1) // 2 + sum(n - x for x in a[:j]) for j in range(len(a))]
+        assert lower_boundary(DivisorProfile(n=n, a=a)) == tuple(want)
 
 
 def test_smallest_m_with_2m_at_least_n():
     for n in range(1, 30):
-        M = boundary_functions(DivisorProfile(n=n, a=(n,))).M
+        M = lower_boundary(DivisorProfile(n=n, a=(n,)))[0]
         assert 2 * M >= n
         assert 2 * (M - 1) < n
 
@@ -59,8 +56,8 @@ def test_smallest_m_with_2m_at_least_n():
 def test_c_exact_examples():
     c = c_exact(DivisorProfile(n=3, a=(3, 3, 2, 2, 1, 1)))
     # enumeration oracle: T(i)/i = 2, 1, 2/3, 3/4, 4/5, 1
-    bf = boundary_functions(DivisorProfile(n=3, a=(3, 3, 2, 2, 1, 1)))
-    ratios = [Fraction(t, i + 1) for i, t in enumerate(bf.T)]
+    T = lower_boundary(DivisorProfile(n=3, a=(3, 3, 2, 2, 1, 1)))
+    ratios = [Fraction(t, i + 1) for i, t in enumerate(T)]
     assert min(ratios) == Fraction(2, 3)
     assert c.value == Fraction(2, 3)
     assert c.argmin == 3
@@ -111,7 +108,7 @@ def test_hilbert_profile_b_increments():
             for n in (1, 3, 5):
                 prof = hilbert_profile(d, h, n)
                 assert prof.r == n**d * h
-                b = boundary_functions(prof).b
+                b = [n - a for a in prof.a]
                 for r in range(n):
                     lo, hi = r**d * h, (r + 1) ** d * h
                     assert all(b[x] == r for x in range(lo, hi))

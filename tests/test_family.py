@@ -46,11 +46,11 @@ from padicslopes.padics import INFINITY, padic_valuation
 from padicslopes.rng import _BATCH, _WORD_STEP, SplitMix64, _mix, trial_seed
 
 from oracles import (
-    det_fraction, diagonal, horner_mod, mat_add_naive, multiplicity_differences_by_dict,
-    poly_apply_naive, random_unimodular_by_randint, report_document, same_quotient_action,
-    trial_document,
+    charpoly_faddeev, det_fraction, diagonal, horner_mod, mat_add_naive,
+    multiplicity_differences_by_dict, poly_apply_naive, random_unimodular_by_randint,
+    report_document, same_quotient_action, trial_document, valuation_by_division,
 )
-from test_report_digests import SHARP_SLACK_ZERO, VARIANTS
+from test_report_digests import SHARP_SLACK_ZERO, VARIANTS, variant_ids
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -795,6 +795,35 @@ def test_run_experiment_leaves_no_worker_process():
     assert multiprocessing.active_children() == []
 
 
+def test_a_pool_has_no_more_workers_than_trials(monkeypatch):
+    # a fork pool starts every worker at its first submit, so 64 jobs on 4 trials must ask
+    # for 4 processes; the recording pool maps in this process and starts none
+    import concurrent.futures
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = replace(read_config(CONFIG_DIR / "prop_planted.json"), trials=4)
+    want = report_to_json(run_experiment(cfg))
+    assert [report_to_json(run_experiment(cfg, jobs=jobs)) for jobs in (64, 4, 3)] == [want] * 3
+    assert asked == [4, 4, 3]
+    run_experiment(replace(cfg, trials=1), jobs=64)  # one trial: no pool at all
+    assert asked == [4, 4, 3]
+
+
 def test_corrupted_kappa_rejects_everything():
     rep = run_experiment(config_from_document(base_doc(kappa=9, trials=5)), mode="prop")
     assert rep.accepted == 0
@@ -892,6 +921,77 @@ def test_constancy_control_with_plain_congruence_moduli(monkeypatch, m, violatio
     differing = [s for t in report.trials for s, _, _ in t.mismatched_slopes + t.informational_slopes
                  if s is not INFINITY]
     assert (len(report.violations), min(differing)) == (violations, least)
+
+
+def regenerated_pairs(report):
+    """(trial, pair) for each accepted trial, the pair drawn again from the trial's seed."""
+    plan = report.plan
+    nprime = plan.config.nprime if plan.mode == "constancy" else 0
+    for t in report.trials:
+        if t.status == ACCEPTED:
+            yield t, _generate_pair(plan, SplitMix64(t.seed), min_exponent=nprime)
+
+
+def configs_of(mode, names):
+    """{id: config} of the shipped configs named and of the VARIANTS rows in mode."""
+    out = {name: read_config(CONFIG_DIR / name) for name in names}
+    out.update((vid, config_from_document(doc))
+               for (m, doc, _), vid in zip(VARIANTS, variant_ids(VARIANTS)) if m == mode)
+    return out
+
+
+CONSTANCY_CONFIGS = configs_of("constancy", ["constancy_default.json"])
+PROP_CONFIGS = configs_of("prop", ["prop_default.json", "prop_planted.json", "prop_sharp.json"])
+
+
+@pytest.mark.parametrize("cfg", CONSTANCY_CONFIGS.values(), ids=CONSTANCY_CONFIGS.keys())
+def test_differing_slopes_sit_on_or_above_the_coefficient_bound(cfg):
+    # the Newton-polygon lemma: hull vertices of slope below sigma = min_k v(e_k - e'_k) / k
+    # lie strictly under the line sigma k, where the two polygons' points agree, so every
+    # slope whose multiplicities differ is at least sigma; e_k from Faddeev-LeVerrier
+    p = cfg.p
+    report = run_experiment(cfg, mode="constancy")
+    checked = compared = 0
+    for t, pair in regenerated_pairs(report):
+        e, e_prime = charpoly_faddeev(pair.xi), charpoly_faddeev(pair.xi_prime)
+        bounds = [Fraction(valuation_by_division(x - y, p), k)
+                  for k, (x, y) in enumerate(zip(e[1:], e_prime[1:]), 1) if x != y]
+        slopes = [s for s, _, _ in t.mismatched_slopes + t.informational_slopes]
+        if not bounds:
+            assert slopes == []
+            continue
+        sigma = min(bounds)
+        assert all(s >= sigma for s in slopes), (t.index, sigma, slopes)
+        checked += len(slopes)
+        compared += 1
+    assert compared > 0
+    # PLANTED shifts each diagonal entry by p^n, above every planted valuation, so no
+    # slope differs; the other generator's pairs must give the lemma slopes to check
+    assert (checked > 0) == (cfg.generator == "POLYNOMIAL_PSI")
+
+
+@pytest.mark.parametrize("cfg", PROP_CONFIGS.values(), ids=PROP_CONFIGS.keys())
+def test_eigenvalues_without_the_eigenvector(cfg):
+    # a and a' from what psi is, never from eigenvector_mod or commuting_eigenvalue: q(lam)
+    # for psi = q(xi), and one of psi's diagonal entries for PLANTED's psi = U E U^-1. So an
+    # eigenvector that is consistent but belongs to another eigenvalue fails here
+    p = cfg.p
+    report = run_experiment(cfg)
+    accepted = 0
+    for t, pair in regenerated_pairs(report):
+        m = p ** t.margin_cap
+        pN = p ** report.plan.precision
+        for lam, xi in ((t.lam, pair.xi), (t.lam_prime, pair.xi_prime)):
+            assert horner_mod(charpoly_faddeev(xi)[::-1], lam, pN) == 0  # the same pair
+        if cfg.generator == "POLYNOMIAL_PSI":
+            q = pair.psi.coeffs
+            assert (t.a - horner_mod(q, t.lam, m)) % m == 0
+            assert (t.a_prime - horner_mod(q, t.lam_prime, m)) % m == 0
+        else:
+            assert t.a % m in {x % m for x in pair.psi.diagonal}
+            assert t.a_prime % m in {x % m for x in pair.psi_prime.diagonal}
+        accepted += 1
+    assert accepted > 0
 
 
 # --- constancy trials ------------------------------------------------------------------
