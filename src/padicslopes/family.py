@@ -39,7 +39,7 @@ from .newton import (
     slope_to_string,
 )
 from .padics import _MR_DETERMINISTIC_BOUND, INFINITY, is_prime, padic_valuation
-from .rng import SplitMix64, _span_limit, trial_seed
+from .rng import SplitMix64, trial_seed
 
 POLYNOMIAL_PSI = "POLYNOMIAL_PSI"
 PLANTED = "PLANTED"
@@ -173,27 +173,18 @@ def read_config(path) -> ExperimentConfig:
 def random_unimodular(r: int, rng: SplitMix64) -> tuple:
     """(U, U^{-1}) built from 2r random shears and swaps; det is +-1 by construction.
 
-    Each shear reads the words of three randint calls, row i in [0, r - 1], row j
-    in [0, r - 2] (j >= i moves up one) and q in [-2, 2], in one pass over the
-    stream. U^{-1} is built as its transpose, so its column operations are row
-    operations, and transposed once at the end.
+    Each shear draws row i in [0, r - 1], row j in [0, r - 2] (j >= i moves up one)
+    and q in [-2, 2] by three randint calls. U^{-1} is built as its transpose, so its
+    column operations are row operations, and transposed once at the end.
     """
     if r == 1:
         s = rng.choice((1, -1))
         m = IntMatrix._of(((s,),))
         return m, m
-    words = rng._words
-    draws = []
-    for _ in range(2 * r):
-        for lo, span, limit in _shear_ranges(r):
-            for z in words:
-                if z < limit:  # a word at or above the limit is skipped, as randint skips it
-                    draws.append(lo + z % span)
-                    break
     U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     Uit = [row[:] for row in U]
-    it = iter(draws)
-    for i, j, q in zip(it, it, it):
+    for _ in range(2 * r):
+        i, j, q = rng.randint(0, r - 1), rng.randint(0, r - 2), rng.randint(-2, 2)
         if j >= i:
             j += 1
         if q == 0:
@@ -205,12 +196,6 @@ def random_unimodular(r: int, rng: SplitMix64) -> tuple:
             _add_row(U, i, j, q)
             _add_row(Uit, j, i, -q)
     return _rows(U), _transposed(Uit)
-
-
-@lru_cache(maxsize=32)
-def _shear_ranges(r: int) -> tuple:
-    """(lo, span, limit) of the three randint ranges a shear of random_unimodular reads."""
-    return tuple((lo, *_span_limit(lo, hi)) for lo, hi in ((0, r - 1), (0, r - 2), (-2, 2)))
 
 
 def gen_xi(profile: DivisorProfile, p: int, entry_bound: int, rng: SplitMix64) -> IntMatrix:

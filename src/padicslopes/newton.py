@@ -18,7 +18,7 @@ from operator import mul
 from .lattice import (
     KERNEL_MAX_RANK, IntMatrix, _dot, _entries, _kernel, _unit_inverse, smith_normal_form,
 )
-from .padics import INFINITY, _require_prime, padic_valuation
+from .padics import INFINITY, _powers, _require_prime, padic_valuation
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,8 @@ def _berkowitz_loop(rows) -> tuple:
 def newton_polygon(cp: CharPoly, p: int) -> NewtonPolygon:
     """Lower convex hull of the points (i, v_p(c_i)), skipping zero coefficients.
 
-    v_p(c) is read off gcd(c, p^64), which is p^v(c) below 64; only at or past
-    64 does it divide p out one factor at a time.
+    v_p(c) is read off gcd(c, p^64) in padics' table, which holds p^v(c) below 64;
+    only at or past 64 is padic_valuation called.
     """
     _require_prime(p)
     t = cp.degree
@@ -133,14 +133,7 @@ def newton_polygon(cp: CharPoly, p: int) -> NewtonPolygon:
     for i, c in enumerate(cp.coeffs):
         if c:
             g = gcd(c, top)
-            if g == top:
-                v = 0
-                while c % p == 0:
-                    c //= p
-                    v += 1
-            else:
-                v = exponents[g]
-            points.append((i, v))
+            points.append((i, exponents[g] if g != top else padic_valuation(c, p)))
     hull = [points[0]]
     for pt in points[1:]:
         while len(hull) >= 2:
@@ -156,12 +149,6 @@ def newton_polygon(cp: CharPoly, p: int) -> NewtonPolygon:
     if i_last < t:
         segments.append(_segment(INFINITY, t - i_last))
     return NewtonPolygon(vertices=tuple(hull), segments=tuple(segments))
-
-
-@lru_cache(maxsize=32)
-def _powers(p: int) -> tuple:
-    """({p^k: k for k < 64}, p^64), kept per p."""
-    return {p ** k: k for k in range(64)}, p ** 64
 
 
 @lru_cache(maxsize=1024)

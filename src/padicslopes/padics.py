@@ -8,6 +8,7 @@ INFINITY sentinel, above every int and Fraction; newton's zero-eigenvalue slope.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Deterministic Miller-Rabin with the witness set above is proven correct
@@ -32,14 +33,8 @@ class PadicInfinity:
     def __lt__(self, other):
         return False
 
-    def __le__(self, other):
-        return other is self
-
     def __gt__(self, other):
         return other is not self
-
-    def __ge__(self, other):
-        return True
 
 
 INFINITY = PadicInfinity()
@@ -88,13 +83,20 @@ def _require_prime(p: int) -> None:
 
 
 def padic_valuation(x: int, p: int) -> int | PadicInfinity:
-    """Largest e with p^e | x; INFINITY for x = 0."""
+    """Largest e with p^e | x; INFINITY for x = 0. It is read off gcd(x, p^64) in the
+    _powers table; while that gcd is p^64, p^64 is divided out and 64 added."""
     _require_prime(p)
     if x == 0:
         return INFINITY
-    x = abs(x)
+    exponents, top = _powers(p)
     v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
+    while (g := gcd(x, top)) == top:
+        x //= top
+        v += 64
+    return v + exponents[g]
+
+
+@lru_cache(maxsize=32)
+def _powers(p: int) -> tuple:
+    """({p^k: k for k < 64}, p^64), kept per p."""
+    return {p ** k: k for k in range(64)}, p ** 64

@@ -15,8 +15,8 @@ clipped at n', and the largest passing kappa is found by trying every kappa
 against the proposition's hypotheses, where resolve_kappa scans the levels
 n' once. The reference report writer builds the whole report as a document,
 one dict per trial, for json.dumps to write. random_unimodular_by_randint
-draws each shear by three randint calls and builds U^-1 by column operations,
-where random_unimodular reads the words in one pass and builds U^-T by rows.
+draws each shear by the same three randint calls as random_unimodular and
+builds U^-1 by column operations, where random_unimodular builds U^-T by rows.
 """
 
 from collections import Counter

@@ -233,8 +233,8 @@ def test_random_unimodular():
 
 @pytest.mark.parametrize("r", range(1, 9))
 def test_random_unimodular_reads_the_words_of_its_randint_calls(r):
-    # the shears' draws taken at word level are those of 6r randint calls: same U and
-    # U^-1, and the stream stops at the same word
+    # the shears are drawn by the 6r randint calls the oracle makes, in its order: same
+    # U and U^-1, and the stream stops at the same word
     for seed in range(200):
         rng, oracle = SplitMix64(seed), SplitMix64(seed)
         assert random_unimodular(r, rng) == random_unimodular_by_randint(r, oracle)
@@ -243,8 +243,9 @@ def test_random_unimodular_reads_the_words_of_its_randint_calls(r):
 
 @pytest.mark.parametrize("position,span", [(0, 6), (1, 5), (2, 5)])
 def test_a_shear_word_at_the_limit_is_skipped_for_the_same_draw(position, span):
-    # at rank 6 the first shear reads i from [0, 5], j from [0, 4] and q from [-2, 2];
-    # the word of draw `position` is put at that range's limit, then one below it
+    # at rank 6 the first shear draws i from [0, 5], j from [0, 4] and q from [-2, 2];
+    # the word of draw `position` is put at that range's limit, where randint skips it
+    # and the next word serves the same draw, then one below it
     limit = 2**64 - 2**64 % span
     for word in (limit, limit - 1):
         seed = (_unmix(word) - (position + 1) * GOLDEN) % 2**64

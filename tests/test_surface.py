@@ -34,11 +34,8 @@ ONLY_TESTS_REACH = {
     "lattice:SmithDecomposition.v_inverse": BENCHMARK_ONLY + " for the Smith form's bits",
     "newton:_berkowitz_loop": "char_poly above lattice.KERNEL_MAX_RANK; the shipped ranks "
                               "are at most 8, and polygon --input takes larger matrices",
-    "padics:PadicInfinity.__ge__": "completes INFINITY's order; the package compares it "
-                                   "with < only, which also calls __gt__ reflected",
     "padics:PadicInfinity.__gt__": "a finite value < INFINITY, reflected: min_margin and the "
                                    "census walk can make that compare, no shipped run does",
-    "padics:PadicInfinity.__le__": "completes INFINITY's order, as __ge__",
     "padics:PadicInfinity.__repr__": "for reading INFINITY in a traceback or a test",
     "rng:SplitMix64.next_u64": "one raw word; the package draws through randint and "
                                "randints, tests read the stream with it",
