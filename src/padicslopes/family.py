@@ -17,9 +17,9 @@ import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, cycle, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, mul
+from operator import add, mod, mul, sub
 
 from .bounds import c_exact, resolve_kappa, hilbert_profile
 from .lattice import (
@@ -203,10 +203,8 @@ def gen_xi(profile: DivisorProfile, p: int, entry_bound: int, rng: SplitMix64) -
     a uniform draw from [-p^entry_bound, p^entry_bound]."""
     bound = p ** entry_bound
     r = profile.r
-    scales = _column_scales(profile, p)
     draws = rng.randints(-bound, bound, r * r)  # row-major, as r * r randint calls
-    rows = [tuple(map(mul, scales, draws[i * r:(i + 1) * r])) for i in range(r)]
-    return IntMatrix._of(tuple(rows))
+    return IntMatrix._of(tuple(zip(*[map(mul, cycle(_column_scales(profile, p)), draws)] * r)))
 
 
 def gen_congruent_pair(
@@ -226,9 +224,9 @@ def gen_congruent_pair(
     bound = p ** entry_bound
     r = profile.r
     draws = rng.randints(-bound, bound, r * r)  # row-major, as r * r randint calls
-    table = _congruence_moduli(profile, p, min_exponent)
-    return IntMatrix._of(tuple([tuple(map(add, xrow, map(mul, moduli, draws[i * r:(i + 1) * r])))
-                                for i, (moduli, xrow) in enumerate(zip(table, xi.rows))]))
+    moduli = chain.from_iterable(_congruence_moduli(profile, p, min_exponent))
+    entries = map(add, chain.from_iterable(xi.rows), map(mul, moduli, draws))
+    return IntMatrix._of(tuple(zip(*[entries] * r)))
 
 
 @lru_cache(maxsize=32)
@@ -365,13 +363,14 @@ def _assert_pair_invariants(pair: InstancePair, p: int, min_exponent: int = 0) -
     profile = pair.profile
     if not check_xi_condition(pair.xi, profile, p):
         raise AssertionError("xi violates the structural condition")
+    pair.xi._check_dim(pair.xi_prime)
     # p^{n - a_j} | Delta_ij gives xi'(K) in p^n L; p^{a_i} | Delta_ij, the same action on L/K
-    rows = zip(_congruence_moduli(profile, p, min_exponent), pair.xi.rows, pair.xi_prime.rows,
-               strict=True)
-    for i, (moduli, row, row_prime) in enumerate(rows):
-        for j, (x, y, m) in enumerate(zip(row, row_prime, moduli)):
-            if (x - y) % m:
-                raise AssertionError(f"pair difference at ({i},{j}) misses p^{padic_valuation(m, p)}")
+    xs, ys, table = pair.xi.rows, pair.xi_prime.rows, _congruence_moduli(profile, p, min_exponent)
+    deltas = map(sub, chain.from_iterable(xs), chain.from_iterable(ys))
+    if any(map(mod, deltas, chain.from_iterable(table))):  # a failing pair is read again by rows
+        i, j, m = next((i, j, m) for i, (moduli, row, row_prime) in enumerate(zip(table, xs, ys))
+                       for j, (x, y, m) in enumerate(zip(row, row_prime, moduli)) if (x - y) % m)
+        raise AssertionError(f"pair difference at ({i},{j}) misses p^{padic_valuation(m, p)}")
     # psi is q(xi), or U E U^-1 beside xi = U D U^-1: it commutes with xi by construction
 
 

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import cached_property, lru_cache
-from itertools import chain, groupby
+from itertools import chain, cycle, groupby
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import index, itemgetter, mod, mul, sub
@@ -437,8 +437,7 @@ def check_xi_condition(xi: IntMatrix, profile: DivisorProfile, p: int) -> bool:
     _require_prime(p)
     if xi.r != profile.r:
         raise ValueError(f"dimension mismatch: matrix is {xi.r}, profile has rank {profile.r}")
-    needs = _column_scales(profile, p)
-    return not any([any(map(mod, row, needs)) for row in xi.rows])
+    return not any(map(mod, chain.from_iterable(xi.rows), cycle(_column_scales(profile, p))))
 
 
 @lru_cache(maxsize=32)

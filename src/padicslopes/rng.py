@@ -6,24 +6,24 @@ standard SplitMix64 output function, and the stream of SplitMix64(seed) is
 mix(seed + i * GOLDEN) for i = 1, 2, ... Keeping the generator in-repo keeps
 reports byte-identical across Python versions and platforms.
 
-The stream mixes _BATCH words at once, one per 128-bit lane of a Python int, and
-every draw reads its next words: next_u64 one, randint as many as its rejection
+A stream holds a batch of _BATCH words, mixed at once, one per 128-bit lane of a Python
+int, as a list and a cursor: next_u64 reads one word, randint as many as its rejection
 sampling takes (a word at or above the largest multiple of the span below 2^64 is
-discarded), and randints(lo, hi, k) runs of them until it has what k randint(lo, hi)
-calls return. Only trial_seed mixes a single word, with _mix.
+discarded), and randints(lo, hi, k) slices runs of them, on into the next batch, until it
+has what k randint(lo, hi) calls return. Only trial_seed mixes one word, with _mix.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import islice
+from itertools import count
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # Words mixed per batch; each trial starts a fresh stream. Over 300 trials a trial reads
 # 136 words on the prop-poly workload, 67-83 (median 70) on prop-planted and 78 on
-# constancy. A batch costs about 6 us plus 0.1 us a word, so 80 takes constancy and all
-# but a few planted trials in one batch and prop-poly in two.
+# constancy. A batch costs about 10 us to mix and a few ns a word to slice out, so 80
+# takes constancy and all but a few planted trials in one batch and prop-poly in two.
 _BATCH = 80
 # state * _ONES + _STEPS holds state + (i + 1) * GOLDEN in lane i; _LANES keeps the
 # low 64 bits of each lane.
@@ -47,16 +47,13 @@ def trial_seed(master_seed: int, index: int) -> int:
     return _mix((master_seed + (index + 1) * _GOLDEN) & _MASK)
 
 
-def _words(state: int):
-    """The words after state, mixed _BATCH at a time; every xor-shift is masked to
-    64 bits per lane before its multiply, so no carry crosses a lane."""
-    while True:
-        z = (state * _ONES + _STEPS) & _LANES
-        z = ((z ^ (z >> 30)) & _LANES) * 0xBF58476D1CE4E5B9 & _LANES
-        z = ((z ^ (z >> 27)) & _LANES) * 0x94D049BB133111EB & _LANES
-        z ^= z >> 31  # what this shifts in from the next lane lands past bit 64
-        yield from memoryview(z.to_bytes(16 * _BATCH, sys.byteorder)).cast("Q")[::_STEP].tolist()
-        state = (state + _BATCH * _GOLDEN) & _MASK
+def _batch(state: int) -> list:
+    """The _BATCH words after state mod 2^64, xor-shifts masked per lane before each multiply."""
+    z = ((state & _MASK) * _ONES + _STEPS) & _LANES
+    z = ((z ^ (z >> 30)) & _LANES) * 0xBF58476D1CE4E5B9 & _LANES
+    z = ((z ^ (z >> 27)) & _LANES) * 0x94D049BB133111EB & _LANES
+    z ^= z >> 31  # what this shifts in from the next lane lands past bit 64
+    return memoryview(z.to_bytes(16 * _BATCH, sys.byteorder)).cast("Q")[::_STEP].tolist()
 
 
 def _span_limit(lo: int, hi: int) -> tuple:
@@ -70,18 +67,33 @@ def _span_limit(lo: int, hi: int) -> tuple:
 
 
 class SplitMix64:
-    """Deterministic stream of 64-bit words with uniform integer helpers."""
+    """Deterministic stream of 64-bit words, _words[_at:] not read yet, and integer helpers."""
 
     def __init__(self, seed: int):
-        self._words = _words(seed & _MASK)
+        self._batches = map(_batch, count(seed & _MASK, _BATCH * _GOLDEN))
+        self._words, self._at = [], 0
+
+    def _take(self, n: int) -> list:
+        """The next words up to the end of the batch: at least one, at most n."""
+        if self._at == len(self._words):
+            self._words, self._at = next(self._batches), 0
+        words = self._words[self._at:self._at + n]
+        self._at += len(words)
+        return words
 
     def next_u64(self) -> int:
-        return next(self._words)
+        return self._take(1)[0]
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], inclusive; rejection-sampled, no modulo bias."""
         span, limit = _span_limit(lo, hi)
-        for z in self._words:
+        while True:  # reads by index: a _take call per word would cost more than the read
+            try:
+                z = self._words[self._at]
+            except IndexError:
+                self._words, self._at = next(self._batches), 0
+                continue
+            self._at += 1
             if z < limit:
                 return lo + z % span
 
@@ -90,7 +102,7 @@ class SplitMix64:
         span, limit = _span_limit(lo, hi)
         out = []
         while (n := k - len(out)) > 0:
-            out += [lo + w % span for w in islice(self._words, n) if w < limit]
+            out += [lo + w % span for w in self._take(n) if w < limit]
         return out
 
     def choice(self, seq):

@@ -17,6 +17,9 @@ n' once. The reference report writer builds the whole report as a document,
 one dict per trial, for json.dumps to write. random_unimodular_by_randint
 draws each shear by the same three randint calls as random_unimodular and
 builds U^-1 by column operations, where random_unimodular builds U^-T by rows.
+gen_xi_by_rows and gen_congruent_pair_by_rows form each entry from its own randint
+call and the per-entry formula, row by row, where the library cuts one randints
+run into rows with zip and reads its per-profile tables.
 """
 
 from collections import Counter
@@ -233,6 +236,25 @@ def random_unimodular_by_randint(r: int, rng):
             for row in Ui:
                 row[j] -= q * row[i]
     return IntMatrix(U), IntMatrix(Ui)
+
+
+def gen_xi_by_rows(profile, p: int, entry_bound: int, rng) -> IntMatrix:
+    """xi with entry (i, j) p^(n - a_j) times its own randint draw, row by row."""
+    bound = p**entry_bound
+    return IntMatrix([[p ** (profile.n - aj) * rng.randint(-bound, bound) for aj in profile.a]
+                      for _ in profile.a])
+
+
+def gen_congruent_pair_by_rows(xi, profile, p: int, entry_bound: int, rng,
+                               min_exponent: int = 0) -> IntMatrix:
+    """xi + Delta with Delta_ij p^max(a_i, n - a_j, min_exponent) times its own randint
+    draw, row by row."""
+    bound = p**entry_bound
+    rows = []
+    for row, ai in zip(xi.rows, profile.a):
+        rows.append([x + p ** max(ai, profile.n - aj, min_exponent) * rng.randint(-bound, bound)
+                     for x, aj in zip(row, profile.a)])
+    return IntMatrix(rows)
 
 
 def poly_apply_naive(coeffs, a, vec):

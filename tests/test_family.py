@@ -39,16 +39,17 @@ from padicslopes.family import (
 )
 from padicslopes.bounds import c_exact
 from padicslopes.lattice import (
-    DivisorProfile, IntMatrix, _column_scales, check_xi_condition, json_text,
+    KERNEL_MAX_RANK, DivisorProfile, IntMatrix, _column_scales, check_xi_condition, json_text,
 )
 from padicslopes.newton import char_poly, newton_polygon
 from padicslopes.padics import INFINITY, padic_valuation
 from padicslopes.rng import _BATCH, _WORD_STEP, SplitMix64, _mix, trial_seed
 
 from oracles import (
-    charpoly_faddeev, det_fraction, diagonal, horner_mod, mat_add_naive,
-    multiplicity_differences_by_dict, poly_apply_naive, random_unimodular_by_randint,
-    report_document, same_quotient_action, trial_document, valuation_by_division,
+    charpoly_faddeev, det_fraction, diagonal, gen_congruent_pair_by_rows, gen_xi_by_rows,
+    horner_mod, mat_add_naive, multiplicity_differences_by_dict, poly_apply_naive,
+    random_unimodular_by_randint, report_document, same_quotient_action, trial_document,
+    valuation_by_division,
 )
 from test_report_digests import SHARP_SLACK_ZERO, VARIANTS, variant_ids
 
@@ -208,6 +209,36 @@ def test_a_word_at_the_limit_is_rejected_and_one_below_is_kept(lo, hi):
         assert single.next_u64() == batch.next_u64() == oracle.next_u64()
 
 
+@pytest.mark.parametrize("lo,hi", [(-9, 9), (-2**62, 2**62)])
+def test_a_word_at_the_limit_ending_a_batch_is_read_alike_across_the_refill(lo, hi):
+    # word _BATCH - 1, the last of the first batch, is put at the limit, then one below
+    # it; a randints run that straddles the refill, single randint calls and next_u64
+    # each read what the scalar oracle reads and stop at its word, from the stream's
+    # start and from three words before the refill
+    span = hi - lo + 1
+    limit = 2**64 - 2**64 % span
+    for word in (limit, limit - 1):
+        seed = (_unmix(word) - _BATCH * GOLDEN) % 2**64  # the state _BATCH words before it
+        probe = _ScalarSplitMix64(seed)
+        assert [probe.next_u64() for _ in range(_BATCH)][-1] == word
+        for skip, k in ((0, _BATCH + 2), (_BATCH - 3, 5)):
+            def fresh(stream):
+                for _ in range(skip):
+                    stream.next_u64()
+                return stream
+            oracle = fresh(_ScalarSplitMix64(seed))
+            expected = [_randint_by_next_u64(oracle, lo, hi) for _ in range(k)]
+            after = oracle.next_u64()
+            batch, single = fresh(SplitMix64(seed)), fresh(SplitMix64(seed))
+            assert batch.randints(lo, hi, k) == expected
+            assert [single.randint(lo, hi) for _ in range(k)] == expected
+            assert batch.next_u64() == single.next_u64() == after
+            words, oracle = fresh(SplitMix64(seed)), fresh(_ScalarSplitMix64(seed))
+            assert [words.next_u64() for _ in range(_BATCH + 2 - skip)] == [
+                oracle.next_u64() for _ in range(_BATCH + 2 - skip)]
+            assert words.next_u64() == oracle.next_u64()
+
+
 def test_randints_range_errors():
     rng = SplitMix64(1)
     for k in (0, 3):
@@ -336,6 +367,26 @@ def test_pair_invariants_reject_a_pair_that_disagrees_on_the_quotient():
         _assert_pair_invariants(broken, p)
 
 
+@pytest.mark.parametrize("r", range(1, KERNEL_MAX_RANK + 2))
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_flat_forming_matches_the_row_by_row_reference(r, p):
+    # rank 1 is where zip(*[entries] * r) has one entry a row; KERNEL_MAX_RANK + 1 is the
+    # first rank above the generated kernels, and from rank 7 the pair's draws cross a batch
+    plan = random.Random(100 * r + p)
+    for seed in range(10):
+        n = plan.randint(1, 8)
+        profile = DivisorProfile(n=n, a=tuple(sorted((plan.randint(0, n) for _ in range(r)),
+                                                     reverse=True)))
+        entry_bound, nprime = plan.randint(0, 3), plan.randint(1, n)
+        for min_exponent in (0, nprime):
+            rng, oracle = SplitMix64(seed), SplitMix64(seed)
+            xi = gen_xi(profile, p, entry_bound, rng)
+            assert xi == gen_xi_by_rows(profile, p, entry_bound, oracle)
+            assert gen_congruent_pair(xi, profile, p, entry_bound, rng, min_exponent) \
+                == gen_congruent_pair_by_rows(xi, profile, p, entry_bound, oracle, min_exponent)
+            assert rng.next_u64() == oracle.next_u64()
+
+
 # a = (3, 2, 1) at n = 4, p = 3: column j of xi is divisible by 3^(1 + j), and the
 # pair difference at (i, j) by 3^max(a_i, 1 + j)
 EDGE_PROFILE = DivisorProfile(n=4, a=(3, 2, 1))
@@ -371,6 +422,23 @@ def test_checks_reject_a_pair_broken_only_at_an_edge(where):
     with pytest.raises(AssertionError, match=rf"at \({i},{j}\) misses p\^4$"):
         _assert_pair_invariants(
             replace(good, xi_prime=IntMatrix(mat_add_naive(EDGE_XI.rows, bump))), p, min_exponent=4)
+
+
+def test_pair_invariants_name_the_first_failing_entry_in_row_major_order():
+    p = 3
+    xi_prime = IntMatrix(mat_add_naive(EDGE_XI.rows, [[27, 27, 27]] * 3))
+    good = InstancePair(xi=EDGE_XI, xi_prime=xi_prime, psi=PolynomialOperator((1, 1), EDGE_XI),
+                        psi_prime=PolynomialOperator((1, 1), xi_prime), profile=EDGE_PROFILE)
+    # (1, 2) needs p^3 and (2, 0) p^1; by rows (1, 2) fails first, by columns (2, 0)
+    bump = [[0, 0, 0], [0, 0, 1], [1, 0, 0]]
+    bad = replace(good, xi_prime=IntMatrix(mat_add_naive(xi_prime.rows, bump)))
+    with pytest.raises(AssertionError, match=r"at \(1,2\) misses p\^3$"):
+        _assert_pair_invariants(bad, p)
+    # an xi' of another rank is refused, not read in part
+    for r in (2, 4):
+        other = replace(good, xi_prime=IntMatrix.identity(r).scale(81))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            _assert_pair_invariants(other, p)
 
 
 def test_constancy_plan_holds_the_bound_at_its_nprime():
