@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat, takewhile
 
@@ -31,13 +31,11 @@ def lower_boundary(profile: DivisorProfile) -> tuple:
     return tuple(accumulate([n - a for a in profile.a[:-1]], initial=(n + 1) // 2))
 
 
-@dataclass(frozen=True)
-class CBound:
-    """Exact value of c = min(n, min_i T(i)/i); argmin is the smallest index
+class CBound(namedtuple("CBound", "value argmin")):
+    """Exact value of c = min(n, min_i T(i)/i), a Fraction; argmin is the smallest index
     attaining the T(i)/i minimum. The cap n never binds: T(1) = M = ceil(n/2) <= n."""
 
-    value: Fraction
-    argmin: int
+    __slots__ = ()
 
 
 def c_exact(profile: DivisorProfile, nprime: int | None = None) -> CBound:
@@ -94,13 +92,11 @@ def c1_closed(d: int, h: int) -> float:
     return (1.0 / (d + 1)) ** ex * (1.0 / h ** ex + 1.0)
 
 
-@dataclass(frozen=True)
-class KappaClosed:
-    """floor(c1 n^{1/(d+1)} - 1 - 3 alpha), flagged when the float sits within
-    1e-9 of an integer (the floor is then boundary-sensitive)."""
+class KappaClosed(namedtuple("KappaClosed", "value near_boundary")):
+    """floor(c1 n^{1/(d+1)} - 1 - 3 alpha), an int, with near_boundary set when the float
+    sits within 1e-9 of an integer (the floor is then boundary-sensitive)."""
 
-    value: int
-    near_boundary: bool
+    __slots__ = ()
 
 
 def kappa_closed(n: int, alpha: int, d: int, h: int) -> KappaClosed:

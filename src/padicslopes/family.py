@@ -14,8 +14,7 @@ and may run in parallel without changing the output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, cycle, repeat
 from json.encoder import encode_basestring_ascii
@@ -23,8 +22,8 @@ from operator import add, mod, mul, sub
 
 from .bounds import c_exact, resolve_kappa, hilbert_profile
 from .lattice import (
-    DivisorProfile, IntMatrix, _add_row, _column_scales, _int_json, _json, _rows, _swap_rows,
-    _transposed, check_xi_condition, json_text,
+    DivisorProfile, IntMatrix, _add_row, _check_rank, _column_scales, _int_json, _json, _rows,
+    _swap_rows, _transposed, check_xi_condition, json_text,
 )
 from .newton import (
     ConsistencyError,
@@ -57,24 +56,18 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    p: int
-    profile: DivisorProfile
-    alpha: int
-    kappa: object  # positive int or "auto"
-    trials: int
-    master_seed: int
-    generator: str
-    max_attempts: int
-    entry_bound: int
-    precision_guard: int
-    nprime: int | None
-    profile_doc: dict
+class ExperimentConfig(namedtuple("ExperimentConfig", "p profile alpha kappa trials master_seed "
+                                   "generator max_attempts entry_bound precision_guard nprime "
+                                   "profile_doc")):
+    """A checked config, as config_from_document builds it. kappa is a positive int or
+    "auto", nprime an int or None, profile a DivisorProfile and profile_doc the profile
+    document as it was given."""
+
+    __slots__ = ()
 
 
 # what a config document may hold, and what a report echoes: profile as it was given
-_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)} - {"profile_doc"}
+_CONFIG_FIELDS = set(ExperimentConfig._fields) - {"profile_doc"}
 _PROFILE_FIELDS_HILBERT = {"kind", "d", "h", "n", "max_rank"}
 _PROFILE_FIELDS_EXPLICIT = {"kind", "n", "a"}
 
@@ -221,6 +214,7 @@ def gen_congruent_pair(
     of L/K); the max(., n - a_j) part preserves xi(K) in p^n L; min_exponent
     adds the entrywise p^{n'} congruence the constancy experiment needs.
     """
+    _check_rank(xi, profile)
     bound = p ** entry_bound
     r = profile.r
     draws = rng.randints(-bound, bound, r * r)  # row-major, as r * r randint calls
@@ -244,14 +238,12 @@ def poly_of_matrix(coeffs, A: IntMatrix) -> IntMatrix:
     return acc
 
 
-@dataclass(frozen=True)
-class PolynomialOperator:
+class PolynomialOperator(namedtuple("PolynomialOperator", "coeffs A")):
     """q(A), applied by Horner on vectors from acc = c_last vec, acc <- A acc + c_k vec:
     len(coeffs) - 1 matrix-vector products. Reading rows forms the matrix, which
     only violation reports need."""
 
-    coeffs: tuple
-    A: IntMatrix
+    __slots__ = ()
 
     def apply(self, vec) -> tuple:
         acc = tuple([self.coeffs[-1] * x for x in vec]) if self.coeffs else (0,) * len(vec)
@@ -282,15 +274,12 @@ def _conjugated(U: IntMatrix, diagonal, Ui: IntMatrix) -> IntMatrix:
     return IntMatrix._of(tuple([tuple(map(mul, row, diagonal)) for row in U.rows])) * Ui
 
 
-@dataclass(frozen=True)
-class ConjugatedDiagonal:
+class ConjugatedDiagonal(namedtuple("ConjugatedDiagonal", "U diagonal U_inverse")):
     """U diag(diagonal) U^-1, applied as U (diagonal * (U^-1 vec)): two matrix-vector
     products and a scaling. Reading rows forms the matrix, which only violation
     reports need."""
 
-    U: IntMatrix
-    diagonal: tuple
-    U_inverse: IntMatrix
+    __slots__ = ()
 
     def apply(self, vec) -> tuple:
         return self.U.apply(tuple(map(mul, self.diagonal, self.U_inverse.apply(vec))))
@@ -300,18 +289,13 @@ class ConjugatedDiagonal:
         return _conjugated(self.U, self.diagonal, self.U_inverse).rows
 
 
-@dataclass(frozen=True)
-class InstancePair:
+class InstancePair(namedtuple("InstancePair", "xi xi_prime psi psi_prime profile")):
     """xi, xi' and commuting psi, psi'. Trials only apply psi to the eigenvector, so
     it is never formed: ConjugatedDiagonal U E U^-1 for PLANTED, PolynomialOperator
     q(xi) for POLYNOMIAL_PSI. An IntMatrix has the same apply and rows, so tests
     may pass one."""
 
-    xi: IntMatrix
-    xi_prime: IntMatrix
-    psi: PolynomialOperator | ConjugatedDiagonal
-    psi_prime: PolynomialOperator | ConjugatedDiagonal
-    profile: DivisorProfile
+    __slots__ = ()
 
 
 def gen_planted_quadruple(
@@ -376,43 +360,28 @@ def _assert_pair_invariants(pair: InstancePair, p: int, min_exponent: int = 0) -
 
 # --- trials ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrialReport:
-    index: int
-    seed: int
-    status: str
-    reason: str | None = None
-    alpha: int | None = None
-    kappa: int | None = None
-    census: tuple | None = None
-    census_prime: tuple | None = None
-    lam: int | None = None
-    lam_prime: int | None = None
-    a: int | None = None
-    a_prime: int | None = None
-    margin: object | None = None  # int, INFINITY, or None when not reached
-    margin_cap: int | None = None
-    constancy_bound: Fraction | None = None
-    mismatched_slopes: tuple | None = None
-    informational_slopes: tuple | None = None
-    pair: InstancePair | None = None
+class TrialReport(namedtuple("TrialReport", "index seed status reason alpha kappa census "
+                             "census_prime lam lam_prime a a_prime margin margin_cap "
+                             "constancy_bound mismatched_slopes informational_slopes pair",
+                             defaults=(None,) * 15)):  # None after status
+    """One trial's outcome: index, seed and status, then the fields the trial reached,
+    None where it did not. margin is an int or INFINITY, constancy_bound a Fraction,
+    census and census_prime tuples of SlopeSegment, pair an InstancePair (set only on
+    a VIOLATION). The field index hides tuple.index."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExperimentPlan:
+class ExperimentPlan(namedtuple("ExperimentPlan", "config mode kappa hypotheses_pass precision "
+                                "constancy_bound", defaults=(None,))):
     """Config plus the per-experiment resolutions shared by every trial.
 
     A prop plan resolves kappa, the hypotheses and the working precision; a
-    constancy plan resolves the bound c(L/(K + p^{n'} L)) below which the
-    slope multiplicities of xi and xi' must agree.
+    constancy plan resolves the bound c(L/(K + p^{n'} L)), a Fraction, below which
+    the slope multiplicities of xi and xi' must agree (None in a prop plan).
     """
 
-    config: ExperimentConfig
-    mode: str
-    kappa: int | None
-    hypotheses_pass: bool
-    precision: int | None
-    constancy_bound: Fraction | None = None
+    __slots__ = ()
 
 
 def prepare_plan(config: ExperimentConfig, mode: str) -> ExperimentPlan:
@@ -577,11 +546,10 @@ def _multiplicity_differences(census, census_prime):
 
 # --- experiment driver ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    mode: str
-    plan: ExperimentPlan
-    trials: tuple
+class ExperimentReport(namedtuple("ExperimentReport", "mode plan trials")):
+    """The plan and its mode, with every TrialReport in index order."""
+
+    __slots__ = ()
 
     @property
     def accepted(self) -> int:
@@ -607,9 +575,10 @@ class ExperimentReport:
 def run_experiment(config: ExperimentConfig, mode: str = "prop", jobs: int = 1) -> ExperimentReport:
     """Run all trials; the report is a pure function of (config, mode).
 
-    jobs > 1 distributes trials over min(jobs, trials) processes (one trial runs
-    here), all forked at the first submit; pool.map, like map, returns them in
-    index order, so parallelism cannot change a single output byte.
+    The trials run in W = min(jobs, trials) worker processes, all forked at the first
+    submit; when W = 1 no pool starts and they run in this process. pool.map, like
+    map, returns them in index order, so parallelism cannot change a single output
+    byte.
     """
     plan = prepare_plan(config, mode)
     run = run_proposition_trial if mode == "prop" else run_constancy_trial

@@ -11,7 +11,7 @@ recursive writer with the bytes of json.dumps(indent=2, sort_keys=True).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from decimal import Decimal
 from functools import cached_property, lru_cache
 from itertools import chain, cycle, groupby
@@ -69,18 +69,23 @@ def _apply(r: int):
                    [unpack_a, f"    [{', '.join(v)}] = v", f"    return ({entries})"])
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Square matrix of exact integers, stored row-major as a tuple of tuples.
 
     IntMatrix(rows) takes entries through operator.index (a float or a string
-    raises TypeError) and checks the shape; arithmetic builds its results by _of.
+    raises TypeError) and checks the shape in __post_init__, looked up on the class,
+    where perfbench/layers.py wraps it to count constructions; arithmetic builds its
+    results by _of, which checks nothing. == and hash, on the rows, serve the tests.
     Up to rank KERNEL_MAX_RANK, * and apply run the straight-line code of
     _product(r) and _apply(r); above it a product entry is sum(map(mul, row, col)),
     columns transposed once.
     """
 
-    rows: tuple
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.__post_init__()
 
     def __post_init__(self):
         r = len(self.rows)
@@ -90,13 +95,19 @@ class IntMatrix:
         for row in rows:
             if len(row) != r:
                 raise ValueError("matrix must be square")
-        object.__setattr__(self, "rows", rows)
+        self.rows = rows
+
+    def __eq__(self, other):
+        return self.rows == other.rows if isinstance(other, IntMatrix) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.rows)
 
     @classmethod
     def _of(cls, rows: tuple) -> "IntMatrix":
         """Wraps rows, a nonempty square tuple of int tuples, without __post_init__."""
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
+        m.rows = rows
         return m
 
     @property
@@ -148,27 +159,29 @@ class IntMatrix:
             raise ValueError(f"dimension mismatch: {self.r} vs {other.r}")
 
 
-@dataclass(frozen=True)
-class DivisorProfile:
-    """Elementary-divisor exponents of L/K, nonincreasing, each at most the level n."""
+class DivisorProfile(namedtuple("DivisorProfile", "n a")):
+    """Elementary-divisor exponents a of L/K, nonincreasing, each at most the level n.
 
-    n: int
-    a: tuple
+    DivisorProfile(n, a) checks them and keeps a as a tuple of ints. A named tuple
+    hashes in C, which each lookup of the per-profile caches does.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"level must be a positive integer, got {self.n!r}")
-        if any(isinstance(x, bool) for x in self.a):
-            raise TypeError(f"profile exponents must be integers, got {self.a!r}")
-        a = tuple(map(index, self.a))
+    __slots__ = ()
+
+    def __new__(cls, n, a):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"level must be a positive integer, got {n!r}")
+        if any(isinstance(x, bool) for x in a):
+            raise TypeError(f"profile exponents must be integers, got {a!r}")
+        a = tuple(map(index, a))
         if len(a) == 0:
             raise ValueError("profile must be nonempty")
         for prev, cur in zip(a, a[1:]):
             if cur > prev:
                 raise ValueError(f"profile exponents must be nonincreasing: {a}")
-        if a[-1] < 0 or a[0] > self.n:
-            raise ValueError(f"profile exponents must satisfy 0 <= a_i <= n: {a} at level {self.n}")
-        object.__setattr__(self, "a", a)
+        if a[-1] < 0 or a[0] > n:
+            raise ValueError(f"profile exponents must satisfy 0 <= a_i <= n: {a} at level {n}")
+        return tuple.__new__(cls, (n, a))
 
     @property
     def r(self) -> int:
@@ -179,7 +192,6 @@ class DivisorProfile:
         return tuple((x, len(list(run))) for x, run in groupby(self.a))
 
 
-@dataclass(frozen=True)
 class SmithDecomposition:
     """A = U * D * V with U, V unimodular, D diagonal, d_1 | d_2 | ... | d_r >= 0.
 
@@ -199,10 +211,11 @@ class SmithDecomposition:
     p^(N - v_p(d_{r-1})): other pivots may add that power times earlier columns.
     """
 
-    D: IntMatrix
-    row_ops: tuple = field(repr=False)
-    col_ops: tuple = field(repr=False)
-    modulus: int = 0
+    def __init__(self, D: IntMatrix, row_ops: tuple, col_ops: tuple, modulus: int = 0):
+        self.D = D
+        self.row_ops = row_ops
+        self.col_ops = col_ops
+        self.modulus = modulus
 
     @property
     def divisors(self) -> tuple:
@@ -435,9 +448,13 @@ def check_xi_condition(xi: IntMatrix, profile: DivisorProfile, p: int) -> bool:
     divisible by p^{n - a_j}.
     """
     _require_prime(p)
+    _check_rank(xi, profile)
+    return not any(map(mod, chain.from_iterable(xi.rows), cycle(_column_scales(profile, p))))
+
+
+def _check_rank(xi: IntMatrix, profile: DivisorProfile) -> None:
     if xi.r != profile.r:
         raise ValueError(f"dimension mismatch: matrix is {xi.r}, profile has rank {profile.r}")
-    return not any(map(mod, chain.from_iterable(xi.rows), cycle(_column_scales(profile, p))))
 
 
 @lru_cache(maxsize=32)

@@ -9,7 +9,7 @@ carried as a final polygon segment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -21,26 +21,25 @@ from .lattice import (
 from .padics import INFINITY, _powers, _require_prime, padic_valuation
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(namedtuple("CharPoly", "coeffs")):
     """Integer polynomial sum_s c_s X^{t-s}, c_0 != 0, as a tuple of ints. char_poly,
     its one producer, builds it from the Berkowitz steps, so nothing is checked here."""
 
-    coeffs: tuple
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
-class SlopeSegment:
-    slope: object  # Fraction or INFINITY; only _segment builds one
-    length: int  # positive
+class SlopeSegment(namedtuple("SlopeSegment", "slope length")):
+    """A polygon segment: slope a Fraction or INFINITY, length positive. Only _segment
+    builds one."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(namedtuple("NewtonPolygon", "vertices segments")):
     """Lower convex hull of (i, v_p(c_i)); vertices cover the finite part only.
 
     Finite segment slopes are strictly increasing and their lengths sum to
@@ -48,8 +47,7 @@ class NewtonPolygon:
     appear as one final segment of slope INFINITY.
     """
 
-    vertices: tuple
-    segments: tuple
+    __slots__ = ()
 
 
 def char_poly(A: IntMatrix) -> CharPoly:
@@ -169,8 +167,7 @@ class HenselError(ValueError):
     """Root extraction failed (slope absent or of multiplicity above 1, bad precision)."""
 
 
-@dataclass(frozen=True)
-class HenselRoot:
+class HenselRoot(namedtuple("HenselRoot", "value derivative_valuation")):
     """A slope-alpha eigenvalue residue mod p^N.
 
     value satisfies cp(value) = 0 mod p^N and v_p(value) = alpha; it is
@@ -178,8 +175,7 @@ class HenselRoot:
     p^{N - derivative_valuation}.
     """
 
-    value: int
-    derivative_valuation: int
+    __slots__ = ()
 
 
 def hensel_slope_root(cp: CharPoly, poly: NewtonPolygon, p: int, alpha: int, N: int) -> HenselRoot:

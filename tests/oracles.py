@@ -23,7 +23,7 @@ run into rows with zip and reads its per-profile tables.
 """
 
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -360,7 +360,7 @@ def report_document(report) -> dict:
     the summary counts and every trial's document."""
     plan = report.plan
     cfg = plan.config
-    config_fields = [f.name for f in fields(cfg) if f.name != "profile_doc"]
+    config_fields = [name for name in cfg._fields if name != "profile_doc"]
     return {
         "mode": report.mode,
         "config": {**{k: getattr(cfg, k) for k in config_fields}, "profile": cfg.profile_doc},

@@ -10,8 +10,10 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 from padicslopes.family import gen_congruent_pair, gen_psi_polynomial, gen_xi
-from padicslopes.lattice import DivisorProfile, smith_normal_form
+from padicslopes.lattice import DivisorProfile, IntMatrix, smith_normal_form
 from padicslopes.newton import char_poly
 from padicslopes.rng import SplitMix64
 
@@ -24,6 +26,29 @@ _SPEC.loader.exec_module(layers)
 def test_tracer_finds_every_function_it_wraps():
     with layers.Tracer():  # entering looks up each SPANS name and IntMatrix.__post_init__
         pass
+
+
+def test_the_construction_counter_counts_each_checked_matrix_once():
+    a = IntMatrix([[1, 2], [3, 4]])
+    with layers.Tracer() as tracer:  # it replaces IntMatrix.__post_init__ on the class
+        built = [IntMatrix([[1, 2], [3, 4]]), IntMatrix(((5, -6), (7, 8)))]
+        assert tracer.counts[layers.CONSTRUCTED] == 2
+        derived = [a * built[0], built[1].shift(3), a - built[0], IntMatrix._of(((1,),))]
+        assert a.apply((1, -1)) == (-1, -1)
+        assert tracer.counts[layers.CONSTRUCTED] == 2
+        with pytest.raises(ValueError, match="square"):
+            IntMatrix([[1, 2]])  # counted, then refused by the check it wraps
+        assert tracer.counts[layers.CONSTRUCTED] == 3
+    assert [m.rows for m in built] == [((1, 2), (3, 4)), ((5, -6), (7, 8))]
+    assert [m.rows for m in derived] == [((7, 10), (15, 22)), ((8, -6), (7, 11)),
+                                         ((0, 0), (0, 0)), ((1,),)]
+
+
+def test_each_smith_transform_is_formed_once():
+    for args in ((), (3, 4)):
+        dec = smith_normal_form(IntMatrix([[2, 4, 1], [6, 9, 3], [0, 3, 27]]), *args)
+        for name in ("U", "V", "u_inverse", "v_inverse"):
+            assert getattr(dec, name) is getattr(dec, name), name
 
 
 def test_result_bits_readers_take_one_trial():

@@ -2,7 +2,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -29,7 +28,7 @@ BASE_CONFIG = config_from_document({"p": 3, "profile": {"kind": "explicit", "n":
 
 
 def prop_plan(profile, alpha, kappa="auto"):
-    return prepare_plan(replace(BASE_CONFIG, profile=profile, alpha=alpha, kappa=kappa), "prop")
+    return prepare_plan(BASE_CONFIG._replace(profile=profile, alpha=alpha, kappa=kappa), "prop")
 
 
 def test_boundary_functions_examples():

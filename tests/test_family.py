@@ -3,7 +3,6 @@ import json
 import multiprocessing
 import pickle
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -326,6 +325,19 @@ def test_gen_congruent_pair_min_exponent():
     assert all(x % p**4 == 0 for row in diff.rows for x in row)
 
 
+@pytest.mark.parametrize("r, a", [(2, (4, 3, 2)), (4, (4, 2))])
+def test_gen_congruent_pair_refuses_an_xi_of_another_rank(r, a):
+    # a smaller xi would come back as a 1 x 3 matrix, a larger one as its truncation
+    profile = DivisorProfile(n=4, a=a)
+    xi = IntMatrix([[9 * (i - j) for j in range(r)] for i in range(r)])
+    with pytest.raises(ValueError) as refused:
+        check_xi_condition(xi, profile, 3)
+    with pytest.raises(ValueError, match=f"^dimension mismatch: matrix is {r}, profile has "
+                                         f"rank {len(a)}$") as raised:
+        gen_congruent_pair(xi, profile, 3, 2, SplitMix64(1))
+    assert str(raised.value) == str(refused.value)
+
+
 def test_per_profile_tables_match_the_per_entry_formulas():
     base = DivisorProfile(n=6, a=(5, 3, 3, 0))
     keys = [
@@ -355,13 +367,13 @@ def test_pair_invariants_reject_a_pair_that_disagrees_on_the_quotient():
                         psi=psi, psi_prime=psi, profile=profile)
     _assert_pair_invariants(good, p)
     # 3 in row 0 keeps xi' structural but moves row 0 mod p^{a_0} = 81
-    bad = replace(good, xi_prime=IntMatrix(mat_add_naive(xi.rows, [[3, 0], [0, 0]])))
+    bad = good._replace(xi_prime=IntMatrix(mat_add_naive(xi.rows, [[3, 0], [0, 0]])))
     assert check_xi_condition(bad.xi_prime, profile, p)
     assert not same_quotient_action(bad.xi, bad.xi_prime, profile, p)
     with pytest.raises(AssertionError):
         _assert_pair_invariants(bad, p)
     # 1 in column 1 breaks xi'(K) in p^n L while xi keeps it
-    broken = replace(good, xi_prime=IntMatrix(mat_add_naive(xi.rows, [[0, 1], [0, 0]])))
+    broken = good._replace(xi_prime=IntMatrix(mat_add_naive(xi.rows, [[0, 1], [0, 0]])))
     assert not check_xi_condition(broken.xi_prime, profile, p)
     with pytest.raises(AssertionError):
         _assert_pair_invariants(broken, p)
@@ -412,7 +424,7 @@ def test_checks_reject_a_pair_broken_only_at_an_edge(where):
     # one power of p short of what (i, j) needs
     need = max(EDGE_PROFILE.a[i], EDGE_PROFILE.n - EDGE_PROFILE.a[j])
     bump[i][j] = p ** (need - 1)
-    bad = replace(good, xi_prime=IntMatrix(mat_add_naive(EDGE_XI.rows, bump)))
+    bad = good._replace(xi_prime=IntMatrix(mat_add_naive(EDGE_XI.rows, bump)))
     with pytest.raises(AssertionError, match=rf"at \({i},{j}\) misses p\^{need}$"):
         _assert_pair_invariants(bad, p)
     # min_exponent raises every need to p^4
@@ -421,7 +433,7 @@ def test_checks_reject_a_pair_broken_only_at_an_edge(where):
     bump[i][j] = 27
     with pytest.raises(AssertionError, match=rf"at \({i},{j}\) misses p\^4$"):
         _assert_pair_invariants(
-            replace(good, xi_prime=IntMatrix(mat_add_naive(EDGE_XI.rows, bump))), p, min_exponent=4)
+            good._replace(xi_prime=IntMatrix(mat_add_naive(EDGE_XI.rows, bump))), p, min_exponent=4)
 
 
 def test_pair_invariants_name_the_first_failing_entry_in_row_major_order():
@@ -431,12 +443,12 @@ def test_pair_invariants_name_the_first_failing_entry_in_row_major_order():
                         psi_prime=PolynomialOperator((1, 1), xi_prime), profile=EDGE_PROFILE)
     # (1, 2) needs p^3 and (2, 0) p^1; by rows (1, 2) fails first, by columns (2, 0)
     bump = [[0, 0, 0], [0, 0, 1], [1, 0, 0]]
-    bad = replace(good, xi_prime=IntMatrix(mat_add_naive(xi_prime.rows, bump)))
+    bad = good._replace(xi_prime=IntMatrix(mat_add_naive(xi_prime.rows, bump)))
     with pytest.raises(AssertionError, match=r"at \(1,2\) misses p\^3$"):
         _assert_pair_invariants(bad, p)
     # an xi' of another rank is refused, not read in part
     for r in (2, 4):
-        other = replace(good, xi_prime=IntMatrix.identity(r).scale(81))
+        other = good._replace(xi_prime=IntMatrix.identity(r).scale(81))
         with pytest.raises(ValueError, match="dimension mismatch"):
             _assert_pair_invariants(other, p)
 
@@ -446,7 +458,7 @@ def test_constancy_plan_holds_the_bound_at_its_nprime():
         cfg = config_from_document(constancy_doc(nprime=nprime))
         plan = prepare_plan(cfg, "constancy")
         assert plan.constancy_bound == c_exact(cfg.profile, nprime).value
-        assert run_experiment(replace(cfg, trials=2), "constancy").trials[0].constancy_bound \
+        assert run_experiment(cfg._replace(trials=2), "constancy").trials[0].constancy_bound \
             == plan.constancy_bound
     assert prepare_plan(config_from_document(base_doc()), "prop").constancy_bound is None
 
@@ -769,7 +781,7 @@ def test_polynomial_psi_violation_report_forms_the_matrices():
     else:
         raise AssertionError("expected a violation from unrelated operators")
     text = assert_report_forms_psi(plan, report, coeffs, PROP_VIOLATION_DIGEST)
-    formed = replace(pair, psi=poly_of_matrix(coeffs, xi),
+    formed = pair._replace(psi=poly_of_matrix(coeffs, xi),
                      psi_prime=poly_of_matrix(coeffs, xi_prime))
     assert json_text(trial_document(_evaluate_proposition_pair(plan, formed, 0, 0))) == text
 
@@ -820,7 +832,7 @@ def test_planted_violation_report_forms_the_matrices():
     text = json_text(doc)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == PLANTED_VIOLATION_DIGEST
     assert_the_writer_forms_them_too(plan, report)
-    formed_pair = replace(pair, psi=formed[0], psi_prime=formed[1])
+    formed_pair = pair._replace(psi=formed[0], psi_prime=formed[1])
     assert json_text(trial_document(_evaluate_proposition_pair(plan, formed_pair, 0, 0))) == text
     # the pool sends a VIOLATION report back pickled
     assert json_text(trial_document(pickle.loads(pickle.dumps(report)))) == text
@@ -885,11 +897,11 @@ def test_a_pool_has_no_more_workers_than_trials(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    cfg = replace(read_config(CONFIG_DIR / "prop_planted.json"), trials=4)
+    cfg = read_config(CONFIG_DIR / "prop_planted.json")._replace(trials=4)
     want = report_to_json(run_experiment(cfg))
     assert [report_to_json(run_experiment(cfg, jobs=jobs)) for jobs in (64, 4, 3)] == [want] * 3
     assert asked == [4, 4, 3]
-    run_experiment(replace(cfg, trials=1), jobs=64)  # one trial: no pool at all
+    run_experiment(cfg._replace(trials=1), jobs=64)  # one trial: no pool at all
     assert asked == [4, 4, 3]
 
 
@@ -943,7 +955,7 @@ def test_delta_exponent_below_kappa_gives_violations(monkeypatch):
 def test_kappa_past_the_bound_makes_the_slack_zero_trials_violations():
     plan = prepare_plan(read_config(CONFIG_DIR / "prop_sharp.json"), "prop")
     assert (plan.kappa, plan.precision) == (6, 20)
-    plan = replace(plan, kappa=7, precision=21)  # the working precision at kappa 7
+    plan = plan._replace(kappa=7, precision=21)  # the working precision at kappa 7
     trials = [run_proposition_trial(plan, i) for i in range(plan.config.trials)]
     assert tuple(t.index for t in trials if t.status == VIOLATION) == SHARP_SLACK_ZERO
 
@@ -952,7 +964,7 @@ def test_kappa_past_the_bound_makes_the_slack_zero_trials_violations():
 def test_starved_precision_rejects_and_never_violates(name):
     plan = prepare_plan(read_config(CONFIG_DIR / name), "prop")
     for N in range(2, 6):
-        starved = replace(plan, precision=N)
+        starved = plan._replace(precision=N)
         outcomes = {(t.status, t.reason)
                     for t in (run_proposition_trial(starved, i) for i in range(plan.config.trials))}
         assert outcomes == {(REJECTED, "not-simple"), (REJECTED, "precision")}
@@ -984,7 +996,7 @@ def test_constancy_control_with_plain_congruence_moduli(monkeypatch, m, violatio
     if m is not None:
         monkeypatch.setattr("padicslopes.family._congruence_moduli",
                             lambda profile, p, min_exponent: ((p ** m,) * profile.r,) * profile.r)
-    cfg = replace(read_config(CONFIG_DIR / "constancy_default.json"), trials=300)
+    cfg = read_config(CONFIG_DIR / "constancy_default.json")._replace(trials=300)
     report = run_experiment(cfg, mode="constancy")
     assert (cfg.master_seed, report.plan.constancy_bound) == (424242, 1)
     differing = [s for t in report.trials for s, _, _ in t.mismatched_slopes + t.informational_slopes

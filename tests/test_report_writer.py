@@ -10,7 +10,6 @@ comparison. Each case below reaches a different part of the trial text.
 import json
 import pickle
 import sys
-from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -40,7 +39,7 @@ def assert_writes_the_reference(report):
 def unshared(report):
     """The report with every trial sent through pickle alone, as the pool returns them
     under spawn: no SlopeSegment is shared between trials or with the parent's cache."""
-    return replace(report, trials=tuple(pickle.loads(pickle.dumps(t)) for t in report.trials))
+    return report._replace(trials=tuple(pickle.loads(pickle.dumps(t)) for t in report.trials))
 
 
 def report_of(plan, trials):
@@ -97,7 +96,7 @@ def test_infinity_margin():
 
 def test_not_simple_and_precision_rejections():
     plan = prepare_plan(read_config(CONFIG_DIR / "prop_sharp.json"), "prop")
-    starved = replace(plan, precision=3)
+    starved = plan._replace(precision=3)
     report = report_of(starved, (run_proposition_trial(starved, i) for i in range(20)))
     assert {t.reason for t in report.trials} == {"not-simple", "precision"}
     assert_writes_the_reference(report)
@@ -109,7 +108,7 @@ def test_constancy_control_with_mismatched_slopes(monkeypatch):
     # trials carry mismatched slopes and the VIOLATIONs carry their matrices
     monkeypatch.setattr("padicslopes.family._congruence_moduli",
                         lambda profile, p, min_exponent: ((1,) * profile.r,) * profile.r)
-    cfg = replace(read_config(CONFIG_DIR / "constancy_default.json"), trials=40)
+    cfg = read_config(CONFIG_DIR / "constancy_default.json")._replace(trials=40)
     report = run_experiment(cfg, mode="constancy")
     assert len(report.violations) > 0
     assert any(t.informational_slopes for t in report.trials)
@@ -137,7 +136,7 @@ def violation_trial():
 
 def test_hand_built_prop_violation():
     plan, trial = violation_trial()
-    report = report_of(plan, [trial, replace(trial, index=1, pair=None, status=ACCEPTED)])
+    report = report_of(plan, [trial, trial._replace(index=1, pair=None, status=ACCEPTED)])
     assert '"matrices": {' in assert_writes_the_reference(report)
     assert_writes_the_reference(unshared(report))
 
@@ -145,7 +144,7 @@ def test_hand_built_prop_violation():
 def test_an_int_past_the_str_limit_is_a_decimal_string():
     plan, trial = violation_trial()
     huge = 10 ** (sys.get_int_max_str_digits() + 5) + 7
-    report = report_of(plan, [replace(trial, a=huge, pair=None, status=ACCEPTED)])
+    report = report_of(plan, [trial._replace(a=huge, pair=None, status=ACCEPTED)])
     with pytest.raises(ValueError):
         json.dumps(report_document(report))
     text = report_to_json(report)

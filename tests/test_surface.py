@@ -30,6 +30,8 @@ ONLY_TESTS_REACH = {
     "lattice:IntMatrix.__sub__": BENCHMARK_ONLY + ": the rank sweep's xi - u I",
     "lattice:IntMatrix.identity": BENCHMARK_ONLY + ": the rank sweep's xi - u I",
     "lattice:IntMatrix.scale": BENCHMARK_ONLY + ": the rank sweep's xi - u I",
+    "lattice:IntMatrix.__eq__": "the tests compare matrices by value; no shipped run does",
+    "lattice:IntMatrix.__hash__": "the tests hash matrices to check it agrees with ==",
     "lattice:SmithDecomposition.u_inverse": BENCHMARK_ONLY + " for the Smith form's bits",
     "lattice:SmithDecomposition.v_inverse": BENCHMARK_ONLY + " for the Smith form's bits",
     "newton:_berkowitz_loop": "char_poly above lattice.KERNEL_MAX_RANK; the shipped ranks "
