@@ -520,8 +520,12 @@ def _multiplicity_differences(census, census_prime):
 
     A polygon's segments have strictly increasing slopes, INFINITY last, so the
     two are walked together and no slope is hashed; a segment that is its
-    partner (polygons share one per (rise, run)) is skipped before any compare.
+    partner (polygons share one per (rise, run)) is skipped before any compare,
+    and a census that is its partner (equal point sets share one polygon) is
+    not walked at all.
     """
+    if census is census_prime:
+        return []
     out = []
     i = j = 0
     while i < len(census) or j < len(census_prime):
@@ -620,17 +624,21 @@ def _list_text(items, pad: str) -> str:
 
 
 def _census_text(census, memo: dict) -> str:
-    """A census's [slope, length] rows; each segment's row is written once per memo,
-    which is keyed by id and holds the segment, so no id is reused while it lives."""
+    """A census's [slope, length] rows. Each census tuple's text, and each segment's
+    row within it, is written once per memo, which is keyed by id and holds the object,
+    so no id is reused while it lives."""
     if census is None:
         return "null"
-    rows = []
-    for seg in census:
-        hit = memo.get(id(seg))
-        if hit is None:
-            hit = memo[id(seg)] = (_json((slope_to_string(seg.slope), seg.length), _ROW), seg)
-        rows.append(hit[0])
-    return _list_text(rows, _ROW)
+    hit = memo.get(id(census))
+    if hit is None:
+        rows = []
+        for seg in census:
+            row = memo.get(id(seg))
+            if row is None:
+                row = memo[id(seg)] = (_json((slope_to_string(seg.slope), seg.length), _ROW), seg)
+            rows.append(row[0])
+        hit = memo[id(census)] = (_list_text(rows, _ROW), census)
+    return hit[0]
 
 
 def _triples_text(triples) -> str:

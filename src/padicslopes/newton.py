@@ -34,9 +34,14 @@ class CharPoly(namedtuple("CharPoly", "coeffs")):
 
 class SlopeSegment(namedtuple("SlopeSegment", "slope length")):
     """A polygon segment: slope a Fraction or INFINITY, length positive. Only _segment
-    builds one."""
+    builds one, and an unpickled segment is _segment's again (see __reduce__)."""
 
     __slots__ = ()
+
+    def __reduce__(self):
+        slope, run = self  # the slope's denominator divides the run, so the rise is an int
+        rise = slope if slope is INFINITY else slope.numerator * run // slope.denominator
+        return _segment, (rise, run)
 
 
 class NewtonPolygon(namedtuple("NewtonPolygon", "vertices segments")):
@@ -122,16 +127,25 @@ def newton_polygon(cp: CharPoly, p: int) -> NewtonPolygon:
     """Lower convex hull of the points (i, v_p(c_i)), skipping zero coefficients.
 
     v_p(c) is read off gcd(c, p^64) in padics' table, which holds p^v(c) below 64;
-    only at or past 64 is padic_valuation called.
+    only at or past 64 (or at c = 0, which has INFINITY) is padic_valuation called.
+    The hull depends on the valuations alone, so _hull builds it once per valuation
+    vector it keeps.
     """
     _require_prime(p)
-    t = cp.degree
     exponents, top = _powers(p)
-    points = []
-    for i, c in enumerate(cp.coeffs):
-        if c:
-            g = gcd(c, top)
-            points.append((i, exponents[g] if g != top else padic_valuation(c, p)))
+    valuations = []
+    for c in cp.coeffs:
+        g = gcd(c, top)
+        valuations.append(exponents[g] if g != top else padic_valuation(c, p))
+    return _hull(tuple(valuations))
+
+
+@lru_cache(maxsize=1024)
+def _hull(valuations: tuple) -> NewtonPolygon:
+    """The polygon of the points (i, v_i) with v_i finite: the point set and the degree
+    as one flat tuple. One immutable polygon per key, shared, so equal point sets share
+    one segments tuple."""
+    points = [(i, v) for i, v in enumerate(valuations) if v is not INFINITY]
     hull = [points[0]]
     for pt in points[1:]:
         while len(hull) >= 2:
@@ -143,7 +157,7 @@ def newton_polygon(cp: CharPoly, p: int) -> NewtonPolygon:
                 break
         hull.append(pt)
     segments = [_segment(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
-    i_last = points[-1][0]
+    i_last, t = points[-1][0], len(valuations) - 1
     if i_last < t:
         segments.append(_segment(INFINITY, t - i_last))
     return NewtonPolygon(vertices=tuple(hull), segments=tuple(segments))

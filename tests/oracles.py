@@ -135,6 +135,23 @@ def valuation_by_division(x: int, p: int):
     return v
 
 
+def lower_hull_by_brute_force(coeffs, p: int):
+    """(vertices, [(slope, length)]) of the Newton polygon of sum_s c_s X^{t-s}, c_0 != 0,
+    from its definition: a point (i, v_p(c_i)) is a vertex when it is the first or the
+    last, or lies strictly below every chord between a point on its left and one on its
+    right; trailing zeros add (INFINITY, their count). Cubic in the degree."""
+    points = [(i, valuation_by_division(c, p)) for i, c in enumerate(coeffs) if c]
+    vertices = [(x, y) for k, (x, y) in enumerate(points)
+                if k in (0, len(points) - 1)
+                or all((y - y0) * (x1 - x0) < (y1 - y0) * (x - x0)
+                       for x0, y0 in points[:k] for x1, y1 in points[k + 1:])]
+    segments = [(Fraction(y1 - y0, x1 - x0), x1 - x0)
+                for (x0, y0), (x1, y1) in zip(vertices, vertices[1:])]
+    if points[-1][0] < len(coeffs) - 1:
+        segments.append((INFINITY, len(coeffs) - 1 - points[-1][0]))
+    return vertices, segments
+
+
 def multiplicity_differences_by_dict(census, census_prime) -> list:
     """(slope, m, m') for every slope whose multiplicities differ, from one dict per
     census keyed by slope, in increasing slope order (INFINITY sorts last)."""

@@ -40,7 +40,8 @@ from padicslopes.bounds import c_exact
 from padicslopes.lattice import (
     KERNEL_MAX_RANK, DivisorProfile, IntMatrix, _column_scales, check_xi_condition, json_text,
 )
-from padicslopes.newton import char_poly, newton_polygon
+from padicslopes import newton
+from padicslopes.newton import SlopeSegment, char_poly, newton_polygon
 from padicslopes.padics import INFINITY, padic_valuation
 from padicslopes.rng import _BATCH, _WORD_STEP, SplitMix64, _mix, trial_seed
 
@@ -1204,6 +1205,25 @@ def test_multiplicity_differences_match_the_dict_oracle_on_shipped_trials():
             assert list(t.mismatched_slopes + t.informational_slopes) == want
             differing += bool(want)
     assert differing > 0  # the oracle is not compared on equal censuses alone
+
+
+def test_a_census_that_is_its_partner_is_not_walked():
+    # the shortcut gives what the walk gives over an equal census of fresh segments
+    report = run_experiment(read_config(CONFIG_DIR / "constancy_default.json"), mode="constancy")
+    for census in {id(c): c for t in report.trials for c in (t.census, t.census_prime)}.values():
+        copy = tuple(SlopeSegment(seg.slope, seg.length) for seg in census)
+        assert copy == census and all(a is not b for a, b in zip(copy, census))
+        assert _multiplicity_differences(census, census) == []
+        assert _multiplicity_differences(census, copy) == []
+
+
+def test_equal_point_sets_give_the_two_censuses_one_object():
+    # from a cold cache, 39 of constancy_default's 100 trials read xi and xi' off one
+    # polygon; 51 have equal censuses, the rest with different points off the hull
+    newton._hull.cache_clear()
+    report = run_experiment(read_config(CONFIG_DIR / "constancy_default.json"), mode="constancy")
+    assert sum(t.census is t.census_prime for t in report.trials) == 39
+    assert sum(t.census == t.census_prime for t in report.trials) == 51
 
 
 # --- determinism -------------------------------------------------------------------------

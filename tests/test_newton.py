@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from padicslopes.rng import SplitMix64
 
 from oracles import (
     charpoly_cofactor, charpoly_faddeev, diagonal, eigenvector_by_integer_snf, horner_mod,
-    kernel_mod, poly_mul, valuation_by_division,
+    kernel_mod, lower_hull_by_brute_force, poly_mul, valuation_by_division,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -249,6 +250,67 @@ def test_polygon_segments_are_shared_per_rise_and_run():
             assert shared.setdefault(key, seg) is seg
         total += len(keys)
     assert len(shared) < total and any(k[0] is INFINITY for k in shared)
+
+
+def brute_force_corpus():
+    """500 seeded (coeffs, p) of degree 1 to 11, with zero coefficients, trailing zeros
+    and valuations up to 75, past the gcd(c, p^64) table."""
+    rng = SplitMix64(0x68756C6C)
+    corpus = []
+    for k in range(500):
+        p = rng.choice((2, 3, 5, 7))
+        t = rng.randint(1, 8)
+        high = 75 if k % 5 == 0 else 6  # every fifth vector reaches valuations 64 and above
+        coeffs = [p ** rng.randint(0, high) * rng.unit(p, 50) * rng.choice((1, -1))
+                  if rng.randint(0, 3) else 0 for _ in range(t)]
+        coeffs = [p ** rng.randint(0, 3) * rng.unit(p, 50)] + coeffs
+        coeffs += [0] * (rng.randint(0, 3) if k % 3 == 0 else 0)  # the INFINITY segment
+        corpus.append((tuple(coeffs), p))
+    return corpus
+
+
+def test_polygon_matches_the_brute_force_hull_cold_and_warm():
+    corpus = brute_force_corpus()
+    assert any(c == 0 for coeffs, _ in corpus for c in coeffs[1:-1])
+    assert sum(coeffs[-1] == 0 for coeffs, _ in corpus) > 100
+    assert any(valuation_by_division(c, p) >= 64 for coeffs, p in corpus for c in coeffs if c)
+    newton._hull.cache_clear()
+    cold = [newton_polygon(CharPoly(coeffs), p) for coeffs, p in corpus]
+    assert newton._hull.cache_info().misses > 400
+    warm = [newton_polygon(CharPoly(coeffs), p) for coeffs, p in corpus]
+    for (coeffs, p), poly, again in zip(corpus, cold, warm):
+        vertices, segments = lower_hull_by_brute_force(coeffs, p)
+        assert poly.vertices == tuple(vertices)
+        assert segments_as_pairs(poly.segments) == segments
+        assert again is poly  # fewer than 1024 point sets: the warm pass only hits
+
+
+def test_equal_point_sets_share_one_polygon():
+    # a unit factor moves no valuation, so the point set and the polygon object stay
+    for coeffs, p in brute_force_corpus()[:100]:
+        poly = newton_polygon(CharPoly(coeffs), p)
+        twin = newton_polygon(CharPoly(tuple(c * (p + 1) for c in coeffs)), p)
+        assert twin is poly and twin.segments is poly.segments
+    # a different degree is a different polygon, though the finite points agree
+    assert newton_polygon(CharPoly((1, 3)), 3) is not newton_polygon(CharPoly((1, 3, 0)), 3)
+
+
+def test_pickled_segments_are_the_cached_ones():
+    # the pool sends trials back pickled; each segment comes back as _segment's object
+    finite = newton_polygon(CharPoly((1, 2, 8, 32)), 2).segments
+    infinite = newton_polygon(CharPoly((1, -3, 0, 0)), 3).segments[-1]
+    assert infinite.slope is INFINITY
+    for seg in finite + (infinite,):
+        # from protocol 2, the one INFINITY survives a round trip (padics)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(seg, protocol)) is seg
+    assert all(a is b for a, b in zip(pickle.loads(pickle.dumps(finite)), finite))
+    # past the cache a round trip still gives an equal segment
+    newton._segment.cache_clear()
+    newton._hull.cache_clear()  # its polygons hold the segments made before
+    again = pickle.loads(pickle.dumps(finite[1]))
+    assert again == finite[1] and again is not finite[1]
+    assert pickle.loads(pickle.dumps(finite[1])) is again
 
 
 def test_polygon_multiplicativity():

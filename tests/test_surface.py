@@ -34,6 +34,8 @@ ONLY_TESTS_REACH = {
     "lattice:IntMatrix.__hash__": "the tests hash matrices to check it agrees with ==",
     "lattice:SmithDecomposition.u_inverse": BENCHMARK_ONLY + " for the Smith form's bits",
     "lattice:SmithDecomposition.v_inverse": BENCHMARK_ONLY + " for the Smith form's bits",
+    "newton:SlopeSegment.__reduce__": "pickling, which only a pool's results at --jobs 2 or "
+                                      "more go through; the census runs --jobs 1",
     "newton:_berkowitz_loop": "char_poly above lattice.KERNEL_MAX_RANK; the shipped ranks "
                               "are at most 8, and polygon --input takes larger matrices",
     "padics:PadicInfinity.__gt__": "a finite value < INFINITY, reflected: min_margin and the "
