@@ -14,6 +14,7 @@ and may run in parallel without changing the output.
 from __future__ import annotations
 
 import json
+import os
 from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, cycle, repeat
@@ -577,27 +578,61 @@ class ExperimentReport(namedtuple("ExperimentReport", "mode plan trials")):
 
 
 def run_experiment(config: ExperimentConfig, mode: str = "prop", jobs: int = 1) -> ExperimentReport:
-    """Run all trials; the report is a pure function of (config, mode).
-
-    The trials run in W = min(jobs, trials) worker processes, all forked at the first
-    submit; when W = 1 no pool starts and they run in this process. pool.map, like
-    map, returns them in index order, so parallelism cannot change a single output
-    byte.
-    """
+    """Run all trials; the report is a pure function of (config, mode). With
+    W = min(jobs, trials) > 1 and os.fork they run in W forked shares (_forked_trials),
+    else here; either way in index order, so parallelism cannot change an output byte."""
     plan = prepare_plan(config, mode)
     run = run_proposition_trial if mode == "prop" else run_constancy_trial
-    indices = range(config.trials)
     workers = min(jobs, config.trials)
-    if workers > 1:
-        # imported here: multiprocessing adds about 20 ms to every start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, config.trials // (4 * workers))  # a task pickles the plan once per chunk
-            results = list(pool.map(run, repeat(plan), indices, chunksize=chunk))
+    if workers > 1 and hasattr(os, "fork"):
+        results = _forked_trials(run, plan, config.trials, workers)
     else:
-        results = list(map(run, repeat(plan), indices))
+        results = list(map(run, repeat(plan), range(config.trials)))
     return ExperimentReport(mode=mode, plan=plan, trials=tuple(results))
+
+
+def _forked_trials(run, plan: ExperimentPlan, trials: int, workers: int) -> list:
+    """The trials in index order, run as W = workers shares: share w holds the indices
+    i = w (mod W), so slow and fast trials spread evenly. W - 1 forked children pickle one
+    share w > 0 each to a pipe while this process runs share 0. On a raise, Ctrl-C too, the
+    unread pipes close first, so a blocked writer gets EPIPE and exits; then all are reaped."""
+    import pickle  # here, like traceback: a --jobs 1 run loads neither
+    import traceback
+
+    results, pipes, pids = [None] * trials, [], []
+    try:
+        for w in range(1, workers):
+            fd, write_fd = os.pipe()
+            pipes.append(open(fd, "rb"))
+            with open(write_fd, "wb") as writer:  # the parent's copy closes after the fork
+                if (pid := os.fork()) == 0:
+                    try:  # a read end left open here would keep EPIPE from its writer
+                        for reader in pipes:
+                            reader.close()
+                        try:
+                            payload = [run(plan, i) for i in range(w, trials, workers)], None
+                        except Exception as exc:
+                            payload = None, (exc, traceback.format_exc())
+                        pickle.dump(payload, writer, pickle.HIGHEST_PROTOCOL)
+                        writer.flush()
+                        os._exit(0)
+                    finally:  # the payload was not written whole
+                        os._exit(1)
+                pids.append(pid)
+        results[::workers] = [run(plan, i) for i in range(0, trials, workers)]
+        payloads = [reader.read() for reader in pipes]
+    finally:
+        for reader in pipes:
+            reader.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for w, payload, status in zip(range(1, workers), payloads, statuses):
+        if status:
+            raise ChildProcessError(f"worker {w} ended without its trials, wait status {status}")
+        share, error = pickle.loads(payload)
+        if error:  # what the trial raised, from the child's traceback
+            raise error[0] from ChildProcessError(f"worker {w} raised:\n{error[1]}")
+        results[w::workers] = share
+    return results
 
 
 # --- report serialization -----------------------------------------------------------

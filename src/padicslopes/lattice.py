@@ -24,7 +24,7 @@ from .padics import _require_prime, padic_valuation
 
 # the largest rank the shipped trials reach (prop_default's max_rank). Up to it, char_poly
 # and IntMatrix's * and apply run code generated from the rank alone, compiled on the first
-# call at each rank (once per rank in each pool worker), never at import; above it they
+# call at each rank (once a process; a fork inherits them), never at import; above it they
 # run loops, which need no compile and whose memory stays bounded for large input.
 KERNEL_MAX_RANK = 8
 
@@ -75,7 +75,7 @@ class IntMatrix:
     IntMatrix(rows) takes entries through operator.index (a float or a string
     raises TypeError) and checks the shape in __post_init__, looked up on the class,
     where perfbench/layers.py wraps it to count constructions; arithmetic builds its
-    results by _of, which checks nothing. == and hash, on the rows, serve the tests.
+    results by _of, which checks nothing. ==, hash and repr, on the rows, serve the tests.
     Up to rank KERNEL_MAX_RANK, * and apply run the straight-line code of
     _product(r) and _apply(r); above it a product entry is sum(map(mul, row, col)),
     columns transposed once.
@@ -102,6 +102,9 @@ class IntMatrix:
 
     def __hash__(self):
         return hash(self.rows)
+
+    def __repr__(self):
+        return f"IntMatrix({self.rows!r})"
 
     @classmethod
     def _of(cls, rows: tuple) -> "IntMatrix":

@@ -66,7 +66,7 @@ def char_poly(A: IntMatrix) -> CharPoly:
 
     Up to rank KERNEL_MAX_RANK, the cap IntMatrix's kernels share (see lattice),
     the steps run as the straight-line code of _berkowitz(r), compiled on the
-    first call at each rank (so once per rank in each pool worker, at most
+    first call at each rank (once per process, inherited by a fork; at most
     about 3 ms), never at import. The cap is the
     largest rank the shipped trials reach, where the compile is repaid over
     many calls; a one-shot call, such as `polygon --input`, pays it once.

@@ -17,15 +17,11 @@ _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
 class PadicInfinity:
-    """Singleton valuation of zero, larger than every integer and Fraction; __new__
-    returns the one instance, also when unpickled in a worker process."""
+    """Valuation of zero, larger than every integer and Fraction. INFINITY is its one
+    instance: pickle, at every protocol, and copy give INFINITY back by its name."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __reduce__(self):
+        return "INFINITY"
 
     def __repr__(self):
         return "INFINITY"

@@ -1,6 +1,6 @@
 import hashlib
 import json
-import multiprocessing
+import os
 import pickle
 import random
 from fractions import Fraction
@@ -40,7 +40,7 @@ from padicslopes.bounds import c_exact
 from padicslopes.lattice import (
     KERNEL_MAX_RANK, DivisorProfile, IntMatrix, _column_scales, check_xi_condition, json_text,
 )
-from padicslopes import newton
+from padicslopes import family, newton
 from padicslopes.newton import SlopeSegment, char_poly, newton_polygon
 from padicslopes.padics import INFINITY, padic_valuation
 from padicslopes.rng import _BATCH, _WORD_STEP, SplitMix64, _mix, trial_seed
@@ -835,7 +835,7 @@ def test_planted_violation_report_forms_the_matrices():
     assert_the_writer_forms_them_too(plan, report)
     formed_pair = pair._replace(psi=formed[0], psi_prime=formed[1])
     assert json_text(trial_document(_evaluate_proposition_pair(plan, formed_pair, 0, 0))) == text
-    # the pool sends a VIOLATION report back pickled
+    # a forked worker sends a VIOLATION report back pickled
     assert json_text(trial_document(pickle.loads(pickle.dumps(report)))) == text
 
 
@@ -869,41 +869,59 @@ def test_run_experiment_prop_smoke():
     assert mm is INFINITY or mm >= rep.plan.kappa
 
 
-def test_run_experiment_leaves_no_worker_process():
-    # a pool dropped without shutdown raises no ResourceWarning, so count the children
+def assert_no_child_process():
+    # waitpid(-1) raises ChildProcessError only when this process has no child at all,
+    # running or exited and unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_experiment_leaves_no_worker_process(monkeypatch):
     cfg = read_config(CONFIG_DIR / "prop_default.json")
     report = run_experiment(cfg, "prop", jobs=2)
     assert len(report.trials) == cfg.trials
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
+    # at --jobs 2 index 4 is in this process's share and index 5 in the child's
+    real = family.run_proposition_trial
+    for bad in (4, 5):
+        def trial(plan, index, bad=bad):
+            if index == bad:
+                raise LookupError(f"trial {index} failed")
+            return real(plan, index)
+
+        monkeypatch.setattr(family, "run_proposition_trial", trial)
+        with pytest.raises(LookupError, match=f"^trial {bad} failed$"):
+            run_experiment(cfg, "prop", jobs=2)
+        assert_no_child_process()
 
 
-def test_a_pool_has_no_more_workers_than_trials(monkeypatch):
-    # a fork pool starts every worker at its first submit, so 64 jobs on 4 trials must ask
-    # for 4 processes; the recording pool maps in this process and starts none
-    import concurrent.futures
+def test_no_more_workers_than_trials_are_forked(monkeypatch):
+    # W = min(jobs, trials) shares, and this process runs one of them: W - 1 forks
+    forks = []
+    fork = os.fork
 
-    asked = []
+    def counting_fork():
+        forks.append(1)
+        return fork()
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     cfg = read_config(CONFIG_DIR / "prop_planted.json")._replace(trials=4)
     want = report_to_json(run_experiment(cfg))
-    assert [report_to_json(run_experiment(cfg, jobs=jobs)) for jobs in (64, 4, 3)] == [want] * 3
-    assert asked == [4, 4, 3]
-    run_experiment(cfg._replace(trials=1), jobs=64)  # one trial: no pool at all
-    assert asked == [4, 4, 3]
+    counts = []
+    for jobs in (64, 4, 3):
+        before = len(forks)
+        assert report_to_json(run_experiment(cfg, jobs=jobs)) == want
+        counts.append(len(forks) - before)
+    assert counts == [3, 3, 2]
+    run_experiment(cfg._replace(trials=1), jobs=64)  # one trial: no fork at all
+    assert len(forks) == 8
+
+
+def test_without_fork_jobs_run_in_this_process(monkeypatch):
+    cfg = read_config(CONFIG_DIR / "constancy_default.json")._replace(trials=12)
+    want = report_to_json(run_experiment(cfg, "constancy"))
+    monkeypatch.delattr(os, "fork")
+    assert report_to_json(run_experiment(cfg, "constancy", jobs=3)) == want
 
 
 def test_corrupted_kappa_rejects_everything():

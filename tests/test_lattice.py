@@ -64,6 +64,10 @@ def test_matrix_validation():
     assert m.apply((1, 0)) == (1, 3)
 
 
+def test_matrix_repr_shows_the_rows():
+    assert repr(IntMatrix([[1, 2], [3, 4]])) == "IntMatrix(((1, 2), (3, 4)))"
+
+
 def test_snf_examples():
     dec = smith_normal_form(diagonal([2, 3]))
     assert dec.divisors == (1, 6)

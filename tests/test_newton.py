@@ -296,13 +296,13 @@ def test_equal_point_sets_share_one_polygon():
 
 
 def test_pickled_segments_are_the_cached_ones():
-    # the pool sends trials back pickled; each segment comes back as _segment's object
+    # a forked worker sends its trials back pickled; each segment comes back as _segment's
     finite = newton_polygon(CharPoly((1, 2, 8, 32)), 2).segments
     infinite = newton_polygon(CharPoly((1, -3, 0, 0)), 3).segments[-1]
     assert infinite.slope is INFINITY
     for seg in finite + (infinite,):
-        # from protocol 2, the one INFINITY survives a round trip (padics)
-        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        # at every protocol the one INFINITY survives a round trip (padics)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(seg, protocol)) is seg
     assert all(a is b for a, b in zip(pickle.loads(pickle.dumps(finite)), finite))
     # past the cache a round trip still gives an equal segment

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from padicslopes.padics import (
@@ -6,6 +9,8 @@ from padicslopes.padics import (
     is_prime,
     padic_valuation,
 )
+from padicslopes.family import ACCEPTED, TrialReport
+from padicslopes.newton import CharPoly, newton_polygon
 from padicslopes.rng import SplitMix64
 
 from oracles import valuation_by_division
@@ -55,6 +60,19 @@ def test_infinity_ordering():
     assert not INFINITY < 0
     assert INFINITY == INFINITY
     assert INFINITY != 5
+
+
+def test_pickle_at_every_protocol_gives_the_one_infinity():
+    # a forked worker's trials come back pickled; every `is INFINITY` test reads them
+    segment = newton_polygon(CharPoly((1, -3, 0, 0)), 3).segments[-1]
+    assert segment.slope is INFINITY
+    trial = TrialReport(index=0, seed=1, status=ACCEPTED, census=(segment,), margin=INFINITY)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(INFINITY, protocol)) is INFINITY
+        assert pickle.loads(pickle.dumps(segment, protocol)) is segment
+        again = pickle.loads(pickle.dumps(trial, protocol))
+        assert again == trial and again.margin is INFINITY and again.census[0] is segment
+    assert copy.copy(INFINITY) is INFINITY and copy.deepcopy(trial).margin is INFINITY
 
 
 def test_is_prime_spot_checks():

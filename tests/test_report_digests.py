@@ -14,6 +14,7 @@ margin exactly kappa.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -23,7 +24,7 @@ import pytest
 
 from padicslopes import lattice, newton
 from padicslopes.family import (
-    ACCEPTED, config_from_document, read_config, report_to_json, run_experiment,
+    ACCEPTED, _trial_text, config_from_document, read_config, report_to_json, run_experiment,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,7 +46,7 @@ def test_every_shipped_config_is_pinned():
         name for name, _, _ in PINNED)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("jobs", [1, 2, 3])
 @pytest.mark.parametrize("name,mode,digest", PINNED)
 def test_shipped_report_digest(name, mode, digest, jobs):
     report = run_experiment(read_config(CONFIG_DIR / name), mode=mode, jobs=jobs)
@@ -61,26 +62,27 @@ def test_sharp_config_meets_the_bound_without_violations():
     assert report.min_margin() == 6
 
 
-# the spawn start method gives each worker a fresh interpreter, so a report byte that
-# depended on a cache warmed in the parent before a fork would show here
-SPAWN_SCRIPT = """
-import hashlib, multiprocessing, sys
-from pathlib import Path
-from padicslopes.family import read_config, report_to_json, run_experiment
-multiprocessing.set_start_method("spawn")
-for name, mode in zip(sys.argv[2::2], sys.argv[3::2]):
-    report = run_experiment(read_config(Path(sys.argv[1]) / name), mode=mode, jobs=2)
-    print(hashlib.sha256(report_to_json(report).encode("utf-8")).hexdigest()[:16])
+# a fresh interpreter runs a config's odd-index trials alone, with every cache cold, so
+# a trial's bytes that depended on a cache warmed by the trials before it, or by the
+# parent before a fork, would differ from the --jobs 1 report's
+COLD_SCRIPT = """
+import json, sys
+from padicslopes import family
+plan = family.prepare_plan(family.read_config(sys.argv[1]), sys.argv[2])
+run = family.run_proposition_trial if plan.mode == "prop" else family.run_constancy_trial
+print(json.dumps([family._trial_text(run(plan, i), {}) for i in range(1, plan.config.trials, 2)]))
 """
 
 
-def test_shipped_report_digests_under_spawn():
-    argv = [str(CONFIG_DIR)] + [x for name, mode, _ in PINNED for x in (name, mode)]
+def test_odd_index_trials_from_a_cold_interpreter():
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", SPAWN_SCRIPT, *argv], capture_output=True,
-                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [digest for _, _, digest in PINNED]
+    for name, mode, _ in PINNED:  # an interpreter each, so no config warms another's caches
+        done = subprocess.run([sys.executable, "-c", COLD_SCRIPT, str(CONFIG_DIR / name), mode],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
+        report = run_experiment(read_config(CONFIG_DIR / name), mode=mode)
+        assert json.loads(done.stdout) == [_trial_text(t, {}) for t in report.trials[1::2]], name
 
 
 PROP = {"profile": {"kind": "hilbert", "d": 1, "h": 1, "n": 12, "max_rank": 8},

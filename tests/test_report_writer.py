@@ -37,8 +37,8 @@ def assert_writes_the_reference(report):
 
 
 def unshared(report):
-    """The report with every trial sent through pickle alone, as the pool returns them
-    under spawn: no SlopeSegment is shared between trials or with the parent's cache."""
+    """The report with every trial sent through pickle alone, as a forked worker returns
+    them: no census tuple is shared between trials."""
     return report._replace(trials=tuple(pickle.loads(pickle.dumps(t)) for t in report.trials))
 
 

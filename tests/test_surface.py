@@ -1,10 +1,11 @@
 """The functions of padicslopes that no shipped run calls, pinned with their reasons.
 
 A fresh interpreter runs each subcommand once under sys.setprofile, verify-* on the
-four shipped configs at --jobs 1. It must be fresh: lru caches and kernels compiled
-by earlier tests would hide calls. The configs run whole (under a second on a 2-core
-x86_64 host), so an entry below means no shipped run calls it, not that a short run
-missed it.
+four shipped configs at --jobs 1 and on one of them again at --jobs 2; the profile sees
+the calls of that interpreter only, not those of its forked worker. It must be fresh:
+lru caches and kernels compiled by earlier tests would hide calls. The configs run whole
+(under a second on a 2-core x86_64 host), so an entry below means no shipped run calls
+it, not that a short run missed it.
 Every function defined in the package's source that never ran must be in
 ONLY_TESTS_REACH, and every entry there must never run. So a new function that only
 tests reach fails here, and so does an entry that starts to run: take it off the list.
@@ -20,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 VIOLATION_ONLY = "forms psi, which only a VIOLATION report reads; no shipped run has one"
 BENCHMARK_ONLY = "read by perfbench/layers.py"
+PICKLE_ONLY = "pickling, which only a forked worker does to its trials: the census sees none"
 
 ONLY_TESTS_REACH = {
     "family:ConjugatedDiagonal.rows": VIOLATION_ONLY,
@@ -32,14 +34,15 @@ ONLY_TESTS_REACH = {
     "lattice:IntMatrix.scale": BENCHMARK_ONLY + ": the rank sweep's xi - u I",
     "lattice:IntMatrix.__eq__": "the tests compare matrices by value; no shipped run does",
     "lattice:IntMatrix.__hash__": "the tests hash matrices to check it agrees with ==",
+    "lattice:IntMatrix.__repr__": "for reading a matrix in a failing assertion",
     "lattice:SmithDecomposition.u_inverse": BENCHMARK_ONLY + " for the Smith form's bits",
     "lattice:SmithDecomposition.v_inverse": BENCHMARK_ONLY + " for the Smith form's bits",
-    "newton:SlopeSegment.__reduce__": "pickling, which only a pool's results at --jobs 2 or "
-                                      "more go through; the census runs --jobs 1",
+    "newton:SlopeSegment.__reduce__": PICKLE_ONLY,
     "newton:_berkowitz_loop": "char_poly above lattice.KERNEL_MAX_RANK; the shipped ranks "
                               "are at most 8, and polygon --input takes larger matrices",
     "padics:PadicInfinity.__gt__": "a finite value < INFINITY, reflected: min_margin and the "
                                    "census walk can make that compare, no shipped run does",
+    "padics:PadicInfinity.__reduce__": PICKLE_ONLY,
     "padics:PadicInfinity.__repr__": "for reading INFINITY in a traceback or a test",
     "rng:SplitMix64.next_u64": "one raw word; the package draws through randint and "
                                "randints, tests read the stream with it",
@@ -73,7 +76,8 @@ runs = [
     ["compare-c", "--d-list", "1,2", "--h-list", "1,2", "--n-max", "6"],
 ] + [[f"verify-{mode}", "--jobs", "1", "--config", str(configs / name)] for mode, name in (
     ("prop", "prop_default.json"), ("prop", "prop_planted.json"), ("prop", "prop_sharp.json"),
-    ("constancy", "constancy_default.json"))]
+    ("constancy", "constancy_default.json"))] + [
+    ["verify-constancy", "--jobs", "2", "--config", str(configs / "constancy_default.json")]]
 codes = [cli.main(argv + ["--output", str(out / "report.json")]) for argv in runs]
 sys.setprofile(None)
 
@@ -110,7 +114,7 @@ def test_the_functions_no_shipped_run_calls_are_the_pinned_ones(tmp_path):
                           env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
     census = json.loads(done.stdout)
-    assert census["codes"] == [0] * 9
+    assert census["codes"] == [0] * 10
     never = set(census["never"])
     assert sorted(never - set(ONLY_TESTS_REACH)) == [], "new functions only tests reach"
     assert sorted(set(ONLY_TESTS_REACH) - never) == [], "allowlisted functions that now run"
