@@ -4,8 +4,8 @@ Subcommands: polygon, snf, profile, bounds, verify-prop, verify-constancy,
 compare-c. Machine-readable JSON goes to stdout (or --output); exit codes
 are 0 for success, 1 for a verification run that found violations, 2 for
 malformed input, arguments or config, or an input too large for memory, 3
-for an internal error (any other exception, such as a failed runtime
-invariant; its traceback goes to stderr).
+for an internal error (any other exception, such as a failed invariant or a
+crashed worker; its traceback goes to stderr), 143 for SIGTERM at --jobs > 1.
 
 Exact quantities (valuations, slopes, c) are serialized as integers or
 "num/den" strings; only the floating-point closed forms are decimal.

@@ -17,7 +17,7 @@ import json
 import os
 from collections import namedtuple
 from functools import lru_cache
-from itertools import chain, cycle, repeat
+from itertools import chain, cycle
 from json.encoder import encode_basestring_ascii
 from operator import add, mod, mul, sub
 
@@ -231,18 +231,15 @@ def _congruence_moduli(profile: DivisorProfile, p: int, min_exponent: int) -> tu
                   for ai in profile.a])
 
 
-def poly_of_matrix(coeffs, A: IntMatrix) -> IntMatrix:
-    """sum_k coeffs[k] A^k by Horner."""
-    acc = IntMatrix.zero(A.r)
-    for c in reversed(coeffs):
-        acc = (acc * A).shift(c)
-    return acc
+def operator_rows(op, r: int) -> tuple:
+    """The rows of the r x r operator op: op.apply on the unit vectors gives its columns.
+    Trials never form psi; a VIOLATION report and gen_psi_polynomial do, here."""
+    return tuple(zip(*map(op.apply, IntMatrix.identity(r).rows)))
 
 
 class PolynomialOperator(namedtuple("PolynomialOperator", "coeffs A")):
     """q(A), applied by Horner on vectors from acc = c_last vec, acc <- A acc + c_k vec:
-    len(coeffs) - 1 matrix-vector products. Reading rows forms the matrix, which
-    only violation reports need."""
+    len(coeffs) - 1 matrix-vector products."""
 
     __slots__ = ()
 
@@ -251,10 +248,6 @@ class PolynomialOperator(namedtuple("PolynomialOperator", "coeffs A")):
         for c in reversed(self.coeffs[:-1]):
             acc = tuple([y + c * x for y, x in zip(self.A.apply(acc), vec)])
         return acc
-
-    @property
-    def rows(self) -> tuple:
-        return poly_of_matrix(self.coeffs, self.A).rows
 
 
 def gen_psi_polynomial(
@@ -266,8 +259,10 @@ def gen_psi_polynomial(
     those of xi and xi' do. Trials draw q the same way but never form q(xi).
     """
     bound = p ** entry_bound
-    coeffs = rng.randints(-bound, bound, xi.r)
-    return poly_of_matrix(coeffs, xi), poly_of_matrix(coeffs, xi_prime), tuple(coeffs)
+    coeffs = tuple(rng.randints(-bound, bound, xi.r))
+    psi, psi_prime = (IntMatrix._of(operator_rows(PolynomialOperator(coeffs, A), xi.r))
+                      for A in (xi, xi_prime))
+    return psi, psi_prime, coeffs
 
 
 def _conjugated(U: IntMatrix, diagonal, Ui: IntMatrix) -> IntMatrix:
@@ -277,24 +272,19 @@ def _conjugated(U: IntMatrix, diagonal, Ui: IntMatrix) -> IntMatrix:
 
 class ConjugatedDiagonal(namedtuple("ConjugatedDiagonal", "U diagonal U_inverse")):
     """U diag(diagonal) U^-1, applied as U (diagonal * (U^-1 vec)): two matrix-vector
-    products and a scaling. Reading rows forms the matrix, which only violation
-    reports need."""
+    products and a scaling."""
 
     __slots__ = ()
 
     def apply(self, vec) -> tuple:
         return self.U.apply(tuple(map(mul, self.diagonal, self.U_inverse.apply(vec))))
 
-    @property
-    def rows(self) -> tuple:
-        return _conjugated(self.U, self.diagonal, self.U_inverse).rows
-
 
 class InstancePair(namedtuple("InstancePair", "xi xi_prime psi psi_prime profile")):
     """xi, xi' and commuting psi, psi'. Trials only apply psi to the eigenvector, so
     it is never formed: ConjugatedDiagonal U E U^-1 for PLANTED, PolynomialOperator
-    q(xi) for POLYNOMIAL_PSI. An IntMatrix has the same apply and rows, so tests
-    may pass one."""
+    q(xi) for POLYNOMIAL_PSI; a VIOLATION report forms it by operator_rows. An IntMatrix
+    has the same apply, so tests may pass one."""
 
     __slots__ = ()
 
@@ -313,7 +303,7 @@ def gen_planted_quadruple(
     side shifts both diagonals by multiples of p^n, which realizes the pair
     constraints for every profile. xi and xi' are formed by one product each
     (see _conjugated); psi and psi' are ConjugatedDiagonal operators, formed only
-    if a violation report reads them. Attempts whose xi fails the structural
+    if a violation report writes them. Attempts whose xi fails the structural
     check are rejected; None means the attempt budget ran out. xi' - xi =
     p^n U diag(e) U^-1 is divisible by p^n, so xi' passes whenever xi does.
     """
@@ -578,37 +568,36 @@ class ExperimentReport(namedtuple("ExperimentReport", "mode plan trials")):
 
 
 def run_experiment(config: ExperimentConfig, mode: str = "prop", jobs: int = 1) -> ExperimentReport:
-    """Run all trials; the report is a pure function of (config, mode). With
-    W = min(jobs, trials) > 1 and os.fork they run in W forked shares (_forked_trials),
-    else here; either way in index order, so parallelism cannot change an output byte."""
+    """Run all trials; the report is a pure function of (config, mode). They run in
+    W = min(jobs, trials) shares by _forked_trials, one share where os.fork is missing,
+    and come back in index order, so parallelism cannot change an output byte."""
     plan = prepare_plan(config, mode)
     run = run_proposition_trial if mode == "prop" else run_constancy_trial
-    workers = min(jobs, config.trials)
-    if workers > 1 and hasattr(os, "fork"):
-        results = _forked_trials(run, plan, config.trials, workers)
-    else:
-        results = list(map(run, repeat(plan), range(config.trials)))
-    return ExperimentReport(mode=mode, plan=plan, trials=tuple(results))
+    workers = min(jobs, config.trials) if hasattr(os, "fork") else 1
+    return ExperimentReport(mode=mode, plan=plan,
+                            trials=tuple(_forked_trials(run, plan, config.trials, workers)))
 
 
 def _forked_trials(run, plan: ExperimentPlan, trials: int, workers: int) -> list:
     """The trials in index order, run as W = workers shares: share w holds the indices
-    i = w (mod W), so slow and fast trials spread evenly. W - 1 forked children pickle one
-    share w > 0 each to a pipe while this process runs share 0. On a raise, Ctrl-C too, the
-    unread pipes close first, so a blocked writer gets EPIPE and exits; then all are reaped."""
-    import pickle  # here, like traceback: a --jobs 1 run loads neither
-    import traceback
-
+    i = w (mod W), so slow and fast trials spread evenly. This process runs share 0, and
+    W - 1 forked children pickle one share w > 0 each to a pipe; W = 1 forks nothing and
+    loads neither pickle nor signal. While children run, SIGTERM raises SystemExit(143).
+    On any raise, Ctrl-C and SIGTERM too, every child is SIGKILLed; then all are reaped."""
     results, pipes, pids = [None] * trials, [], []
+    if workers > 1:  # importing pickle alone takes about 15 ms
+        import pickle
+        import signal
+        import sys
+        import traceback
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         for w in range(1, workers):
             fd, write_fd = os.pipe()
             pipes.append(open(fd, "rb"))
             with open(write_fd, "wb") as writer:  # the parent's copy closes after the fork
                 if (pid := os.fork()) == 0:
-                    try:  # a read end left open here would keep EPIPE from its writer
-                        for reader in pipes:
-                            reader.close()
+                    try:
                         try:
                             payload = [run(plan, i) for i in range(w, trials, workers)], None
                         except Exception as exc:
@@ -621,16 +610,22 @@ def _forked_trials(run, plan: ExperimentPlan, trials: int, workers: int) -> list
                 pids.append(pid)
         results[::workers] = [run(plan, i) for i in range(0, trials, workers)]
         payloads = [reader.read() for reader in pipes]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
+        if workers > 1:
+            signal.signal(signal.SIGTERM, previous)
         for reader in pipes:
             reader.close()
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
     for w, payload, status in zip(range(1, workers), payloads, statuses):
-        if status:
-            raise ChildProcessError(f"worker {w} ended without its trials, wait status {status}")
+        if status:  # a RuntimeError, not an OSError: a crashed worker is no bad input
+            raise RuntimeError(f"worker {w} ended without its trials, wait status {status}")
         share, error = pickle.loads(payload)
         if error:  # what the trial raised, from the child's traceback
-            raise error[0] from ChildProcessError(f"worker {w} raised:\n{error[1]}")
+            raise error[0] from RuntimeError(f"worker {w} raised:\n{error[1]}")
         results[w::workers] = share
     return results
 
@@ -707,8 +702,8 @@ def _trial_text(t: TrialReport, memo: dict) -> str:
                    '"informational_slopes": ' + _triples_text(t.informational_slopes)]
     if t.pair is not None:
         fields.append('"matrices": ' + _json(
-            {name: getattr(t.pair, name).rows for name in ("xi", "xi_prime", "psi", "psi_prime")},
-            _FIELD))
+            {name: operator_rows(getattr(t.pair, name), t.pair.profile.r)
+             for name in ("xi", "xi_prime", "psi", "psi_prime")}, _FIELD))
     fields.sort()
     return "{" + _FIELD + ("," + _FIELD).join(fields) + _TRIAL + "}"
 

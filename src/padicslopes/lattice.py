@@ -75,7 +75,7 @@ class IntMatrix:
     IntMatrix(rows) takes entries through operator.index (a float or a string
     raises TypeError) and checks the shape in __post_init__, looked up on the class,
     where perfbench/layers.py wraps it to count constructions; arithmetic builds its
-    results by _of, which checks nothing. ==, hash and repr, on the rows, serve the tests.
+    results by _of, which checks nothing. repr, on the rows, serves the tests.
     Up to rank KERNEL_MAX_RANK, * and apply run the straight-line code of
     _product(r) and _apply(r); above it a product entry is sum(map(mul, row, col)),
     columns transposed once.
@@ -97,12 +97,6 @@ class IntMatrix:
                 raise ValueError("matrix must be square")
         self.rows = rows
 
-    def __eq__(self, other):
-        return self.rows == other.rows if isinstance(other, IntMatrix) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.rows)
-
     def __repr__(self):
         return f"IntMatrix({self.rows!r})"
 
@@ -119,13 +113,9 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, r: int) -> "IntMatrix":
-        return cls.zero(r).shift(1)
-
-    @classmethod
-    def zero(cls, r: int) -> "IntMatrix":
         if index(r) < 1:
             raise ValueError("matrix must be nonempty")
-        return cls._of(((0,) * r,) * r)
+        return cls._of(tuple([(0,) * i + (1,) + (0,) * (r - 1 - i) for i in range(r)]))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_dim(other)

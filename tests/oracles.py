@@ -11,15 +11,19 @@ from the integer-mode Smith form (the computation the Z/p^N mode replaced on
 the eigenvector path), and kernel_mod, every generator of a kernel mod p^N
 from the whole of V^-1 (where eigenvector_mod replays one column of it).
 c at a level is min(n', min_i T(i)/i) over Fractions from the exponents
-clipped at n', and the largest passing kappa is found by trying every kappa
-against the proposition's hypotheses, where resolve_kappa scans the levels
-n' once. The reference report writer builds the whole report as a document,
-one dict per trial, for json.dumps to write. random_unimodular_by_randint
-draws each shear by the same three randint calls as random_unimodular and
-builds U^-1 by column operations, where random_unimodular builds U^-T by rows.
-gen_xi_by_rows and gen_congruent_pair_by_rows form each entry from its own randint
-call and the per-entry formula, row by row, where the library cuts one randints
-run into rows with zip and reads its per-profile tables.
+clipped at n'; sigma is min_k B_k / k, with the coefficient bounds B_k that the
+pair hypotheses force read off the profile by their definition. The largest
+passing kappa is found by trying every kappa against the proposition's
+hypotheses, where resolve_kappa scans the levels n' once. The reference report
+writer builds the whole report as a document, one dict per trial, for json.dumps
+to write; formed_rows forms psi from its parts by schoolbook powers and
+products, where the library applies the operator to the unit vectors.
+random_unimodular_by_randint draws each shear by the same three randint calls
+as random_unimodular and builds U^-1 by column operations, where
+random_unimodular builds U^-T by rows. gen_xi_by_rows and
+gen_congruent_pair_by_rows form each entry from its own randint call and the
+per-entry formula, row by row, where the library cuts one randints run into
+rows with zip and reads its per-profile tables.
 """
 
 from collections import Counter
@@ -28,6 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
+from padicslopes.family import ConjugatedDiagonal, PolynomialOperator
 from padicslopes.lattice import IntMatrix, smith_normal_form
 from padicslopes.padics import INFINITY
 
@@ -171,6 +176,28 @@ def c_at_level(profile, nprime: int) -> Fraction:
     return min(Fraction(nprime), min(ratios))
 
 
+def coefficient_bounds(profile, nprime: int) -> list:
+    """[B_1, ..., B_r]: B_k is the least valuation of e'_k - e_k that the pair hypotheses
+    force, e_k the coefficient of X^(r-k) in char_poly(xi) and e'_k in char_poly(xi').
+    Expanded by columns, each term of e'_k - e_k is a product of entries from k distinct
+    columns, one of them, j0, an entry of Delta: p^max(a_i, n - a_j0, n') divides it, and
+    p^(n - a_j) divides every entry of column j of xi and of xi'. So B_k is the least,
+    over j0, of max(a_min, n - a_j0, n') plus the sum of the k - 1 smallest n - a_j with
+    j != j0. With b the sorted n - a_j and j0 a position in b, those k - 1 are b[:k]
+    without b[j0] when j0 < k, else b[:k - 1]."""
+    b = sorted(profile.n - a for a in profile.a)
+    prefix = [0, *accumulate(b)]
+    floor = max(min(profile.a), nprime)
+    return [min(max(floor, b0) + (prefix[k] - b0 if j0 < k else prefix[k - 1])
+                for j0, b0 in enumerate(b)) for k in range(1, len(b) + 1)]
+
+
+def sigma(profile, nprime: int) -> Fraction:
+    """min_k B_k / k: below this slope the polygons of xi and xi' agree (the
+    Newton-polygon lemma, with B_k from coefficient_bounds)."""
+    return min(Fraction(bk, k) for k, bk in enumerate(coefficient_bounds(profile, nprime), 1))
+
+
 def hypotheses_pass(profile, alpha: int, kappa: int) -> bool:
     """The proposition's hypotheses: kappa <= n - 2 alpha, and alpha < c at every
     level n' with n - 2 alpha - kappa < n' <= n."""
@@ -274,6 +301,30 @@ def gen_congruent_pair_by_rows(xi, profile, p: int, entry_bound: int, rng,
     return IntMatrix(rows)
 
 
+def poly_of_matrix_naive(coeffs, a):
+    """sum_k coeffs[k] a^k for a matrix given as a list of rows, each power formed by
+    the schoolbook product, as a list of rows."""
+    r = len(a)
+    out = [[0] * r for _ in range(r)]
+    power = [[int(i == j) for j in range(r)] for i in range(r)]
+    for c in coeffs:
+        out = [[x + c * y for x, y in zip(row, prow)] for row, prow in zip(out, power)]
+        power = mat_mul_naive(a, power)
+    return out
+
+
+def formed_rows(op):
+    """An operator's matrix as a list of rows, by the schoolbook loops from its parts: q(A)
+    by powers of A for a PolynomialOperator, U diag(d) U^-1 by two products for a
+    ConjugatedDiagonal, and the rows of an IntMatrix as they are."""
+    if isinstance(op, PolynomialOperator):
+        return poly_of_matrix_naive(op.coeffs, op.A.rows)
+    if isinstance(op, ConjugatedDiagonal):
+        scaled = [[x * d for x, d in zip(row, op.diagonal)] for row in op.U.rows]
+        return mat_mul_naive(scaled, op.U_inverse.rows)
+    return [list(row) for row in op.rows]
+
+
 def poly_apply_naive(coeffs, a, vec):
     """sum_k coeffs[k] a^k vec, each power applied to vec by the schoolbook loop."""
     out = [0] * len(vec)
@@ -367,7 +418,7 @@ def trial_document(t) -> dict:
         doc["mismatched_slopes"] = _slope_triples_json(t.mismatched_slopes)
         doc["informational_slopes"] = _slope_triples_json(t.informational_slopes)
     if t.pair is not None:
-        doc["matrices"] = {name: [list(r) for r in getattr(t.pair, name).rows]
+        doc["matrices"] = {name: formed_rows(getattr(t.pair, name))
                            for name in ("xi", "xi_prime", "psi", "psi_prime")}
     return doc
 

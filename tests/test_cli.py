@@ -107,8 +107,8 @@ def test_polygon_output_beyond_the_int_to_str_limit(tmp_path, capsys):
 
     # the emitted strings read back through --input unchanged
     back = write_json(tmp_path / "back.json", {"rows": [emitted[:2], emitted[2:]]})
-    assert matrix_from_document(json.loads((tmp_path / "back.json").read_text())) == \
-        IntMatrix([expected[:2], expected[2:]])
+    assert matrix_from_document(json.loads((tmp_path / "back.json").read_text())).rows == \
+        IntMatrix([expected[:2], expected[2:]]).rows
     assert run_main(["polygon", "--prime", "3", "--input", back]) == 0
     again = json.loads(capsys.readouterr().out)["char_poly"]
     A = IntMatrix([expected[:2], expected[2:]])
@@ -140,7 +140,7 @@ def test_snf_subcommand(tmp_path, capsys):
     U = IntMatrix(doc["U"])
     D = IntMatrix(doc["D"])
     V = IntMatrix(doc["V"])
-    assert U * D * V == IntMatrix(((2, 0), (0, 3)))
+    assert (U * D * V).rows == ((2, 0), (0, 3))
 
 
 def test_profile_subcommand(tmp_path, capsys):

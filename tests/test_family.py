@@ -3,6 +3,7 @@ import json
 import os
 import pickle
 import random
+import signal
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from padicslopes.family import (
     gen_planted_quadruple,
     gen_psi_polynomial,
     gen_xi,
-    poly_of_matrix,
+    operator_rows,
     prepare_plan,
     random_unimodular,
     read_config,
@@ -48,6 +49,7 @@ from padicslopes.rng import _BATCH, _WORD_STEP, SplitMix64, _mix, trial_seed
 from oracles import (
     charpoly_faddeev, det_fraction, diagonal, gen_congruent_pair_by_rows, gen_xi_by_rows,
     horner_mod, mat_add_naive, multiplicity_differences_by_dict, poly_apply_naive,
+    poly_of_matrix_naive,
     random_unimodular_by_randint, report_document, same_quotient_action, trial_document,
     valuation_by_division,
 )
@@ -258,7 +260,7 @@ def test_random_unimodular():
     for _ in range(25):
         r = rng.randint(1, 6)
         U, Ui = random_unimodular(r, rng)
-        assert U * Ui == IntMatrix.identity(r)
+        assert (U * Ui).rows == IntMatrix.identity(r).rows
         assert abs(det_fraction(U)) == 1
 
 
@@ -268,7 +270,8 @@ def test_random_unimodular_reads_the_words_of_its_randint_calls(r):
     # U and U^-1, and the stream stops at the same word
     for seed in range(200):
         rng, oracle = SplitMix64(seed), SplitMix64(seed)
-        assert random_unimodular(r, rng) == random_unimodular_by_randint(r, oracle)
+        assert [m.rows for m in random_unimodular(r, rng)] == \
+            [m.rows for m in random_unimodular_by_randint(r, oracle)]
         assert rng.next_u64() == oracle.next_u64()
 
 
@@ -283,7 +286,8 @@ def test_a_shear_word_at_the_limit_is_skipped_for_the_same_draw(position, span):
         probe = SplitMix64(seed)
         assert [probe.next_u64() for _ in range(position + 1)][-1] == word
         rng, oracle = SplitMix64(seed), SplitMix64(seed)
-        assert random_unimodular(6, rng) == random_unimodular_by_randint(6, oracle)
+        assert [m.rows for m in random_unimodular(6, rng)] == \
+            [m.rows for m in random_unimodular_by_randint(6, oracle)]
         assert rng.next_u64() == oracle.next_u64()
 
 
@@ -394,9 +398,10 @@ def test_flat_forming_matches_the_row_by_row_reference(r, p):
         for min_exponent in (0, nprime):
             rng, oracle = SplitMix64(seed), SplitMix64(seed)
             xi = gen_xi(profile, p, entry_bound, rng)
-            assert xi == gen_xi_by_rows(profile, p, entry_bound, oracle)
-            assert gen_congruent_pair(xi, profile, p, entry_bound, rng, min_exponent) \
-                == gen_congruent_pair_by_rows(xi, profile, p, entry_bound, oracle, min_exponent)
+            assert xi.rows == gen_xi_by_rows(profile, p, entry_bound, oracle).rows
+            xi_prime = gen_congruent_pair(xi, profile, p, entry_bound, rng, min_exponent)
+            want = gen_congruent_pair_by_rows(xi, profile, p, entry_bound, oracle, min_exponent)
+            assert xi_prime.rows == want.rows
             assert rng.next_u64() == oracle.next_u64()
 
 
@@ -470,29 +475,37 @@ def test_gen_psi_polynomial_commutes():
     xi = gen_xi(profile, 5, 1, rng)
     xi_prime = gen_congruent_pair(xi, profile, 5, 1, rng)
     psi, psi_prime, coeffs = gen_psi_polynomial(xi, xi_prime, 5, 1, rng)
-    assert xi * psi == psi * xi
-    assert xi_prime * psi_prime == psi_prime * xi_prime
-    assert psi == poly_of_matrix(coeffs, xi)
+    assert (xi * psi).rows == (psi * xi).rows
+    assert (xi_prime * psi_prime).rows == (psi_prime * xi_prime).rows
+    assert [list(row) for row in psi.rows] == poly_of_matrix_naive(coeffs, xi.rows)
+    assert [list(row) for row in psi_prime.rows] == poly_of_matrix_naive(coeffs, xi_prime.rows)
 
 
 def test_poly_of_matrix_degenerate_cases():
+    # q(xi) formed by operator_rows from the vector Horner
     rng = SplitMix64(94)
     xi = gen_xi(DivisorProfile(n=2, a=(2, 1)), 3, 1, rng)
-    assert poly_of_matrix([0, 1], xi) == xi  # q = X
-    assert poly_of_matrix([5], xi) == IntMatrix.identity(2).scale(5)  # q constant
+    assert operator_rows(PolynomialOperator((0, 1), xi), 2) == xi.rows  # q = X
+    assert operator_rows(PolynomialOperator((5,), xi), 2) == ((5, 0), (0, 5))  # q constant
+    assert operator_rows(PolynomialOperator((), xi), 2) == ((0, 0), (0, 0))  # q = 0
+    assert operator_rows(xi, 2) == xi.rows  # a formed matrix gives its own rows
 
 
 @pytest.mark.parametrize("r", range(1, 9))
 def test_polynomial_operator_matches_the_formed_matrix(r):
-    # vector Horner against poly_of_matrix(q, A).apply and the power-sum oracle
+    # vector Horner, and the rows operator_rows forms from it, against the schoolbook
+    # power oracles
     rng = SplitMix64(0x486F726E + r)
 
     def check(coeffs, A, vec):
         got = PolynomialOperator(coeffs, A).apply(vec)
-        assert got == poly_of_matrix(coeffs, A).apply(vec)
+        formed = poly_of_matrix_naive(coeffs, A.rows)
+        assert got == IntMatrix(formed).apply(vec)
         assert got == tuple(poly_apply_naive(coeffs, [list(row) for row in A.rows], list(vec)))
         assert all(type(x) is int for x in got)
-        assert PolynomialOperator(coeffs, A).rows == poly_of_matrix(coeffs, A).rows
+        rows = operator_rows(PolynomialOperator(coeffs, A), r)
+        assert rows == tuple(map(tuple, formed))
+        assert all(type(row) is tuple and type(x) is int for row in rows for x in row)
 
     def entry(big):
         x = rng.randint(-9, 9)
@@ -506,7 +519,7 @@ def test_polynomial_operator_matches_the_formed_matrix(r):
             check(coeffs, A, vec)
             check((0,) * (deg + 1), A, vec)
             check(coeffs, A, (0,) * r)
-            check(coeffs, IntMatrix.zero(r), vec)
+            check(coeffs, diagonal((0,) * r), vec)
     assert min(min(row) for row in A.rows) < 0
     assert max(abs(x) for row in A.rows for x in row).bit_length() > 190
 
@@ -544,7 +557,7 @@ def test_conjugated_diagonal_matches_the_formed_matrix(r):
     for entries in (big, (0,) * r):
         op = ConjugatedDiagonal(U, entries, Ui)
         formed = U * diagonal(entries) * Ui
-        assert op.rows == formed.rows
+        assert operator_rows(op, r) == formed.rows
         for vec in (tuple(entry() for _ in range(r)), (0,) * r):
             got = op.apply(vec)
             assert got == formed.apply(vec)
@@ -569,8 +582,8 @@ def test_generated_polynomial_psi_commutes_on_the_shipped_configs():
             assert pair.psi == PolynomialOperator(q, pair.xi)
             assert pair.psi_prime == PolynomialOperator(q, pair.xi_prime)
             for xi in (pair.xi, pair.xi_prime):
-                psi = poly_of_matrix(q, xi)
-                assert xi * psi == psi * xi
+                psi = IntMatrix._of(operator_rows(PolynomialOperator(q, xi), xi.r))
+                assert (xi * psi).rows == (psi * xi).rows
 
 
 def planted_valuations(pair, p) -> list:
@@ -589,9 +602,9 @@ def test_planted_quadruple():
     assert check_xi_condition(pair.xi, profile, 3)
     assert check_xi_condition(pair.xi_prime, profile, 3)
     # trials never form psi, so its commutation with xi is checked here
-    psi, psi_prime = IntMatrix._of(pair.psi.rows), IntMatrix._of(pair.psi_prime.rows)
-    assert pair.xi * psi == psi * pair.xi
-    assert pair.xi_prime * psi_prime == psi_prime * pair.xi_prime
+    psi, psi_prime = (IntMatrix._of(operator_rows(op, 5)) for op in (pair.psi, pair.psi_prime))
+    assert (pair.xi * psi).rows == (psi * pair.xi).rows
+    assert (pair.xi_prime * psi_prime).rows == (psi_prime * pair.xi_prime).rows
     vals = planted_valuations(pair, 3)
     assert vals.count(1) == 1
     census = {seg.slope: seg.length for seg in newton_polygon(char_poly(pair.xi), 3).segments}
@@ -749,7 +762,8 @@ def assert_report_forms_psi(plan, report, coeffs, digest):
     pair = report.pair
     doc = trial_document(report)
     for name, xi in (("psi", pair.xi), ("psi_prime", pair.xi_prime)):
-        assert doc["matrices"][name] == [list(r) for r in poly_of_matrix(coeffs, xi).rows]
+        assert doc["matrices"][name] == poly_of_matrix_naive(coeffs, xi.rows)
+        assert operator_rows(getattr(pair, name), xi.r) == tuple(map(tuple, doc["matrices"][name]))
     text = json_text(doc)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digest
     assert_the_writer_forms_them_too(plan, report)
@@ -782,8 +796,8 @@ def test_polynomial_psi_violation_report_forms_the_matrices():
     else:
         raise AssertionError("expected a violation from unrelated operators")
     text = assert_report_forms_psi(plan, report, coeffs, PROP_VIOLATION_DIGEST)
-    formed = pair._replace(psi=poly_of_matrix(coeffs, xi),
-                     psi_prime=poly_of_matrix(coeffs, xi_prime))
+    formed = pair._replace(psi=IntMatrix(poly_of_matrix_naive(coeffs, xi.rows)),
+                           psi_prime=IntMatrix(poly_of_matrix_naive(coeffs, xi_prime.rows)))
     assert json_text(trial_document(_evaluate_proposition_pair(plan, formed, 0, 0))) == text
 
 
@@ -877,10 +891,13 @@ def assert_no_child_process():
 
 
 def test_run_experiment_leaves_no_worker_process(monkeypatch):
+    # nor the SIGTERM handler it installs while children run
+    handler = signal.getsignal(signal.SIGTERM)
     cfg = read_config(CONFIG_DIR / "prop_default.json")
     report = run_experiment(cfg, "prop", jobs=2)
     assert len(report.trials) == cfg.trials
     assert_no_child_process()
+    assert signal.getsignal(signal.SIGTERM) is handler
     # at --jobs 2 index 4 is in this process's share and index 5 in the child's
     real = family.run_proposition_trial
     for bad in (4, 5):
@@ -893,6 +910,7 @@ def test_run_experiment_leaves_no_worker_process(monkeypatch):
         with pytest.raises(LookupError, match=f"^trial {bad} failed$"):
             run_experiment(cfg, "prop", jobs=2)
         assert_no_child_process()
+        assert signal.getsignal(signal.SIGTERM) is handler
 
 
 def test_no_more_workers_than_trials_are_forked(monkeypatch):

@@ -38,11 +38,11 @@ def random_matrix(rng, r, bound):
 
 def assert_snf_contract(A):
     dec = smith_normal_form(A)
-    assert dec.U * dec.D * dec.V == A
+    assert (dec.U * dec.D * dec.V).rows == A.rows
     assert abs(det_fraction(dec.U)) == 1
     assert abs(det_fraction(dec.V)) == 1
-    assert dec.U * dec.u_inverse == IntMatrix.identity(A.r)
-    assert dec.V * dec.v_inverse == IntMatrix.identity(A.r)
+    assert (dec.U * dec.u_inverse).rows == IntMatrix.identity(A.r).rows
+    assert (dec.V * dec.v_inverse).rows == IntMatrix.identity(A.r).rows
     d = dec.divisors
     assert all(x >= 0 for x in d)
     for x, y in zip(d, d[1:]):
@@ -60,7 +60,7 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         IntMatrix([])
     m = IntMatrix([[1, 2], [3, 4]])
-    assert (m * IntMatrix.identity(2)) == m
+    assert (m * IntMatrix.identity(2)).rows == m.rows
     assert m.apply((1, 0)) == (1, 3)
 
 
@@ -77,7 +77,7 @@ def test_snf_examples():
         dec = smith_normal_form(diagonal([p, p]))
         assert dec.divisors == (p, p)
 
-    dec = smith_normal_form(IntMatrix.zero(2))
+    dec = smith_normal_form(diagonal((0,) * 2))
     assert dec.divisors == (0, 0)
 
     # 2 clears its row and column but fails to divide 3: row 1 is folded into row 0
@@ -120,7 +120,7 @@ def assert_snf_mod_contract(A, p, N):
     assert reduced(dec.V * dec.v_inverse, m) == ident
     for M in (dec.U, dec.D, dec.V, dec.u_inverse, dec.v_inverse):
         assert all(0 <= x < m for row in M.rows for x in row)
-    assert dec.D == diagonal(dec.divisors)
+    assert dec.D.rows == diagonal(dec.divisors).rows
     vals = [N if d == 0 else valuation_by_division(d, p) for d in dec.divisors]
     assert list(dec.divisors) == [0 if v >= N else p**v for v in vals]
     assert vals == sorted(vals)
@@ -132,7 +132,7 @@ def assert_snf_mod_contract(A, p, N):
 def test_matrix_document_decimal_strings_of_any_length():
     big = 7**9000  # 7606 digits, past the default int-to-str limit of 4300
     doc = {"rows": [[str(Decimal(big)), "-" + str(Decimal(big))], ["+12", "0"]]}
-    assert matrix_from_document(doc) == IntMatrix([[big, -big], [12, 0]])
+    assert matrix_from_document(doc).rows == ((big, -big), (12, 0))
     for bad in ("\u00b2", "1e3", "1_000", "NaN", "0x1f", ""):
         with pytest.raises(ValueError):
             matrix_from_document({"rows": [[bad]]})
@@ -171,7 +171,7 @@ def test_snf_mod_examples():
     dec = smith_normal_form(IntMatrix([[5, 1], [0, 5]]), 5, 3)
     assert dec.divisors == (1, 25)
     assert smith_normal_form(diagonal([0, 27, 6]), 3, 2).divisors == (3, 0, 0)
-    assert smith_normal_form(IntMatrix.zero(2), 2, 4).divisors == (0, 0)
+    assert smith_normal_form(diagonal((0,) * 2), 2, 4).divisors == (0, 0)
     with pytest.raises(ValueError):
         smith_normal_form(IntMatrix.identity(2), 4, 2)
     with pytest.raises(ValueError):
@@ -370,7 +370,7 @@ def test_quotient_profile_generating_set_invariance():
 
 def test_quotient_profile_errors():
     with pytest.raises(ValueError):
-        quotient_profile(IntMatrix.zero(2), 5, 3)  # not finite index
+        quotient_profile(diagonal((0,) * 2), 5, 3)  # not finite index
     with pytest.raises(ValueError):
         quotient_profile(diagonal([6, 1]), 2, 3)  # stray factor 3
     with pytest.raises(ValueError):
@@ -440,7 +440,7 @@ def test_kernel_mod_examples():
     # direct solve oracle: 5x = 0 mod 125 iff 25 | x
     assert [x for x in range(125) if 5 * x % 125 == 0] == [25 * k for k in range(5)]
 
-    gens = kernel_mod(IntMatrix.zero(2), 3, 4)
+    gens = kernel_mod(diagonal((0,) * 2), 3, 4)
     assert [g.order for g in gens] == [4, 4]
     assert sorted(g.vector for g in gens) == [(0, 1), (1, 0)]
 
@@ -476,9 +476,9 @@ def test_kernel_mod_membership_and_size():
 def test_matrix_document_round_trip():
     A = IntMatrix([[10**40, -3], [0, 7]])
     doc = {"rows": [list(row) for row in A.rows]}
-    assert matrix_from_document(json.loads(json.dumps(doc))) == A
+    assert matrix_from_document(json.loads(json.dumps(doc))).rows == A.rows
     # decimal strings accepted for big values
-    assert matrix_from_document({"rows": [[str(10**40), "-3"], ["0", "7"]]}) == A
+    assert matrix_from_document({"rows": [[str(10**40), "-3"], ["0", "7"]]}).rows == A.rows
     with pytest.raises(ValueError):
         matrix_from_document({"rows": [[1, 2]], "extra": 1})
     with pytest.raises(ValueError):
@@ -530,12 +530,9 @@ def test_kernel_arithmetic_matches_the_schoolbook_oracle(r):
             (A.scale(c), scaled(a, c)),
             (A.shift(c), mat_add_naive(a, scaled(identity_rows(r), c))),
             (IntMatrix.identity(r), identity_rows(r)),
-            (IntMatrix.zero(r), scaled(identity_rows(r), 0)),
         ]
         for got, rows in cases:
-            expected = IntMatrix(rows)
-            assert got == expected
-            assert hash(got) == hash(expected)
+            assert got.rows == IntMatrix(rows).rows
             assert all(type(x) is int for row in got.rows for x in row)
         assert A.apply(vec) == tuple(row[0] for row in mat_mul_naive(a, [[v] for v in vec]))
 
@@ -555,7 +552,7 @@ def test_products_and_applies_compile_one_kernel_per_rank_up_to_the_cap():
     for r in (KERNEL_MAX_RANK + 1, KERNEL_MAX_RANK + 5):
         a, b = kernel_rows(rng, r), kernel_rows(rng, r)
         vec = [kernel_entry(rng) for _ in range(r)]
-        assert IntMatrix(a) * IntMatrix(b) == IntMatrix(mat_mul_naive(a, b))
+        assert (IntMatrix(a) * IntMatrix(b)).rows == IntMatrix(mat_mul_naive(a, b)).rows
         column = mat_mul_naive(a, [[v] for v in vec])
         assert IntMatrix(a).apply(vec) == tuple(row[0] for row in column)
     # the ranks above the cap run the loops and never reach the kernel caches
@@ -594,8 +591,6 @@ def test_public_constructors_still_validate():
     for r in (0, -1):
         with pytest.raises(ValueError):
             IntMatrix.identity(r)
-        with pytest.raises(ValueError):
-            IntMatrix.zero(r)
     A = IntMatrix([[True, 2], [3, 4]])
     assert type(A.rows[0][0]) is int
     with pytest.raises(TypeError):

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from padicslopes import family, newton
-from padicslopes.family import poly_of_matrix, random_unimodular, read_config, run_experiment
+from padicslopes.family import random_unimodular, read_config, run_experiment
 from padicslopes.lattice import IntMatrix
 from padicslopes.newton import (
     KERNEL_MAX_RANK,
@@ -26,7 +26,8 @@ from padicslopes.rng import SplitMix64
 
 from oracles import (
     charpoly_cofactor, charpoly_faddeev, diagonal, eigenvector_by_integer_snf, horner_mod,
-    kernel_mod, lower_hull_by_brute_force, poly_mul, valuation_by_division,
+    kernel_mod, lower_hull_by_brute_force, poly_mul, poly_of_matrix_naive,
+    valuation_by_division,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -80,7 +81,7 @@ def test_char_poly_matches_faddeev_oracle_at_random_ranks():
     ranks = [r for r in range(1, 25) for _ in range(3)] + [32, 32, 48]
     for A in random_matrices(rng, ranks):
         assert char_poly(A).coeffs == charpoly_faddeev(A), A.r
-    for A in (IntMatrix.zero(7), IntMatrix.identity(9).scale(-3)):
+    for A in (diagonal((0,) * 7), IntMatrix.identity(9).scale(-3)):
         assert char_poly(A).coeffs == charpoly_faddeev(A)
 
 
@@ -113,7 +114,7 @@ def test_char_poly_matches_faddeev_on_shipped_trials(name, mode, monkeypatch):
 def kernel_corpus(rng, r):
     """random_matrices at rank r, the zero matrix, a scaled identity, and entries past +-2^64."""
     yield from random_matrices(rng, [r] * 4)
-    yield IntMatrix.zero(r)
+    yield diagonal((0,) * r)
     yield IntMatrix.identity(r).scale(-(3**5))
     big = [[(-1) ** (i + j) * (rng.randint(1, 9) << 66 | rng.next_u64()) for j in range(r)]
            for i in range(r)]
@@ -346,7 +347,7 @@ def test_slope_census_examples():
         return segments_as_pairs(newton_polygon(char_poly(B), p).segments)
 
     assert census(A) == [(Fraction(1), 1), (Fraction(2), 1)]
-    assert census(IntMatrix.zero(4)) == [(INFINITY, 4)]
+    assert census(diagonal((0,) * 4)) == [(INFINITY, 4)]
     assert census(IntMatrix.identity(3)) == [(Fraction(0), 3)]
 
 
@@ -637,7 +638,7 @@ def test_commuting_eigenvalue_polynomial_functoriality():
         root = lift(cp, p, alpha, N)
         vec = eigenvector_mod(A, root.value, p, N)
         coeffs = [rng.randint(-9, 9) for _ in range(r)]
-        B = poly_of_matrix(coeffs, A)
+        B = IntMatrix(poly_of_matrix_naive(coeffs, A.rows))
         cap = N - root.derivative_valuation - alpha
         a = commuting_eigenvalue(B, vec, p, cap)
         expected = 0

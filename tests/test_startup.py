@@ -3,7 +3,8 @@
 Every verify run pays for importing the package in a fresh interpreter, and at
 small trial counts that is most of its wall time. dataclasses alone pulls in
 inspect, ast and dis, and its decorator generates methods on every import; the
-records are named tuples and slotted classes instead, so none of it loads.
+records are named tuples and slotted classes instead, so none of it loads. A run
+that forks no worker loads neither pickle nor signal either.
 """
 
 import ast
@@ -41,3 +42,18 @@ def test_importing_the_cli_loads_no_dataclasses():
                           timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_a_jobs_1_run_loads_neither_pickle_nor_signal():
+    # one share runs in this process: only a fork needs pickle and signal (about 15 ms)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    config = SRC.parent / "configs" / "prop_default.json"
+    code = ("import os, sys\n"
+            "from padicslopes import cli\n"
+            "code = cli.main(['verify-prop', '--config', sys.argv[1], '--jobs', '1',"
+            " '--output', os.devnull])\n"
+            "print(code, 'pickle' in sys.modules, 'signal' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(config)], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 False False\n"

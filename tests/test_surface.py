@@ -24,16 +24,12 @@ BENCHMARK_ONLY = "read by perfbench/layers.py"
 PICKLE_ONLY = "pickling, which only a forked worker does to its trials: the census sees none"
 
 ONLY_TESTS_REACH = {
-    "family:ConjugatedDiagonal.rows": VIOLATION_ONLY,
-    "family:PolynomialOperator.rows": VIOLATION_ONLY,
-    "family:poly_of_matrix": VIOLATION_ONLY + " (PolynomialOperator.rows)",
-    "lattice:IntMatrix.zero": VIOLATION_ONLY + " (poly_of_matrix's start)",
+    "family:operator_rows": VIOLATION_ONLY + ", and gen_psi_polynomial (below)",
     "family:gen_psi_polynomial": BENCHMARK_ONLY + ", which times it as a layer",
     "lattice:IntMatrix.__sub__": BENCHMARK_ONLY + ": the rank sweep's xi - u I",
-    "lattice:IntMatrix.identity": BENCHMARK_ONLY + ": the rank sweep's xi - u I",
+    "lattice:IntMatrix.identity": BENCHMARK_ONLY + ": the rank sweep's xi - u I; and the "
+                                  "unit vectors of operator_rows",
     "lattice:IntMatrix.scale": BENCHMARK_ONLY + ": the rank sweep's xi - u I",
-    "lattice:IntMatrix.__eq__": "the tests compare matrices by value; no shipped run does",
-    "lattice:IntMatrix.__hash__": "the tests hash matrices to check it agrees with ==",
     "lattice:IntMatrix.__repr__": "for reading a matrix in a failing assertion",
     "lattice:SmithDecomposition.u_inverse": BENCHMARK_ONLY + " for the Smith form's bits",
     "lattice:SmithDecomposition.v_inverse": BENCHMARK_ONLY + " for the Smith form's bits",

@@ -1,18 +1,22 @@
-"""What run_experiment does when a forked worker, or its own share, fails.
+"""What run_experiment does when a forked worker, or its own share, fails, and what
+a verify run does when it is signalled.
 
-Each case runs in a fresh interpreter under a timeout, so a run that hangs fails its
-test instead of stalling the suite. At --jobs W the trial of index i runs in worker
-i mod W; worker 0 is the calling process itself.
+Each case runs in a fresh interpreter, in a session of its own, under a timeout, so a
+run that hangs fails its test instead of stalling the suite. At --jobs W the trial of
+index i runs in worker i mod W; worker 0 is the calling process itself.
 """
 
+import json
 import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "prop_default.json"
+PYTHONPATH = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
 
 # argv: the config. Keeps the library's trial runner as real and defines no_child_left;
 # each case's code follows and sets family.run_proposition_trial to its own runner
@@ -34,10 +38,10 @@ def no_child_left():
 
 def run_case(code: str, timeout: float = 60) -> subprocess.CompletedProcess:
     """The case's run; on a timeout its whole session is killed, forked workers too."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     argv = [sys.executable, "-c", PRELUDE + code, str(CONFIG)]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, start_new_session=True) as proc:
+                          env={**os.environ, "PYTHONPATH": PYTHONPATH},
+                          start_new_session=True) as proc:
         try:
             out, err = proc.communicate(timeout=timeout)
         except subprocess.TimeoutExpired:
@@ -60,7 +64,7 @@ try:
     family.run_experiment(family.read_config(sys.argv[1]), "prop", jobs=2)
 except LookupError as exc:
     assert str(exc) == "trial 3 has no eigenvalue", exc
-    assert isinstance(exc.__cause__, ChildProcessError), repr(exc.__cause__)
+    assert type(exc.__cause__) is RuntimeError, repr(exc.__cause__)
     print(exc.__cause__)
 assert no_child_left()
 sys.exit(cli.main(["verify-prop", "--config", sys.argv[1], "--jobs", "2",
@@ -95,14 +99,20 @@ for trial in (killed, unpicklable):
     family.run_proposition_trial = trial
     try:
         family.run_experiment(family.read_config(sys.argv[1]), "prop", jobs=2)
-    except ChildProcessError as exc:
-        print(exc)
+    except RuntimeError as exc:  # not an OSError, which cli.main reads as bad input
+        print(type(exc) is RuntimeError, exc)
     print(no_child_left())
+family.run_proposition_trial = killed
+sys.exit(cli.main(["verify-prop", "--config", sys.argv[1], "--jobs", "2",
+                   "--output", os.devnull]))
 ''')
-    assert done.returncode == 0, done.stderr
     # a signal's wait status is its number; an exit code e reads e << 8
-    assert done.stdout == (f"worker 1 ended without its trials, wait status {9}\nTrue\n"
-                           f"worker 1 ended without its trials, wait status {1 << 8}\nTrue\n")
+    assert done.stdout == (f"True worker 1 ended without its trials, wait status {9}\nTrue\n"
+                           f"True worker 1 ended without its trials, wait status {1 << 8}\nTrue\n")
+    # cli.main: an internal error, exit 3 with the traceback, not exit 2 (bad input)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.endswith("RuntimeError: worker 1 ended without its trials, "
+                                "wait status 9\n"), done.stderr
 
 
 def test_a_raise_in_this_share_does_not_wait_on_a_blocked_child():
@@ -129,3 +139,76 @@ print(no_child_left(), time.perf_counter() - start < 10)
 ''', timeout=30)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "trial 30 failed in this process\nTrue True\n"
+
+
+# argv: a config. Runs verify-constancy --jobs 2 on it, and prints the pid of the worker
+# it forks, so the test signals the CLI process only once that worker runs its share
+SIGNALLED = r'''
+import os, sys
+from padicslopes import cli
+
+fork = os.fork
+
+
+def announced_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+
+os.fork = announced_fork
+sys.exit(cli.main(["verify-constancy", "--config", sys.argv[1], "--jobs", "2",
+                   "--output", os.devnull]))
+'''
+
+
+def signalled_run(tmp_path, signum):
+    """(return code, stderr, seconds from the signal until no process of the run is
+    left) of verify-constancy --jobs 2 whose CLI process alone gets signum half a second
+    after its worker started. The config's shares take several seconds each (60000
+    constancy_default trials), so a run that waits for them or leaves its worker running
+    holds its session well past the 2 s the tests allow."""
+    config = tmp_path / "long.json"
+    doc = json.loads((ROOT / "configs" / "constancy_default.json").read_text())
+    config.write_text(json.dumps({**doc, "trials": 60000}))
+    argv = [sys.executable, "-c", SIGNALLED, str(config)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": PYTHONPATH},
+                          start_new_session=True) as proc:
+        try:
+            assert proc.stdout.readline().strip().isdigit()  # the worker's pid: it runs
+            time.sleep(0.5)
+            assert proc.poll() is None
+            os.kill(proc.pid, signum)
+            signalled = time.perf_counter()
+            err = proc.communicate(timeout=30)[1]
+            while time.perf_counter() - signalled < 5:
+                try:
+                    os.killpg(proc.pid, 0)  # any process left in the run's session
+                except ProcessLookupError:
+                    return proc.returncode, err, time.perf_counter() - signalled
+                time.sleep(0.01)
+            return proc.returncode, err, float("inf")
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
+def test_sigterm_to_the_cli_ends_its_workers_and_exits_143(tmp_path):
+    # what timeout sends: kill and reap the worker, then exit 128 + 15, no traceback
+    code, err, seconds = signalled_run(tmp_path, signal.SIGTERM)
+    assert code == 143, err
+    assert err == ""
+    assert seconds < 2
+
+
+def test_sigint_to_the_cli_alone_does_not_wait_for_its_workers(tmp_path):
+    # Ctrl-C sent to the CLI process only, not its process group: its KeyboardInterrupt
+    # kills and reaps the worker instead of waiting for its share
+    code, err, seconds = signalled_run(tmp_path, signal.SIGINT)
+    assert code == -signal.SIGINT, err
+    assert err.rstrip().endswith("KeyboardInterrupt")
+    assert seconds < 2
