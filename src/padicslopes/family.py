@@ -23,8 +23,8 @@ from operator import add, mod, mul, sub
 
 from .bounds import c_exact, resolve_kappa, hilbert_profile
 from .lattice import (
-    DivisorProfile, IntMatrix, _add_row, _check_rank, _column_scales, _int_json, _json, _rows,
-    _swap_rows, _transposed, check_xi_condition, json_text,
+    DivisorProfile, IntMatrix, _check_rank, _column_scales, _int_json, _json, check_xi_condition,
+    json_text, random_unimodular,
 )
 from .newton import (
     ConsistencyError,
@@ -163,34 +163,6 @@ def read_config(path) -> ExperimentConfig:
 
 
 # --- generators ----------------------------------------------------------------
-
-def random_unimodular(r: int, rng: SplitMix64) -> tuple:
-    """(U, U^{-1}) built from 2r random shears and swaps; det is +-1 by construction.
-
-    Each shear draws row i in [0, r - 1], row j in [0, r - 2] (j >= i moves up one)
-    and q in [-2, 2] by three randint calls. U^{-1} is built as its transpose, so its
-    column operations are row operations, and transposed once at the end.
-    """
-    if r == 1:
-        s = rng.choice((1, -1))
-        m = IntMatrix._of(((s,),))
-        return m, m
-    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    Uit = [row[:] for row in U]
-    for _ in range(2 * r):
-        i, j, q = rng.randint(0, r - 1), rng.randint(0, r - 2), rng.randint(-2, 2)
-        if j >= i:
-            j += 1
-        if q == 0:
-            _swap_rows(U, i, j)
-            _swap_rows(Uit, i, j)
-        else:
-            # U <- E U with E = I + q e_i e_j^T; U^-1 <- U^-1 E^-1, so its transpose
-            # takes row_j -= q row_i
-            _add_row(U, i, j, q)
-            _add_row(Uit, j, i, -q)
-    return _rows(U), _transposed(Uit)
-
 
 def gen_xi(profile: DivisorProfile, p: int, entry_bound: int, rng: SplitMix64) -> IntMatrix:
     """Random operator with xi(K) in p^n L by construction: column j is p^{n-a_j} times
@@ -597,7 +569,9 @@ def _forked_trials(run, plan: ExperimentPlan, trials: int, workers: int) -> list
             pipes.append(open(fd, "rb"))
             with open(write_fd, "wb") as writer:  # the parent's copy closes after the fork
                 if (pid := os.fork()) == 0:
-                    try:
+                    try:  # no reader left here: with the parent gone, the write fails on EPIPE
+                        for reader in pipes:
+                            reader.close()
                         try:
                             payload = [run(plan, i) for i in range(w, trials, workers)], None
                         except Exception as exc:

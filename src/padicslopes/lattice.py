@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, cycle, groupby
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from operator import index, itemgetter, mod, mul, sub
+from operator import add, index, itemgetter, mod, mul, sub
 
 from .padics import _require_prime, padic_valuation
 
@@ -253,20 +253,6 @@ class SmithDecomposition:
         return tuple(v)
 
 
-def _swap_rows(m, i, k):
-    m[i], m[k] = m[k], m[i]
-
-
-def _swap_cols(m, j, l):
-    for row in m:
-        row[j], row[l] = row[l], row[j]
-
-
-def _add_row(m, k, i, q):
-    """row_k += q * row_i"""
-    m[k] = [x + q * y for x, y in zip(m[k], m[i])]
-
-
 # Logged elementary operations on lines (the rows of a matrix, or the columns for
 # col_ops): (_ADD, k, i, q) is line_k += q * line_i, (_SWAP, i, k, None) exchanges
 # lines i and k, (_SCALE, i, c, c_inverse) multiplies line i by the unit c.
@@ -305,6 +291,28 @@ def _rows(m) -> IntMatrix:
 
 def _transposed(m) -> IntMatrix:
     return IntMatrix._of(tuple(zip(*m)))
+
+
+def random_unimodular(r: int, rng) -> tuple:
+    """(U, U^{-1}) from 2r random shears and swaps, drawn from the SplitMix64 stream rng;
+    det is +-1 by construction.
+
+    Each shear draws row i in [0, r - 1], row j in [0, r - 2] (j >= i moves up one)
+    and q in [-2, 2] by three randint calls, and logs row_i += q row_j, or a swap when
+    q = 0; at r = 1 U is one sign. U and U^{-1} are replayed from the log as the Smith
+    form's u_inverse and U are.
+    """
+    if r == 1:
+        s = rng.choice((1, -1))
+        ops = [(_SCALE, 0, s, s)]
+    else:
+        ops = []
+        for _ in range(2 * r):
+            i, j, q = rng.randint(0, r - 1), rng.randint(0, r - 2), rng.randint(-2, 2)
+            if j >= i:
+                j += 1
+            ops.append((_ADD, i, j, q) if q else (_SWAP, i, j, None))
+    return _rows(_replay(r, ops, 0)), _transposed(_replay(r, map(_inverse_transposed, ops), 0))
 
 
 def _least_valuation(B, s, p, floor):
@@ -360,10 +368,11 @@ def smith_normal_form(A: IntMatrix, p: int | None = None, N: int | None = None) 
             break  # the rest of the block is 0 (mod p^N)
         i, j, v = pivot
         if i != s:
-            _swap_rows(B, s, i)
+            B[s], B[i] = B[i], B[s]
             row_ops.append((_SWAP, s, i, None))
         if j != s:
-            _swap_cols(B, s, j)
+            for row in B:
+                row[s], row[j] = row[j], row[s]
             col_ops.append((_SWAP, s, j, None))
         top = B[s]
         d = top[s]
@@ -400,7 +409,7 @@ def smith_normal_form(A: IntMatrix, p: int | None = None, N: int | None = None) 
             # the pivot must divide the remaining block for the chain d_s | d_{s+1}
             fold = next((i for i in range(s + 1, r) if any(x % d for x in B[i][s + 1:])), None)
             if fold is not None:
-                _add_row(B, s, fold, 1)
+                B[s] = list(map(add, top, B[fold]))
                 row_ops.append((_ADD, s, fold, 1))
                 continue
             if d < 0:

@@ -19,8 +19,12 @@ writer builds the whole report as a document, one dict per trial, for json.dumps
 to write; formed_rows forms psi from its parts by schoolbook powers and
 products, where the library applies the operator to the unit vectors.
 random_unimodular_by_randint draws each shear by the same three randint calls
-as random_unimodular and builds U^-1 by column operations, where
-random_unimodular builds U^-T by rows. gen_xi_by_rows and
+as random_unimodular and applies each at once, to the rows of U and the
+columns of U^-1, where random_unimodular logs them and replays the log for U
+and its inverse transposes for U^-T, as the Smith form forms its transforms.
+sigma_with_plain_moduli reads the bound off every choice of columns of every
+principal minor, where coefficient_bounds takes the sorted exponents.
+gen_xi_by_rows and
 gen_congruent_pair_by_rows form each entry from its own randint call and the
 per-entry formula, row by row, where the library cuts one randints run into
 rows with zip and reads its per-profile tables.
@@ -30,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 from padicslopes.family import ConjugatedDiagonal, PolynomialOperator
 from padicslopes.lattice import IntMatrix, smith_normal_form
@@ -196,6 +200,17 @@ def sigma(profile, nprime: int) -> Fraction:
     """min_k B_k / k: below this slope the polygons of xi and xi' agree (the
     Newton-polygon lemma, with B_k from coefficient_bounds)."""
     return min(Fraction(bk, k) for k, bk in enumerate(coefficient_bounds(profile, nprime), 1))
+
+
+def sigma_with_plain_moduli(profile, m: int) -> Fraction:
+    """sigma when every Delta entry is a multiple of p^m alone: min_k B_k / k, B_k the
+    least over k columns of a principal minor of xi' = xi + Delta, each column taken from
+    xi (valuation >= n - a_j) or from Delta (>= m), at least one from Delta."""
+    r = profile.r
+    return min(Fraction(min(sum(m if j in delta else profile.n - profile.a[j] for j in cols)
+                            for cols in combinations(range(r), k)
+                            for d in range(1, k + 1) for delta in combinations(cols, d)), k)
+               for k in range(1, r + 1))
 
 
 def hypotheses_pass(profile, alpha: int, kappa: int) -> bool:

@@ -17,12 +17,11 @@ from padicslopes.bounds import (
 )
 from padicslopes.family import (
     config_from_document,
-    random_unimodular,
     read_config,
     report_to_json,
     run_experiment,
 )
-from padicslopes.lattice import IntMatrix, smith_normal_form
+from padicslopes.lattice import IntMatrix, random_unimodular, smith_normal_form
 from padicslopes.newton import CharPoly, char_poly, hensel_slope_root, newton_polygon
 from padicslopes.padics import INFINITY, padic_valuation
 from padicslopes.rng import SplitMix64

@@ -15,11 +15,13 @@ from pathlib import Path
 from padicslopes.bounds import hilbert_profile
 from padicslopes.family import _generate_pair, prepare_plan, read_config
 from padicslopes.lattice import DivisorProfile
-from padicslopes.newton import char_poly
+from padicslopes.newton import char_poly, newton_polygon
 from padicslopes.padics import INFINITY
 from padicslopes.rng import SplitMix64, trial_seed
 
-from oracles import c_at_level, coefficient_bounds, sigma, valuation_by_division
+from oracles import (
+    c_at_level, coefficient_bounds, multiplicity_differences_by_dict, sigma, valuation_by_division,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -85,15 +87,25 @@ def test_c_is_at_most_sigma_on_random_explicit_profiles():
 
 
 def test_the_least_observed_coefficient_valuations_are_the_bounds():
-    # over the shipped constancy_default trials, min v(e'_k - e_k) is B_k at every k
+    # over the shipped constancy_default trials, min v(e'_k - e_k) is B_k at every k, and
+    # the least differing slope is 4: the chain c <= sigma <= least slope reads 1 <= 2 <= 4
     cfg = read_config(CONFIG_DIR / "constancy_default.json")
     plan = prepare_plan(cfg, "constancy")
     least = [INFINITY] * cfg.profile.r
+    differing = []
     for index in range(cfg.trials):
         pair = _generate_pair(plan, SplitMix64(trial_seed(cfg.master_seed, index)),
                               min_exponent=cfg.nprime)
-        cp, cp_prime = char_poly(pair.xi).coeffs, char_poly(pair.xi_prime).coeffs
+        cp, cp_prime = char_poly(pair.xi), char_poly(pair.xi_prime)
         for k in range(1, cfg.profile.r + 1):
-            if cp_prime[k] != cp[k]:
-                least[k - 1] = min(least[k - 1], valuation_by_division(cp_prime[k] - cp[k], cfg.p))
+            if cp_prime.coeffs[k] != cp.coeffs[k]:
+                v = valuation_by_division(cp_prime.coeffs[k] - cp.coeffs[k], cfg.p)
+                least[k - 1] = min(least[k - 1], v)
+        slopes = [s for s, _, _ in multiplicity_differences_by_dict(
+            newton_polygon(cp, cfg.p).segments, newton_polygon(cp_prime, cfg.p).segments)
+            if s is not INFINITY]
+        if slopes:
+            differing.append(min(slopes))
     assert least == coefficient_bounds(cfg.profile, cfg.nprime)
+    assert (len(differing), min(differing)) == (49, 4)
+    assert c_at_level(cfg.profile, cfg.nprime) <= sigma(cfg.profile, cfg.nprime) <= min(differing)

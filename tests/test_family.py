@@ -31,7 +31,6 @@ from padicslopes.family import (
     gen_xi,
     operator_rows,
     prepare_plan,
-    random_unimodular,
     read_config,
     report_to_json,
     run_experiment,
@@ -40,6 +39,7 @@ from padicslopes.family import (
 from padicslopes.bounds import c_exact
 from padicslopes.lattice import (
     KERNEL_MAX_RANK, DivisorProfile, IntMatrix, _column_scales, check_xi_condition, json_text,
+    random_unimodular,
 )
 from padicslopes import family, newton
 from padicslopes.newton import SlopeSegment, char_poly, newton_polygon
@@ -50,8 +50,8 @@ from oracles import (
     charpoly_faddeev, det_fraction, diagonal, gen_congruent_pair_by_rows, gen_xi_by_rows,
     horner_mod, mat_add_naive, multiplicity_differences_by_dict, poly_apply_naive,
     poly_of_matrix_naive,
-    random_unimodular_by_randint, report_document, same_quotient_action, trial_document,
-    valuation_by_division,
+    random_unimodular_by_randint, report_document, same_quotient_action,
+    sigma_with_plain_moduli, trial_document, valuation_by_division,
 )
 from test_report_digests import SHARP_SLACK_ZERO, VARIANTS, variant_ids
 
@@ -1025,11 +1025,13 @@ def test_accepted_margins_stay_at_or_above_n_minus_2_alpha(name):
 
 @pytest.mark.parametrize("m,violations,least", [
     (0, 300, Fraction(0)), (1, 91, Fraction(1, 2)), (2, 0, Fraction(1)), (None, 0, Fraction(5, 2)),
+    (3, 0, Fraction(4, 3)), (4, 0, Fraction(5, 3)), (5, 0, Fraction(2)),
 ])
 def test_constancy_control_with_plain_congruence_moduli(monkeypatch, m, violations, least):
     # every Delta entry a multiple of p^m alone, in place of p^max(a_i, n - a_j, n') (None):
     # m = 0 and 1 must give VIOLATIONs; at m = 2 the least differing slope is exactly the
-    # bound c = 1, which is no violation (the check is slope < c)
+    # bound c = 1, which is no violation (the check is slope < c). At every m the least
+    # differing slope is sigma of the plain moduli: the lemma's bound is met, not only held
     if m is not None:
         monkeypatch.setattr("padicslopes.family._congruence_moduli",
                             lambda profile, p, min_exponent: ((p ** m,) * profile.r,) * profile.r)
@@ -1039,6 +1041,8 @@ def test_constancy_control_with_plain_congruence_moduli(monkeypatch, m, violatio
     differing = [s for t in report.trials for s, _, _ in t.mismatched_slopes + t.informational_slopes
                  if s is not INFINITY]
     assert (len(report.violations), min(differing)) == (violations, least)
+    if m is not None:
+        assert sigma_with_plain_moduli(cfg.profile, m) == least
 
 
 def regenerated_pairs(report):

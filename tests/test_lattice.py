@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from padicslopes.bounds import hilbert_profile
-from padicslopes.family import gen_xi, random_unimodular
+from padicslopes.family import gen_xi
 from padicslopes import lattice
 from padicslopes.lattice import (
     KERNEL_MAX_RANK,
@@ -21,6 +21,7 @@ from padicslopes.lattice import (
     json_text,
     matrix_from_document,
     quotient_profile,
+    random_unimodular,
     smith_normal_form,
 )
 from padicslopes.rng import SplitMix64

@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 from padicslopes import family, newton
-from padicslopes.family import random_unimodular, read_config, run_experiment
-from padicslopes.lattice import IntMatrix
+from padicslopes.family import read_config, run_experiment
+from padicslopes.lattice import IntMatrix, random_unimodular
 from padicslopes.newton import (
     KERNEL_MAX_RANK,
     CharPoly,

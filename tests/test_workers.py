@@ -14,6 +14,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "prop_default.json"
 PYTHONPATH = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -163,16 +165,21 @@ sys.exit(cli.main(["verify-constancy", "--config", sys.argv[1], "--jobs", "2",
 '''
 
 
+def long_config(tmp_path, trials: int) -> Path:
+    """constancy_default.json with its trial count set to trials."""
+    config = tmp_path / "long.json"
+    doc = json.loads((ROOT / "configs" / "constancy_default.json").read_text())
+    config.write_text(json.dumps({**doc, "trials": trials}))
+    return config
+
+
 def signalled_run(tmp_path, signum):
     """(return code, stderr, seconds from the signal until no process of the run is
     left) of verify-constancy --jobs 2 whose CLI process alone gets signum half a second
     after its worker started. The config's shares take several seconds each (60000
     constancy_default trials), so a run that waits for them or leaves its worker running
     holds its session well past the 2 s the tests allow."""
-    config = tmp_path / "long.json"
-    doc = json.loads((ROOT / "configs" / "constancy_default.json").read_text())
-    config.write_text(json.dumps({**doc, "trials": 60000}))
-    argv = [sys.executable, "-c", SIGNALLED, str(config)]
+    argv = [sys.executable, "-c", SIGNALLED, str(long_config(tmp_path, 60000))]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                           env={**os.environ, "PYTHONPATH": PYTHONPATH},
                           start_new_session=True) as proc:
@@ -212,3 +219,36 @@ def test_sigint_to_the_cli_alone_does_not_wait_for_its_workers(tmp_path):
     assert code == -signal.SIGINT, err
     assert err.rstrip().endswith("KeyboardInterrupt")
     assert seconds < 2
+
+
+def test_a_sigkilled_cli_leaves_no_worker_blocked_in_its_write(tmp_path):
+    # SIGKILL runs no unwinding, so the worker runs its share (2000 trials, well past a
+    # pipe's 64 KiB pickled) and writes it. It holds no read end of any pipe, so with its
+    # parent gone the write fails on EPIPE and it ends. Reparented, it may stay a zombie
+    # until it is reaped, so state Z counts as ended
+    if not os.path.isdir("/proc"):
+        pytest.skip("reads the worker's state from /proc")
+    argv = [sys.executable, "-c", SIGNALLED, str(long_config(tmp_path, 4000))]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": PYTHONPATH},
+                          start_new_session=True) as proc:
+        try:
+            worker = int(proc.stdout.readline())
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)  # the worker keeps the run's stdout open: no communicate
+            deadline = time.perf_counter() + 20
+            while time.perf_counter() < deadline:
+                try:
+                    stat = Path(f"/proc/{worker}/stat").read_text()
+                except FileNotFoundError:
+                    return
+                state = stat.rsplit(")", 1)[1].split()[0]
+                if state == "Z":
+                    return
+                time.sleep(0.05)
+            pytest.fail(f"worker {worker} still in state {state} 20 s after its parent's SIGKILL")
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
