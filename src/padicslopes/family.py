@@ -556,13 +556,17 @@ def _forked_trials(run, plan: ExperimentPlan, trials: int, workers: int) -> list
     W - 1 forked children pickle one share w > 0 each to a pipe; W = 1 forks nothing and
     loads neither pickle nor signal. While children run, SIGTERM raises SystemExit(143).
     On any raise, Ctrl-C and SIGTERM too, every child is SIGKILLed; then all are reaped."""
-    results, pipes, pids = [None] * trials, [], []
+    results, pipes, pids, parent = [None] * trials, [], [], os.getpid()
     if workers > 1:  # importing pickle alone takes about 15 ms
         import pickle
         import signal
         import sys
         import traceback
-        previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+        try:
+            previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+        except ValueError as exc:  # signal.signal works in the main thread alone
+            raise RuntimeError("run_experiment with jobs > 1 must be called from the main "
+                               "thread") from exc
     try:
         for w in range(1, workers):
             fd, write_fd = os.pipe()
@@ -572,8 +576,9 @@ def _forked_trials(run, plan: ExperimentPlan, trials: int, workers: int) -> list
                     try:  # no reader left here: with the parent gone, the write fails on EPIPE
                         for reader in pipes:
                             reader.close()
-                        try:
-                            payload = [run(plan, i) for i in range(w, trials, workers)], None
+                        try:  # orphaned (the parent SIGKILLed), it ends before its next trial
+                            payload = [run(plan, i) if os.getppid() == parent else os._exit(1)
+                                       for i in range(w, trials, workers)], None
                         except Exception as exc:
                             payload = None, (exc, traceback.format_exc())
                         pickle.dump(payload, writer, pickle.HIGHEST_PROTOCOL)

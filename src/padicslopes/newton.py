@@ -66,10 +66,10 @@ def char_poly(A: IntMatrix) -> CharPoly:
 
     Up to rank KERNEL_MAX_RANK, the cap IntMatrix's kernels share (see lattice),
     the steps run as the straight-line code of _berkowitz(r), compiled on the
-    first call at each rank (once per process, inherited by a fork; at most
-    about 3 ms), never at import. The cap is the
+    first call at each rank (once per process, inherited by a fork; about 6 ms
+    at the cap, since the source grows as r^4), never at import. The cap is the
     largest rank the shipped trials reach, where the compile is repaid over
-    many calls; a one-shot call, such as `polygon --input`, pays it once.
+    many calls; a one-shot call, such as `polygon --input` at rank 8, pays it once.
     Above the cap _berkowitz_loop runs the steps: no trial reaches those
     ranks, one call there repays less than its compile, and the loop's
     memory stays bounded for the large matrices `polygon --input` accepts.
@@ -82,27 +82,24 @@ def char_poly(A: IntMatrix) -> CharPoly:
 @lru_cache(maxsize=KERNEL_MAX_RANK)
 def _berkowitz(r: int):
     """The Berkowitz steps of char_poly at rank r as one generated function of the
-    rows: entries unpacked into locals a{i}_{j}, each Krylov step v <- A_k v, each
-    dot R v and each Toeplitz coefficient written out as a sum of products. The
-    loop over Krylov powers stays a loop, so the source grows as r^3. The source
-    depends on r alone; c0 and the Toeplitz column's first entry are both 1."""
+    rows: entries unpacked into locals a{i}_{j}, and every Krylov power written out,
+    entry i of A_k^m S as v{m}_{i} and each term -R A_k^(m-1) S as t{m+1}, so the
+    source grows as r^4. Each Toeplitz coefficient is one sum of products, updated
+    in place from the highest down: the new c_i reads only the old c_1..c_i. The
+    source depends on r alone; c0 and the Toeplitz column's first entry are both 1."""
     a, unpack = _entries("a", r)
     lines = [unpack, f"    c1 = -{a[0][0]}"]
     for k in range(1, r):
-        R, S = a[k][:k], [a[i][k] for i in range(k)]
-        lines += [f"    t1 = -{a[k][k]}", f"    t2 = -({_dot(R, S)})"]
-        if k > 1:
-            v = [f"v{i}" for i in range(k)]
-            lines += [f"    {', '.join(v)}, = {', '.join(S)},", "    w = []",
-                      f"    for _ in range({k - 1}):",
-                      f"        {', '.join(v)}, = {', '.join(f'({_dot(row[:k], v)})' for row in a[:k])},",
-                      f"        w.append(-({_dot(R, v)}))",
-                      f"    [{', '.join(f't{i}' for i in range(3, k + 2))}] = w"]
+        R, v = a[k][:k], [a[i][k] for i in range(k)]
+        lines += [f"    t1 = -{a[k][k]}", f"    t2 = -({_dot(R, v)})"]
+        for m in range(1, k):
+            lines += [f"    v{m}_{i} = {_dot(row[:k], v)}" for i, row in enumerate(a[:k])]
+            v = [f"v{m}_{i}" for i in range(k)]
+            lines.append(f"    t{m + 2} = -({_dot(R, v)})")
         # coefficient i of the product is sum_j c_j t_{i-j}, with c0 = t0 = 1
-        new = [" + ".join([f"t{i}"] + [f"c{j}*t{i - j}" if j < i else f"c{j}"
-                                       for j in range(1, min(i, k) + 1)])
-               for i in range(1, k + 2)]
-        lines.append(f"    {', '.join(f'c{i}' for i in range(1, k + 2))}, = {', '.join(new)},")
+        for i in range(k + 1, 0, -1):
+            terms = [f"c{j}*t{i - j}" if j < i else f"c{j}" for j in range(1, min(i, k) + 1)]
+            lines.append(f"    c{i} = {' + '.join([f't{i}', *terms])}")
     lines.append(f"    return (1, {', '.join(f'c{i}' for i in range(1, r + 1))})")
     return _kernel("berkowitz", r, "a", lines)
 

@@ -124,7 +124,7 @@ def kernel_corpus(rng, r):
 
 @pytest.mark.parametrize("r", range(1, 18))
 def test_generated_berkowitz_matches_the_loop_and_faddeev(r):
-    # ranks 1 and 2 have no Krylov loop, and rank 1 unpacks a one-entry row;
+    # ranks 1 and 2 write out no Krylov power, and rank 1 unpacks a one-entry row;
     # the ranks above KERNEL_MAX_RANK are compiled here although char_poly never asks for them
     rng = SplitMix64(0xB3E4C0 + r)
     kernel = newton._berkowitz.__wrapped__(r)
@@ -160,12 +160,12 @@ def test_the_kernel_cap_is_the_largest_rank_the_shipped_configs_reach():
 
 
 def test_generated_berkowitz_source_holds_no_input():
-    # the code object is built from the rank alone: its constants are the loop
-    # counts, 1 and None, never a matrix entry
+    # the code object is built from the rank alone, with every Krylov power written
+    # out: its constants are 1 and None, never a matrix entry or a loop count
     for r in (1, 2, 6):
         code = newton._berkowitz(r).__code__
         assert code.co_filename == f"<berkowitz rank {r}>"
-        assert set(code.co_consts) <= {None, 1} | set(range(r))
+        assert set(code.co_consts) <= {None, 1}
 
 
 def test_char_poly_conjugation_invariance():

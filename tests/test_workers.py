@@ -221,34 +221,79 @@ def test_sigint_to_the_cli_alone_does_not_wait_for_its_workers(tmp_path):
     assert seconds < 2
 
 
-def test_a_sigkilled_cli_leaves_no_worker_blocked_in_its_write(tmp_path):
-    # SIGKILL runs no unwinding, so the worker runs its share (2000 trials, well past a
-    # pipe's 64 KiB pickled) and writes it. It holds no read end of any pipe, so with its
-    # parent gone the write fails on EPIPE and it ends. Reparented, it may stay a zombie
-    # until it is reaped, so state Z counts as ended
+def seconds_until_the_orphan_ends(tmp_path, trials: int, limit: float) -> float:
+    """Seconds from a SIGKILL to the CLI process of verify-constancy --jobs 2 on trials
+    constancy_default trials, sent at the fork, until its worker has ended: its /proc entry
+    gone, or state Z, since reparented it may stay a zombie until it is reaped. inf once
+    limit seconds pass with the worker still running."""
     if not os.path.isdir("/proc"):
         pytest.skip("reads the worker's state from /proc")
-    argv = [sys.executable, "-c", SIGNALLED, str(long_config(tmp_path, 4000))]
+    argv = [sys.executable, "-c", SIGNALLED, str(long_config(tmp_path, trials))]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                           env={**os.environ, "PYTHONPATH": PYTHONPATH},
                           start_new_session=True) as proc:
         try:
             worker = int(proc.stdout.readline())
             os.kill(proc.pid, signal.SIGKILL)
+            killed = time.perf_counter()
             proc.wait(timeout=30)  # the worker keeps the run's stdout open: no communicate
-            deadline = time.perf_counter() + 20
-            while time.perf_counter() < deadline:
+            while time.perf_counter() - killed < limit:
                 try:
                     stat = Path(f"/proc/{worker}/stat").read_text()
                 except FileNotFoundError:
-                    return
-                state = stat.rsplit(")", 1)[1].split()[0]
-                if state == "Z":
-                    return
-                time.sleep(0.05)
-            pytest.fail(f"worker {worker} still in state {state} 20 s after its parent's SIGKILL")
+                    return time.perf_counter() - killed
+                if stat.rsplit(")", 1)[1].split()[0] == "Z":
+                    return time.perf_counter() - killed
+                time.sleep(0.01)
+            return float("inf")
         finally:
             try:
                 os.killpg(proc.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+
+
+def test_a_sigkilled_cli_leaves_no_worker_blocked_in_its_write(tmp_path):
+    # SIGKILL runs no unwinding, so nothing kills the worker (2000 trials, well past a
+    # pipe's 64 KiB pickled). It sees its parent gone before its next trial and ends; and
+    # since it holds no read end of any pipe, a worker orphaned after its last trial gets
+    # EPIPE on its write instead of blocking in it
+    assert seconds_until_the_orphan_ends(tmp_path, 4000, 20) < 20
+
+
+def test_a_sigkilled_cli_leaves_no_worker_running_its_share(tmp_path):
+    # 30000 trials a share take several seconds; an orphaned worker ends before its next trial
+    assert seconds_until_the_orphan_ends(tmp_path, 60000, 1.5) < 1.5
+
+
+def test_jobs_above_1_off_the_main_thread_names_the_cause():
+    # the SIGTERM handler can only be set in the main thread: the run raises before it
+    # forks and leaves the handler as it was; at --jobs 1 it sets none, and runs anywhere
+    done = run_case(r'''
+import threading
+
+planted = os.path.join(os.path.dirname(sys.argv[1]), "prop_planted.json")
+config = family.read_config(planted)._replace(trials=4)
+handler = signal.getsignal(signal.SIGTERM)
+expected = family.report_to_json(family.run_experiment(config, "prop"))
+seen = []
+
+
+def off_main():
+    try:
+        family.run_experiment(config, "prop", jobs=2)
+    except RuntimeError as exc:
+        seen.append((str(exc), type(exc.__cause__).__name__))
+    seen.append((no_child_left(), signal.getsignal(signal.SIGTERM) is handler))
+    seen.append(family.report_to_json(family.run_experiment(config, "prop", jobs=1)) == expected)
+
+
+thread = threading.Thread(target=off_main)
+thread.start()
+thread.join(30)
+print(thread.is_alive(), seen)
+''')
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False " + str([
+        ("run_experiment with jobs > 1 must be called from the main thread", "ValueError"),
+        (True, True), True]) + "\n"
