@@ -23,8 +23,8 @@ from operator import add, mod, mul, sub
 
 from .bounds import c_exact, resolve_kappa, hilbert_profile
 from .lattice import (
-    DivisorProfile, IntMatrix, _check_rank, _column_scales, _int_json, _json, check_xi_condition,
-    json_text, random_unimodular,
+    DivisorProfile, IntMatrix, _check_rank, _column_scales, _int_json, _items_text, _json,
+    check_xi_condition, json_text, random_unimodular,
 )
 from .newton import (
     ConsistencyError,
@@ -627,11 +627,6 @@ _ROW = _FIELD + "  "
 _ITEM = _ROW + "  "
 
 
-def _list_text(items, pad: str) -> str:
-    """A JSON list of items, each already JSON text, written at pad."""
-    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]" if items else "[]"
-
-
 def _census_text(census, memo: dict) -> str:
     """A census's [slope, length] rows. Each census tuple's text, and each segment's
     row within it, is written once per memo, which is keyed by id and holds the object,
@@ -646,13 +641,13 @@ def _census_text(census, memo: dict) -> str:
             if row is None:
                 row = memo[id(seg)] = (_json((slope_to_string(seg.slope), seg.length), _ROW), seg)
             rows.append(row[0])
-        hit = memo[id(census)] = (_list_text(rows, _ROW), census)
+        hit = memo[id(census)] = (_items_text(rows, _ROW), census)
     return hit[0]
 
 
 def _triples_text(triples) -> str:
-    return _list_text([_list_text((encode_basestring_ascii(slope_to_string(s)), _int_json(m),
-                                   _int_json(mp)), _ITEM) for s, m, mp in triples], _ROW)
+    return _items_text([_items_text((encode_basestring_ascii(slope_to_string(s)), _int_json(m),
+                                     _int_json(mp)), _ITEM) for s, m, mp in triples], _ROW)
 
 
 def _trial_text(t: TrialReport, memo: dict) -> str:
@@ -684,7 +679,7 @@ def _trial_text(t: TrialReport, memo: dict) -> str:
             {name: operator_rows(getattr(t.pair, name), t.pair.profile.r)
              for name in ("xi", "xi_prime", "psi", "psi_prime")}, _FIELD))
     fields.sort()
-    return "{" + _FIELD + ("," + _FIELD).join(fields) + _TRIAL + "}"
+    return _items_text(fields, _FIELD, "{}")
 
 
 def report_to_json(report: ExperimentReport) -> str:
@@ -712,5 +707,5 @@ def report_to_json(report: ExperimentReport) -> str:
         },
     })
     memo = {}
-    trials = _list_text([_trial_text(t, memo) for t in report.trials], _TRIAL)
+    trials = _items_text([_trial_text(t, memo) for t in report.trials], _TRIAL)
     return header[:-len("\n}\n")] + ',\n  "trials": ' + trials + "\n}\n"

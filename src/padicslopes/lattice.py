@@ -527,6 +527,12 @@ def _int_json(x: int) -> str:
         return '"' + str(Decimal(x)) + '"'
 
 
+def _items_text(items, pad: str, brackets: str = "[]") -> str:
+    """A JSON array, or with brackets "{}" an object, of items that are already JSON
+    text: one item a line at pad, the closing bracket one level out."""
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1] if items else brackets
+
+
 def _json(x, pad: str) -> str:
     # json's own dispatch order; each container returns its text, written in one pass
     if isinstance(x, str):
@@ -539,16 +545,10 @@ def _json(x, pad: str) -> str:
         return "false"
     if isinstance(x, int):
         return _int_json(x)
+    inner = pad + "  "
     if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        inner = pad + "  "
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in x]) + pad + "]"
+        return _items_text([_json(v, inner) for v in x], inner)
     if isinstance(x, dict):
-        if not x:
-            return "{}"
-        inner = pad + "  "
-        return "{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(x.items())]
-        ) + pad + "}"
+        return _items_text([encode_basestring_ascii(k) + ": " + _json(v, inner)
+                            for k, v in sorted(x.items())], inner, "{}")
     return json.dumps(x)  # a float, or TypeError for what JSON cannot hold

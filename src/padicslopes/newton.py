@@ -272,8 +272,8 @@ def eigenvector_mod(A: IntMatrix, lam: int, p: int, N: int) -> tuple:
 
     F is column r-1 of V^-1 in the Smith form of A - lam I over Z/p^{2N}, the
     generator of the top order of the kernel (see SmithDecomposition), reduced
-    mod p^N with first unit coordinate 1; (A - lam I) F = 0 mod p^min(N, order),
-    the order read off d_r. Only that column is formed, from the column log.
+    mod p^N and unscaled; (A - lam I) F = 0 mod p^min(N, order), the order read off d_r.
+    Only that column is formed, from the column log: primitive, V^-1 being invertible mod p.
     A kernel mod p^N fixes F only mod p^(N - v_p(d_{r-1})), so working mod p^{2N}
     fixes F mod p^(2N - v_p(d_{r-1})), all of p^N if v_p(d_{r-1}) <= N.
     """
@@ -283,10 +283,7 @@ def eigenvector_mod(A: IntMatrix, lam: int, p: int, N: int) -> tuple:
     if order < 1:
         raise EigenvectorError("no kernel modulo p: the residue is not an eigenvalue at this precision")
     pN = p ** N
-    col = dec.v_inverse_column(A.r - 1)
-    unit = next(x for x in col if x % p)  # V^-1 is invertible mod p: its columns are primitive
-    inv = _unit_inverse(unit, p, pN)
-    return tuple([x * inv % pN for x in col])
+    return tuple([x % pN for x in dec.v_inverse_column(A.r - 1)])
 
 
 class ConsistencyError(ValueError):

@@ -237,15 +237,19 @@ def horner_mod(coeffs, x: int, m: int) -> int:
     return acc
 
 
+def unit_normalized(vector, p: int, m: int) -> tuple:
+    """vector scaled so its first unit coordinate is 1, mod m, a power of p; a vector
+    with no unit coordinate raises StopIteration."""
+    unit = next(x for x in vector if x % p != 0)
+    inv = pow(unit, -1, m)
+    return tuple(x * inv % m for x in vector)
+
+
 def eigenvector_by_integer_snf(A: IntMatrix, lam: int, p: int, N: int) -> tuple:
     """Last column of V^-1 in the integer Smith form of A - lam I, scaled so its
     first unit coordinate is 1, mod p^N."""
     dec = smith_normal_form(A - IntMatrix.identity(A.r).scale(lam))
-    col = tuple(row[A.r - 1] for row in dec.v_inverse.rows)
-    pN = p**N
-    unit = next(x for x in col if x % p != 0)
-    inv = pow(unit % pN, -1, pN)
-    return tuple(x * inv % pN for x in col)
+    return unit_normalized(tuple(row[A.r - 1] for row in dec.v_inverse.rows), p, p**N)
 
 
 def diagonal(entries) -> IntMatrix:
@@ -372,16 +376,13 @@ def kernel_mod(A: IntMatrix, p: int, N: int) -> list:
     reduced mod p^N.
     """
     dec = smith_normal_form(A, p, N)
-    pN = p**N
     out = []
     for i, d in enumerate(dec.divisors):
         order = N if d == 0 else min(N, valuation_by_division(d, p))
         if order < 1:
             continue
         col = tuple(row[i] for row in dec.v_inverse.rows)
-        unit = next(x for x in col if x % p != 0)
-        inv = pow(unit, -1, pN)
-        out.append(KernelGenerator(vector=tuple(x * inv % pN for x in col), order=order))
+        out.append(KernelGenerator(vector=unit_normalized(col, p, p**N), order=order))
     return out
 
 

@@ -989,6 +989,29 @@ def test_delta_exponent_below_kappa_gives_violations(monkeypatch):
         16, 13, {"not-simple": 31})
 
 
+@pytest.mark.parametrize("m", [0, 5, 6])
+def test_psi_prime_shifted_by_p_to_the_m_gives_violations_below_kappa(monkeypatch, m):
+    # psi' = q(xi') + p^m I, q's coefficients ascending: a' moves by exactly p^m, so every
+    # simple trial's margin is m below kappa = 6 and at least 6 from there on (the least
+    # unshifted margin). _assert_pair_invariants never reads psi: only the verdict can catch it
+    real = _generate_pair
+
+    def shifted(plan, rng, min_exponent=0):
+        pair = real(plan, rng, min_exponent)
+        q = pair.psi.coeffs
+        return pair._replace(psi_prime=PolynomialOperator((q[0] + plan.config.p ** m,) + q[1:],
+                                                          pair.xi_prime))
+
+    monkeypatch.setattr(family, "_generate_pair", shifted)
+    report = run_experiment(read_config(CONFIG_DIR / "prop_sharp.json"))
+    margins = [t.margin for t in report.trials if t.status != REJECTED]
+    assert (report.plan.kappa, report.rejected_by_reason()) == (6, {"not-simple": 31})
+    if m < 6:
+        assert (report.accepted, len(report.violations), set(margins)) == (0, 29, {m})
+    else:
+        assert (report.accepted, len(report.violations), min(margins)) == (29, 0, 6)
+
+
 def test_kappa_past_the_bound_makes_the_slack_zero_trials_violations():
     plan = prepare_plan(read_config(CONFIG_DIR / "prop_sharp.json"), "prop")
     assert (plan.kappa, plan.precision) == (6, 20)
@@ -1114,6 +1137,72 @@ def test_eigenvalues_without_the_eigenvector(cfg):
             assert t.a_prime % m in {x % m for x in pair.psi_prime.diagonal}
         accepted += 1
     assert accepted > 0
+
+
+# prop_sharp's and prop_default's shapes at p = 2, 3 and 5, master seeds 1000 to 1004
+SEEDED_SHAPES = ("prop_sharp.json", "prop_default.json")
+SEEDED_PROP_CONFIGS = {
+    f"{name[:-5]}-p{p}-seed{seed}":
+        read_config(CONFIG_DIR / name)._replace(p=p, master_seed=seed, trials=100)
+    for name in SEEDED_SHAPES for p in (2, 3, 5) for seed in range(1000, 1005)}
+
+
+@pytest.fixture(scope="module")
+def eigen_step_runs():
+    """({id: report} of PROP_CONFIGS and SEEDED_PROP_CONFIGS, each at its own precision,
+    and what the Hensel lift, eigenvector_mod and commuting_eigenvalue raised in them)."""
+    raised = []
+
+    def recording(fn):
+        def wrapped(*args):
+            try:
+                return fn(*args)
+            except Exception as e:
+                raised.append((fn.__name__, e))
+                raise
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("hensel_slope_root", "eigenvector_mod", "commuting_eigenvalue"):
+            mp.setattr(family, name, recording(getattr(family, name)))
+        reports = {cid: run_experiment(cfg)
+                   for cid, cfg in {**PROP_CONFIGS, **SEEDED_PROP_CONFIGS}.items()}
+    return reports, raised
+
+
+def test_the_eigen_step_never_runs_out_of_precision_at_the_configs_own(eigen_step_runs):
+    # the eigen step's reach: 3540 trials at the precision n + 2 alpha + kappa + guard their
+    # plans resolve, and not one raises or is rejected for precision. The pin holds only
+    # there: test_starved_precision_rejects_and_never_violates reaches "precision" at N = 2..5
+    reports, raised = eigen_step_runs
+    assert raised == []
+    assert sum(len(r.trials) for r in reports.values()) == 3540
+    for cid, report in reports.items():
+        assert "precision" not in report.rejected_by_reason(), cid
+        assert report.accepted > 0, cid
+
+
+@pytest.mark.parametrize("shape", SEEDED_SHAPES)
+def test_lam_and_margin_floor_n_minus_2_alpha_on_the_seeded_corpus(eigen_step_runs, shape):
+    # an observed floor of these generators, not the paper's claim: on every accepted
+    # trial v(lam - lam') and the margin are at least n - 2 alpha, and both meet it
+    reports, _ = eigen_step_runs
+    accepted, slacks = 0, {"lam": [], "margin": []}
+    for cid, cfg in SEEDED_PROP_CONFIGS.items():
+        if not cid.startswith(shape[:-5] + "-"):
+            continue
+        floor = cfg.profile.n - 2 * cfg.alpha
+        for t in reports[cid].trials:
+            assert t.status != VIOLATION, (cid, t.index)
+            if t.status != ACCEPTED:
+                continue
+            accepted += 1
+            lam = padic_valuation(t.lam - t.lam_prime, cfg.p)
+            for key, v in (("lam", lam), ("margin", t.margin)):
+                if v is not INFINITY:
+                    slacks[key].append(v - floor)
+    assert accepted == {"prop_sharp.json": 872, "prop_default.json": 728}[shape]
+    assert min(slacks["lam"]) == min(slacks["margin"]) == 0
 
 
 # --- constancy trials ------------------------------------------------------------------

@@ -26,7 +26,7 @@ from padicslopes.rng import SplitMix64
 
 from oracles import (
     charpoly_cofactor, charpoly_faddeev, diagonal, eigenvector_by_integer_snf, horner_mod,
-    kernel_mod, lower_hull_by_brute_force, poly_mul, poly_of_matrix_naive,
+    kernel_mod, lower_hull_by_brute_force, poly_mul, poly_of_matrix_naive, unit_normalized,
     valuation_by_division,
 )
 
@@ -505,16 +505,18 @@ def test_eigenvector_examples():
 
 
 def assert_eigenvector_is_the_top_kernel_generator(A, lam, p, N):
-    """eigenvector_mod(A, lam, p, N) is the last generator of the kernel oracle mod
-    p^{2N}, reduced mod p^N, or raises where the oracle finds no kernel; returns the
-    oracle's generators."""
+    """eigenvector_mod(A, lam, p, N), a primitive vector reduced mod p^N, is a unit
+    multiple of the last generator of the kernel oracle mod p^{2N}, reduced mod p^N,
+    or raises where the oracle finds no kernel; returns the oracle's generators."""
     gens = kernel_mod(A.shift(-lam), p, 2 * N)
     if not gens:
         with pytest.raises(EigenvectorError):
             eigenvector_mod(A, lam, p, N)
         return gens
     F = eigenvector_mod(A, lam, p, N)
-    assert F == tuple(x % p**N for x in gens[-1].vector)
+    assert F == tuple(x % p**N for x in F)
+    # eigenvector_mod leaves F unscaled; the oracle's generator has first unit coordinate 1
+    assert unit_normalized(F, p, p**N) == tuple(x % p**N for x in gens[-1].vector)
     m = p ** min(N, gens[-1].order)
     assert all(x % m == 0 for x in A.shift(-lam).apply(F))
     return gens
@@ -586,8 +588,9 @@ def test_eigenvector_conjugation_oracle():
 @pytest.mark.parametrize("name", ["prop_default.json", "prop_planted.json"])
 def test_eigenvector_matches_integer_snf_on_shipped_trials(name, monkeypatch):
     # every eigenvector call of the shipped config's 100 trials, against the vector
-    # the integer Smith form gives: equal mod p^(N - e), e the Hensel root's
-    # derivative valuation, and the same commuting eigenvalue
+    # the integer Smith form gives: equal mod p^(N - e) once both have first unit
+    # coordinate 1, e the Hensel root's derivative valuation, and the same commuting
+    # eigenvalue
     config = read_config(CONFIG_DIR / name)
     reference = {}
 
@@ -597,7 +600,7 @@ def test_eigenvector_matches_integer_snf_on_shipped_trials(name, monkeypatch):
         assert root.value == lam
         old = eigenvector_by_integer_snf(A, lam, p, N)
         m = p ** (N - root.derivative_valuation)
-        assert all((x - y) % m == 0 for x, y in zip(vec, old))
+        assert all((x - y) % m == 0 for x, y in zip(unit_normalized(vec, p, p**N), old))
         reference[vec] = old
         return vec
 
