@@ -27,9 +27,6 @@ from .lattice import (
     check_xi_condition, json_text, random_unimodular,
 )
 from .newton import (
-    ConsistencyError,
-    EigenvectorError,
-    HenselError,
     char_poly,
     commuting_eigenvalue,
     eigenvector_mod,
@@ -410,22 +407,19 @@ def _evaluate_proposition_pair(plan: ExperimentPlan, pair: InstancePair,
     if slope_multiplicity(poly, cfg.alpha) != 1 or slope_multiplicity(poly_prime, cfg.alpha) != 1:
         return TrialReport(status=REJECTED, reason="not-simple", **shared)
 
-    try:
-        root = hensel_slope_root(cp, poly, cfg.p, cfg.alpha, N)
-        root_prime = hensel_slope_root(cp_prime, poly_prime, cfg.p, cfg.alpha, N)
-        cap = min(N - root.derivative_valuation - cfg.alpha,
-                  N - root_prime.derivative_valuation - cfg.alpha)
-        if cap < kappa:
-            return TrialReport(status=REJECTED, reason="precision", **shared)
-        vec = eigenvector_mod(pair.xi, root.value, cfg.p, N)
-        vec_prime = eigenvector_mod(pair.xi_prime, root_prime.value, cfg.p, N)
-        a = commuting_eigenvalue(pair.psi, vec, cfg.p, cap)
-        a_prime = commuting_eigenvalue(pair.psi_prime, vec_prime, cfg.p, cap)
-    except (HenselError, EigenvectorError, ConsistencyError):
+    root = hensel_slope_root(cp, poly, cfg.p, cfg.alpha, N)
+    root_prime = hensel_slope_root(cp_prime, poly_prime, cfg.p, cfg.alpha, N)
+    cap = min(N - root.derivative_valuation - cfg.alpha,
+              N - root_prime.derivative_valuation - cfg.alpha)
+    if cap < kappa:
         return TrialReport(status=REJECTED, reason="precision", **shared)
+    vec = eigenvector_mod(pair.xi, root.value, cfg.p, N)
+    vec_prime = eigenvector_mod(pair.xi_prime, root_prime.value, cfg.p, N)
+    a = commuting_eigenvalue(pair.psi, vec, cfg.p, cap)
+    a_prime = commuting_eigenvalue(pair.psi_prime, vec_prime, cfg.p, cap)
 
     margin = padic_valuation(a - a_prime, cfg.p)
-    violated = margin is not INFINITY and margin < kappa
+    violated = margin < kappa
     return TrialReport(
         status=VIOLATION if violated else ACCEPTED,
         lam=root.value,
@@ -461,7 +455,7 @@ def _evaluate_constancy_pair(plan: ExperimentPlan, pair: InstancePair,
     mismatched = []
     informational = []
     for slope, m, mp in _multiplicity_differences(census, census_prime):
-        if slope is not INFINITY and slope < bound:
+        if slope < bound:
             mismatched.append((slope, m, mp))
         else:
             informational.append((slope, m, mp))
@@ -612,8 +606,6 @@ def _forked_trials(run, plan: ExperimentPlan, trials: int, workers: int) -> list
 # --- report serialization -----------------------------------------------------------
 
 def _margin_json(margin):
-    if margin is None:
-        return None
     if margin is INFINITY:
         return "inf"
     return margin

@@ -7,7 +7,8 @@ INFINITY sentinel, above every int and Fraction; newton's zero-eigenvalue slope.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from fractions import Fraction
+from functools import lru_cache, total_ordering
 from math import gcd
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -16,9 +17,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
+@total_ordering
 class PadicInfinity:
-    """Valuation of zero, larger than every integer and Fraction. INFINITY is its one
-    instance: pickle, at every protocol, and copy give INFINITY back by its name."""
+    """Valuation of zero, above every int and Fraction from either side; other types raise
+    TypeError. INFINITY is its one instance: pickle (any protocol) and copy return it by name."""
 
     def __reduce__(self):
         return "INFINITY"
@@ -27,10 +29,7 @@ class PadicInfinity:
         return "INFINITY"
 
     def __lt__(self, other):
-        return False
-
-    def __gt__(self, other):
-        return other is not self
+        return False if other is self or isinstance(other, (int, Fraction)) else NotImplemented
 
 
 INFINITY = PadicInfinity()

@@ -15,7 +15,9 @@ import padicslopes.family as family
 from padicslopes.bounds import hilbert_profile
 from padicslopes.family import config_from_document, run_experiment
 from padicslopes.lattice import IntMatrix, matrix_from_document
-from padicslopes.newton import char_poly, newton_polygon, polygon_to_document, slope_to_string
+from padicslopes.newton import (
+    EigenvectorError, char_poly, newton_polygon, polygon_to_document, slope_to_string,
+)
 
 from oracles import c_at_level, hypotheses_pass, resolve_kappa_by_search
 
@@ -542,16 +544,28 @@ def test_verify_report_integers_beyond_the_int_to_str_limit(tmp_path):
             assert (int(Decimal(value)) if isinstance(value, str) else value) == getattr(expected, key)
 
 
+def broken_run(config, mode="prop", jobs=1):
+    raise AssertionError("xi and psi do not commute")
+
+
+def broken_eigenvector(A, lam, p, N):
+    raise EigenvectorError("no kernel modulo p")
+
+
 def test_internal_error_exits_three_with_its_traceback(tmp_path, capsys, monkeypatch):
-    cfg_path = write_json(tmp_path / "cfg.json", verify_config(trials=1))
-
-    def broken(config, mode="prop", jobs=1):
-        raise AssertionError("xi and psi do not commute")
-
-    monkeypatch.setattr(cli, "run_experiment", broken)
-    assert run_main(["verify-prop", "--config", cfg_path]) == 3
-    err = capsys.readouterr().err
-    assert "Traceback" in err and "AssertionError: xi and psi do not commute" in err
+    # an eigen step that raises is a bug, like a failed invariant, not a rejected trial: no
+    # trial that reaches it can make it raise (see tests/test_family.py,
+    # test_the_eigen_step_cannot_raise_by_the_smith_valuations)
+    for module, name, broken, trials, shown in [
+            (cli, "run_experiment", broken_run, 1, "AssertionError: xi and psi do not commute"),
+            (family, "eigenvector_mod", broken_eigenvector, 8, "EigenvectorError: no kernel")]:
+        cfg_path = write_json(tmp_path / "cfg.json", verify_config(trials=trials))
+        with monkeypatch.context() as mp:
+            mp.setattr(module, name, broken)
+            assert run_main(["verify-prop", "--config", cfg_path]) == 3, name
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" in err and shown in err
 
 
 def test_verify_output_file_and_jobs_determinism(tmp_path):

@@ -39,7 +39,7 @@ from padicslopes.family import (
 from padicslopes.bounds import c_exact
 from padicslopes.lattice import (
     KERNEL_MAX_RANK, DivisorProfile, IntMatrix, _column_scales, check_xi_condition, json_text,
-    random_unimodular,
+    random_unimodular, smith_normal_form,
 )
 from padicslopes import family, newton
 from padicslopes.newton import SlopeSegment, char_poly, newton_polygon
@@ -716,7 +716,7 @@ def test_accepted_trial_matches_polynomial_oracle():
         m = cfg.p**report.margin_cap
         assert report.a == horner_mod(pair.psi.coeffs, report.lam, m)
         assert report.a_prime == horner_mod(pair.psi.coeffs, report.lam_prime, m)
-        assert report.margin is INFINITY or report.margin >= plan.kappa
+        assert report.margin >= plan.kappa
         if found >= 3:
             break
     assert found >= 3
@@ -870,7 +870,7 @@ def test_planted_extraction_matches_diagonal():
     truth = pair.psi.diagonal[slot]
     assert (report.a - truth) % cfg.p**report.margin_cap == 0
     # the pn-shifted diagonals keep the pair margin at least n
-    assert report.margin is INFINITY or report.margin >= cfg.profile.n
+    assert report.margin >= cfg.profile.n
 
 
 def test_run_experiment_prop_smoke():
@@ -880,7 +880,7 @@ def test_run_experiment_prop_smoke():
     assert len(rep.violations) == 0
     assert rep.accepted >= 6
     mm = rep.min_margin()
-    assert mm is INFINITY or mm >= rep.plan.kappa
+    assert mm >= rep.plan.kappa
 
 
 def assert_no_child_process():
@@ -956,7 +956,7 @@ def test_prop_stress_primes(p, seed):
     assert len(rep.violations) == 0
     assert rep.accepted >= 5
     mm = rep.min_margin()
-    assert mm is INFINITY or mm >= rep.plan.kappa
+    assert mm >= rep.plan.kappa
 
 
 # --- negative controls on the sharp config: broken hypotheses must show ---------------
@@ -1150,36 +1150,65 @@ SEEDED_PROP_CONFIGS = {
 @pytest.fixture(scope="module")
 def eigen_step_runs():
     """({id: report} of PROP_CONFIGS and SEEDED_PROP_CONFIGS, each at its own precision,
-    and what the Hensel lift, eigenvector_mod and commuting_eigenvalue raised in them)."""
-    raised = []
+    and for each eigenvector_mod call (A, lam, p, N) the triple (N, [v_1, ..., v_r], dv):
+    the valuations of the Smith divisors of A - lam I over Z/p^{2N} (2N for a zero divisor)
+    and dv = v(cp'(lam)), the Hensel lift's derivative_valuation, recomputed from A and lam).
+    The trial catches nothing the eigen step raises, so a raise fails every test using it."""
+    steps, eigenvector_mod = [], family.eigenvector_mod
 
-    def recording(fn):
-        def wrapped(*args):
-            try:
-                return fn(*args)
-            except Exception as e:
-                raised.append((fn.__name__, e))
-                raise
-        return wrapped
+    def measured(A, lam, p, N):
+        dec = smith_normal_form(A.shift(-lam), p, 2 * N)
+        cp = char_poly(A)
+        root = newton.hensel_slope_root(cp, newton_polygon(cp, p), p, padic_valuation(lam, p), N)
+        assert root.value == lam
+        steps.append((N, [2 * N if d == 0 else padic_valuation(d, p) for d in dec.divisors],
+                      root.derivative_valuation))
+        return eigenvector_mod(A, lam, p, N)
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("hensel_slope_root", "eigenvector_mod", "commuting_eigenvalue"):
-            mp.setattr(family, name, recording(getattr(family, name)))
+        mp.setattr(family, "eigenvector_mod", measured)
         reports = {cid: run_experiment(cfg)
                    for cid, cfg in {**PROP_CONFIGS, **SEEDED_PROP_CONFIGS}.items()}
-    return reports, raised
+    return reports, steps
 
 
 def test_the_eigen_step_never_runs_out_of_precision_at_the_configs_own(eigen_step_runs):
     # the eigen step's reach: 3540 trials at the precision n + 2 alpha + kappa + guard their
     # plans resolve, and not one raises or is rejected for precision. The pin holds only
     # there: test_starved_precision_rejects_and_never_violates reaches "precision" at N = 2..5
-    reports, raised = eigen_step_runs
-    assert raised == []
+    reports, _ = eigen_step_runs
     assert sum(len(r.trials) for r in reports.values()) == 3540
     for cid, report in reports.items():
         assert "precision" not in report.rejected_by_reason(), cid
         assert report.accepted > 0, cid
+
+
+def test_the_eigen_step_cannot_raise_by_the_smith_valuations(eigen_step_runs):
+    """Why a trial that reaches the eigen step never raises EigenvectorError or
+    ConsistencyError, so _evaluate_proposition_pair catches neither.
+
+    lam* is the simple slope-alpha root in Z_p and lam = lam* mod p^N, the Hensel lift's
+    limit. dv = v(cp'(lam)); reaching the step means cap >= kappa >= 1, so
+    dv <= N - alpha - cap < N. v_1 <= ... <= v_r are the Smith valuations of xi - lam I.
+    1. cp'(lam) is the sum of the principal (r-1)-minors of lam I - xi, each divisible by
+       d_1 ... d_{r-1}: v_1 + ... + v_{r-1} <= dv, so v_{r-1} < N.
+    2. A primitive eigenvector F* of lam* lies in ker(xi - lam) mod p^N. Were v_r < N, p
+       would divide every Smith coordinate of F*, which is primitive: so v_r >= N >= 1 and
+       EigenvectorError (order < 1) cannot be raised.
+    3. As v_{r-1} < N, F* = u F mod p^(N - v_{r-1}) for a unit u, and N - v_{r-1} >= N - dv
+       >= cap + alpha. psi commutes with xi over Z, so psi F* = a* F*; F, a column of V^-1
+       (invertible mod p), has a unit coordinate. commuting_eigenvalue returns a* mod
+       p^cap and ConsistencyError cannot be raised.
+    4. HenselError needs a missing or longer slope-alpha segment, which the census gate
+       rejects first, or N <= alpha, which N = n + 2 alpha + kappa + guard excludes.
+    The test checks the two inequalities 1 and 2 rest on at every eigenvector_mod call of
+    the corpus, and that both are tight somewhere, so neither holds with room to spare.
+    """
+    _, steps = eigen_step_runs
+    assert len(steps) == 4024
+    top_slack = [vals[-1] - N for N, vals, dv in steps]
+    minor_slack = [dv - sum(vals[:-1]) for N, vals, dv in steps]
+    assert min(top_slack) == min(minor_slack) == 0
 
 
 @pytest.mark.parametrize("shape", SEEDED_SHAPES)

@@ -1,5 +1,6 @@
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -56,10 +57,20 @@ def test_valuation_is_additive():
 
 
 def test_infinity_ordering():
-    assert INFINITY > 10**100
-    assert not INFINITY < 0
-    assert INFINITY == INFINITY
-    assert INFINITY != 5
+    # a strict total order from either side: INFINITY above every int and Fraction
+    for x in (-5, 0, 10**100, Fraction(-1, 3), Fraction(7, 2), True):
+        assert INFINITY > x and INFINITY >= x and x < INFINITY and x <= INFINITY
+        assert not (INFINITY < x or INFINITY <= x or x > INFINITY or x >= INFINITY)
+        assert INFINITY != x and x != INFINITY
+        assert min(x, INFINITY) == x and sorted([INFINITY, x]) == [x, INFINITY]
+    assert INFINITY == INFINITY and INFINITY <= INFINITY and INFINITY >= INFINITY
+    assert not (INFINITY < INFINITY or INFINITY > INFINITY)
+    # any other type does not compare, either way round
+    for other in (None, 1.5, "inf", (1,)):
+        for compare in (lambda: INFINITY < other, lambda: other < INFINITY,
+                        lambda: INFINITY >= other, lambda: other >= INFINITY):
+            with pytest.raises(TypeError):
+                compare()
 
 
 def test_pickle_at_every_protocol_gives_the_one_infinity():

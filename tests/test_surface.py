@@ -36,8 +36,6 @@ ONLY_TESTS_REACH = {
     "newton:SlopeSegment.__reduce__": PICKLE_ONLY,
     "newton:_berkowitz_loop": "char_poly above lattice.KERNEL_MAX_RANK; the shipped ranks "
                               "are at most 8, and polygon --input takes larger matrices",
-    "padics:PadicInfinity.__gt__": "a finite value < INFINITY, reflected: min_margin and the "
-                                   "census walk can make that compare, no shipped run does",
     "padics:PadicInfinity.__reduce__": PICKLE_ONLY,
     "padics:PadicInfinity.__repr__": "for reading INFINITY in a traceback or a test",
     "rng:SplitMix64.next_u64": "one raw word; the package draws through randint and "
