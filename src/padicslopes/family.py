@@ -249,11 +249,14 @@ class ConjugatedDiagonal(namedtuple("ConjugatedDiagonal", "U diagonal U_inverse"
         return self.U.apply(tuple(map(mul, self.diagonal, self.U_inverse.apply(vec))))
 
 
-class InstancePair(namedtuple("InstancePair", "xi xi_prime psi psi_prime profile")):
+class InstancePair(namedtuple("InstancePair", "xi xi_prime psi psi_prime profile eigenvector",
+                               defaults=(None,))):
     """xi, xi' and commuting psi, psi'. Trials only apply psi to the eigenvector, so
     it is never formed: ConjugatedDiagonal U E U^-1 for PLANTED, PolynomialOperator
     q(xi) for POLYNOMIAL_PSI; a VIOLATION report forms it by operator_rows. An IntMatrix
-    has the same apply, so tests may pass one."""
+    has the same apply, so tests may pass one. eigenvector is the slope-alpha eigenvector
+    of both xi and xi', exact and primitive, where the generator knows it (PLANTED's
+    U e_slot); None makes a prop trial solve for it with eigenvector_mod."""
 
     __slots__ = ()
 
@@ -275,6 +278,11 @@ def gen_planted_quadruple(
     if a violation report writes them. Attempts whose xi fails the structural
     check are rejected; None means the attempt budget ran out. xi' - xi =
     p^n U diag(e) U^-1 is divisible by p^n, so xi' passes whenever xi does.
+
+    The pair's eigenvector U e_slot is primitive (U is unimodular), exact for xi, xi',
+    psi and psi', and the slope-alpha one on both sides when alpha < n: the p^n shift
+    keeps the slot at valuation alpha and moves no other entry to it. At alpha = n no
+    plan passes its hypotheses (kappa <= n - 2 alpha < 1), so no trial reads it.
     """
     r = profile.r
     n = profile.n
@@ -298,7 +306,7 @@ def gen_planted_quadruple(
         return InstancePair(
             xi=xi, xi_prime=xi_prime, psi=ConjugatedDiagonal(U, psi_diag, Ui),
             psi_prime=ConjugatedDiagonal(U, psi_diag_prime, Ui),
-            profile=profile,
+            profile=profile, eigenvector=tuple([row[slot] for row in U.rows]),
         )
     return None
 
@@ -413,8 +421,11 @@ def _evaluate_proposition_pair(plan: ExperimentPlan, pair: InstancePair,
               N - root_prime.derivative_valuation - cfg.alpha)
     if cap < kappa:
         return TrialReport(status=REJECTED, reason="precision", **shared)
-    vec = eigenvector_mod(pair.xi, root.value, cfg.p, N)
-    vec_prime = eigenvector_mod(pair.xi_prime, root_prime.value, cfg.p, N)
+    if pair.eigenvector is None:
+        vec = eigenvector_mod(pair.xi, root.value, cfg.p, N)
+        vec_prime = eigenvector_mod(pair.xi_prime, root_prime.value, cfg.p, N)
+    else:  # exact on both sides, so psi gives a* mod p^cap as the Smith vector does
+        vec = vec_prime = pair.eigenvector
     a = commuting_eigenvalue(pair.psi, vec, cfg.p, cap)
     a_prime = commuting_eigenvalue(pair.psi_prime, vec_prime, cfg.p, cap)
 

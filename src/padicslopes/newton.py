@@ -276,6 +276,7 @@ def eigenvector_mod(A: IntMatrix, lam: int, p: int, N: int) -> tuple:
     Only that column is formed, from the column log: primitive, V^-1 being invertible mod p.
     A kernel mod p^N fixes F only mod p^(N - v_p(d_{r-1})), so working mod p^{2N}
     fixes F mod p^(2N - v_p(d_{r-1})), all of p^N if v_p(d_{r-1}) <= N.
+    Prop trials call it for POLYNOMIAL_PSI pairs only: a PLANTED pair carries its exact one.
     """
     dec = smith_normal_form(A.shift(-lam), p, 2 * N)
     d = dec.divisors[-1]

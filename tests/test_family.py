@@ -53,7 +53,7 @@ from oracles import (
     random_unimodular_by_randint, report_document, same_quotient_action,
     sigma_with_plain_moduli, trial_document, valuation_by_division,
 )
-from test_report_digests import SHARP_SLACK_ZERO, VARIANTS, variant_ids
+from test_report_digests import PINNED, SHARP_SLACK_ZERO, VARIANTS, variant_ids
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -681,6 +681,29 @@ def test_prepare_plan_kappa_resolution():
         prepare_plan(config_from_document(base_doc()), "sideways")
 
 
+def test_no_prop_plan_passes_its_hypotheses_at_alpha_equal_to_n():
+    """At alpha = n no prop plan passes, whatever kappa it asks for, so no trial runs.
+
+    This is why one eigenvector serves both sides of a PLANTED pair. xi' shifts xi's
+    diagonal by multiples of p^n and keeps U, so U e_slot stays an eigenvector of xi'; it
+    is the slope-alpha one when alpha < n, as an entry of valuation below n keeps it and
+    one at n or above stays there, so only the slot has valuation alpha. At alpha = n the
+    shift may bring another entry down to n or lift the slot's above it. resolve_kappa
+    counts at most n levels, so its kappa is at most n - 2 alpha = -n < 1: it returns
+    None, and a plan with no resolved kappa fails for a kappa given in the config too.
+    """
+    for n in range(1, 20):
+        profiles = [{"kind": "explicit", "n": n, "a": [n] * 3},
+                    {"kind": "explicit", "n": n, "a": list(range(n, 0, -1))},
+                    {"kind": "explicit", "n": n, "a": [n, 0]}]
+        profiles += [{"kind": "hilbert", "d": d, "h": h, "n": n, "max_rank": 8}
+                     for d in (1, 2, 3) for h in (1, 2)]
+        for profile in profiles:
+            for kappa in ("auto", 1, n):
+                cfg = config_from_document(base_doc(profile=profile, alpha=n, kappa=kappa))
+                assert not prepare_plan(cfg, "prop").hypotheses_pass, (profile, kappa)
+
+
 # --- proposition trials ---------------------------------------------------------------
 
 def test_identical_pair_gives_infinite_margin():
@@ -1139,6 +1162,57 @@ def test_eigenvalues_without_the_eigenvector(cfg):
     assert accepted > 0
 
 
+PLANTED_PROP_CONFIGS = {cid: cfg for cid, cfg in PROP_CONFIGS.items() if cfg.generator == "PLANTED"}
+
+
+def assert_planted_eigenvectors(report):
+    """On each accepted trial, the eigenvector F its pair carries against both sides:
+    (xi - lam) F = 0 mod p^(cap + alpha), the precision a mod p^cap needs, and psi
+    gives the trial's a on F and on eigenvector_mod's vector alike. Returns the count."""
+    cfg, N = report.plan.config, report.plan.precision
+    p, accepted = cfg.p, 0
+    for t, pair in regenerated_pairs(report):
+        F, cap = pair.eigenvector, t.margin_cap
+        m = p ** (cap + cfg.alpha)
+        for xi, lam, psi, a in ((pair.xi, t.lam, pair.psi, t.a),
+                                (pair.xi_prime, t.lam_prime, pair.psi_prime, t.a_prime)):
+            assert all(x % m == 0 for x in xi.shift(-lam).apply(F)), t.index
+            solved = newton.eigenvector_mod(xi, lam, p, N)
+            assert newton.commuting_eigenvalue(psi, F, p, cap) == a, t.index
+            assert newton.commuting_eigenvalue(psi, solved, p, cap) == a, t.index
+        accepted += 1
+    return accepted
+
+
+@pytest.mark.parametrize("cfg", PLANTED_PROP_CONFIGS.values(), ids=PLANTED_PROP_CONFIGS.keys())
+def test_planted_eigenvector_is_the_slope_alpha_one_on_both_sides(cfg):
+    assert assert_planted_eigenvectors(run_experiment(cfg)) > 0
+
+
+def test_the_planted_eigenvector_oracle_catches_a_neighbouring_column(monkeypatch):
+    # the control: column slot + 1 of U is an exact eigenvector of psi too, so
+    # commuting_eigenvalue accepts it and the run completes, but with another a. The
+    # oracle's regenerated pairs come from the patched generator as well
+    cfg = PLANTED_PROP_CONFIGS["prop_planted.json"]
+    generate = family.gen_planted_quadruple
+
+    def neighbour(*args):
+        pair = generate(*args)
+        if pair is None:
+            return None
+        columns = list(zip(*pair.psi.U.rows))
+        slot = columns.index(pair.eigenvector)
+        return pair._replace(eigenvector=columns[(slot + 1) % len(columns)])
+
+    monkeypatch.setattr(family, "gen_planted_quadruple", neighbour)
+    report = run_experiment(cfg)
+    assert cfg.profile.r > 1 and report.accepted > 0
+    pinned = {name: digest for name, _, digest in PINNED}["prop_planted.json"]
+    assert hashlib.sha256(report_to_json(report).encode()).hexdigest()[:16] != pinned
+    with pytest.raises(AssertionError):
+        assert_planted_eigenvectors(report)
+
+
 # prop_sharp's and prop_default's shapes at p = 2, 3 and 5, master seeds 1000 to 1004
 SEEDED_SHAPES = ("prop_sharp.json", "prop_default.json")
 SEEDED_PROP_CONFIGS = {
@@ -1203,9 +1277,11 @@ def test_the_eigen_step_cannot_raise_by_the_smith_valuations(eigen_step_runs):
        rejects first, or N <= alpha, which N = n + 2 alpha + kappa + guard excludes.
     The test checks the two inequalities 1 and 2 rest on at every eigenvector_mod call of
     the corpus, and that both are tight somewhere, so neither holds with room to spare.
+    Only POLYNOMIAL_PSI trials call it: a PLANTED pair carries its exact eigenvector (see
+    test_planted_eigenvector_is_the_slope_alpha_one_on_both_sides).
     """
     _, steps = eigen_step_runs
-    assert len(steps) == 4024
+    assert len(steps) == 3424
     top_slack = [vals[-1] - N for N, vals, dv in steps]
     minor_slack = [dv - sum(vals[:-1]) for N, vals, dv in steps]
     assert min(top_slack) == min(minor_slack) == 0

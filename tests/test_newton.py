@@ -522,9 +522,57 @@ def assert_eigenvector_is_the_top_kernel_generator(A, lam, p, N):
     return gens
 
 
+def planted_eigen_steps(config, monkeypatch):
+    """The prop run of a PLANTED config, and for each side of each accepted trial
+    (A, lam, F, psi, a, N, cap): F is the eigenvector the trial's own pair carries,
+    captured as the trial evaluates it, and eigenvector_mod must never run."""
+    pairs, evaluate = {}, family._evaluate_proposition_pair
+
+    def captured(plan, pair, index, seed):
+        pairs[index] = pair
+        return evaluate(plan, pair, index, seed)
+
+    def no_eigenvector_mod(A, lam, p, N):
+        raise AssertionError("a PLANTED trial solved for its eigenvector")
+
+    monkeypatch.setattr(family, "_evaluate_proposition_pair", captured)
+    monkeypatch.setattr(family, "eigenvector_mod", no_eigenvector_mod)
+    report = run_experiment(config)
+    N = report.plan.precision
+    steps = []
+    for t in report.trials:
+        if t.status == family.ACCEPTED:
+            pair = pairs[t.index]
+            steps += [(pair.xi, t.lam, pair.eigenvector, pair.psi, t.a, N, t.margin_cap),
+                      (pair.xi_prime, t.lam_prime, pair.eigenvector, pair.psi_prime, t.a_prime,
+                       N, t.margin_cap)]
+    return report, steps
+
+
+def assert_constructed_eigenvector_is_the_top_kernel_generator(A, lam, F, p, N):
+    """The exact eigenvector F of the root lam* that lam lifts (lam = lam* mod p^N) against
+    the kernel oracle mod p^{2N}: the top order is at least N, (A - lam I) F = 0 mod p^N,
+    and F is a unit multiple of the last generator mod p^(N - v_{r-1}), v_{r-1} the order
+    below the top, which is all a kernel fixes once lam is only known mod p^N."""
+    gens = kernel_mod(A.shift(-lam), p, 2 * N)
+    assert gens and gens[-1].order >= N
+    assert all(x % p**N == 0 for x in A.shift(-lam).apply(F))
+    m = p ** (N - (gens[-2].order if len(gens) > 1 else 0))
+    assert m > 1
+    normalized = unit_normalized(F, p, p**N)
+    assert all((x - y) % m == 0 for x, y in zip(normalized, gens[-1].vector))
+
+
 @pytest.mark.parametrize("name", ["prop_default.json", "prop_planted.json", "constancy_default.json"])
 def test_eigenvector_is_the_top_kernel_generator_on_shipped_trials(name, monkeypatch):
     config = read_config(CONFIG_DIR / name)
+    if config.generator == "PLANTED":
+        # the trial reads U e_slot off its pair; the same oracle, on that vector
+        report, steps = planted_eigen_steps(config, monkeypatch)
+        for A, lam, F, _, _, N, _ in steps:
+            assert_constructed_eigenvector_is_the_top_kernel_generator(A, lam, F, config.p, N)
+        assert len(steps) == 2 * report.accepted > 0
+        return
     mode = "constancy" if config.nprime is not None else "prop"
     calls = []
 
@@ -587,11 +635,26 @@ def test_eigenvector_conjugation_oracle():
 
 @pytest.mark.parametrize("name", ["prop_default.json", "prop_planted.json"])
 def test_eigenvector_matches_integer_snf_on_shipped_trials(name, monkeypatch):
-    # every eigenvector call of the shipped config's 100 trials, against the vector
-    # the integer Smith form gives: equal mod p^(N - e) once both have first unit
-    # coordinate 1, e the Hensel root's derivative valuation, and the same commuting
-    # eigenvalue
+    # the eigenvector of each side of each accepted trial of the shipped config's 100
+    # (eigenvector_mod's, or a PLANTED pair's own) against the vector the integer Smith
+    # form gives: equal mod p^(N - e) once both have first unit coordinate 1, e the
+    # Hensel root's derivative valuation, and the same commuting eigenvalue
     config = read_config(CONFIG_DIR / name)
+    assert config.trials == 100
+    if config.generator == "PLANTED":
+        # the vector is the pair's exact U e_slot, not eigenvector_mod's
+        report, steps = planted_eigen_steps(config, monkeypatch)
+        p = config.p
+        for A, lam, F, psi, a, N, cap in steps:
+            root = lift(char_poly(A), p, config.alpha, N)
+            assert root.value == lam
+            old = eigenvector_by_integer_snf(A, lam, p, N)
+            m = p ** (N - root.derivative_valuation)
+            assert all((x - y) % m == 0 for x, y in zip(unit_normalized(F, p, p**N), old))
+            a_old = commuting_eigenvalue(psi, old, p, cap)
+            assert commuting_eigenvalue(psi, F, p, cap) == a_old == a
+        assert len(steps) == 2 * report.accepted > 0
+        return
     reference = {}
 
     def eigenvector(A, lam, p, N):
@@ -615,7 +678,6 @@ def test_eigenvector_matches_integer_snf_on_shipped_trials(name, monkeypatch):
     monkeypatch.setattr(family, "eigenvector_mod", eigenvector)
     monkeypatch.setattr(family, "commuting_eigenvalue", eigenvalue)
     report = run_experiment(config)
-    assert config.trials == 100
     assert len(checked) == 2 * report.accepted > 0
 
 
