@@ -249,14 +249,16 @@ class ConjugatedDiagonal(namedtuple("ConjugatedDiagonal", "U diagonal U_inverse"
         return self.U.apply(tuple(map(mul, self.diagonal, self.U_inverse.apply(vec))))
 
 
-class InstancePair(namedtuple("InstancePair", "xi xi_prime psi psi_prime profile eigenvector",
-                               defaults=(None,))):
+class InstancePair(namedtuple("InstancePair", "xi xi_prime psi psi_prime profile eigenvector "
+                               "eigenvalues", defaults=(None, None))):
     """xi, xi' and commuting psi, psi'. Trials only apply psi to the eigenvector, so
     it is never formed: ConjugatedDiagonal U E U^-1 for PLANTED, PolynomialOperator
     q(xi) for POLYNOMIAL_PSI; a VIOLATION report forms it by operator_rows. An IntMatrix
-    has the same apply, so tests may pass one. eigenvector is the slope-alpha eigenvector
-    of both xi and xi', exact and primitive, where the generator knows it (PLANTED's
-    U e_slot); None makes a prop trial solve for it with eigenvector_mod."""
+    has the same apply, so tests may pass one. Where the generator knows them (PLANTED),
+    eigenvector is the slope-alpha eigenvector of both xi and xi', exact and primitive
+    (U e_slot), and eigenvalues the exact slope-alpha eigenvalues (d_slot, d'_slot) of
+    xi and xi', which a prop trial checks in place of lifting them. None makes a prop
+    trial solve for them: eigenvector_mod, and the Hensel lift of the slope root."""
 
     __slots__ = ()
 
@@ -281,8 +283,10 @@ def gen_planted_quadruple(
 
     The pair's eigenvector U e_slot is primitive (U is unimodular), exact for xi, xi',
     psi and psi', and the slope-alpha one on both sides when alpha < n: the p^n shift
-    keeps the slot at valuation alpha and moves no other entry to it. At alpha = n no
-    plan passes its hypotheses (kappa <= n - 2 alpha < 1), so no trial reads it.
+    keeps the slot at valuation alpha and moves no other entry to it. So the slot's
+    entries d_slot of D and d'_slot of D' are the exact slope-alpha eigenvalues of xi
+    and xi', the pair's eigenvalues. At alpha = n no plan passes its hypotheses
+    (kappa <= n - 2 alpha < 1), so no trial reads either.
     """
     r = profile.r
     n = profile.n
@@ -291,7 +295,7 @@ def gen_planted_quadruple(
     for _ in range(max_attempts):
         U, Ui = random_unimodular(r, rng)
         slot = rng.randint(0, r - 1)
-        vals = [rng.choice(val_choices) for _ in range(r)]
+        vals = [val_choices[i] for i in rng.randints(0, len(val_choices) - 1, r)]
         vals[slot] = alpha
         diag = [p ** v * rng.unit(p, bound) for v in vals]
         xi = _conjugated(U, diag, Ui)
@@ -307,6 +311,7 @@ def gen_planted_quadruple(
             xi=xi, xi_prime=xi_prime, psi=ConjugatedDiagonal(U, psi_diag, Ui),
             psi_prime=ConjugatedDiagonal(U, psi_diag_prime, Ui),
             profile=profile, eigenvector=tuple([row[slot] for row in U.rows]),
+            eigenvalues=(diag[slot], diag_prime[slot]),
         )
     return None
 
@@ -402,7 +407,8 @@ def run_proposition_trial(plan: ExperimentPlan, index: int) -> TrialReport:
 
 def _evaluate_proposition_pair(plan: ExperimentPlan, pair: InstancePair,
                                index: int, seed: int) -> TrialReport:
-    """Census gate, slope-root lifting, eigenvalue extraction, margin verdict."""
+    """Census gate, slope roots (checked where the pair knows them, else lifted),
+    eigenvalue extraction, margin verdict."""
     cfg = plan.config
     kappa = plan.kappa
     N = plan.precision
@@ -415,8 +421,9 @@ def _evaluate_proposition_pair(plan: ExperimentPlan, pair: InstancePair,
     if slope_multiplicity(poly, cfg.alpha) != 1 or slope_multiplicity(poly_prime, cfg.alpha) != 1:
         return TrialReport(status=REJECTED, reason="not-simple", **shared)
 
-    root = hensel_slope_root(cp, poly, cfg.p, cfg.alpha, N)
-    root_prime = hensel_slope_root(cp_prime, poly_prime, cfg.p, cfg.alpha, N)
+    exact, exact_prime = pair.eigenvalues or (None, None)  # None: lift them
+    root = hensel_slope_root(cp, poly, cfg.p, cfg.alpha, N, exact)
+    root_prime = hensel_slope_root(cp_prime, poly_prime, cfg.p, cfg.alpha, N, exact_prime)
     cap = min(N - root.derivative_valuation - cfg.alpha,
               N - root_prime.derivative_valuation - cfg.alpha)
     if cap < kappa:

@@ -181,15 +181,17 @@ class HenselError(ValueError):
 class HenselRoot(namedtuple("HenselRoot", "value derivative_valuation")):
     """A slope-alpha eigenvalue residue mod p^N.
 
-    value satisfies cp(value) = 0 mod p^N and v_p(value) = alpha; it is
-    canonical (least nonnegative mod p^N) but only unique modulo
-    p^{N - derivative_valuation}.
+    value is the least nonnegative residue mod p^N of the one p-adic root of cp on
+    the slope-alpha segment, so v_p(value) = alpha, and a known exact root gives the
+    value the lift does. The residual check cp(value) = 0 mod p^N alone fixes a
+    residue only mod p^{N - derivative_valuation}.
     """
 
     __slots__ = ()
 
 
-def hensel_slope_root(cp: CharPoly, poly: NewtonPolygon, p: int, alpha: int, N: int) -> HenselRoot:
+def hensel_slope_root(cp: CharPoly, poly: NewtonPolygon, p: int, alpha: int, N: int,
+                      root: int | None = None) -> HenselRoot:
     """Lift the slope-alpha root of cp to a residue mod p^N, given poly = newton_polygon(cp, p).
 
     Substitutes X = p^alpha Y, strips the content p^C read off the segment's first
@@ -197,10 +199,17 @@ def hensel_slope_root(cp: CharPoly, poly: NewtonPolygon, p: int, alpha: int, N: 
     mod p. That seed exists and is closed-form when the slope-alpha segment has
     length 1; a longer segment is refused. The seed check confirms the segment
     against cp's coefficients: a polygon that disagrees there raises, never returns.
+
+    A caller that knows the root exactly passes it as root, which skips only the Newton
+    loop: the lift converges to the one root on the segment, so an exact one gives its
+    value. root must have valuation alpha and root / p^alpha the seed's residue mod p,
+    and pass the residual check; either failure raises AssertionError.
     """
     _require_prime(p)
     if isinstance(alpha, bool) or not isinstance(alpha, int):
         raise HenselError(f"slope must be a nonnegative integer, got {alpha!r}")
+    if root is not None and (isinstance(root, bool) or not isinstance(root, int)):
+        raise HenselError(f"root must be an integer, got {root!r}")
     if alpha < 0:
         raise HenselError(f"slope must be nonnegative, got {alpha}")
     if N < 1:
@@ -230,23 +239,28 @@ def hensel_slope_root(cp: CharPoly, poly: NewtonPolygon, p: int, alpha: int, N: 
         raise AssertionError(f"polygon's slope-{alpha} segment is not that of cp")
     y = -g_mod[i0 + 1] * pow(g_mod[i0], -1, p) % p
 
-    # quadratic Newton lifting; g'(y) stays a unit throughout. z carries its
-    # inverse: correct mod p^prec before a step, it needs one step z(2 - g'(y) z)
-    # to be correct mod the next p^prec (Newton's iteration for 1/g'(y))
-    dg = _poly_derivative(g)
-    z = pow(_horner_mod(dg, y, p), -1, p)
-    prec = 1
-    while prec < N:
-        prec = min(2 * prec, N)
-        m = p ** prec
-        y = (y - _horner_mod(g, y, m) * z) % m
-        if prec < N:
-            z = z * (2 - _horner_mod(dg, y, m) * z) % m
-
     pN = p ** N
-    lam = p ** alpha * y % pN  # y is a unit and alpha < N, so v_p(lam) = alpha
+    if root is None:
+        # quadratic Newton lifting; g'(y) stays a unit throughout. z carries its
+        # inverse: correct mod p^prec before a step, it needs one step z(2 - g'(y) z)
+        # to be correct mod the next p^prec (Newton's iteration for 1/g'(y))
+        dg = _poly_derivative(g)
+        z = pow(_horner_mod(dg, y, p), -1, p)
+        prec = 1
+        while prec < N:
+            prec = min(2 * prec, N)
+            m = p ** prec
+            y = (y - _horner_mod(g, y, m) * z) % m
+            if prec < N:
+                z = z * (2 - _horner_mod(dg, y, m) * z) % m
+        lam = p ** alpha * y % pN  # y is a unit and alpha < N, so v_p(lam) = alpha
+    else:
+        pa = p ** alpha
+        if root % pa or (root // pa - y) % p:
+            raise AssertionError(f"root is not p^{alpha} times a unit congruent to the seed mod p")
+        lam = root % pN
     if _horner_mod(cp.coeffs, lam, pN) != 0:
-        raise AssertionError("lifted root fails the residual check")
+        raise AssertionError("slope root fails the residual check")
     return HenselRoot(value=lam, derivative_valuation=content - alpha)
 
 

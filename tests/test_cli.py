@@ -568,6 +568,24 @@ def test_internal_error_exits_three_with_its_traceback(tmp_path, capsys, monkeyp
         assert "Traceback" in err and shown in err
 
 
+def test_wrong_planted_eigenvalues_exit_three_with_their_traceback(tmp_path, capsys, monkeypatch):
+    # a PLANTED pair whose eigenvalue is off its slope root is a generator bug: the trial's
+    # seed check raises, and the run writes no report
+    generate = family.gen_planted_quadruple
+
+    def off_by_p(profile, p, alpha, *args):
+        pair = generate(profile, p, alpha, *args)
+        d, d_prime = pair.eigenvalues
+        return pair._replace(eigenvalues=(d + p ** alpha, d_prime))
+
+    doc = verify_config(generator="PLANTED", profile={"kind": "explicit", "n": 16, "a": [16] * 3})
+    monkeypatch.setattr(family, "gen_planted_quadruple", off_by_p)
+    assert run_main(["verify-prop", "--config", write_json(tmp_path / "cfg.json", doc)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" in err and "AssertionError: root is not p^1 times a unit" in err
+
+
 def test_verify_output_file_and_jobs_determinism(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", verify_config())
     out1 = tmp_path / "r1.json"

@@ -1213,6 +1213,67 @@ def test_the_planted_eigenvector_oracle_catches_a_neighbouring_column(monkeypatc
         assert_planted_eigenvectors(report)
 
 
+@pytest.mark.parametrize("cfg", PLANTED_PROP_CONFIGS.values(), ids=PLANTED_PROP_CONFIGS.keys())
+def test_planted_eigenvalues_give_the_lifted_slope_roots(cfg):
+    # on both sides of every accepted trial, the Newton lift without the planted root
+    # returns the HenselRoot the trial's call with it did: its value is the trial's lam,
+    # and its derivative valuation gives the trial's cap
+    report = run_experiment(cfg)
+    p, N, alpha = cfg.p, report.plan.precision, cfg.alpha
+    accepted = 0
+    for t, pair in regenerated_pairs(report):
+        caps = []
+        for xi, d, lam in zip((pair.xi, pair.xi_prime), pair.eigenvalues, (t.lam, t.lam_prime)):
+            cp = char_poly(xi)
+            poly = newton_polygon(cp, p)
+            lifted = newton.hensel_slope_root(cp, poly, p, alpha, N)
+            assert newton.hensel_slope_root(cp, poly, p, alpha, N, d) == lifted, t.index
+            assert lifted.value == lam, t.index
+            caps.append(N - lifted.derivative_valuation - alpha)
+        assert min(caps) == t.margin_cap, t.index
+        accepted += 1
+    assert accepted == report.accepted > 0
+
+
+def wrong_eigenvalues_raise(cfg, monkeypatch, wrong, match):
+    """Runs each accepted trial again with one side's planted eigenvalue d replaced by
+    wrong(d, p, alpha), at both sides in turn, and asserts that each run raises
+    AssertionError matching match. Returns the number of runs."""
+    plan = prepare_plan(cfg, "prop")
+    accepted = [t.index for t in run_experiment(cfg).trials if t.status == ACCEPTED]
+    generate, runs = family.gen_planted_quadruple, 0
+    for side in (0, 1):
+        def planted_wrong(*args, side=side):
+            pair = generate(*args)
+            values = list(pair.eigenvalues)
+            values[side] = wrong(values[side], cfg.p, cfg.alpha)
+            return pair._replace(eigenvalues=tuple(values))
+
+        with monkeypatch.context() as mp:
+            mp.setattr(family, "gen_planted_quadruple", planted_wrong)
+            for index in accepted:
+                with pytest.raises(AssertionError, match=match):
+                    run_proposition_trial(plan, index)
+                runs += 1
+    return runs
+
+
+@pytest.mark.parametrize("cfg", PLANTED_PROP_CONFIGS.values(), ids=PLANTED_PROP_CONFIGS.keys())
+def test_a_planted_eigenvalue_off_the_seed_digit_raises(cfg, monkeypatch):
+    # the control of the seed check: d + p^alpha has another digit above p^alpha (at
+    # p = 2, another valuation), and every trial it reaches raises, on either side
+    assert wrong_eigenvalues_raise(cfg, monkeypatch, lambda d, p, alpha: d + p ** alpha,
+                                   "congruent to the seed") > 0
+
+
+@pytest.mark.parametrize("cfg", PLANTED_PROP_CONFIGS.values(), ids=PLANTED_PROP_CONFIGS.keys())
+def test_a_planted_eigenvalue_off_the_root_raises(cfg, monkeypatch):
+    # the control of the residual check: d + p^(alpha + 1) keeps the seed digit, and cp
+    # there has valuation content + 1 = N - cap + 1 < N, since every accepted cap is > 1
+    assert wrong_eigenvalues_raise(cfg, monkeypatch, lambda d, p, alpha: d + p ** (alpha + 1),
+                                   "residual check") > 0
+
+
 # prop_sharp's and prop_default's shapes at p = 2, 3 and 5, master seeds 1000 to 1004
 SEEDED_SHAPES = ("prop_sharp.json", "prop_default.json")
 SEEDED_PROP_CONFIGS = {
@@ -1247,11 +1308,11 @@ def eigen_step_runs():
 
 
 def test_the_eigen_step_never_runs_out_of_precision_at_the_configs_own(eigen_step_runs):
-    # the eigen step's reach: 3540 trials at the precision n + 2 alpha + kappa + guard their
+    # the eigen step's reach: 3580 trials at the precision n + 2 alpha + kappa + guard their
     # plans resolve, and not one raises or is rejected for precision. The pin holds only
     # there: test_starved_precision_rejects_and_never_violates reaches "precision" at N = 2..5
     reports, _ = eigen_step_runs
-    assert sum(len(r.trials) for r in reports.values()) == 3540
+    assert sum(len(r.trials) for r in reports.values()) == 3580
     for cid, report in reports.items():
         assert "precision" not in report.rejected_by_reason(), cid
         assert report.accepted > 0, cid

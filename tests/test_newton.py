@@ -490,6 +490,92 @@ def test_hensel_planted_suite():
         assert padic_valuation(root.value, p) == alpha
 
 
+def seeded_slope_roots(p, alpha, count=12):
+    """count seeded (cp, d, others): cp = prod(X - d_j) over d and others, d = p^alpha u
+    its one root of valuation alpha, others' valuations drawn from 0..6 without alpha."""
+    rng = SplitMix64(0x5100 + 16 * p + alpha)
+    out = []
+    for _ in range(count):
+        d = p ** alpha * rng.unit(p, 9)
+        others = [p ** rng.choice([v for v in range(7) if v != alpha]) * rng.unit(p, 9)
+                  for _ in range(rng.randint(0, 4))]
+        coeffs = (1,)
+        for x in [d, *others]:
+            coeffs = poly_mul(coeffs, [1, -x])
+        out.append((CharPoly(tuple(coeffs)), d, others))
+    return out
+
+
+@pytest.mark.parametrize("alpha", range(4))
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_known_slope_root_gives_the_lift(p, alpha):
+    # the lift converges to the one p-adic root on the segment, so the exact root, or
+    # any integer congruent to it mod p^N, returns the lift's value and valuation
+    for cp, d, _ in seeded_slope_roots(p, alpha):
+        poly = newton_polygon(cp, p)
+        assert slope_multiplicity(poly, alpha) == 1
+        for N in (alpha + 1, alpha + 2, alpha + 9, alpha + 40):
+            lifted = hensel_slope_root(cp, poly, p, alpha, N)
+            assert hensel_slope_root(cp, poly, p, alpha, N, root=d) == lifted
+            assert hensel_slope_root(cp, poly, p, alpha, N, d - 7 * p ** N) == lifted
+            assert lifted.value == d % p ** N
+
+
+def test_a_known_slope_root_must_be_an_integer():
+    # the type check that alpha has, made before any polygon is read
+    cp = CharPoly((1, -12, 27))
+    poly = newton_polygon(cp, 3)
+    for root in (True, False, 3.0, Fraction(3), "3", [3]):
+        with pytest.raises(HenselError, match="root must be an integer"):
+            hensel_slope_root(cp, poly, 3, 1, 5, root=root)
+    assert hensel_slope_root(cp, poly, 3, 1, 5, root=3).value == 3
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_root_of_another_slope_is_refused(p):
+    # each other root of cp has another valuation, so it misses the slope-alpha seed;
+    # so does d + p^alpha, whose digit above p^alpha is off the seed's by one
+    refused = 0
+    for alpha in range(4):
+        for cp, d, others in seeded_slope_roots(p, alpha):
+            poly = newton_polygon(cp, p)
+            for root in [*others, d + p ** alpha, 0]:
+                with pytest.raises(AssertionError, match="congruent to the seed"):
+                    hensel_slope_root(cp, poly, p, alpha, alpha + 9, root)
+                refused += 1
+    assert refused > 4 * 12 * 2
+
+
+def test_a_seed_digit_alone_fails_the_residual_check():
+    # d + p^(alpha + 1) has the seed's digit, but cp there has valuation content + 1
+    for p in (2, 3, 5):
+        for alpha in range(4):
+            for cp, d, _ in seeded_slope_roots(p, alpha):
+                poly = newton_polygon(cp, p)
+                e = hensel_slope_root(cp, poly, p, alpha, alpha + 1).derivative_valuation
+                N = alpha + e + 2  # content + 1 = alpha + e + 1 < N
+                with pytest.raises(AssertionError, match="residual check"):
+                    hensel_slope_root(cp, poly, p, alpha, N, d + p ** (alpha + 1))
+
+
+@pytest.mark.parametrize("name,planted", [("prop_planted.json", True),
+                                          ("prop_default.json", False)])
+def test_only_planted_trials_hand_the_slope_root_over(name, planted, monkeypatch):
+    # a PLANTED pair carries (d_slot, d'_slot), and every slope-root call of its trials
+    # gets one; a POLYNOMIAL_PSI pair carries none, and its trials lift every root
+    roots, original = [], family.hensel_slope_root
+
+    def recorded(cp, poly, p, alpha, N, root=None):
+        roots.append(root)
+        return original(cp, poly, p, alpha, N, root)
+
+    monkeypatch.setattr(family, "hensel_slope_root", recorded)
+    report = run_experiment(read_config(CONFIG_DIR / name))
+    # two calls a trial past the census gate; no shipped trial is rejected for precision
+    assert len(roots) == 2 * sum(t.lam is not None for t in report.trials) > 0
+    assert all((root is not None) == planted for root in roots)
+
+
 # --- eigenvectors and the commuting operator ---------------------------------------
 
 def test_eigenvector_examples():

@@ -6,11 +6,11 @@ meant to alter report bytes updates them and says why.
 
 The shipped configs all run at p = 3, constancy only at n' = 5 and PLANTED
 only in prop mode; the configs of VARIANTS cover p = 2 and 5, n' = 1 and
-n' = n, and PLANTED at p = 5 in both modes. The two rank-1 PLANTED configs
-take random_unimodular's r == 1 branch, and at p = 2 more than half of unit's draws
-are rejected. Two rank-8 and rank-9 PLANTED configs sit at each side of the cap on
-generated matrix code. prop_sharp sits at the bound: some of its accepted trials have
-margin exactly kappa.
+n' = n, PLANTED at p = 5 in both modes and at p = 2 in prop mode at rank 6. The
+two rank-1 PLANTED configs take random_unimodular's r == 1 branch, and at p = 2
+more than half of unit's draws are rejected. Two rank-8 and rank-9 PLANTED configs
+sit at each side of the cap on generated matrix code. prop_sharp sits at the bound:
+some of its accepted trials have margin exactly kappa.
 """
 
 import hashlib
@@ -109,6 +109,9 @@ VARIANTS = [
     ("constancy", dict(PLANTED, p=5, nprime=9, master_seed=18), "3460df3fba1c99c0"),
     ("prop", dict(PLANTED, p=3, profile=RANK1, master_seed=19), "d49eead9200da0bf"),
     ("prop", dict(PLANTED, p=2, alpha=0, profile=RANK1, master_seed=19), "cf7f670251e03a67"),
+    # p = 2 above rank 1: every unit seed digit is 1, so the seed check of a planted
+    # eigenvalue tests its valuation only
+    ("prop", dict(PLANTED, p=2, master_seed=31), "5cd8205f0050d6f6"),
     # ranks 8 and 9, each side of lattice.KERNEL_MAX_RANK: products and applies run
     # generated code at rank 8 and loops at rank 9
     ("prop", dict(PLANTED, p=3, alpha=0, profile=flat_profile(8), master_seed=28),
