@@ -19,7 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat, takewhile
 
-from .lattice import DivisorProfile
+from .lattice import DivisorProfile, InputError
 
 BOUNDARY_EPS = 1e-9
 
@@ -81,7 +81,7 @@ def hilbert_profile(d: int, h: int, n: int, max_rank: int | None = None) -> Divi
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
     # n ** d is formed only when it is small (d < 64) or trivial (n = 1)
     if (n > 1 and d >= 64) or h * n ** d > sys.maxsize:
-        raise ValueError(f"profile rank h * n^d exceeds {sys.maxsize}")
+        raise InputError(f"profile rank h * n^d exceeds {sys.maxsize}")
     runs = (repeat(n - r, ((r + 1) ** d - r ** d) * h) for r in range(n))
     return DivisorProfile(n=n, a=tuple(islice(chain.from_iterable(runs), max_rank)))
 

@@ -3,9 +3,11 @@
 Subcommands: polygon, snf, profile, bounds, verify-prop, verify-constancy,
 compare-c. Machine-readable JSON goes to stdout (or --output); exit codes
 are 0 for success, 1 for a verification run that found violations, 2 for
-malformed input, arguments or config, or an input too large for memory, 3
-for an internal error (any other exception, such as a failed invariant or a
-crashed worker; its traceback goes to stderr), 143 for SIGTERM at --jobs > 1.
+refused input (any lattice.InputError: a bad file, argument or config), a file
+that cannot be read or written (OSError), or an input too large for memory
+(MemoryError), 3 for an internal error (any other exception, such as a failed
+invariant or a crashed worker; its traceback goes to stderr), 143 for SIGTERM
+at --jobs > 1.
 
 Exact quantities (valuations, slopes, c) are serialized as integers or
 "num/den" strings; only the floating-point closed forms are decimal.
@@ -14,7 +16,6 @@ Exact quantities (valuations, slopes, c) are serialized as integers or
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 from fractions import Fraction
@@ -30,29 +31,18 @@ from .bounds import (
     n_threshold,
     resolve_kappa,
 )
-from .family import ConfigError, read_config, report_to_json, run_experiment
-from .lattice import json_text, matrix_from_document, quotient_profile, smith_normal_form
+from .family import read_config, report_to_json, run_experiment
+from .lattice import (
+    InputError, json_text, matrix_from_document, quotient_profile, read_json, smith_normal_form,
+)
 from .newton import char_poly, newton_polygon, polygon_to_document, slope_to_string
 from .padics import is_prime
 
 
-class InputError(ValueError):
-    """Malformed file or argument; maps to exit code 2."""
-
-
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, or an integer literal beyond the int-to-str limit
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
-
-
 def _load_matrix(path):
+    doc = read_json(path)
     try:
-        return matrix_from_document(_load_json(path))
+        return matrix_from_document(doc)
     except ValueError as exc:
         raise InputError(f"bad matrix file {path}: {exc}") from exc
 
@@ -111,52 +101,25 @@ def _kappa_arg(value: str):
     return "auto" if value == "auto" else _positive_int(value)
 
 
-def _hilbert_profile(d: int, h: int, n: int):
-    try:
-        return hilbert_profile(d, h, n)
-    except ValueError as exc:  # a rank past sys.maxsize
-        raise InputError(str(exc)) from exc
-
-
 def cmd_polygon(args) -> int:
     A = _load_matrix(args.input)
     cp = char_poly(A)
     poly = newton_polygon(cp, args.prime)
-    _emit(
-        {"prime": args.prime, "char_poly": list(cp.coeffs), "polygon": polygon_to_document(poly)},
-        args.output,
-    )
+    _emit({"prime": args.prime, "char_poly": cp.coeffs, "polygon": polygon_to_document(poly)},
+          args.output)
     return 0
 
 
 def cmd_snf(args) -> int:
     dec = smith_normal_form(_load_matrix(args.input))
-    _emit(
-        {
-            "U": [list(r) for r in dec.U.rows],
-            "D": [list(r) for r in dec.D.rows],
-            "V": [list(r) for r in dec.V.rows],
-            "divisors": list(dec.divisors),
-        },
-        args.output,
-    )
+    _emit({"U": dec.U.rows, "D": dec.D.rows, "V": dec.V.rows, "divisors": dec.divisors},
+          args.output)
     return 0
 
 
 def cmd_profile(args) -> int:
-    Kgen = _load_matrix(args.input)
-    try:
-        profile = quotient_profile(Kgen, args.prime, args.level)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _emit(
-        {
-            "n": profile.n,
-            "a": list(profile.a),
-            "sigma": [[exp, count] for exp, count in profile.sigma_counts()],
-        },
-        args.output,
-    )
+    profile = quotient_profile(_load_matrix(args.input), args.prime, args.level)
+    _emit({"n": profile.n, "a": profile.a, "sigma": profile.sigma_counts()}, args.output)
     return 0
 
 
@@ -170,7 +133,7 @@ def _kappa_closed_block(kc, exact) -> dict:
 
 
 def cmd_bounds(args) -> int:
-    profile = _hilbert_profile(args.d, args.h, args.n)
+    profile = hilbert_profile(args.d, args.h, args.n)
     T = lower_boundary(profile)
     try:
         kc = kappa_closed(args.n, args.alpha, args.d, args.h)
@@ -203,10 +166,7 @@ def cmd_bounds(args) -> int:
     _emit(
         {
             "inputs": {"d": args.d, "h": args.h, "n": args.n, "alpha": args.alpha},
-            "profile": {
-                "rank": profile.r,
-                "sigma": [[exp, count] for exp, count in profile.sigma_counts()],
-            },
+            "profile": {"rank": profile.r, "sigma": profile.sigma_counts()},
             "M": T[0],
             "T_table": [
                 {"i": i, "T": t, "ratio": slope_to_string(Fraction(t, i))}
@@ -243,7 +203,7 @@ def cmd_compare_c(args) -> int:
     for d in args.d_list:
         for h in args.h_list:
             for n in range(1, args.n_max + 1):
-                exact = c_exact(_hilbert_profile(d, h, n)).value
+                exact = c_exact(hilbert_profile(d, h, n)).value
                 closed = c1_closed(d, h) * n ** (1.0 / (d + 1)) - 1.0
                 rows.append(
                     {
@@ -319,7 +279,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ConfigError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:  # an input too large to hold, not a bug

@@ -13,8 +13,8 @@ and may run in parallel without changing the output.
 
 from __future__ import annotations
 
-import json
 import os
+import sys
 from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, cycle
@@ -23,8 +23,8 @@ from operator import add, mod, mul, sub
 
 from .bounds import c_exact, resolve_kappa, hilbert_profile
 from .lattice import (
-    DivisorProfile, IntMatrix, _check_rank, _column_scales, _int_json, _items_text, _json,
-    check_xi_condition, json_text, random_unimodular,
+    DivisorProfile, InputError, IntMatrix, _check_rank, _column_scales, _int_json, _items_text,
+    _json, check_xi_condition, json_text, random_unimodular, read_json,
 )
 from .newton import (
     char_poly,
@@ -50,10 +50,6 @@ REJECTED = "REJECTED"
 VIOLATION = "VIOLATION"
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
-
-
 class ExperimentConfig(namedtuple("ExperimentConfig", "p profile alpha kappa trials master_seed "
                                    "generator max_attempts entry_bound precision_guard nprime "
                                    "profile_doc")):
@@ -72,7 +68,7 @@ _PROFILE_FIELDS_EXPLICIT = {"kind", "n", "a"}
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
-        raise ConfigError(msg)
+        raise InputError(msg)
 
 
 def profile_from_document(doc) -> DivisorProfile:
@@ -85,12 +81,9 @@ def profile_from_document(doc) -> DivisorProfile:
             _require(type(doc.get(key)) is int and doc[key] >= 1,
                      f"profile.{key} must be a positive integer")
         max_rank = doc.get("max_rank")
-        _require(max_rank is None or (type(max_rank) is int and max_rank >= 1),
-                 "profile.max_rank must be a positive integer")
-        try:
-            return hilbert_profile(doc["d"], doc["h"], doc["n"], max_rank)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        _require(max_rank is None or (type(max_rank) is int and 1 <= max_rank <= sys.maxsize),
+                 f"profile.max_rank must be an integer with 1 <= max_rank <= {sys.maxsize}")
+        return hilbert_profile(doc["d"], doc["h"], doc["n"], max_rank)
     if kind == "explicit":
         unknown = set(doc) - _PROFILE_FIELDS_EXPLICIT
         _require(not unknown, f"unknown profile fields: {sorted(unknown)}")
@@ -99,8 +92,8 @@ def profile_from_document(doc) -> DivisorProfile:
         try:
             return DivisorProfile(n=doc["n"], a=tuple(doc["a"]))
         except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"profile.kind must be 'hilbert' or 'explicit', got {kind!r}")
+            raise InputError(str(exc)) from exc
+    raise InputError(f"profile.kind must be 'hilbert' or 'explicit', got {kind!r}")
 
 
 def config_from_document(doc) -> ExperimentConfig:
@@ -122,7 +115,8 @@ def config_from_document(doc) -> ExperimentConfig:
     _require(kappa == "auto" or (type(kappa) is int and kappa >= 1),
              "kappa must be 'auto' or a positive integer")
     trials = doc["trials"]
-    _require(type(trials) is int and trials >= 1, "trials must be a positive integer")
+    _require(type(trials) is int and 1 <= trials <= sys.maxsize,
+             f"trials must be an integer with 1 <= trials <= {sys.maxsize}")
     master_seed = doc["master_seed"]
     _require(type(master_seed) is int, "master_seed must be an integer")
     generator = doc.get("generator", POLYNOMIAL_PSI)
@@ -151,12 +145,7 @@ def config_from_document(doc) -> ExperimentConfig:
 
 
 def read_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # bad JSON, or an integer literal beyond the int-to-str limit
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_document(doc)
+    return config_from_document(read_json(path))
 
 
 # --- generators ----------------------------------------------------------------
@@ -359,7 +348,7 @@ class ExperimentPlan(namedtuple("ExperimentPlan", "config mode kappa hypotheses_
 
 def prepare_plan(config: ExperimentConfig, mode: str) -> ExperimentPlan:
     if mode not in ("prop", "constancy"):
-        raise ConfigError(f"mode must be 'prop' or 'constancy', got {mode!r}")
+        raise InputError(f"mode must be 'prop' or 'constancy', got {mode!r}")
     if mode == "constancy":
         _require(config.nprime is not None, "constancy mode needs the config field nprime")
         bound = c_exact(config.profile, config.nprime).value
@@ -572,7 +561,6 @@ def _forked_trials(run, plan: ExperimentPlan, trials: int, workers: int) -> list
     if workers > 1:  # importing pickle alone takes about 15 ms
         import pickle
         import signal
-        import sys
         import traceback
         try:
             previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))

@@ -3,9 +3,10 @@
 IntMatrix, square and exact, validated by IntMatrix(rows) alone; Smith normal
 form with its unimodular transforms formed on demand, elementary-divisor
 profiles of finite p-power quotients L/K, and the per-column divisibility check
-for xi(K) in p^n L (adapted basis, K diagonal). Matrices are read from JSON
-documents by matrix_from_document, and documents written by json_text, a one-pass
-recursive writer with the bytes of json.dumps(indent=2, sort_keys=True).
+for xi(K) in p^n L (adapted basis, K diagonal). Outside input is read by read_json
+and refused with InputError; matrices are read from its documents by
+matrix_from_document, and documents written by json_text, a one-pass recursive
+writer with the bytes of json.dumps(indent=2, sort_keys=True).
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from math import gcd
 from operator import add, index, itemgetter, mod, mul, sub
 
 from .padics import _require_prime, padic_valuation
+
+
+class InputError(ValueError):
+    """Outside input the package refuses: a file, an argument or a config. Exit code 2."""
 
 
 # the largest rank the shipped trials reach (prop_default's max_rank). Up to it, char_poly
@@ -432,14 +437,14 @@ def quotient_profile(Kgen: IntMatrix, p: int, n: int) -> DivisorProfile:
     vals = []
     for d in divisors:  # nonnegative over Z
         if d == 0:
-            raise ValueError("generators do not span a finite-index sublattice (zero determinant)")
+            raise InputError("generators do not span a finite-index sublattice (zero determinant)")
         v = padic_valuation(d, p)
         if d != p ** v:
-            raise ValueError(f"elementary divisor {d} is not a power of {p}")
+            raise InputError(f"elementary divisor {d} is not a power of {p}")
         vals.append(v)
     a = tuple(sorted(vals, reverse=True))
     if a[0] > n:
-        raise ValueError(f"divisor exponent {a[0]} exceeds level {n} (p^n L is not inside K)")
+        raise InputError(f"divisor exponent {a[0]} exceeds level {n} (p^n L is not inside K)")
     return DivisorProfile(n=n, a=a)
 
 
@@ -479,7 +484,18 @@ def _unit_inverse(u: int, p: int, pN: int) -> int:
     return x % pN
 
 
-# --- matrix file format and JSON text (shared with the CLI and the reports) ----
+# --- outside input, matrix files and JSON text (shared with the CLI and the reports) ----
+
+def read_json(path):
+    """The JSON document in the file at path. Bad JSON, an integer literal beyond the
+    int-to-str limit and nesting past the recursion limit raise InputError; OSError
+    passes through."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"{path} is not valid JSON: {exc}") from exc
+
 
 def matrix_from_document(doc) -> IntMatrix:
     if not isinstance(doc, dict):

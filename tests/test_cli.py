@@ -418,13 +418,16 @@ CONFIGS_BEYOND_THE_LIMITS = (
     {"entry_bound": 50},  # every draw from [-3^50, 3^50] raised "range wider than 64 bits"
     {"entry_bound": 50, "generator": "PLANTED"},
     {"profile": {"kind": "hilbert", "d": 100, "h": 1, "n": 2}},  # rank 2^100: OverflowError
+    {"trials": 2**63},  # [None] * trials: OverflowError
 )
+# nested past the recursion limit: json.load once raised RecursionError, exit 3 with a traceback
+DEEP_DOCUMENT = "[" * 200000 + "]" * 200000
 
 
 @pytest.mark.parametrize("mode", ["prop", "constancy"])
 @pytest.mark.parametrize("overrides", CONFIGS_BEYOND_THE_LIMITS,
                          ids=["p-past-the-primality-bound", "entry-bound-50",
-                              "entry-bound-50-planted", "rank-2^100"])
+                              "entry-bound-50-planted", "rank-2^100", "trials-2^63"])
 def test_verify_config_beyond_the_limits_is_an_input_error(tmp_path, capsys, mode, overrides):
     cfg = write_json(tmp_path / "cfg.json", {**PROP_DEFAULT, "nprime": 1, **overrides})
     assert_one_error_line([f"verify-{mode}", "--config", cfg], capsys)
@@ -449,6 +452,30 @@ def test_hilbert_profile_forms_only_max_rank_exponents(tmp_path):
     rc, out, err = invoke("verify-prop", "--config", cfg)
     assert rc == 0 and "Traceback" not in err, err
     assert json.loads(out)["config"]["profile"] == profile
+
+
+def test_max_rank_past_sys_maxsize_is_an_input_error(tmp_path, capsys):
+    # islice refuses a stop past sys.maxsize with a ValueError of its own
+    profile = {"kind": "hilbert", "d": 1, "h": 1, "n": 12, "max_rank": sys.maxsize + 1}
+    cfg = write_json(tmp_path / "cfg.json", {**PROP_DEFAULT, "profile": profile})
+    assert_one_error_line(["verify-prop", "--config", cfg], capsys)
+    profile["max_rank"] = sys.maxsize
+    assert config_from_document({**PROP_DEFAULT, "profile": profile}).profile.r == 12
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-prop", "--config"],
+    ["verify-constancy", "--config"],
+    ["polygon", "--prime", "3", "--input"],
+    ["snf", "--input"],
+    ["profile", "--prime", "3", "--level", "2", "--input"],
+], ids=lambda argv: argv[0])
+def test_deeply_nested_file_is_an_input_error(argv, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_DOCUMENT)
+    rc, out, err = invoke(*argv, str(path))
+    assert (rc, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def test_entry_bound_limit_is_the_64_bit_draw_range():
@@ -658,18 +685,21 @@ def test_fuzzed_configs_exit_with_a_documented_code(tmp_path):
 
     path, out = tmp_path / "cfg.json", tmp_path / "report.json"
 
+    # the document's text is drawn, so an example can be text json.dumps cannot write
     @settings(derandomize=True, deadline=None, database=None, max_examples=100)
-    @given(mode=st.sampled_from(["prop", "constancy"]), doc=documents())
-    def check(mode, doc):
-        path.write_text(json.dumps(doc))
+    @given(mode=st.sampled_from(["prop", "constancy"]), text=documents().map(json.dumps))
+    def check(mode, text):
+        path.write_text(text)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             rc = cli.main([f"verify-{mode}", "--config", str(path), "--output", str(out)])
         assert rc in (0, 1, 2) and "Traceback" not in err.getvalue(), (rc, err.getvalue())
 
-    for overrides in CONFIGS_BEYOND_THE_LIMITS:
-        for mode in ("prop", "constancy"):
-            check = example(mode=mode, doc={**PROP_DEFAULT, "nprime": 1, **overrides})(check)
+    for mode in ("prop", "constancy"):
+        for overrides in CONFIGS_BEYOND_THE_LIMITS:
+            check = example(mode=mode,
+                            text=json.dumps({**PROP_DEFAULT, "nprime": 1, **overrides}))(check)
+        check = example(mode=mode, text=DEEP_DOCUMENT)(check)
     check()
 
 
@@ -677,7 +707,7 @@ def test_fuzzed_configs_exit_with_a_documented_code(tmp_path):
 
 def test_fuzzed_matrix_documents_exit_with_a_documented_code(tmp_path):
     pytest.importorskip("hypothesis")
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import example, given, settings, strategies as st
 
     entries = st.one_of(
         st.integers(-50, 50),
@@ -717,15 +747,18 @@ def test_fuzzed_matrix_documents_exit_with_a_documented_code(tmp_path):
     }
     path = tmp_path / "m.json"
 
+    # the document's text is drawn, so an example can be text json.dumps cannot write
     @settings(derandomize=True, deadline=None, database=None, max_examples=200)
-    @given(command=st.sampled_from(sorted(commands)), doc=documents)
-    def check(command, doc):
-        path.write_text(json.dumps(doc))
+    @given(command=st.sampled_from(sorted(commands)), text=documents.map(json.dumps))
+    def check(command, text):
+        path.write_text(text)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = run_main([*commands[command], "--input", str(path)])
         assert rc in (0, 2) and "Traceback" not in err.getvalue(), (rc, err.getvalue())
 
+    for command in commands:
+        check = example(command=command, text=DEEP_DOCUMENT)(check)
     check()
 
 

@@ -13,7 +13,6 @@ from padicslopes.family import (
     ACCEPTED,
     REJECTED,
     VIOLATION,
-    ConfigError,
     ConjugatedDiagonal,
     ExperimentReport,
     InstancePair,
@@ -38,8 +37,8 @@ from padicslopes.family import (
 )
 from padicslopes.bounds import c_exact
 from padicslopes.lattice import (
-    KERNEL_MAX_RANK, DivisorProfile, IntMatrix, _column_scales, check_xi_condition, json_text,
-    random_unimodular, smith_normal_form,
+    KERNEL_MAX_RANK, DivisorProfile, InputError, IntMatrix, _column_scales, check_xi_condition,
+    json_text, random_unimodular, smith_normal_form,
 )
 from padicslopes import family, newton
 from padicslopes.newton import SlopeSegment, char_poly, newton_polygon
@@ -629,21 +628,21 @@ def test_config_validation():
     assert cfg.profile.a == (12, 11, 10, 9, 8, 7, 6, 5)
     assert prepare_plan(cfg, "prop").precision == 12 + 2 + 1 + 8  # n + 2 alpha + kappa + guard
 
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         config_from_document(base_doc(trials=0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         config_from_document(base_doc(surprise=1))
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         config_from_document(base_doc(generator="WILD"))
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         config_from_document(base_doc(p=4))
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         config_from_document(base_doc(kappa=0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         config_from_document(base_doc(nprime=13))
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         config_from_document(base_doc(profile={"kind": "explicit", "n": 3, "a": [1, 2]}))
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         config_from_document(base_doc(profile={"kind": "hilbert", "d": 1, "h": 1}))
     explicit = config_from_document(
         base_doc(profile={"kind": "explicit", "n": 3, "a": [3, 2, 0]})
@@ -653,16 +652,16 @@ def test_config_validation():
 
 def test_config_refuses_inexact_and_boolean_integers():
     for a in ([16.7, "15", True], [16, 15.0], [16, "15"], [16, True]):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             config_from_document(base_doc(profile={"kind": "explicit", "n": 16, "a": a}))
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         config_from_document(base_doc(profile={"kind": "explicit", "n": True, "a": [1]}))
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         config_from_document(base_doc(profile={"kind": "hilbert", "d": True, "h": 1, "n": 6}))
     for key in ("alpha", "kappa", "trials", "master_seed", "entry_bound", "nprime"):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             config_from_document(base_doc(**{key: True}))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             config_from_document(base_doc(**{key: 1.0}))
 
 
@@ -675,9 +674,9 @@ def test_prepare_plan_kappa_resolution():
     plan = prepare_plan(config_from_document(base_doc(kappa=9)), "prop")
     assert not plan.hypotheses_pass
 
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         prepare_plan(config_from_document(base_doc()), "constancy")  # nprime missing
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         prepare_plan(config_from_document(base_doc()), "sideways")
 
 

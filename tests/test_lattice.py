@@ -12,6 +12,7 @@ from padicslopes import lattice
 from padicslopes.lattice import (
     KERNEL_MAX_RANK,
     DivisorProfile,
+    InputError,
     IntMatrix,
     SmithDecomposition,
     _ADD,
@@ -22,6 +23,7 @@ from padicslopes.lattice import (
     matrix_from_document,
     quotient_profile,
     random_unimodular,
+    read_json,
     smith_normal_form,
 )
 from padicslopes.rng import SplitMix64
@@ -488,6 +490,19 @@ def test_matrix_document_round_trip():
         matrix_from_document({"rows": [[True, 2], [3, 4]]})
     with pytest.raises(ValueError):
         matrix_from_document({"rows": []})
+
+
+def test_read_json_refuses_what_json_load_refuses_and_passes_os_errors(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"rows": [[1]]}')
+    assert read_json(path) == {"rows": [[1]]}
+    # bad JSON, a literal past the int-to-str limit, bad UTF-8, nesting past the recursion limit
+    for raw in (b"{", b"[" + b"7" * 5000 + b"]", b"\xff", b"[" * 200000 + b"]" * 200000):
+        path.write_bytes(raw)
+        with pytest.raises(InputError, match="is not valid JSON"):
+            read_json(path)
+    with pytest.raises(FileNotFoundError):
+        read_json(tmp_path / "absent.json")
 
 
 # --- the product kernel against the schoolbook oracle ---------------------------------
