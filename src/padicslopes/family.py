@@ -129,8 +129,9 @@ def config_from_document(doc) -> ExperimentConfig:
     _require(type(entry_bound) is int and 0 <= entry_bound < 64 and p ** entry_bound < 1 << 63,
              "entry_bound must be a nonnegative integer with p^entry_bound < 2^63")
     precision_guard = doc.get("precision_guard", 8)
-    _require(type(precision_guard) is int and precision_guard >= 0,
-             "precision_guard must be a nonnegative integer")
+    _require(type(precision_guard) is int and 0 <= precision_guard < 16384
+             and p ** precision_guard < 1 << 16384,
+             "precision_guard must be a nonnegative integer with p^precision_guard < 2^16384")
     nprime = doc.get("nprime")
     if nprime is not None:
         _require(type(nprime) is int and 1 <= nprime <= profile.n,
@@ -237,17 +238,24 @@ class ConjugatedDiagonal(namedtuple("ConjugatedDiagonal", "U diagonal U_inverse"
     def apply(self, vec) -> tuple:
         return self.U.apply(tuple(map(mul, self.diagonal, self.U_inverse.apply(vec))))
 
+    def eigenvalue(self, vec, m: int) -> int:
+        """E_k mod m, where U^-1 vec = e_k exactly, so U E U^-1 vec = E_k vec; else AssertionError."""
+        w = self.U_inverse.apply(vec)
+        if w.count(0) != len(w) - 1 or 1 not in w:
+            raise AssertionError("the eigenvector is not a column of the conjugator")
+        return self.diagonal[w.index(1)] % m
+
 
 class InstancePair(namedtuple("InstancePair", "xi xi_prime psi psi_prime profile eigenvector "
                                "eigenvalues", defaults=(None, None))):
-    """xi, xi' and commuting psi, psi'. Trials only apply psi to the eigenvector, so
-    it is never formed: ConjugatedDiagonal U E U^-1 for PLANTED, PolynomialOperator
-    q(xi) for POLYNOMIAL_PSI; a VIOLATION report forms it by operator_rows. An IntMatrix
-    has the same apply, so tests may pass one. Where the generator knows them (PLANTED),
-    eigenvector is the slope-alpha eigenvector of both xi and xi', exact and primitive
-    (U e_slot), and eigenvalues the exact slope-alpha eigenvalues (d_slot, d'_slot) of
-    xi and xi', which a prop trial checks in place of lifting them. None makes a prop
-    trial solve for them: eigenvector_mod, and the Hensel lift of the slope root."""
+    """xi, xi' and commuting psi, psi', never formed by a trial: ConjugatedDiagonal U E U^-1
+    for PLANTED, read off E, and PolynomialOperator q(xi) for POLYNOMIAL_PSI, applied to
+    the eigenvector (so tests may pass an IntMatrix there); a VIOLATION report forms both
+    by operator_rows. Where the generator knows them (PLANTED), eigenvector is the
+    slope-alpha eigenvector of both xi and xi', exact and primitive (U e_slot), and
+    eigenvalues the exact slope-alpha eigenvalues (d_slot, d'_slot) of xi and xi', which
+    a prop trial checks in place of lifting them. None makes a prop trial solve for
+    them: eigenvector_mod, and the Hensel lift of the slope root."""
 
     __slots__ = ()
 
@@ -286,15 +294,14 @@ def gen_planted_quadruple(
         slot = rng.randint(0, r - 1)
         vals = [val_choices[i] for i in rng.randints(0, len(val_choices) - 1, r)]
         vals[slot] = alpha
-        diag = [p ** v * rng.unit(p, bound) for v in vals]
+        diag = [p ** v * u for v, u in zip(vals, rng.units(p, bound, r))]
         xi = _conjugated(U, diag, Ui)
         if not check_xi_condition(xi, profile, p):
             continue
         psi_diag = tuple(rng.randints(-bound, bound, r))
         pn = p ** n
         diag_prime = [x + pn * d for x, d in zip(diag, rng.randints(-bound, bound, r))]
-        psi_shifts = rng.randints(-bound, bound, r)
-        psi_diag_prime = tuple([x + pn * d for x, d in zip(psi_diag, psi_shifts)])
+        psi_diag_prime = tuple([x + pn * d for x, d in zip(psi_diag, rng.randints(-bound, bound, r))])
         xi_prime = _conjugated(U, diag_prime, Ui)
         return InstancePair(
             xi=xi, xi_prime=xi_prime, psi=ConjugatedDiagonal(U, psi_diag, Ui),
@@ -413,17 +420,18 @@ def _evaluate_proposition_pair(plan: ExperimentPlan, pair: InstancePair,
     exact, exact_prime = pair.eigenvalues or (None, None)  # None: lift them
     root = hensel_slope_root(cp, poly, cfg.p, cfg.alpha, N, exact)
     root_prime = hensel_slope_root(cp_prime, poly_prime, cfg.p, cfg.alpha, N, exact_prime)
-    cap = min(N - root.derivative_valuation - cfg.alpha,
-              N - root_prime.derivative_valuation - cfg.alpha)
+    cap = N - cfg.alpha - max(root.derivative_valuation, root_prime.derivative_valuation)
     if cap < kappa:
         return TrialReport(status=REJECTED, reason="precision", **shared)
     if pair.eigenvector is None:
-        vec = eigenvector_mod(pair.xi, root.value, cfg.p, N)
-        vec_prime = eigenvector_mod(pair.xi_prime, root_prime.value, cfg.p, N)
-    else:  # exact on both sides, so psi gives a* mod p^cap as the Smith vector does
-        vec = vec_prime = pair.eigenvector
-    a = commuting_eigenvalue(pair.psi, vec, cfg.p, cap)
-    a_prime = commuting_eigenvalue(pair.psi_prime, vec_prime, cfg.p, cap)
+        vec = eigenvector_mod(pair.xi, root.value, cfg.p, N, root.derivative_valuation)
+        vec_prime = eigenvector_mod(pair.xi_prime, root_prime.value, cfg.p, N,
+                                    root_prime.derivative_valuation)
+        a = commuting_eigenvalue(pair.psi, vec, cfg.p, cap)
+        a_prime = commuting_eigenvalue(pair.psi_prime, vec_prime, cfg.p, cap)
+    else:  # U e_slot is exact on both sides: a* is the slot's entry of E, and of E'
+        a, a_prime = (psi.eigenvalue(pair.eigenvector, cfg.p ** cap)
+                      for psi in (pair.psi, pair.psi_prime))
 
     margin = padic_valuation(a - a_prime, cfg.p)
     violated = margin < kappa

@@ -302,22 +302,26 @@ def random_unimodular(r: int, rng) -> tuple:
     """(U, U^{-1}) from 2r random shears and swaps, drawn from the SplitMix64 stream rng;
     det is +-1 by construction.
 
-    Each shear draws row i in [0, r - 1], row j in [0, r - 2] (j >= i moves up one)
-    and q in [-2, 2] by three randint calls, and logs row_i += q row_j, or a swap when
-    q = 0; at r = 1 U is one sign. U and U^{-1} are replayed from the log as the Smith
-    form's u_inverse and U are.
+    Each shear is row_i += q row_j, or a swap when q = 0, with row i in [0, r - 1], row j
+    in [0, r - 2] (j >= i moves up one) and q in [-2, 2], drawn in that order by one
+    cycled call; at r = 1 U is one sign. It is applied as drawn to the rows of U and,
+    inverse-transposed, to those of U^-T, the Smith form's u_inverse and U formulas.
     """
     if r == 1:
-        s = rng.choice((1, -1))
-        ops = [(_SCALE, 0, s, s)]
-    else:
-        ops = []
-        for _ in range(2 * r):
-            i, j, q = rng.randint(0, r - 1), rng.randint(0, r - 2), rng.randint(-2, 2)
-            if j >= i:
-                j += 1
-            ops.append((_ADD, i, j, q) if q else (_SWAP, i, j, None))
-    return _rows(_replay(r, ops, 0)), _transposed(_replay(r, map(_inverse_transposed, ops), 0))
+        s = ((rng.choice((1, -1)),),)
+        return IntMatrix._of(s), IntMatrix._of(s)
+    m = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    t = [row[:] for row in m]
+    draws = rng.cycled(((0, r - 1), (0, r - 2), (-2, 2)), 6 * r)
+    for i, j, q in zip(*[iter(draws)] * 3):
+        if j >= i:
+            j += 1
+        if q:  # the inverse transpose of row_i += q row_j is row_j -= q row_i
+            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+            t[j] = [x - q * y for x, y in zip(t[j], t[i])]
+        else:
+            m[i], m[j], t[i], t[j] = m[j], m[i], t[j], t[i]
+    return _rows(m), _transposed(t)
 
 
 def _least_valuation(B, s, p, floor):

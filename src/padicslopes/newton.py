@@ -281,20 +281,20 @@ class EigenvectorError(ValueError):
     """No primitive kernel vector at the required precision."""
 
 
-def eigenvector_mod(A: IntMatrix, lam: int, p: int, N: int) -> tuple:
-    """A primitive eigenvector F for an eigenvalue residue lam, as a tuple mod p^N.
+def eigenvector_mod(A: IntMatrix, lam: int, p: int, N: int, dv: int) -> tuple:
+    """A primitive eigenvector F for the simple root lam mod p^N, dv = v(cp'(lam)) its
+    Hensel root's derivative_valuation, as a tuple mod p^N.
 
-    F is column r-1 of V^-1 in the Smith form of A - lam I over Z/p^{2N}, the
-    generator of the top order of the kernel (see SmithDecomposition), reduced
-    mod p^N and unscaled; (A - lam I) F = 0 mod p^min(N, order), the order read off d_r.
-    Only that column is formed, from the column log: primitive, V^-1 being invertible mod p.
-    A kernel mod p^N fixes F only mod p^(N - v_p(d_{r-1})), so working mod p^{2N}
-    fixes F mod p^(2N - v_p(d_{r-1})), all of p^N if v_p(d_{r-1}) <= N.
-    Prop trials call it for POLYNOMIAL_PSI pairs only: a PLANTED pair carries its exact one.
+    F is column r-1 of V^-1 in the Smith form of A - lam I over Z/p^(N + dv), the generator
+    of the kernel's top order (see SmithDecomposition), reduced mod p^N and unscaled;
+    (A - lam I) F = 0 mod p^min(N, order), the order read off d_r. Only that column is
+    formed, from the column log: primitive, V^-1 being invertible mod p. Its first r - 1
+    pivots have v_s <= v_1 + ... + v_(r-1) <= dv < N + dv, so a larger modulus picks the
+    same pivots and gives the same F mod p^N. Prop trials call it for POLYNOMIAL_PSI pairs only.
     """
-    dec = smith_normal_form(A.shift(-lam), p, 2 * N)
+    dec = smith_normal_form(A.shift(-lam), p, N + dv)
     d = dec.divisors[-1]
-    order = 2 * N if d == 0 else padic_valuation(d, p)
+    order = N + dv if d == 0 else padic_valuation(d, p)
     if order < 1:
         raise EigenvectorError("no kernel modulo p: the residue is not an eigenvalue at this precision")
     pN = p ** N

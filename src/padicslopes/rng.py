@@ -7,10 +7,11 @@ mix(seed + i * GOLDEN) for i = 1, 2, ... Keeping the generator in-repo keeps
 reports byte-identical across Python versions and platforms.
 
 A stream holds a batch of _BATCH words, mixed at once, one per 128-bit lane of a Python
-int, as a list and a cursor: next_u64 reads one word, randint as many as its rejection
-sampling takes (a word at or above the largest multiple of the span below 2^64 is
-discarded), and randints(lo, hi, k) slices runs of them, on into the next batch, until it
-has what k randint(lo, hi) calls return. Only trial_seed mixes one word, with _mix.
+int, as a list and a cursor: next_u64 reads one word, and randints(lo, hi, k) slices runs
+of them, on into the next batch, until it has k values, rejection-sampled (a word at or
+above the largest multiple of the span below 2^64 is discarded); randint is one of them,
+and cycled and units draw the same way over several ranges, or units only.
+Only trial_seed mixes one word, with _mix.
 """
 
 from __future__ import annotations
@@ -86,31 +87,38 @@ class SplitMix64:
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], inclusive; rejection-sampled, no modulo bias."""
-        span, limit = _span_limit(lo, hi)
-        while True:  # reads by index: a _take call per word would cost more than the read
-            try:
-                z = self._words[self._at]
-            except IndexError:
-                self._words, self._at = next(self._batches), 0
-                continue
-            self._at += 1
-            if z < limit:
-                return lo + z % span
+        return self.randints(lo, hi, 1)[0]
 
     def randints(self, lo: int, hi: int, k: int) -> list:
-        """The k integers that k randint(lo, hi) calls return, from the same words."""
+        """The next k randint(lo, hi) values; while n more are needed, n words are read."""
         span, limit = _span_limit(lo, hi)
         out = []
         while (n := k - len(out)) > 0:
             out += [lo + w % span for w in self._take(n) if w < limit]
         return out
 
+    def cycled(self, ranges, k: int) -> list:
+        """k randint values over the (lo, hi) pairs in ranges, in turn; a rejected word keeps its turn."""
+        specs = [(lo, *_span_limit(lo, hi)) for lo, hi in ranges]
+        out = []
+        while (n := k - len(out)) > 0:
+            for w in self._take(n):
+                lo, span, limit = specs[len(out) % len(specs)]
+                if w < limit:
+                    out.append(lo + w % span)
+        return out
+
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]
 
+    def units(self, p: int, bound: int, k: int) -> list:
+        """k unit(p, bound) values: randints(-bound, bound) draws that p does not divide."""
+        span, limit = _span_limit(-bound, bound)
+        out = []
+        while (n := k - len(out)) > 0:
+            out += [u for w in self._take(n) if w < limit and (u := w % span - bound) % p]
+        return out
+
     def unit(self, p: int, bound: int) -> int:
         """Nonzero integer in [-bound, bound] coprime to p."""
-        while True:
-            u = self.randint(-bound, bound)
-            if u != 0 and u % p != 0:
-                return u
+        return self.units(p, bound, 1)[0]

@@ -20,8 +20,10 @@ to write; formed_rows forms psi from its parts by schoolbook powers and
 products, where the library applies the operator to the unit vectors.
 random_unimodular_by_randint draws each shear by the same three randint calls
 as random_unimodular and applies each at once, to the rows of U and the
-columns of U^-1, where random_unimodular logs them and replays the log for U
-and its inverse transposes for U^-T, as the Smith form forms its transforms.
+columns of U^-1, where random_unimodular applies each to the rows of U and of
+U^-T; random_unimodular_by_replay keeps the formulas it had before, a logged
+replay for U and one of the inverse transposes for U^-T, which read the
+lattice's _replay, as the Smith form forms its transforms.
 sigma_with_plain_moduli reads the bound off every choice of columns of every
 principal minor, where coefficient_bounds takes the sorted exponents.
 gen_xi_by_rows and
@@ -37,7 +39,9 @@ from functools import lru_cache
 from itertools import accumulate, combinations
 
 from padicslopes.family import ConjugatedDiagonal, PolynomialOperator
-from padicslopes.lattice import IntMatrix, smith_normal_form
+from padicslopes.lattice import (
+    _ADD, _SCALE, _SWAP, IntMatrix, _inverse_transposed, _replay, smith_normal_form,
+)
 from padicslopes.padics import INFINITY
 
 
@@ -299,6 +303,25 @@ def random_unimodular_by_randint(r: int, rng):
             for row in Ui:
                 row[j] -= q * row[i]
     return IntMatrix(U), IntMatrix(Ui)
+
+
+def random_unimodular_by_replay(r: int, rng):
+    """(U, U^-1) by the formulas random_unimodular used before it applied its shears as
+    it drew them: the shears logged from three rng.randint calls each, U the lattice's
+    _replay of the log, and U^-1 the transposed replay of the inverse-transposed log, as
+    the Smith form's u_inverse and U are formed."""
+    if r == 1:
+        s = rng.choice((1, -1))
+        ops = [(_SCALE, 0, s, s)]
+    else:
+        ops = []
+        for _ in range(2 * r):
+            i, j, q = rng.randint(0, r - 1), rng.randint(0, r - 2), rng.randint(-2, 2)
+            if j >= i:
+                j += 1
+            ops.append((_ADD, i, j, q) if q else (_SWAP, i, j, None))
+    return (IntMatrix([list(row) for row in _replay(r, ops, 0)]),
+            IntMatrix([list(col) for col in zip(*_replay(r, map(_inverse_transposed, ops), 0))]))
 
 
 def gen_xi_by_rows(profile, p: int, entry_bound: int, rng) -> IntMatrix:

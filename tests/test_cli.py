@@ -14,12 +14,13 @@ import padicslopes.cli as cli
 import padicslopes.family as family
 from padicslopes.bounds import hilbert_profile
 from padicslopes.family import config_from_document, run_experiment
-from padicslopes.lattice import IntMatrix, matrix_from_document
+from padicslopes.lattice import InputError, IntMatrix, matrix_from_document
 from padicslopes.newton import (
     EigenvectorError, char_poly, newton_polygon, polygon_to_document, slope_to_string,
 )
 
 from oracles import c_at_level, hypotheses_pass, resolve_kappa_by_search
+from test_family import summed_columns
 
 
 def invoke(*args):
@@ -419,6 +420,7 @@ CONFIGS_BEYOND_THE_LIMITS = (
     {"entry_bound": 50, "generator": "PLANTED"},
     {"profile": {"kind": "hilbert", "d": 100, "h": 1, "n": 2}},  # rank 2^100: OverflowError
     {"trials": 2**63},  # [None] * trials: OverflowError
+    {"precision_guard": 10**12},  # a prop trial mod p^N, N about 10^12: ran until killed
 )
 # nested past the recursion limit: json.load once raised RecursionError, exit 3 with a traceback
 DEEP_DOCUMENT = "[" * 200000 + "]" * 200000
@@ -427,7 +429,8 @@ DEEP_DOCUMENT = "[" * 200000 + "]" * 200000
 @pytest.mark.parametrize("mode", ["prop", "constancy"])
 @pytest.mark.parametrize("overrides", CONFIGS_BEYOND_THE_LIMITS,
                          ids=["p-past-the-primality-bound", "entry-bound-50",
-                              "entry-bound-50-planted", "rank-2^100", "trials-2^63"])
+                              "entry-bound-50-planted", "rank-2^100", "trials-2^63",
+                              "precision-guard-10^12"])
 def test_verify_config_beyond_the_limits_is_an_input_error(tmp_path, capsys, mode, overrides):
     cfg = write_json(tmp_path / "cfg.json", {**PROP_DEFAULT, "nprime": 1, **overrides})
     assert_one_error_line([f"verify-{mode}", "--config", cfg], capsys)
@@ -486,6 +489,24 @@ def test_entry_bound_limit_is_the_64_bit_draw_range():
             run_experiment(config_from_document(doc))  # draws without a range error
             with pytest.raises(ValueError, match="entry_bound"):
                 config_from_document({**doc, "entry_bound": widest + 1})
+
+
+def test_precision_guard_limit_is_p_to_the_guard_below_2_to_the_16384(tmp_path):
+    # the largest guard at each p is read, one more is refused; at p = 2 the widest guard
+    # gives N = 16383 + n + 2 alpha + kappa, and two PLANTED trials there still run
+    for p, widest in ((2, 16383), (3, 10337), (2**61 - 1, 268), (3317044064679887385961813, 201)):
+        assert p ** widest < 2**16384 <= p ** (widest + 1)
+        doc = {**PROP_DEFAULT, "p": p, "entry_bound": 0, "precision_guard": widest}
+        assert config_from_document(doc).precision_guard == widest
+        with pytest.raises(InputError, match="precision_guard"):
+            config_from_document({**doc, "precision_guard": widest + 1})
+    doc = {"p": 2, "profile": {"kind": "explicit", "n": 16, "a": [16] * 3}, "alpha": 1,
+           "trials": 2, "master_seed": 5, "generator": "PLANTED", "precision_guard": 16383}
+    rc, out, err = invoke("verify-prop", "--config", write_json(tmp_path / "cfg.json", doc))
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    assert report["resolved"]["precision"] == 16383 + 16 + 2 + report["resolved"]["kappa"]
+    assert [t["status"] for t in report["trials"]] == ["ACCEPTED"] * 2
 
 
 def test_verify_missing_config_file(tmp_path):
@@ -575,7 +596,7 @@ def broken_run(config, mode="prop", jobs=1):
     raise AssertionError("xi and psi do not commute")
 
 
-def broken_eigenvector(A, lam, p, N):
+def broken_eigenvector(A, lam, p, N, dv):
     raise EigenvectorError("no kernel modulo p")
 
 
@@ -611,6 +632,20 @@ def test_wrong_planted_eigenvalues_exit_three_with_their_traceback(tmp_path, cap
     out, err = capsys.readouterr()
     assert out == ""
     assert "Traceback" in err and "AssertionError: root is not p^1 times a unit" in err
+
+
+def test_a_planted_eigenvector_off_the_conjugator_exits_three_with_its_traceback(
+        tmp_path, capsys, monkeypatch):
+    # U e_slot + U e_(slot+1) is no column of the conjugator U, so the trial's check that
+    # U^-1 F is a unit vector raises before a is read off E: a generator bug, no report
+    doc = verify_config(generator="PLANTED", profile={"kind": "explicit", "n": 16, "a": [16] * 3})
+    monkeypatch.setattr(family, "gen_planted_quadruple",
+                        summed_columns(family.gen_planted_quadruple))
+    assert run_main(["verify-prop", "--config", write_json(tmp_path / "cfg.json", doc)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" in err
+    assert "AssertionError: the eigenvector is not a column of the conjugator" in err
 
 
 def test_verify_output_file_and_jobs_determinism(tmp_path):

@@ -5,6 +5,7 @@ import pickle
 import random
 import signal
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -49,7 +50,8 @@ from oracles import (
     charpoly_faddeev, det_fraction, diagonal, gen_congruent_pair_by_rows, gen_xi_by_rows,
     horner_mod, mat_add_naive, multiplicity_differences_by_dict, poly_apply_naive,
     poly_of_matrix_naive,
-    random_unimodular_by_randint, report_document, same_quotient_action,
+    random_unimodular_by_randint, random_unimodular_by_replay, report_document,
+    same_quotient_action,
     sigma_with_plain_moduli, trial_document, valuation_by_division,
 )
 from test_report_digests import PINNED, SHARP_SLACK_ZERO, VARIANTS, variant_ids
@@ -240,6 +242,74 @@ def test_a_word_at_the_limit_ending_a_batch_is_read_alike_across_the_refill(lo, 
             assert words.next_u64() == oracle.next_u64()
 
 
+def _unit_by_next_u64(rng, p, bound):
+    # unit's rule written out over the scalar stream's rejection sampler
+    while True:
+        u = _randint_by_next_u64(rng, -bound, bound)
+        if u % p:
+            return u
+
+
+def _skipped(stream, skip):
+    for _ in range(skip):
+        stream.next_u64()
+    return stream
+
+
+# (lo, hi) ranges drawn in turn: random_unimodular's at ranks 6 and 2, and spans just
+# over 2^63 (about half the words rejected) beside narrow and 64-bit wide ones
+RANGE_CYCLES = {
+    "shears-r6": ((0, 5), (0, 4), (-2, 2)),
+    "shears-r2": ((0, 1), (0, 0), (-2, 2)),
+    "wide-and-narrow": ((-2**62, 2**62), (-9, 9), (0, 2**64 - 2)),
+    "wide": ((-2**62, 2**62),),
+}
+
+
+@pytest.mark.parametrize("skip", [0, _BATCH - 7, _BATCH - 1])
+@pytest.mark.parametrize("k", [0, 1, 3, 36, 80, 161])
+@pytest.mark.parametrize("ranges", RANGE_CYCLES.values(), ids=RANGE_CYCLES.keys())
+def test_cycled_is_randint_calls_over_the_ranges_in_turn(ranges, k, skip):
+    # the one-pass draw returns what k randint calls over the ranges in turn return, the
+    # scalar stream's rejection sampler too, and stops at their word; skips start it 7
+    # words and 1 word before the first batch ends, so the run crosses a refill
+    rng, single, oracle = (_skipped(s, skip) for s in
+                           (SplitMix64(41), SplitMix64(41), _ScalarSplitMix64(41)))
+    turns = [ranges[i % len(ranges)] for i in range(k)]
+    expected = [_randint_by_next_u64(oracle, lo, hi) for lo, hi in turns]
+    assert rng.cycled(ranges, k) == expected
+    assert [single.randint(lo, hi) for lo, hi in turns] == expected
+    assert rng.next_u64() == single.next_u64() == oracle.next_u64()
+
+
+@pytest.mark.parametrize("skip", [0, _BATCH - 5])
+@pytest.mark.parametrize("k", [0, 1, 6, 40, 90])
+@pytest.mark.parametrize("p,bound", [(3, 9), (2, 1), (5, 25), (3, 2**62), (2, 2**62)])
+def test_units_are_unit_calls(p, bound, k, skip):
+    # the one-pass draw of k units returns what k unit calls return and stops at their
+    # word; at bound 2^62 the span is 2^63 + 1, so about half the words are rejected
+    # before the unit test rejects more
+    rng, single, oracle = (_skipped(s, skip) for s in
+                           (SplitMix64(43), SplitMix64(43), _ScalarSplitMix64(43)))
+    expected = [_unit_by_next_u64(oracle, p, bound) for _ in range(k)]
+    assert rng.units(p, bound, k) == expected
+    assert [single.unit(p, bound) for _ in range(k)] == expected
+    assert rng.next_u64() == single.next_u64() == oracle.next_u64()
+
+
+def test_the_wide_draws_reject_words():
+    # the control of the two tests above: at a span just over 2^63 both one-pass draws
+    # read more words than they return, so their rejections are exercised
+    for draw in (lambda rng: rng.cycled(RANGE_CYCLES["wide"], 40),
+                 lambda rng: rng.units(2, 2**62, 40)):
+        rng = SplitMix64(31)
+        draw(rng)
+        after, words, steps = rng.next_u64(), _ScalarSplitMix64(31), 0
+        while words.next_u64() != after:
+            steps += 1
+        assert steps > 50
+
+
 def test_randints_range_errors():
     rng = SplitMix64(1)
     for k in (0, 3):
@@ -271,6 +341,18 @@ def test_random_unimodular_reads_the_words_of_its_randint_calls(r):
         rng, oracle = SplitMix64(seed), SplitMix64(seed)
         assert [m.rows for m in random_unimodular(r, rng)] == \
             [m.rows for m in random_unimodular_by_randint(r, oracle)]
+        assert rng.next_u64() == oracle.next_u64()
+
+
+@pytest.mark.parametrize("r", range(1, 11))
+def test_random_unimodular_is_the_replay_of_its_logged_shears(r):
+    # the one-pass U and U^-T against the formulas they replaced: the 2r shears logged
+    # from three randint calls each, U the replayed log and U^-1 the transposed replay of
+    # the inverse-transposed log; the same matrices, and the stream stops at the same word
+    for seed in range(200):
+        rng, oracle = SplitMix64(seed), SplitMix64(seed)
+        assert [m.rows for m in random_unimodular(r, rng)] == \
+            [m.rows for m in random_unimodular_by_replay(r, oracle)]
         assert rng.next_u64() == oracle.next_u64()
 
 
@@ -1176,7 +1258,9 @@ def assert_planted_eigenvectors(report):
         for xi, lam, psi, a in ((pair.xi, t.lam, pair.psi, t.a),
                                 (pair.xi_prime, t.lam_prime, pair.psi_prime, t.a_prime)):
             assert all(x % m == 0 for x in xi.shift(-lam).apply(F)), t.index
-            solved = newton.eigenvector_mod(xi, lam, p, N)
+            cp = char_poly(xi)
+            root = newton.hensel_slope_root(cp, newton_polygon(cp, p), p, cfg.alpha, N)
+            solved = newton.eigenvector_mod(xi, lam, p, N, root.derivative_valuation)
             assert newton.commuting_eigenvalue(psi, F, p, cap) == a, t.index
             assert newton.commuting_eigenvalue(psi, solved, p, cap) == a, t.index
         accepted += 1
@@ -1189,9 +1273,10 @@ def test_planted_eigenvector_is_the_slope_alpha_one_on_both_sides(cfg):
 
 
 def test_the_planted_eigenvector_oracle_catches_a_neighbouring_column(monkeypatch):
-    # the control: column slot + 1 of U is an exact eigenvector of psi too, so
-    # commuting_eigenvalue accepts it and the run completes, but with another a. The
-    # oracle's regenerated pairs come from the patched generator as well
+    # the control: column slot + 1 of U is an exact eigenvector of psi too, a column of the
+    # conjugator, so the trial's U^-1 F check accepts it and the run completes, but with
+    # another a, E_(slot+1). The oracle's regenerated pairs come from the patched generator
+    # as well
     cfg = PLANTED_PROP_CONFIGS["prop_planted.json"]
     generate = family.gen_planted_quadruple
 
@@ -1210,6 +1295,56 @@ def test_the_planted_eigenvector_oracle_catches_a_neighbouring_column(monkeypatc
     assert hashlib.sha256(report_to_json(report).encode()).hexdigest()[:16] != pinned
     with pytest.raises(AssertionError):
         assert_planted_eigenvectors(report)
+
+
+def summed_columns(generate):
+    """generate with the pair's eigenvector U e_slot replaced by U e_slot + U e_(slot+1),
+    slot + 1 taken mod r: no column of the conjugator, so U^-1 F is no unit vector (at
+    rank 1 it is 2 U e_slot)."""
+    def summed(*args):
+        pair = generate(*args)
+        if pair is None:
+            return None
+        columns = list(zip(*pair.psi.U.rows))
+        slot = columns.index(pair.eigenvector)
+        return pair._replace(eigenvector=tuple(map(add, pair.eigenvector,
+                                                   columns[(slot + 1) % len(columns)])))
+    return summed
+
+
+@pytest.mark.parametrize("cfg", PLANTED_PROP_CONFIGS.values(), ids=PLANTED_PROP_CONFIGS.keys())
+def test_a_planted_eigenvector_off_the_conjugator_columns_raises(cfg, monkeypatch):
+    # the control of the U^-1 F = e_slot check, which a PLANTED trial makes before it reads
+    # a off E: every trial that reaches the eigen step raises on a summed eigenvector
+    plan = prepare_plan(cfg, "prop")
+    reached = [t.index for t in run_experiment(cfg).trials if t.status == ACCEPTED]
+    monkeypatch.setattr(family, "gen_planted_quadruple",
+                        summed_columns(family.gen_planted_quadruple))
+    for index in reached:
+        with pytest.raises(AssertionError, match="not a column of the conjugator"):
+            run_proposition_trial(plan, index)
+    assert reached
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_conjugated_diagonal_eigenvalue_is_the_diagonal_entry_of_its_column(r):
+    # on U e_j, the j-th diagonal entry mod m: what commuting_eigenvalue reads off the
+    # applied operator, at every column; a sum of two columns, a unit multiple of one and
+    # the zero vector are refused
+    rng = SplitMix64(0x45696765 + r)
+    U, Ui = random_unimodular(r, rng)
+    entries = tuple(rng.randint(-9, 9) << 100 | rng.next_u64() for _ in range(r))
+    op, columns = ConjugatedDiagonal(U, entries, Ui), list(zip(*U.rows))
+    for j, column in enumerate(columns):
+        for p, M in ((3, 1), (5, 40)):
+            assert op.eigenvalue(column, p ** M) == entries[j] % p ** M == \
+                newton.commuting_eigenvalue(op, column, p, M)
+    refused = [tuple(2 * x for x in columns[0]), (0,) * r]
+    if r > 1:
+        refused.append(tuple(map(add, columns[0], columns[1])))
+    for vec in refused:
+        with pytest.raises(AssertionError, match="not a column of the conjugator"):
+            op.eigenvalue(vec, 3)
 
 
 @pytest.mark.parametrize("cfg", PLANTED_PROP_CONFIGS.values(), ids=PLANTED_PROP_CONFIGS.keys())
@@ -1284,20 +1419,24 @@ SEEDED_PROP_CONFIGS = {
 @pytest.fixture(scope="module")
 def eigen_step_runs():
     """({id: report} of PROP_CONFIGS and SEEDED_PROP_CONFIGS, each at its own precision,
-    and for each eigenvector_mod call (A, lam, p, N) the triple (N, [v_1, ..., v_r], dv):
-    the valuations of the Smith divisors of A - lam I over Z/p^{2N} (2N for a zero divisor)
-    and dv = v(cp'(lam)), the Hensel lift's derivative_valuation, recomputed from A and lam).
-    The trial catches nothing the eigen step raises, so a raise fails every test using it."""
+    and for each eigenvector_mod call (A, lam, p, N, dv) the tuple (N, [v_1, ..., v_r], dv,
+    vectors): the valuations of the Smith divisors of A - lam I over Z/p^{2N} (2N for a
+    zero divisor), dv = v(cp'(lam)), the Hensel lift's derivative_valuation, recomputed
+    from A and lam, and the eigenvectors of the Smith forms mod p^(N + dv), p^(2N) and
+    p^N, each reduced mod p^N. The trial catches nothing the eigen step raises, so a
+    raise fails every test using it."""
     steps, eigenvector_mod = [], family.eigenvector_mod
 
-    def measured(A, lam, p, N):
+    def measured(A, lam, p, N, dv):
         dec = smith_normal_form(A.shift(-lam), p, 2 * N)
         cp = char_poly(A)
         root = newton.hensel_slope_root(cp, newton_polygon(cp, p), p, padic_valuation(lam, p), N)
-        assert root.value == lam
-        steps.append((N, [2 * N if d == 0 else padic_valuation(d, p) for d in dec.divisors],
-                      root.derivative_valuation))
-        return eigenvector_mod(A, lam, p, N)
+        assert root == (lam, dv)
+        F = eigenvector_mod(A, lam, p, N, dv)
+        at_2n = tuple(x % p ** N for x in dec.v_inverse_column(A.r - 1))
+        steps.append((N, [2 * N if d == 0 else padic_valuation(d, p) for d in dec.divisors], dv,
+                      (F, at_2n, eigenvector_mod(A, lam, p, N, 0))))
+        return F
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(family, "eigenvector_mod", measured)
@@ -1342,9 +1481,25 @@ def test_the_eigen_step_cannot_raise_by_the_smith_valuations(eigen_step_runs):
     """
     _, steps = eigen_step_runs
     assert len(steps) == 3424
-    top_slack = [vals[-1] - N for N, vals, dv in steps]
-    minor_slack = [dv - sum(vals[:-1]) for N, vals, dv in steps]
+    top_slack = [vals[-1] - N for N, vals, dv, _ in steps]
+    minor_slack = [dv - sum(vals[:-1]) for N, vals, dv, _ in steps]
     assert min(top_slack) == min(minor_slack) == 0
+
+
+def test_the_smith_form_mod_p_to_the_n_plus_dv_gives_the_vector_of_p_to_the_2n(eigen_step_runs):
+    """eigenvector_mod works mod p^(N + dv), and on every call of the corpus its vector is
+    the one the Smith form mod p^(2N) gives, reduced mod p^N.
+
+    Why: the first r - 1 pivot valuations are at most v_1 + ... + v_(r-1) <= dv (the
+    test above), below both moduli, so both runs choose the same pivots, and their
+    column operations agree mod p^(M - v_s), at least p^N. The control mod p^N, where
+    the last pivots may reach the modulus, gives another vector on some calls, so the
+    equality is not one that any modulus gives.
+    """
+    _, steps = eigen_step_runs
+    vectors = [vecs for *_, vecs in steps]
+    assert all(at_dv == at_2n for at_dv, at_2n, _ in vectors)
+    assert (sum(at_dv != at_n for at_dv, _, at_n in vectors), len(vectors)) == (1617, 3424)
 
 
 @pytest.mark.parametrize("shape", SEEDED_SHAPES)

@@ -579,27 +579,28 @@ def test_only_planted_trials_hand_the_slope_root_over(name, planted, monkeypatch
 # --- eigenvectors and the commuting operator ---------------------------------------
 
 def test_eigenvector_examples():
-    assert eigenvector_mod(diagonal([5, 125]), 5, 5, 4) == (1, 0)
+    # dv = v(cp'(lam)): cp'(5) is 5 - 125 and 5 - 25 for the first two, -2 at lam = 0
+    assert eigenvector_mod(diagonal([5, 125]), 5, 5, 4, 1) == (1, 0)
 
     A = IntMatrix([[5, 1], [0, 25]])
-    F = eigenvector_mod(A, 5, 5, 4)
+    F = eigenvector_mod(A, 5, 5, 4, 1)
     assert F[0] % 5 != 0
     assert F[1] == 0  # proportional to (1, 0)
 
     with pytest.raises(EigenvectorError):
-        eigenvector_mod(IntMatrix.identity(2), 0, 5, 4)
+        eigenvector_mod(IntMatrix.identity(2), 0, 5, 4, 0)
 
 
-def assert_eigenvector_is_the_top_kernel_generator(A, lam, p, N):
-    """eigenvector_mod(A, lam, p, N), a primitive vector reduced mod p^N, is a unit
+def assert_eigenvector_is_the_top_kernel_generator(A, lam, p, N, dv):
+    """eigenvector_mod(A, lam, p, N, dv), a primitive vector reduced mod p^N, is a unit
     multiple of the last generator of the kernel oracle mod p^{2N}, reduced mod p^N,
     or raises where the oracle finds no kernel; returns the oracle's generators."""
     gens = kernel_mod(A.shift(-lam), p, 2 * N)
     if not gens:
         with pytest.raises(EigenvectorError):
-            eigenvector_mod(A, lam, p, N)
+            eigenvector_mod(A, lam, p, N, dv)
         return gens
-    F = eigenvector_mod(A, lam, p, N)
+    F = eigenvector_mod(A, lam, p, N, dv)
     assert F == tuple(x % p**N for x in F)
     # eigenvector_mod leaves F unscaled; the oracle's generator has first unit coordinate 1
     assert unit_normalized(F, p, p**N) == tuple(x % p**N for x in gens[-1].vector)
@@ -618,7 +619,7 @@ def planted_eigen_steps(config, monkeypatch):
         pairs[index] = pair
         return evaluate(plan, pair, index, seed)
 
-    def no_eigenvector_mod(A, lam, p, N):
+    def no_eigenvector_mod(A, lam, p, N, dv):
         raise AssertionError("a PLANTED trial solved for its eigenvector")
 
     monkeypatch.setattr(family, "_evaluate_proposition_pair", captured)
@@ -662,9 +663,10 @@ def test_eigenvector_is_the_top_kernel_generator_on_shipped_trials(name, monkeyp
     mode = "constancy" if config.nprime is not None else "prop"
     calls = []
 
-    def eigenvector(A, lam, p, N):
-        calls.append(assert_eigenvector_is_the_top_kernel_generator(A, lam, p, N))
-        return eigenvector_mod(A, lam, p, N)
+    def eigenvector(A, lam, p, N, dv):
+        # the trial's Smith form runs mod p^(N + dv), the oracle's mod p^(2N)
+        calls.append(assert_eigenvector_is_the_top_kernel_generator(A, lam, p, N, dv))
+        return eigenvector_mod(A, lam, p, N, dv)
 
     monkeypatch.setattr(family, "eigenvector_mod", eigenvector)
     report = run_experiment(config, mode)
@@ -693,8 +695,9 @@ def test_eigenvector_is_the_top_kernel_generator_on_random_kernels():
             else:
                 diag.append(rng.randint(-50, 50))
         U, Ui = random_unimodular(r, rng)
+        # lam need not be a simple root here: dv = N is the Smith form mod p^(2N)
         gens = assert_eigenvector_is_the_top_kernel_generator(
-            U * diagonal(diag) * Ui, lam, p, N)
+            U * diagonal(diag) * Ui, lam, p, N, N)
         seen["none"] += not gens
         seen["several"] += len(gens) > 1
         seen["zero divisor"] += lam in diag
@@ -708,7 +711,7 @@ def test_eigenvector_conjugation_oracle():
     for _ in range(30):
         U, Ui = random_unimodular(2, rng)
         A = U * diagonal([p, p**3]) * Ui
-        F = eigenvector_mod(A, p, p, N)
+        F = eigenvector_mod(A, p, p, N, 1)  # cp'(p) = p - p^3
         truth = tuple(row[0] for row in U.rows)
         # F must be a unit multiple of U e_1 mod p^N: the top divisor of A - p I is 0,
         # so the kernel is exact
@@ -743,10 +746,10 @@ def test_eigenvector_matches_integer_snf_on_shipped_trials(name, monkeypatch):
         return
     reference = {}
 
-    def eigenvector(A, lam, p, N):
-        vec = eigenvector_mod(A, lam, p, N)
+    def eigenvector(A, lam, p, N, dv):
+        vec = eigenvector_mod(A, lam, p, N, dv)
         root = lift(char_poly(A), p, config.alpha, N)
-        assert root.value == lam
+        assert root == (lam, dv)
         old = eigenvector_by_integer_snf(A, lam, p, N)
         m = p ** (N - root.derivative_valuation)
         assert all((x - y) % m == 0 for x, y in zip(unit_normalized(vec, p, p**N), old))
@@ -772,7 +775,7 @@ def test_commuting_eigenvalue_examples():
     assert commuting_eigenvalue(IntMatrix.identity(2), F, 5, 3) == 1
 
     A = diagonal([5, 125])
-    vec = eigenvector_mod(A, 5, 5, 4)
+    vec = eigenvector_mod(A, 5, 5, 4, 1)
     assert commuting_eigenvalue(A, vec, 5, 3) == 5  # a = lambda
 
 
@@ -787,7 +790,7 @@ def test_commuting_eigenvalue_polynomial_functoriality():
         N = 12
         cp = char_poly(A)
         root = lift(cp, p, alpha, N)
-        vec = eigenvector_mod(A, root.value, p, N)
+        vec = eigenvector_mod(A, root.value, p, N, root.derivative_valuation)
         coeffs = [rng.randint(-9, 9) for _ in range(r)]
         B = IntMatrix(poly_of_matrix_naive(coeffs, A.rows))
         cap = N - root.derivative_valuation - alpha

@@ -25,6 +25,7 @@ PICKLE_ONLY = "pickling, which only a forked worker does to its trials: the cens
 
 ONLY_TESTS_REACH = {
     "family:operator_rows": VIOLATION_ONLY + ", and gen_psi_polynomial (below)",
+    "family:ConjugatedDiagonal.apply": VIOLATION_ONLY + ": a PLANTED trial reads a off E",
     "family:gen_psi_polynomial": BENCHMARK_ONLY + ", which times it as a layer",
     "lattice:IntMatrix.__sub__": BENCHMARK_ONLY + ": the rank sweep's xi - u I",
     "lattice:IntMatrix.identity": BENCHMARK_ONLY + ": the rank sweep's xi - u I; and the "
@@ -40,6 +41,8 @@ ONLY_TESTS_REACH = {
     "padics:PadicInfinity.__repr__": "for reading INFINITY in a traceback or a test",
     "rng:SplitMix64.next_u64": "one raw word; the package draws through randint and "
                                "randints, tests read the stream with it",
+    "rng:SplitMix64.unit": BENCHMARK_ONLY + ": the rank sweep's xi - u I; PLANTED draws "
+                           "its r units with one units call",
     "rng:SplitMix64.choice": "random_unimodular's sign at r = 1, a rank no shipped config "
                              "has; PLANTED draws its valuations with one randints call",
 }
