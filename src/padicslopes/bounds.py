@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat, takewhile
+from itertools import accumulate, chain, islice, repeat
 
 from .lattice import DivisorProfile, InputError
 
@@ -117,16 +118,15 @@ def n_threshold(kappa: int, alpha: int, d: int, h: int) -> int:
     return snapped + 1
 
 
-def resolve_kappa(profile: DivisorProfile, alpha: int, levels=None) -> int | None:
+def resolve_kappa(profile: DivisorProfile, alpha: int) -> int | None:
     """Largest kappa >= 1 whose hypotheses pass, or None.
 
     The hypotheses for kappa are kappa <= n - 2 alpha and alpha < c(L/(K + p^{n'} L))
-    at every level n - 2 alpha - kappa < n' <= n. So kappa passes exactly when the
-    top 2 alpha + kappa levels n' = n, n - 1, ... pass, and one downward scan that
-    stops at the first failing level counts 2 alpha + kappa. The count is at most n,
-    so kappa <= n - 2 alpha holds. levels is that scan, level_bounds(profile) unless
-    given.
+    at every level n - 2 alpha - kappa < n' <= n. Each T(i) is nondecreasing in n', so c
+    is too, and the passing levels are a top run n0..n, which one bisection finds in at
+    most ceil(log2(n + 1)) levels: kappa = n - n0 + 1 - 2 alpha <= n - 2 alpha.
     """
-    scan = level_bounds(profile) if levels is None else levels
-    kappa = sum(1 for _ in takewhile(lambda c: alpha < c.value, scan)) - 2 * alpha
+    runs, n = profile.sigma_counts(), profile.n
+    failing = bisect_left(range(1, n + 1), True, key=lambda m: alpha < _c_of_runs(runs, m).value)
+    kappa = n - failing - 2 * alpha
     return kappa if kappa >= 1 else None

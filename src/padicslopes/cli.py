@@ -19,7 +19,7 @@ import argparse
 import sys
 import traceback
 from fractions import Fraction
-from itertools import islice, tee
+from itertools import islice
 
 from .bounds import (
     c1_closed,
@@ -139,9 +139,7 @@ def cmd_bounds(args) -> int:
         kc = kappa_closed(args.n, args.alpha, args.d, args.h)
     except OverflowError as exc:  # 3 alpha past the float range
         raise InputError(f"alpha is too large for the closed-form kappa: {exc}") from exc
-    # one scan of c at n' = n, n - 1, ...: the report re-reads the levels resolve_kappa read
-    for_kappa, for_report = tee(level_bounds(profile))
-    exact = resolve_kappa(profile, args.alpha, for_kappa)
+    exact = resolve_kappa(profile, args.alpha)
     if args.kappa == "auto":
         resolved = exact
         # show why even kappa = 1 fails when nothing resolves
@@ -150,7 +148,7 @@ def cmd_bounds(args) -> int:
         resolved = kappa_used = args.kappa
     # the hypotheses: kappa <= n - 2 alpha, and alpha < c at the top 2 alpha + kappa levels
     in_range = kappa_used <= args.n - 2 * args.alpha
-    levels = list(islice(for_report, 2 * args.alpha + kappa_used if in_range else 1))
+    levels = list(islice(level_bounds(profile), 2 * args.alpha + kappa_used if in_range else 1))
     checks = [{"nprime": args.n - k, "c": slope_to_string(c.value), "ok": args.alpha < c.value}
               for k, c in enumerate(levels)][::-1] if in_range else []
     passed = in_range and all(ch["ok"] for ch in checks)

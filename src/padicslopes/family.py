@@ -129,9 +129,9 @@ def config_from_document(doc) -> ExperimentConfig:
     _require(type(entry_bound) is int and 0 <= entry_bound < 64 and p ** entry_bound < 1 << 63,
              "entry_bound must be a nonnegative integer with p^entry_bound < 2^63")
     precision_guard = doc.get("precision_guard", 8)
-    _require(type(precision_guard) is int and 0 <= precision_guard < 16384
-             and p ** precision_guard < 1 << 16384,
-             "precision_guard must be a nonnegative integer with p^precision_guard < 2^16384")
+    for name, e in (("precision_guard", precision_guard), ("profile.n", profile.n)):
+        _require(type(e) is int and 0 <= e < 16384 and p ** e < 1 << 16384,
+                 f"{name} must be a nonnegative integer with p^{name} < 2^16384")
     nprime = doc.get("nprime")
     if nprime is not None:
         _require(type(nprime) is int and 1 <= nprime <= profile.n,
@@ -345,7 +345,9 @@ class ExperimentPlan(namedtuple("ExperimentPlan", "config mode kappa hypotheses_
                                 "constancy_bound", defaults=(None,))):
     """Config plus the per-experiment resolutions shared by every trial.
 
-    A prop plan resolves kappa, the hypotheses and the working precision; a
+    A prop plan resolves kappa, the hypotheses and the working precision N = max(n +
+    2 alpha + guard, alpha r) + kappa: a simple slope-alpha root has dv = v(cp'(lam)) <=
+    alpha (r - 1), so cap = N - alpha - max(dv, dv') >= kappa on every trial. A
     constancy plan resolves the bound c(L/(K + p^{n'} L)), a Fraction, below which
     the slope multiplicities of xi and xi' must agree (None in a prop plan).
     """
@@ -364,8 +366,8 @@ def prepare_plan(config: ExperimentConfig, mode: str) -> ExperimentPlan:
     resolved = resolve_kappa(config.profile, config.alpha)
     kappa = resolved if config.kappa == "auto" else config.kappa
     ok = resolved is not None and kappa <= resolved
-    precision = None if kappa is None else (
-        config.profile.n + 2 * config.alpha + kappa + config.precision_guard)
+    precision = None if kappa is None else kappa + max(
+        config.profile.n + 2 * config.alpha + config.precision_guard, config.alpha * config.profile.r)
     return ExperimentPlan(config=config, mode=mode, kappa=kappa,
                           hypotheses_pass=ok, precision=precision)
 
@@ -421,8 +423,8 @@ def _evaluate_proposition_pair(plan: ExperimentPlan, pair: InstancePair,
     root = hensel_slope_root(cp, poly, cfg.p, cfg.alpha, N, exact)
     root_prime = hensel_slope_root(cp_prime, poly_prime, cfg.p, cfg.alpha, N, exact_prime)
     cap = N - cfg.alpha - max(root.derivative_valuation, root_prime.derivative_valuation)
-    if cap < kappa:
-        return TrialReport(status=REJECTED, reason="precision", **shared)
+    if cap < kappa:  # the plan's N rules this out; only a plan built by hand gets here
+        raise AssertionError(f"working precision {N} leaves cap {cap} below kappa {kappa}")
     if pair.eigenvector is None:
         vec = eigenvector_mod(pair.xi, root.value, cfg.p, N, root.derivative_valuation)
         vec_prime = eigenvector_mod(pair.xi_prime, root_prime.value, cfg.p, N,

@@ -14,7 +14,8 @@ c at a level is min(n', min_i T(i)/i) over Fractions from the exponents
 clipped at n'; sigma is min_k B_k / k, with the coefficient bounds B_k that the
 pair hypotheses force read off the profile by their definition. The largest
 passing kappa is found by trying every kappa against the proposition's
-hypotheses, where resolve_kappa scans the levels n' once. The reference report
+hypotheses at every level, where resolve_kappa bisects the levels n' for the
+least one with alpha < c, c being nondecreasing in n'. The reference report
 writer builds the whole report as a document, one dict per trial, for json.dumps
 to write; formed_rows forms psi from its parts by schoolbook powers and
 products, where the library applies the operator to the unit vectors.

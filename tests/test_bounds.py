@@ -280,9 +280,12 @@ def corpus_profiles():
 def test_c_exact_at_every_level_equals_the_oracle():
     checked = 0
     for prof in corpus_profiles():
-        for nprime in range(1, prof.n + 1):
-            assert c_exact(prof, nprime).value == c_at_level(prof, nprime), (prof, nprime)
+        values = [c_exact(prof, nprime).value for nprime in range(1, prof.n + 1)]
+        for nprime, value in enumerate(values, 1):
+            assert value == c_at_level(prof, nprime), (prof, nprime)
             checked += 1
+        # each T(i) is nondecreasing in n', so c is: resolve_kappa bisects on this
+        assert values == sorted(values), prof
     assert checked > 2000
     with pytest.raises(ValueError):
         c_exact(DivisorProfile(n=3, a=(3, 1)), 0)
@@ -327,13 +330,13 @@ def test_resolve_kappa_scans_each_level_at_most_once(monkeypatch):
         levels.append(nprime)
         return real(runs, nprime)
 
-    prof = hilbert_profile(1, 1, 40)
-    expected = resolve_kappa_by_search(prof, 2)
     monkeypatch.setattr(bounds, "_c_of_runs", counted)
-    assert resolve_kappa(prof, 2) == expected
-    # one downward scan from n that stops at the first failing level
-    assert 0 < len(levels) <= prof.n
-    assert levels == list(range(prof.n, prof.n - len(levels), -1))
+    for prof in (hilbert_profile(1, 1, 40), hilbert_profile(2, 1, 120), DivisorProfile(n=1, a=(1,))):
+        for alpha in range(4):
+            levels.clear()
+            assert resolve_kappa(prof, alpha) == resolve_kappa_by_search(prof, alpha)
+            # one bisection over n' = 1..n: each level read at most once, ceil(log2(n + 1)) in all
+            assert 0 < len(levels) == len(set(levels)) <= math.ceil(math.log2(prof.n + 1))
 
 
 def test_a_scan_encodes_the_runs_once(monkeypatch):
@@ -363,10 +366,13 @@ def test_bounds_command_computes_each_level_once(monkeypatch, capsys):
     monkeypatch.setattr(bounds, "_c_of_runs", counted)
     assert cli.main(["bounds", "--d", "2", "--h", "1", "--n", "120", "--alpha", "1"]) == 0
     hyp = json.loads(capsys.readouterr().out)["hypotheses"]
-    # kappa 5: the top 2 alpha + kappa = 7 levels pass and level 113 fails; the report
-    # (its c_exact block and every check) reads the same scan
+    # kappa 5: the top 2 alpha + kappa = 7 levels pass and level 113 fails. The report (its
+    # c_exact block and every check) reads those 7 levels once each, after the bisection's
     assert (hyp["kappa"], [ch["nprime"] for ch in hyp["checks"]]) == (5, list(range(114, 121)))
-    assert levels == list(range(120, 112, -1))
+    bisection, report = levels[:-7], levels[-7:]
+    assert report == list(range(120, 113, -1))
+    assert bisection == [61, 91, 106, 114, 110, 112, 113]
+    assert len(bisection) <= math.ceil(math.log2(120 + 1))
 
 
 def test_profile_mod_re_leveling():

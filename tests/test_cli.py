@@ -421,6 +421,9 @@ CONFIGS_BEYOND_THE_LIMITS = (
     {"profile": {"kind": "hilbert", "d": 100, "h": 1, "n": 2}},  # rank 2^100: OverflowError
     {"trials": 2**63},  # [None] * trials: OverflowError
     {"precision_guard": 10**12},  # a prop trial mod p^N, N about 10^12: ran until killed
+    # resolve_kappa scanned all 10^9 levels, and a trial would work mod p^N, N about 2 * 10^9
+    {"profile": {"kind": "explicit", "n": 10**9, "a": [10**9, 10**9]}, "alpha": 0, "trials": 1,
+     "master_seed": 5},
 )
 # nested past the recursion limit: json.load once raised RecursionError, exit 3 with a traceback
 DEEP_DOCUMENT = "[" * 200000 + "]" * 200000
@@ -430,7 +433,7 @@ DEEP_DOCUMENT = "[" * 200000 + "]" * 200000
 @pytest.mark.parametrize("overrides", CONFIGS_BEYOND_THE_LIMITS,
                          ids=["p-past-the-primality-bound", "entry-bound-50",
                               "entry-bound-50-planted", "rank-2^100", "trials-2^63",
-                              "precision-guard-10^12"])
+                              "precision-guard-10^12", "level-10^9"])
 def test_verify_config_beyond_the_limits_is_an_input_error(tmp_path, capsys, mode, overrides):
     cfg = write_json(tmp_path / "cfg.json", {**PROP_DEFAULT, "nprime": 1, **overrides})
     assert_one_error_line([f"verify-{mode}", "--config", cfg], capsys)
@@ -506,6 +509,23 @@ def test_precision_guard_limit_is_p_to_the_guard_below_2_to_the_16384(tmp_path):
     assert (rc, err) == (0, "")
     report = json.loads(out)
     assert report["resolved"]["precision"] == 16383 + 16 + 2 + report["resolved"]["kappa"]
+    assert [t["status"] for t in report["trials"]] == ["ACCEPTED"] * 2
+
+
+def test_level_limit_is_p_to_the_n_below_2_to_the_16384(tmp_path):
+    # the largest level at each p is read, one more is refused; at p = 2 the widest level
+    # gives N = 2n + guard, and two PLANTED trials there still run
+    for p, widest in ((2, 16383), (3, 10337), (2**61 - 1, 268)):
+        doc = {"p": p, "profile": {"kind": "explicit", "n": widest, "a": [widest] * 2},
+               "alpha": 0, "trials": 2, "master_seed": 5, "generator": "PLANTED", "entry_bound": 0}
+        assert config_from_document(doc).profile.n == widest
+        with pytest.raises(InputError, match="profile.n"):
+            config_from_document({**doc, "profile": {**doc["profile"], "n": widest + 1}})
+    doc["p"], doc["profile"] = 2, {"kind": "explicit", "n": 16383, "a": [16383] * 2}
+    rc, out, err = invoke("verify-prop", "--config", write_json(tmp_path / "cfg.json", doc))
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    assert report["resolved"]["precision"] == 2 * 16383 + 8
     assert [t["status"] for t in report["trials"]] == ["ACCEPTED"] * 2
 
 

@@ -708,7 +708,8 @@ def test_planted_rejection_on_incompatible_profile():
 def test_config_validation():
     cfg = config_from_document(base_doc())
     assert cfg.profile.a == (12, 11, 10, 9, 8, 7, 6, 5)
-    assert prepare_plan(cfg, "prop").precision == 12 + 2 + 1 + 8  # n + 2 alpha + kappa + guard
+    # max(n + 2 alpha + guard, alpha r) + kappa, and n + 2 alpha + guard = 22 > alpha r = 8
+    assert prepare_plan(cfg, "prop").precision == 12 + 2 + 8 + 1
 
     with pytest.raises(InputError):
         config_from_document(base_doc(trials=0))
@@ -1125,13 +1126,24 @@ def test_kappa_past_the_bound_makes_the_slack_zero_trials_violations():
 
 
 @pytest.mark.parametrize("name", ["prop_sharp.json", "prop_default.json"])
-def test_starved_precision_rejects_and_never_violates(name):
-    plan = prepare_plan(read_config(CONFIG_DIR / name), "prop")
+def test_starved_precision_raises_and_never_violates(name):
+    # a plan built by hand with N = 2..5, below the plan's own N: every trial past the census
+    # gate has cap < kappa and raises, where residues equal mod p^cap would read as margin
+    # INFINITY, an ACCEPTED; the census gate still rejects the others
+    report = run_experiment(read_config(CONFIG_DIR / name))
+    reached = {t.index for t in report.trials if t.status != REJECTED}
     for N in range(2, 6):
-        starved = plan._replace(precision=N)
-        outcomes = {(t.status, t.reason)
-                    for t in (run_proposition_trial(starved, i) for i in range(plan.config.trials))}
-        assert outcomes == {(REJECTED, "not-simple"), (REJECTED, "precision")}
+        starved = report.plan._replace(precision=N)
+        raised = set()
+        for i in range(report.plan.config.trials):
+            try:
+                t = run_proposition_trial(starved, i)
+            except AssertionError as exc:
+                assert "below kappa" in str(exc)
+                raised.add(i)
+            else:
+                assert (t.status, t.reason) == (REJECTED, "not-simple"), (N, i)
+        assert raised == reached and reached
 
 
 # the least finite ACCEPTED margin of each shipped prop config and how many trials have it
@@ -1217,6 +1229,8 @@ def test_differing_slopes_sit_on_or_above_the_coefficient_bound(cfg):
     # PLANTED shifts each diagonal entry by p^n, above every planted valuation, so no
     # slope differs; the other generator's pairs must give the lemma slopes to check
     assert (checked > 0) == (cfg.generator == "POLYNOMIAL_PSI")
+    if cfg.generator == "PLANTED":  # its rows test the census walk on equal censuses only
+        assert all(t.census == t.census_prime for t in report.trials)
 
 
 @pytest.mark.parametrize("cfg", PROP_CONFIGS.values(), ids=PROP_CONFIGS.keys())
@@ -1446,14 +1460,61 @@ def eigen_step_runs():
 
 
 def test_the_eigen_step_never_runs_out_of_precision_at_the_configs_own(eigen_step_runs):
-    # the eigen step's reach: 3580 trials at the precision n + 2 alpha + kappa + guard their
-    # plans resolve, and not one raises or is rejected for precision. The pin holds only
-    # there: test_starved_precision_rejects_and_never_violates reaches "precision" at N = 2..5
+    # the eigen step's reach: 3640 trials at the precision max(n + 2 alpha + guard, alpha r)
+    # + kappa their plans resolve, and not one raises. Below it a trial raises:
+    # test_starved_precision_raises_and_never_violates does so at N = 2..5
     reports, _ = eigen_step_runs
-    assert sum(len(r.trials) for r in reports.values()) == 3580
+    assert sum(len(r.trials) for r in reports.values()) == 3640
     for cid, report in reports.items():
-        assert "precision" not in report.rejected_by_reason(), cid
+        assert set(report.rejected_by_reason()) <= {"not-simple"}, cid
         assert report.accepted > 0, cid
+
+
+def test_the_derivative_valuation_is_at_most_alpha_r_minus_1(eigen_step_runs):
+    """Why the plan's N = max(n + 2 alpha + guard, alpha r) + kappa meets every trial.
+
+    A simple slope-alpha root lam has v(lam - mu) = min(alpha, v(mu)) <= alpha for each of
+    the other r - 1 roots mu, none of valuation alpha, so dv = v(cp'(lam)) <= alpha (r - 1)
+    and cap = N - alpha - max(dv, dv') >= N - alpha r >= kappa. A trial's cap gives
+    max(dv, dv') = N - alpha - cap, so the bound is checked on both sides of every trial
+    that reaches the eigen step; equality at alpha >= 1 shows that the bound is tight, and
+    where alpha r sets N (the rank-12 row), cap = kappa.
+    """
+    reports, _ = eigen_step_runs
+    slacks, reached = [], 0
+    for report in reports.values():
+        plan, cfg = report.plan, report.plan.config
+        for t in report.trials:
+            if t.status == REJECTED:
+                continue
+            dv = plan.precision - cfg.alpha - t.margin_cap
+            assert 0 <= dv <= cfg.alpha * (cfg.profile.r - 1), (cfg, t.index)
+            assert t.margin_cap >= plan.kappa
+            if cfg.alpha:
+                slacks.append(cfg.alpha * (cfg.profile.r - 1) - dv)
+            reached += 1
+    assert reached > 0 and min(slacks) == 0
+
+
+RANK12 = next(cfg for cfg in PROP_CONFIGS.values() if cfg.profile.r == 12)
+
+
+def test_alpha_r_sets_the_precision_and_every_verdict_holds_at_n_plus_40():
+    # alpha (r - 2) = 10 > n + guard = 8: n + 2 alpha + guard + kappa = 12 would leave
+    # cap < kappa on the trials that reach the eigen step, and alpha r + kappa = 14 gives
+    # them a verdict, the one a plan 40 digits deeper gives, read to the trial's cap
+    plan = prepare_plan(RANK12, "prop")
+    assert (plan.kappa, plan.precision) == (2, 14)
+    deep = plan._replace(precision=plan.precision + 40)
+    accepted = 0
+    for i in range(RANK12.trials):
+        t, d = run_proposition_trial(plan, i), run_proposition_trial(deep, i)
+        assert (t.status, t.reason) == (d.status, d.reason), i
+        if t.status != REJECTED:
+            assert t.margin_cap == plan.kappa, i  # the bound dv <= alpha (r - 1) is met
+            assert min(t.margin, t.margin_cap) == min(d.margin, t.margin_cap), i
+            accepted += t.status == ACCEPTED
+    assert accepted == 8
 
 
 def test_the_eigen_step_cannot_raise_by_the_smith_valuations(eigen_step_runs):
@@ -1473,14 +1534,14 @@ def test_the_eigen_step_cannot_raise_by_the_smith_valuations(eigen_step_runs):
        (invertible mod p), has a unit coordinate. commuting_eigenvalue returns a* mod
        p^cap and ConsistencyError cannot be raised.
     4. HenselError needs a missing or longer slope-alpha segment, which the census gate
-       rejects first, or N <= alpha, which N = n + 2 alpha + kappa + guard excludes.
+       rejects first, or N <= alpha, which the plan's N >= n + 2 alpha + kappa excludes.
     The test checks the two inequalities 1 and 2 rest on at every eigenvector_mod call of
     the corpus, and that both are tight somewhere, so neither holds with room to spare.
     Only POLYNOMIAL_PSI trials call it: a PLANTED pair carries its exact eigenvector (see
     test_planted_eigenvector_is_the_slope_alpha_one_on_both_sides).
     """
     _, steps = eigen_step_runs
-    assert len(steps) == 3424
+    assert len(steps) == 3440
     top_slack = [vals[-1] - N for N, vals, dv, _ in steps]
     minor_slack = [dv - sum(vals[:-1]) for N, vals, dv, _ in steps]
     assert min(top_slack) == min(minor_slack) == 0
@@ -1499,7 +1560,7 @@ def test_the_smith_form_mod_p_to_the_n_plus_dv_gives_the_vector_of_p_to_the_2n(e
     _, steps = eigen_step_runs
     vectors = [vecs for *_, vecs in steps]
     assert all(at_dv == at_2n for at_dv, at_2n, _ in vectors)
-    assert (sum(at_dv != at_n for at_dv, _, at_n in vectors), len(vectors)) == (1617, 3424)
+    assert (sum(at_dv != at_n for at_dv, _, at_n in vectors), len(vectors)) == (1633, 3440)
 
 
 @pytest.mark.parametrize("shape", SEEDED_SHAPES)

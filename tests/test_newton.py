@@ -571,7 +571,7 @@ def test_only_planted_trials_hand_the_slope_root_over(name, planted, monkeypatch
 
     monkeypatch.setattr(family, "hensel_slope_root", recorded)
     report = run_experiment(read_config(CONFIG_DIR / name))
-    # two calls a trial past the census gate; no shipped trial is rejected for precision
+    # two calls a trial past the census gate, each of which then reaches a verdict
     assert len(roots) == 2 * sum(t.lam is not None for t in report.trials) > 0
     assert all((root is not None) == planted for root in roots)
 

@@ -9,8 +9,10 @@ only in prop mode; the configs of VARIANTS cover p = 2 and 5, n' = 1 and
 n' = n, PLANTED at p = 5 in both modes and at p = 2 in prop mode at rank 6. The
 two rank-1 PLANTED configs take random_unimodular's r == 1 branch, and at p = 2
 more than half of unit's draws are rejected. Two rank-8 and rank-9 PLANTED configs
-sit at each side of the cap on generated matrix code. prop_sharp sits at the bound:
-some of its accepted trials have margin exactly kappa.
+sit at each side of the cap on generated matrix code. A rank-12 POLYNOMIAL_PSI config
+is the one whose working precision is set by alpha r, not n + 2 alpha + guard: its
+accepted trials have cap exactly kappa. prop_sharp sits at the bound: some of its
+accepted trials have margin exactly kappa.
 """
 
 import hashlib
@@ -112,6 +114,11 @@ VARIANTS = [
     # p = 2 above rank 1: every unit seed digit is 1, so the seed check of a planted
     # eigenvalue tests its valuation only
     ("prop", dict(PLANTED, p=2, master_seed=31), "5cd8205f0050d6f6"),
+    # rank 12 at alpha 1 and guard 0, where alpha (r - 2) = 10 > n + guard = 8: the plan's
+    # N = alpha r + kappa = 14 exceeds n + 2 alpha + guard + kappa, and 8 trials reach the
+    # eigen step with cap = kappa exactly
+    ("prop", dict(PROP, p=3, profile={"kind": "explicit", "n": 8, "a": [8] + [0] * 11},
+                  precision_guard=0, trials=60, master_seed=7), "89fecca66eaf02df"),
     # ranks 8 and 9, each side of lattice.KERNEL_MAX_RANK: products and applies run
     # generated code at rank 8 and loops at rank 9
     ("prop", dict(PLANTED, p=3, alpha=0, profile=flat_profile(8), master_seed=28),

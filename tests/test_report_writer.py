@@ -94,11 +94,10 @@ def test_infinity_margin():
     assert '"margin": "inf"' in assert_writes_the_reference(report)
 
 
-def test_not_simple_and_precision_rejections():
+def test_not_simple_rejections():
     plan = prepare_plan(read_config(CONFIG_DIR / "prop_sharp.json"), "prop")
-    starved = plan._replace(precision=3)
-    report = report_of(starved, (run_proposition_trial(starved, i) for i in range(20)))
-    assert {t.reason for t in report.trials} == {"not-simple", "precision"}
+    report = report_of(plan, (run_proposition_trial(plan, i) for i in range(20)))
+    assert {t.reason for t in report.trials} == {"not-simple", None}
     assert_writes_the_reference(report)
     assert_writes_the_reference(unshared(report))
 
