@@ -19,6 +19,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, cycle
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from operator import add, mod, mul, sub
 
 from .bounds import c_exact, resolve_kappa, hilbert_profile
@@ -27,8 +28,8 @@ from .lattice import (
     _json, check_xi_condition, json_text, random_unimodular, read_json,
 )
 from .newton import (
+    _horner_mod,
     char_poly,
-    commuting_eigenvalue,
     eigenvector_mod,
     hensel_slope_root,
     newton_polygon,
@@ -208,6 +209,15 @@ class PolynomialOperator(namedtuple("PolynomialOperator", "coeffs A")):
             acc = tuple([y + c * x for y, x in zip(self.A.apply(acc), vec)])
         return acc
 
+    def eigenvalue(self, vec, lam: int, m: int) -> int:
+        """q(lam) mod m, coeffs read ascending as apply reads them, where vec has a unit
+        coordinate mod m, a power of p (gcd(*vec, m) = 1), and A vec = lam vec mod m, so
+        q(A) vec = q(lam) vec; else AssertionError. One product checks the eigenvector, a
+        witness: q(A) is not applied."""
+        if gcd(*vec, m) != 1 or any((y - lam * x) % m for y, x in zip(self.A.apply(vec), vec)):
+            raise AssertionError("the witness is not a unit eigenvector of A for lam mod m")
+        return _horner_mod(self.coeffs[::-1], lam, m)
+
 
 def gen_psi_polynomial(
     xi: IntMatrix, xi_prime: IntMatrix, p: int, entry_bound: int, rng: SplitMix64
@@ -248,14 +258,15 @@ class ConjugatedDiagonal(namedtuple("ConjugatedDiagonal", "U diagonal U_inverse"
 
 class InstancePair(namedtuple("InstancePair", "xi xi_prime psi psi_prime profile eigenvector "
                                "eigenvalues", defaults=(None, None))):
-    """xi, xi' and commuting psi, psi', never formed by a trial: ConjugatedDiagonal U E U^-1
-    for PLANTED, read off E, and PolynomialOperator q(xi) for POLYNOMIAL_PSI, applied to
-    the eigenvector (so tests may pass an IntMatrix there); a VIOLATION report forms both
-    by operator_rows. Where the generator knows them (PLANTED), eigenvector is the
-    slope-alpha eigenvector of both xi and xi', exact and primitive (U e_slot), and
-    eigenvalues the exact slope-alpha eigenvalues (d_slot, d'_slot) of xi and xi', which
-    a prop trial checks in place of lifting them. None makes a prop trial solve for
-    them: eigenvector_mod, and the Hensel lift of the slope root."""
+    """xi, xi' and commuting psi, psi', never formed by a trial, which reads a by
+    psi.eigenvalue: ConjugatedDiagonal U E U^-1 for PLANTED, read off E, and
+    PolynomialOperator q(xi) for POLYNOMIAL_PSI, read as q(lam) with the eigenvector as
+    witness; a VIOLATION report forms both by operator_rows. Where the generator knows
+    them (PLANTED), eigenvector is the slope-alpha eigenvector of both xi and xi', exact
+    and primitive (U e_slot), and eigenvalues the exact slope-alpha eigenvalues (d_slot,
+    d'_slot) of xi and xi', which a prop trial checks in place of lifting them. None
+    makes a prop trial solve for them: eigenvector_mod for the witness, and the Hensel
+    lift of the slope root."""
 
     __slots__ = ()
 
@@ -425,15 +436,15 @@ def _evaluate_proposition_pair(plan: ExperimentPlan, pair: InstancePair,
     cap = N - cfg.alpha - max(root.derivative_valuation, root_prime.derivative_valuation)
     if cap < kappa:  # the plan's N rules this out; only a plan built by hand gets here
         raise AssertionError(f"working precision {N} leaves cap {cap} below kappa {kappa}")
-    if pair.eigenvector is None:
+    m = cfg.p ** cap
+    if pair.eigenvector is None:  # a* = q(lam*), behind the Smith vector as a witness
         vec = eigenvector_mod(pair.xi, root.value, cfg.p, N, root.derivative_valuation)
         vec_prime = eigenvector_mod(pair.xi_prime, root_prime.value, cfg.p, N,
                                     root_prime.derivative_valuation)
-        a = commuting_eigenvalue(pair.psi, vec, cfg.p, cap)
-        a_prime = commuting_eigenvalue(pair.psi_prime, vec_prime, cfg.p, cap)
+        a = pair.psi.eigenvalue(vec, root.value, m)
+        a_prime = pair.psi_prime.eigenvalue(vec_prime, root_prime.value, m)
     else:  # U e_slot is exact on both sides: a* is the slot's entry of E, and of E'
-        a, a_prime = (psi.eigenvalue(pair.eigenvector, cfg.p ** cap)
-                      for psi in (pair.psi, pair.psi_prime))
+        a, a_prime = (psi.eigenvalue(pair.eigenvector, m) for psi in (pair.psi, pair.psi_prime))
 
     margin = padic_valuation(a - a_prime, cfg.p)
     violated = margin < kappa

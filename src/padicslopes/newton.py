@@ -290,7 +290,8 @@ def eigenvector_mod(A: IntMatrix, lam: int, p: int, N: int, dv: int) -> tuple:
     (A - lam I) F = 0 mod p^min(N, order), the order read off d_r. Only that column is
     formed, from the column log: primitive, V^-1 being invertible mod p. Its first r - 1
     pivots have v_s <= v_1 + ... + v_(r-1) <= dv < N + dv, so a larger modulus picks the
-    same pivots and gives the same F mod p^N. Prop trials call it for POLYNOMIAL_PSI pairs only.
+    same pivots and gives the same F mod p^N. Prop trials call it for POLYNOMIAL_PSI pairs
+    only, for the witness that family.PolynomialOperator.eigenvalue checks.
     """
     dec = smith_normal_form(A.shift(-lam), p, N + dv)
     d = dec.divisors[-1]
@@ -311,7 +312,9 @@ def commuting_eigenvalue(B: IntMatrix, F, p: int, M: int) -> int:
     B needs only .apply: an IntMatrix, or a family.PolynomialOperator or
     family.ConjugatedDiagonal, which apply psi without forming it. Divides at a
     unit coordinate of F and then verifies B F = a F in every coordinate; a
-    failure signals a non-eigenvector or exhausted precision.
+    failure signals a non-eigenvector or exhausted precision. No trial calls it: each
+    reads a by its psi's eigenvalue. It is the tests' oracle of that a, and
+    perfbench's tracer times it by name.
     """
     _require_prime(p)
     if M < 1:

@@ -18,6 +18,7 @@ from padicslopes.lattice import InputError, IntMatrix, matrix_from_document
 from padicslopes.newton import (
     EigenvectorError, char_poly, newton_polygon, polygon_to_document, slope_to_string,
 )
+from padicslopes.padics import padic_valuation
 
 from oracles import c_at_level, hypotheses_pass, resolve_kappa_by_search
 from test_family import summed_columns
@@ -620,13 +621,34 @@ def broken_eigenvector(A, lam, p, N, dv):
     raise EigenvectorError("no kernel modulo p")
 
 
+def moved_witness(shift):
+    """eigenvector_mod with the xi' side's vector F moved to F + p^(cap - 1 + shift) e_j: cap
+    is the trial's, read off the dv of its two calls (xi's, then xi''s), and j is the first
+    column of A - lam I with a unit entry, so at shift 0 A F = lam F fails mod p^cap."""
+    dvs, solve = [], family.eigenvector_mod
+
+    def moved(A, lam, p, N, dv):
+        F = solve(A, lam, p, N, dv)
+        dvs.append(dv)
+        j = next((j for j, column in enumerate(zip(*A.shift(-lam).rows))
+                  if any(x % p for x in column)), None)
+        if len(dvs) % 2 or j is None:
+            return F
+        cap = N - padic_valuation(lam, p) - max(dvs[-2:])
+        return tuple(x + p ** (cap - 1 + shift) * (i == j) for i, x in enumerate(F))
+    return moved
+
+
 def test_internal_error_exits_three_with_its_traceback(tmp_path, capsys, monkeypatch):
     # an eigen step that raises is a bug, like a failed invariant, not a rejected trial: no
     # trial that reaches it can make it raise (see tests/test_family.py,
-    # test_the_eigen_step_cannot_raise_by_the_smith_valuations)
+    # test_the_eigen_step_cannot_raise_by_the_smith_valuations). A witness that fails
+    # A F = lam F mod p^cap is one too: PolynomialOperator.eigenvalue refuses it
     for module, name, broken, trials, shown in [
             (cli, "run_experiment", broken_run, 1, "AssertionError: xi and psi do not commute"),
-            (family, "eigenvector_mod", broken_eigenvector, 8, "EigenvectorError: no kernel")]:
+            (family, "eigenvector_mod", broken_eigenvector, 8, "EigenvectorError: no kernel"),
+            (family, "eigenvector_mod", moved_witness(0), 8,
+             "AssertionError: the witness is not a unit eigenvector")]:
         cfg_path = write_json(tmp_path / "cfg.json", verify_config(trials=trials))
         with monkeypatch.context() as mp:
             mp.setattr(module, name, broken)
@@ -634,6 +656,18 @@ def test_internal_error_exits_three_with_its_traceback(tmp_path, capsys, monkeyp
         out, err = capsys.readouterr()
         assert out == ""
         assert "Traceback" in err and shown in err
+
+
+def test_a_witness_moved_at_p_to_the_cap_gives_the_same_report(tmp_path, capsys, monkeypatch):
+    # the sharpness of the check above: F + p^cap e_j is still an eigenvector mod p^cap, and
+    # a = q(lam) does not read F, so the run writes the bytes of an unmoved one
+    cfg_path = write_json(tmp_path / "cfg.json", verify_config())
+    assert run_main(["verify-prop", "--config", cfg_path]) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(family, "eigenvector_mod", moved_witness(1))
+    assert run_main(["verify-prop", "--config", cfg_path]) == 0
+    assert capsys.readouterr().out == expected
+    assert json.loads(expected)["summary"]["accepted"] > 0
 
 
 def test_wrong_planted_eigenvalues_exit_three_with_their_traceback(tmp_path, capsys, monkeypatch):

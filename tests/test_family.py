@@ -36,7 +36,7 @@ from padicslopes.family import (
     run_experiment,
     run_proposition_trial,
 )
-from padicslopes.bounds import c_exact
+from padicslopes.bounds import c_exact, resolve_kappa
 from padicslopes.lattice import (
     KERNEL_MAX_RANK, DivisorProfile, InputError, IntMatrix, _column_scales, check_xi_condition,
     json_text, random_unimodular, smith_normal_form,
@@ -605,16 +605,19 @@ def test_polynomial_operator_matches_the_formed_matrix(r):
     assert max(abs(x) for row in A.rows for x in row).bit_length() > 190
 
 
+class Counted:
+    """A matrix whose applies are counted."""
+
+    def __init__(self, A):
+        self.A, self.calls = A, 0
+
+    def apply(self, vec):
+        self.calls += 1
+        return self.A.apply(vec)
+
+
 def test_polynomial_operator_skips_the_product_with_zero():
     # Horner starts at c_last vec: one matrix-vector product per further coefficient
-    class Counted:
-        def __init__(self, A):
-            self.A, self.calls = A, 0
-
-        def apply(self, vec):
-            self.calls += 1
-            return self.A.apply(vec)
-
     A = IntMatrix([[1, 2], [3, 4]])
     for coeffs in ((), (7,), (7, -1), (0, 0, 5)):
         counted = Counted(A)
@@ -622,6 +625,67 @@ def test_polynomial_operator_skips_the_product_with_zero():
         assert got == tuple(poly_apply_naive(coeffs, [[1, 2], [3, 4]], [5, -6]))
         assert counted.calls == max(len(coeffs) - 1, 0)
     assert PolynomialOperator((), A).apply((5, -6)) == (0, 0)
+
+
+def test_polynomial_operator_eigenvalue_reads_the_coefficients_ascending():
+    # q = 1 + 3X^2 at lam = 2 is 13, as apply reads coeffs; read descending, 3 + 0 + 4 = 7,
+    # another value mod 5. A = U diag(2, 5) U^-1 takes 2 on U e_0, so the eigenvalue is
+    # what the formed q(A) gives on that column, with one product of A as the witness
+    rng = SplitMix64(0x41736331)
+    U, Ui = random_unimodular(2, rng)
+    A, F = U * diagonal([2, 5]) * Ui, tuple(row[0] for row in U.rows)
+    for M in (1, 3):
+        m = 5 ** M
+        counted = Counted(A)
+        assert PolynomialOperator((1, 0, 3), counted).eigenvalue(F, 2, m) == 13 % m
+        assert counted.calls == 1
+        assert 13 % m != horner_mod((3, 0, 1), 2, m)
+        formed = IntMatrix(poly_of_matrix_naive((1, 0, 3), A.rows))
+        assert newton.commuting_eigenvalue(formed, F, 5, M) == 13 % m
+
+
+def test_polynomial_operator_eigenvalue_of_the_zero_and_a_constant_polynomial():
+    A = diagonal([3, 1])
+    for lam, F in ((3, (1, 0)), (1, (0, 7))):
+        assert PolynomialOperator((), A).eigenvalue(F, lam, 9) == 0
+        assert PolynomialOperator((-5,), A).eigenvalue(F, lam, 9) == 4
+        assert PolynomialOperator((11,), A).eigenvalue(F, lam + 9, 9) == 2
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_polynomial_operator_eigenvalue_is_q_of_lam_on_an_eigenvector_mod_m(r):
+    # on c U e_j with c a unit, at lam = d_j + k m: q(d_j) mod m, the value the applied
+    # operator gives through commuting_eigenvalue
+    rng = SplitMix64(0x51656967 + r)
+    for p in (2, 3, 7):
+        U, Ui = random_unimodular(r, rng)
+        entries = [rng.randint(-10**6, 10**6) for _ in range(r)]
+        A = U * diagonal(entries) * Ui
+        coeffs = tuple(rng.randint(-9, 9) for _ in range(r))
+        op = PolynomialOperator(coeffs, A)
+        for j, column in enumerate(zip(*U.rows)):
+            M = rng.randint(1, 40)
+            m = p ** M
+            c = rng.unit(p, 10**6)
+            F = tuple(c * x for x in column)
+            lam = entries[j] + rng.randint(-9, 9) * m
+            assert op.eigenvalue(F, lam, m) == horner_mod(coeffs, entries[j], m) == \
+                newton.commuting_eigenvalue(op, F, p, M)
+
+
+def test_polynomial_operator_eigenvalue_refuses_what_is_no_witness():
+    # the control: a sum of two eigenvectors, the wrong eigenvalue, and multiples of p
+    # (no unit coordinate, though A F = lam F holds) all raise
+    rng = SplitMix64(0x4E6F7420)
+    U, Ui = random_unimodular(3, rng)
+    A = U * diagonal([2, 5, 10]) * Ui
+    columns = list(zip(*U.rows))
+    op = PolynomialOperator((1, 0, 3), A)
+    for vec, lam in ((tuple(map(add, columns[0], columns[1])), 2), (columns[0], 7),
+                     (tuple(5 * x for x in columns[0]), 2), ((0, 0, 0), 2)):
+        with pytest.raises(AssertionError, match="not a unit eigenvector"):
+            op.eigenvalue(vec, lam, 125)
+    assert op.eigenvalue(columns[0], 2 + 125, 125) == 13
 
 
 @pytest.mark.parametrize("r", range(1, 9))
@@ -794,7 +858,8 @@ def test_identical_pair_gives_infinite_margin():
     rng = SplitMix64(trial_seed(cfg.master_seed, 0))
     for index in range(12):
         xi = gen_xi(cfg.profile, cfg.p, cfg.entry_bound, rng)
-        psi, _, _ = gen_psi_polynomial(xi, xi, cfg.p, cfg.entry_bound, rng)
+        _, _, coeffs = gen_psi_polynomial(xi, xi, cfg.p, cfg.entry_bound, rng)
+        psi = PolynomialOperator(coeffs, xi)
         pair = InstancePair(xi=xi, xi_prime=xi, psi=psi, psi_prime=psi,
                             profile=cfg.profile)
         report = _evaluate_proposition_pair(plan, pair, index, 0)
@@ -829,7 +894,7 @@ def test_accepted_trial_matches_polynomial_oracle():
 
 def test_violation_branch_reports_matrices():
     # deliberately unrelated operators: not a congruent pair, so the margin
-    # gate can fire; this exercises the reporting path only
+    # gate can fire; this exercises the reporting path only. psi = q(xi) with q = X
     cfg = config_from_document(
         base_doc(profile={"kind": "explicit", "n": 4, "a": [4, 4, 4]}, alpha=0, kappa=2)
     )
@@ -839,12 +904,12 @@ def test_violation_branch_reports_matrices():
     for _ in range(40):
         xi = diagonal([rng.unit(3, 80), 3 * rng.unit(3, 80), 9 * rng.unit(3, 80)])
         xi_prime = diagonal([rng.unit(3, 80), 3 * rng.unit(3, 80), 9 * rng.unit(3, 80)])
-        pair = InstancePair(xi=xi, xi_prime=xi_prime, psi=xi, psi_prime=xi_prime,
-                            profile=cfg.profile)
+        pair = lazy_pair(xi, xi_prime, (0, 1), cfg.profile)
         report = _evaluate_proposition_pair(plan, pair, 0, 0)
         if report.status == VIOLATION:
             assert report.margin < plan.kappa
             assert report.pair is not None
+            assert operator_rows(report.pair.psi, 3) == xi.rows
             return
     raise AssertionError("expected a violation from unrelated operators")
 
@@ -881,6 +946,19 @@ def assert_the_writer_forms_them_too(plan, trial):
                                                 sort_keys=True) + "\n"
 
 
+def assert_formed_psi_gives_a(plan, report, formed):
+    """The formed psi and psi' give the trial's a and a' through commuting_eigenvalue on
+    each side's Smith eigenvector: the values the trial reads without forming them."""
+    p, alpha, N, pair = plan.config.p, plan.config.alpha, plan.precision, report.pair
+    for A, lam, psi, a in ((pair.xi, report.lam, formed[0], report.a),
+                           (pair.xi_prime, report.lam_prime, formed[1], report.a_prime)):
+        cp = char_poly(A)
+        root = newton.hensel_slope_root(cp, newton_polygon(cp, p), p, alpha, N)
+        assert root.value == lam
+        F = newton.eigenvector_mod(A, lam, p, N, root.derivative_valuation)
+        assert newton.commuting_eigenvalue(psi, F, p, report.margin_cap) == a
+
+
 def test_polynomial_psi_violation_report_forms_the_matrices():
     cfg = config_from_document(
         base_doc(profile={"kind": "explicit", "n": 4, "a": [4, 4, 4]}, alpha=0, kappa=2)
@@ -900,10 +978,9 @@ def test_polynomial_psi_violation_report_forms_the_matrices():
             break
     else:
         raise AssertionError("expected a violation from unrelated operators")
-    text = assert_report_forms_psi(plan, report, coeffs, PROP_VIOLATION_DIGEST)
-    formed = pair._replace(psi=IntMatrix(poly_of_matrix_naive(coeffs, xi.rows)),
-                           psi_prime=IntMatrix(poly_of_matrix_naive(coeffs, xi_prime.rows)))
-    assert json_text(trial_document(_evaluate_proposition_pair(plan, formed, 0, 0))) == text
+    assert_report_forms_psi(plan, report, coeffs, PROP_VIOLATION_DIGEST)
+    assert_formed_psi_gives_a(plan, report, [IntMatrix(poly_of_matrix_naive(coeffs, A.rows))
+                                             for A in (xi, xi_prime)])
 
 
 def test_polynomial_psi_constancy_violation_report_forms_the_matrices():
@@ -922,7 +999,8 @@ def test_polynomial_psi_constancy_violation_report_forms_the_matrices():
 
 def test_planted_violation_report_forms_the_matrices():
     # xi and xi' share U but not their diagonals, so the margin gate can fire; psi and
-    # psi' are the lazy U E U^-1 of a planted pair
+    # psi' are the lazy U E U^-1 of a planted pair, which carries U e_0 and the slope-0
+    # entries as the generator's pairs do
     cfg = config_from_document(
         base_doc(profile={"kind": "explicit", "n": 4, "a": [4, 4, 4]}, alpha=0, kappa=2,
                  generator="PLANTED")
@@ -931,15 +1009,14 @@ def test_planted_violation_report_forms_the_matrices():
     rng = SplitMix64(43)
     for _ in range(40):
         U, Ui = random_unimodular(3, rng)
-        xi, xi_prime = (
-            U * diagonal([rng.unit(3, 80), 3 * rng.unit(3, 80), 9 * rng.unit(3, 80)]) * Ui
-            for _ in range(2)
-        )
+        ds = [[rng.unit(3, 80), 3 * rng.unit(3, 80), 9 * rng.unit(3, 80)] for _ in range(2)]
+        xi, xi_prime = (U * diagonal(d) * Ui for d in ds)
         diagonals = [tuple(rng.randints(-80, 80, 3)) for _ in range(2)]
         pair = InstancePair(xi=xi, xi_prime=xi_prime,
                             psi=ConjugatedDiagonal(U, diagonals[0], Ui),
                             psi_prime=ConjugatedDiagonal(U, diagonals[1], Ui),
-                            profile=cfg.profile)
+                            profile=cfg.profile, eigenvector=tuple(row[0] for row in U.rows),
+                            eigenvalues=(ds[0][0], ds[1][0]))
         report = _evaluate_proposition_pair(plan, pair, 0, 0)
         if report.status == VIOLATION:
             break
@@ -952,8 +1029,7 @@ def test_planted_violation_report_forms_the_matrices():
     text = json_text(doc)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == PLANTED_VIOLATION_DIGEST
     assert_the_writer_forms_them_too(plan, report)
-    formed_pair = pair._replace(psi=formed[0], psi_prime=formed[1])
-    assert json_text(trial_document(_evaluate_proposition_pair(plan, formed_pair, 0, 0))) == text
+    assert_formed_psi_gives_a(plan, report, formed)
     # a forked worker sends a VIOLATION report back pickled
     assert json_text(trial_document(pickle.loads(pickle.dumps(report)))) == text
 
@@ -1518,8 +1594,8 @@ def test_alpha_r_sets_the_precision_and_every_verdict_holds_at_n_plus_40():
 
 
 def test_the_eigen_step_cannot_raise_by_the_smith_valuations(eigen_step_runs):
-    """Why a trial that reaches the eigen step never raises EigenvectorError or
-    ConsistencyError, so _evaluate_proposition_pair catches neither.
+    """Why a trial that reaches the eigen step never raises EigenvectorError or fails its
+    witness check, so _evaluate_proposition_pair catches neither.
 
     lam* is the simple slope-alpha root in Z_p and lam = lam* mod p^N, the Hensel lift's
     limit. dv = v(cp'(lam)); reaching the step means cap >= kappa >= 1, so
@@ -1530,9 +1606,9 @@ def test_the_eigen_step_cannot_raise_by_the_smith_valuations(eigen_step_runs):
        would divide every Smith coordinate of F*, which is primitive: so v_r >= N >= 1 and
        EigenvectorError (order < 1) cannot be raised.
     3. As v_{r-1} < N, F* = u F mod p^(N - v_{r-1}) for a unit u, and N - v_{r-1} >= N - dv
-       >= cap + alpha. psi commutes with xi over Z, so psi F* = a* F*; F, a column of V^-1
-       (invertible mod p), has a unit coordinate. commuting_eigenvalue returns a* mod
-       p^cap and ConsistencyError cannot be raised.
+       >= cap + alpha. So (xi - lam) F = 0 mod p^cap, and F, a column of V^-1 (invertible
+       mod p), has a unit coordinate: PolynomialOperator.eigenvalue's witness check holds,
+       and it returns q(lam) = a* mod p^cap, since psi = q(xi) gives psi F* = q(lam*) F*.
     4. HenselError needs a missing or longer slope-alpha segment, which the census gate
        rejects first, or N <= alpha, which the plan's N >= n + 2 alpha + kappa excludes.
     The test checks the two inequalities 1 and 2 rest on at every eigenvector_mod call of
@@ -1561,6 +1637,29 @@ def test_the_smith_form_mod_p_to_the_n_plus_dv_gives_the_vector_of_p_to_the_2n(e
     vectors = [vecs for *_, vecs in steps]
     assert all(at_dv == at_2n for at_dv, at_2n, _ in vectors)
     assert (sum(at_dv != at_n for at_dv, _, at_n in vectors), len(vectors)) == (1633, 3440)
+
+
+@pytest.mark.parametrize("profile,alpha,accepted,least", [
+    ({"kind": "hilbert", "d": 1, "h": 1, "n": 12, "max_rank": 8}, 3, 80, 7),
+    ({"kind": "hilbert", "d": 1, "h": 1, "n": 6}, 2, 79, 3),
+])
+def test_the_bypass_control_finds_no_violation_where_no_kappa_passes(profile, alpha,
+                                                                     accepted, least):
+    # alpha at or above c, where no kappa passes the hypotheses, run with the check
+    # bypassed: kappa = max(n - 2 alpha, 1) and N by the plan's own formula. No accepted
+    # margin falls below the floor n - 2 alpha, so the prop verdict did not need alpha < c
+    cfg = config_from_document(base_doc(profile=profile, alpha=alpha, trials=200,
+                                        master_seed=4242))
+    assert resolve_kappa(cfg.profile, alpha) is None
+    kappa = max(cfg.profile.n - 2 * alpha, 1)
+    plan = prepare_plan(cfg._replace(kappa=kappa), "prop")
+    assert not plan.hypotheses_pass and plan.kappa == kappa
+    plan = plan._replace(hypotheses_pass=True)
+    report = ExperimentReport(mode="prop", plan=plan, trials=tuple(
+        run_proposition_trial(plan, i) for i in range(cfg.trials)))
+    assert (report.accepted, len(report.violations), report.min_margin()) == (accepted, 0, least)
+    assert report.rejected_by_reason() == {"not-simple": 200 - accepted}
+    assert least > cfg.profile.n - 2 * alpha
 
 
 @pytest.mark.parametrize("shape", SEEDED_SHAPES)

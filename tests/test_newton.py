@@ -744,7 +744,9 @@ def test_eigenvector_matches_integer_snf_on_shipped_trials(name, monkeypatch):
             assert commuting_eigenvalue(psi, F, p, cap) == a_old == a
         assert len(steps) == 2 * report.accepted > 0
         return
-    reference = {}
+    # a POLYNOMIAL_PSI trial reads a = q(lam) behind eigenvector_mod's vector as its
+    # witness: psi applied to the integer-Smith vector gives that a too
+    reference, pairs, evaluate = {}, {}, family._evaluate_proposition_pair
 
     def eigenvector(A, lam, p, N, dv):
         vec = eigenvector_mod(A, lam, p, N, dv)
@@ -753,21 +755,28 @@ def test_eigenvector_matches_integer_snf_on_shipped_trials(name, monkeypatch):
         old = eigenvector_by_integer_snf(A, lam, p, N)
         m = p ** (N - root.derivative_valuation)
         assert all((x - y) % m == 0 for x, y in zip(unit_normalized(vec, p, p**N), old))
-        reference[vec] = old
+        reference[A.rows, lam] = vec, old
         return vec
 
-    checked = []
-
-    def eigenvalue(B, F, p, M):
-        a = commuting_eigenvalue(B, F, p, M)
-        assert commuting_eigenvalue(B, reference[tuple(F)], p, M) == a
-        checked.append(a)
-        return a
+    def captured(plan, pair, index, seed):
+        pairs[index] = pair
+        return evaluate(plan, pair, index, seed)
 
     monkeypatch.setattr(family, "eigenvector_mod", eigenvector)
-    monkeypatch.setattr(family, "commuting_eigenvalue", eigenvalue)
+    monkeypatch.setattr(family, "_evaluate_proposition_pair", captured)
     report = run_experiment(config)
-    assert len(checked) == 2 * report.accepted > 0
+    checked, p = 0, config.p
+    for t in report.trials:
+        if t.status != family.ACCEPTED:
+            continue
+        pair = pairs[t.index]
+        for A, psi, lam, a in ((pair.xi, pair.psi, t.lam, t.a),
+                               (pair.xi_prime, pair.psi_prime, t.lam_prime, t.a_prime)):
+            vec, old = reference[A.rows, lam]
+            assert commuting_eigenvalue(psi, old, p, t.margin_cap) == a, t.index
+            assert commuting_eigenvalue(psi, vec, p, t.margin_cap) == a, t.index
+            checked += 1
+    assert checked == 2 * report.accepted > 0
 
 
 def test_commuting_eigenvalue_examples():

@@ -16,9 +16,9 @@ from pathlib import Path
 import pytest
 
 from padicslopes.family import (
-    ACCEPTED, REJECTED, VIOLATION, ExperimentReport, InstancePair, _evaluate_proposition_pair,
-    config_from_document, prepare_plan, read_config, report_to_json, run_experiment,
-    run_proposition_trial,
+    ACCEPTED, REJECTED, VIOLATION, ExperimentReport, InstancePair, PolynomialOperator,
+    _evaluate_proposition_pair, config_from_document, prepare_plan, read_config, report_to_json,
+    run_experiment, run_proposition_trial,
 )
 from padicslopes.lattice import json_text
 from padicslopes.padics import INFINITY
@@ -116,8 +116,8 @@ def test_constancy_control_with_mismatched_slopes(monkeypatch):
 
 
 def violation_trial():
-    """A prop VIOLATION from unrelated diagonal operators, psi = xi: only the margin gate
-    can tell them apart."""
+    """A prop VIOLATION from unrelated diagonal operators, psi = q(xi) with q = X: only
+    the margin gate can tell them apart."""
     cfg = config_from_document({"p": 3, "profile": {"kind": "explicit", "n": 4, "a": [4, 4, 4]},
                                 "alpha": 0, "kappa": 2, "trials": 1, "master_seed": 1})
     plan = prepare_plan(cfg, "prop")
@@ -125,8 +125,8 @@ def violation_trial():
     for _ in range(40):
         xi, xi_prime = (diagonal([rng.unit(3, 80), 3 * rng.unit(3, 80), 9 * rng.unit(3, 80)])
                         for _ in range(2))
-        pair = InstancePair(xi=xi, xi_prime=xi_prime, psi=xi, psi_prime=xi_prime,
-                            profile=cfg.profile)
+        pair = InstancePair(xi=xi, xi_prime=xi_prime, psi=PolynomialOperator((0, 1), xi),
+                            psi_prime=PolynomialOperator((0, 1), xi_prime), profile=cfg.profile)
         trial = _evaluate_proposition_pair(plan, pair, 0, 0)
         if trial.status == VIOLATION:
             return plan, trial

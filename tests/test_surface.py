@@ -26,6 +26,8 @@ PICKLE_ONLY = "pickling, which only a forked worker does to its trials: the cens
 ONLY_TESTS_REACH = {
     "family:operator_rows": VIOLATION_ONLY + ", and gen_psi_polynomial (below)",
     "family:ConjugatedDiagonal.apply": VIOLATION_ONLY + ": a PLANTED trial reads a off E",
+    "family:PolynomialOperator.apply": VIOLATION_ONLY + ": a POLYNOMIAL_PSI trial reads a as "
+                                       "q(lam)",
     "family:gen_psi_polynomial": BENCHMARK_ONLY + ", which times it as a layer",
     "lattice:IntMatrix.__sub__": BENCHMARK_ONLY + ": the rank sweep's xi - u I",
     "lattice:IntMatrix.identity": BENCHMARK_ONLY + ": the rank sweep's xi - u I; and the "
@@ -35,6 +37,8 @@ ONLY_TESTS_REACH = {
     "lattice:SmithDecomposition.u_inverse": BENCHMARK_ONLY + " for the Smith form's bits",
     "lattice:SmithDecomposition.v_inverse": BENCHMARK_ONLY + " for the Smith form's bits",
     "newton:SlopeSegment.__reduce__": PICKLE_ONLY,
+    "newton:commuting_eigenvalue": BENCHMARK_ONLY + ", which times it as a layer; and the "
+                                   "tests' oracle of a trial's a on its eigenvector",
     "newton:_berkowitz_loop": "char_poly above lattice.KERNEL_MAX_RANK; the shipped ranks "
                               "are at most 8, and polygon --input takes larger matrices",
     "padics:PadicInfinity.__reduce__": PICKLE_ONLY,
