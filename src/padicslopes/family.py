@@ -265,8 +265,8 @@ class InstancePair(namedtuple("InstancePair", "xi xi_prime psi psi_prime profile
     them (PLANTED), eigenvector is the slope-alpha eigenvector of both xi and xi', exact
     and primitive (U e_slot), and eigenvalues the exact slope-alpha eigenvalues (d_slot,
     d'_slot) of xi and xi', which a prop trial checks in place of lifting them. None
-    makes a prop trial solve for them: eigenvector_mod for the witness, and the Hensel
-    lift of the slope root."""
+    makes a prop trial solve for them: eigenvector_mod mod p^cap for the witness, a unit
+    kernel vector mod p^cap and no more, and the Hensel lift of the slope root."""
 
     __slots__ = ()
 
@@ -437,10 +437,10 @@ def _evaluate_proposition_pair(plan: ExperimentPlan, pair: InstancePair,
     if cap < kappa:  # the plan's N rules this out; only a plan built by hand gets here
         raise AssertionError(f"working precision {N} leaves cap {cap} below kappa {kappa}")
     m = cfg.p ** cap
-    if pair.eigenvector is None:  # a* = q(lam*), behind the Smith vector as a witness
-        vec = eigenvector_mod(pair.xi, root.value, cfg.p, N, root.derivative_valuation)
-        vec_prime = eigenvector_mod(pair.xi_prime, root_prime.value, cfg.p, N,
-                                    root_prime.derivative_valuation)
+    if pair.eigenvector is None:  # a* = q(lam*), behind a unit kernel vector mod p^cap as a
+        # witness: xi - lam I has v_r >= N >= cap, so its Smith form mod p^cap gives one
+        vec = eigenvector_mod(pair.xi, root.value, cfg.p, cap)
+        vec_prime = eigenvector_mod(pair.xi_prime, root_prime.value, cfg.p, cap)
         a = pair.psi.eigenvalue(vec, root.value, m)
         a_prime = pair.psi_prime.eigenvalue(vec_prime, root_prime.value, m)
     else:  # U e_slot is exact on both sides: a* is the slot's entry of E, and of E'

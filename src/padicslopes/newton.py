@@ -15,9 +15,7 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
-from .lattice import (
-    KERNEL_MAX_RANK, IntMatrix, _dot, _entries, _kernel, _unit_inverse, smith_normal_form,
-)
+from .lattice import KERNEL_MAX_RANK, IntMatrix, _dot, _entries, _kernel, smith_normal_form
 from .padics import INFINITY, _powers, _require_prime, padic_valuation
 
 
@@ -281,25 +279,20 @@ class EigenvectorError(ValueError):
     """No primitive kernel vector at the required precision."""
 
 
-def eigenvector_mod(A: IntMatrix, lam: int, p: int, N: int, dv: int) -> tuple:
-    """A primitive eigenvector F for the simple root lam mod p^N, dv = v(cp'(lam)) its
-    Hensel root's derivative_valuation, as a tuple mod p^N.
+def eigenvector_mod(A: IntMatrix, lam: int, p: int, M: int) -> tuple:
+    """A primitive kernel vector F of A - lam I mod p^M, as a tuple mod p^M.
 
-    F is column r-1 of V^-1 in the Smith form of A - lam I over Z/p^(N + dv), the generator
-    of the kernel's top order (see SmithDecomposition), reduced mod p^N and unscaled;
-    (A - lam I) F = 0 mod p^min(N, order), the order read off d_r. Only that column is
-    formed, from the column log: primitive, V^-1 being invertible mod p. Its first r - 1
-    pivots have v_s <= v_1 + ... + v_(r-1) <= dv < N + dv, so a larger modulus picks the
-    same pivots and gives the same F mod p^N. Prop trials call it for POLYNOMIAL_PSI pairs
-    only, for the witness that family.PolynomialOperator.eigenvalue checks.
+    F is column r-1 of V^-1 in the Smith form of A - lam I over Z/p^M, the generator of the
+    kernel's top order (see SmithDecomposition), unscaled; (A - lam I) F = 0 mod p^order,
+    the order read off d_r (M where d_r = 0). Only that column is formed, from the column
+    log: primitive, V^-1 being invertible mod p. Prop trials call it for POLYNOMIAL_PSI
+    pairs only, at M = cap: v_r >= N >= cap makes d_r = 0 mod p^cap, so F is a unit kernel
+    vector mod p^cap, the witness that family.PolynomialOperator.eigenvalue checks.
     """
-    dec = smith_normal_form(A.shift(-lam), p, N + dv)
-    d = dec.divisors[-1]
-    order = N + dv if d == 0 else padic_valuation(d, p)
-    if order < 1:
+    dec = smith_normal_form(A.shift(-lam), p, M)
+    if dec.divisors[-1] % p:  # d_r a unit: A - lam I is invertible mod p
         raise EigenvectorError("no kernel modulo p: the residue is not an eigenvalue at this precision")
-    pN = p ** N
-    return tuple([x % pN for x in dec.v_inverse_column(A.r - 1)])
+    return dec.v_inverse_column(A.r - 1)
 
 
 class ConsistencyError(ValueError):
@@ -325,7 +318,7 @@ def commuting_eigenvalue(B: IntMatrix, F, p: int, M: int) -> int:
     if pivot is None:
         raise ConsistencyError("eigenvector has no unit coordinate")
     BF = B.apply(F)
-    a = BF[pivot] * _unit_inverse(F[pivot], p, pM) % pM
+    a = BF[pivot] * pow(F[pivot], -1, pM) % pM
     for i, (lhs, rhs) in enumerate(zip(BF, F)):
         if (lhs - a * rhs) % pM != 0:
             raise ConsistencyError(

@@ -9,7 +9,9 @@ arithmetic, and matrix products and sums by the schoolbook loops. Two
 exceptions read the library's Smith form: the reference eigenvector, built
 from the integer-mode Smith form (the computation the Z/p^N mode replaced on
 the eigenvector path), and kernel_mod, every generator of a kernel mod p^N
-from the whole of V^-1 (where eigenvector_mod replays one column of it).
+from the whole of V^-1 (where eigenvector_mod replays one column of it);
+eigenvector_at is eigenvector_mod's own vector, from the Smith form mod p^(N + dv),
+reduced mod p^N.
 c at a level is min(n', min_i T(i)/i) over Fractions from the exponents
 clipped at n'; sigma is min_k B_k / k, with the coefficient bounds B_k that the
 pair hypotheses force read off the profile by their definition. The largest
@@ -43,6 +45,7 @@ from padicslopes.family import ConjugatedDiagonal, PolynomialOperator
 from padicslopes.lattice import (
     _ADD, _SCALE, _SWAP, IntMatrix, _inverse_transposed, _replay, smith_normal_form,
 )
+from padicslopes.newton import eigenvector_mod
 from padicslopes.padics import INFINITY
 
 
@@ -255,6 +258,13 @@ def eigenvector_by_integer_snf(A: IntMatrix, lam: int, p: int, N: int) -> tuple:
     first unit coordinate is 1, mod p^N."""
     dec = smith_normal_form(A - IntMatrix.identity(A.r).scale(lam))
     return unit_normalized(tuple(row[A.r - 1] for row in dec.v_inverse.rows), p, p**N)
+
+
+def eigenvector_at(A: IntMatrix, lam: int, p: int, N: int, dv: int) -> tuple:
+    """eigenvector_mod's vector of the Smith form mod p^(N + dv), reduced mod p^N: with dv
+    = v(cp'(lam)) the Hensel root's, the eigenvector mod p^N whose pivots the first r - 1
+    Smith valuations fix (v_1 + ... + v_(r-1) <= dv)."""
+    return tuple([x % p**N for x in eigenvector_mod(A, lam, p, N + dv)])
 
 
 def diagonal(entries) -> IntMatrix:

@@ -13,12 +13,12 @@ import pytest
 import padicslopes.cli as cli
 import padicslopes.family as family
 from padicslopes.bounds import hilbert_profile
-from padicslopes.family import config_from_document, run_experiment
+from padicslopes.family import config_from_document, prepare_plan, run_experiment
 from padicslopes.lattice import InputError, IntMatrix, matrix_from_document
 from padicslopes.newton import (
-    EigenvectorError, char_poly, newton_polygon, polygon_to_document, slope_to_string,
+    EigenvectorError, char_poly, hensel_slope_root, newton_polygon, polygon_to_document,
+    slope_to_string,
 )
-from padicslopes.padics import padic_valuation
 
 from oracles import c_at_level, hypotheses_pass, resolve_kappa_by_search
 from test_family import summed_columns
@@ -617,24 +617,31 @@ def broken_run(config, mode="prop", jobs=1):
     raise AssertionError("xi and psi do not commute")
 
 
-def broken_eigenvector(A, lam, p, N, dv):
+def broken_eigenvector(A, lam, p, M):
     raise EigenvectorError("no kernel modulo p")
 
 
 def moved_witness(shift):
-    """eigenvector_mod with the xi' side's vector F moved to F + p^(cap - 1 + shift) e_j: cap
-    is the trial's, read off the dv of its two calls (xi's, then xi''s), and j is the first
-    column of A - lam I with a unit entry, so at shift 0 A F = lam F fails mod p^cap."""
+    """eigenvector_mod with the xi' side's vector F moved to F + p^(cap - 1 + shift) e_j, for
+    trials of verify_config(): cap = N - alpha - max(dv, dv'), with N the plan's precision
+    and dv, dv' the Hensel roots' derivative valuations of the trial's two calls (xi's, then
+    xi''s), and j the first column of A - lam I with a unit entry, so at shift 0 A F = lam F
+    fails mod p^cap."""
+    plan = prepare_plan(config_from_document(verify_config()), "prop")
+    N, alpha = plan.precision, plan.config.alpha
     dvs, solve = [], family.eigenvector_mod
 
-    def moved(A, lam, p, N, dv):
-        F = solve(A, lam, p, N, dv)
-        dvs.append(dv)
+    def moved(A, lam, p, M):
+        F = solve(A, lam, p, M)
+        cp = char_poly(A)
+        root = hensel_slope_root(cp, newton_polygon(cp, p), p, alpha, N)
+        assert root.value == lam
+        dvs.append(root.derivative_valuation)
         j = next((j for j, column in enumerate(zip(*A.shift(-lam).rows))
                   if any(x % p for x in column)), None)
         if len(dvs) % 2 or j is None:
             return F
-        cap = N - padic_valuation(lam, p) - max(dvs[-2:])
+        cap = N - alpha - max(dvs[-2:])
         return tuple(x + p ** (cap - 1 + shift) * (i == j) for i, x in enumerate(F))
     return moved
 

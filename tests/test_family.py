@@ -4,6 +4,7 @@ import os
 import pickle
 import random
 import signal
+from collections import Counter, namedtuple
 from fractions import Fraction
 from operator import add
 from pathlib import Path
@@ -47,7 +48,8 @@ from padicslopes.padics import INFINITY, padic_valuation
 from padicslopes.rng import _BATCH, _WORD_STEP, SplitMix64, _mix, trial_seed
 
 from oracles import (
-    charpoly_faddeev, det_fraction, diagonal, gen_congruent_pair_by_rows, gen_xi_by_rows,
+    charpoly_faddeev, det_fraction, diagonal, eigenvector_at, gen_congruent_pair_by_rows,
+    gen_xi_by_rows,
     horner_mod, mat_add_naive, multiplicity_differences_by_dict, poly_apply_naive,
     poly_of_matrix_naive,
     random_unimodular_by_randint, random_unimodular_by_replay, report_document,
@@ -955,7 +957,7 @@ def assert_formed_psi_gives_a(plan, report, formed):
         cp = char_poly(A)
         root = newton.hensel_slope_root(cp, newton_polygon(cp, p), p, alpha, N)
         assert root.value == lam
-        F = newton.eigenvector_mod(A, lam, p, N, root.derivative_valuation)
+        F = eigenvector_at(A, lam, p, N, root.derivative_valuation)
         assert newton.commuting_eigenvalue(psi, F, p, report.margin_cap) == a
 
 
@@ -1350,7 +1352,7 @@ def assert_planted_eigenvectors(report):
             assert all(x % m == 0 for x in xi.shift(-lam).apply(F)), t.index
             cp = char_poly(xi)
             root = newton.hensel_slope_root(cp, newton_polygon(cp, p), p, cfg.alpha, N)
-            solved = newton.eigenvector_mod(xi, lam, p, N, root.derivative_valuation)
+            solved = eigenvector_at(xi, lam, p, N, root.derivative_valuation)
             assert newton.commuting_eigenvalue(psi, F, p, cap) == a, t.index
             assert newton.commuting_eigenvalue(psi, solved, p, cap) == a, t.index
         accepted += 1
@@ -1506,32 +1508,62 @@ SEEDED_PROP_CONFIGS = {
     for name in SEEDED_SHAPES for p in (2, 3, 5) for seed in range(1000, 1005)}
 
 
+class EigenStep(namedtuple("EigenStep", "cid index call N valuations dv vectors top_divisor "
+                                         "passes_below")):
+    """One eigenvector_mod call (A, lam, p, M) of a trial, as the eigen_step_runs fixture
+    measures it: cid and index name the trial, call = M, and N is the trial's plan
+    precision. valuations are those of the Smith divisors of A - lam I over Z/p^{2N} (2N for a
+    zero divisor), and dv = v(cp'(lam)) is the Hensel lift's derivative_valuation, recomputed
+    from A at N (its value must be lam). vectors are eigenvector_mod's from the Smith forms
+    mod p^(N + dv) (eigenvector_at), mod p^(2N) and mod p^N, each reduced mod p^N.
+    top_divisor is the last Smith divisor of A - lam I mod p^M, and passes_below whether
+    eigenvector_mod's vector mod p^(M - 1) passes PolynomialOperator.eigenvalue's check
+    mod p^M."""
+
+    __slots__ = ()
+
+
 @pytest.fixture(scope="module")
 def eigen_step_runs():
     """({id: report} of PROP_CONFIGS and SEEDED_PROP_CONFIGS, each at its own precision,
-    and for each eigenvector_mod call (A, lam, p, N, dv) the tuple (N, [v_1, ..., v_r], dv,
-    vectors): the valuations of the Smith divisors of A - lam I over Z/p^{2N} (2N for a
-    zero divisor), dv = v(cp'(lam)), the Hensel lift's derivative_valuation, recomputed
-    from A and lam, and the eigenvectors of the Smith forms mod p^(N + dv), p^(2N) and
-    p^N, each reduced mod p^N. The trial catches nothing the eigen step raises, so a
-    raise fails every test using it."""
-    steps, eigenvector_mod = [], family.eigenvector_mod
+    and an EigenStep for each eigenvector_mod call of their trials. The trial catches
+    nothing the eigen step raises, so a raise fails every test using it."""
+    steps, trial = [], {}
+    eigenvector_mod, evaluate = family.eigenvector_mod, family._evaluate_proposition_pair
 
-    def measured(A, lam, p, N, dv):
-        dec = smith_normal_form(A.shift(-lam), p, 2 * N)
+    def evaluated(plan, pair, index, seed):
+        trial.update(plan=plan, index=index)
+        return evaluate(plan, pair, index, seed)
+
+    def measured(A, lam, p, M):
+        plan = trial["plan"]
+        N = plan.precision
         cp = char_poly(A)
-        root = newton.hensel_slope_root(cp, newton_polygon(cp, p), p, padic_valuation(lam, p), N)
-        assert root == (lam, dv)
-        F = eigenvector_mod(A, lam, p, N, dv)
+        root = newton.hensel_slope_root(cp, newton_polygon(cp, p), p, plan.config.alpha, N)
+        assert root.value == lam
+        dv, B = root.derivative_valuation, A.shift(-lam)
+        dec = smith_normal_form(B, p, 2 * N)
         at_2n = tuple(x % p ** N for x in dec.v_inverse_column(A.r - 1))
-        steps.append((N, [2 * N if d == 0 else padic_valuation(d, p) for d in dec.divisors], dv,
-                      (F, at_2n, eigenvector_mod(A, lam, p, N, 0))))
-        return F
+        below = eigenvector_mod(A, lam, p, M - 1)
+        try:
+            PolynomialOperator((), A).eigenvalue(below, lam, p ** M)
+            passes_below = True
+        except AssertionError:
+            passes_below = False
+        steps.append(EigenStep(
+            trial["cid"], trial["index"], M, N,
+            [2 * N if d == 0 else padic_valuation(d, p) for d in dec.divisors], dv,
+            (eigenvector_at(A, lam, p, N, dv), at_2n, eigenvector_mod(A, lam, p, N)),
+            smith_normal_form(B, p, M).divisors[-1], passes_below))
+        return eigenvector_mod(A, lam, p, M)
 
+    reports = {}
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(family, "_evaluate_proposition_pair", evaluated)
         mp.setattr(family, "eigenvector_mod", measured)
-        reports = {cid: run_experiment(cfg)
-                   for cid, cfg in {**PROP_CONFIGS, **SEEDED_PROP_CONFIGS}.items()}
+        for cid, cfg in {**PROP_CONFIGS, **SEEDED_PROP_CONFIGS}.items():
+            trial["cid"] = cid
+            reports[cid] = run_experiment(cfg)
     return reports, steps
 
 
@@ -1603,12 +1635,12 @@ def test_the_eigen_step_cannot_raise_by_the_smith_valuations(eigen_step_runs):
     1. cp'(lam) is the sum of the principal (r-1)-minors of lam I - xi, each divisible by
        d_1 ... d_{r-1}: v_1 + ... + v_{r-1} <= dv, so v_{r-1} < N.
     2. A primitive eigenvector F* of lam* lies in ker(xi - lam) mod p^N. Were v_r < N, p
-       would divide every Smith coordinate of F*, which is primitive: so v_r >= N >= 1 and
-       EigenvectorError (order < 1) cannot be raised.
-    3. As v_{r-1} < N, F* = u F mod p^(N - v_{r-1}) for a unit u, and N - v_{r-1} >= N - dv
-       >= cap + alpha. So (xi - lam) F = 0 mod p^cap, and F, a column of V^-1 (invertible
-       mod p), has a unit coordinate: PolynomialOperator.eigenvalue's witness check holds,
-       and it returns q(lam) = a* mod p^cap, since psi = q(xi) gives psi F* = q(lam*) F*.
+       would divide every Smith coordinate of F*, which is primitive: so v_r >= N.
+    3. The trial's Smith form runs mod p^cap, and v_r >= N >= cap gives d_r = 0 mod p^cap:
+       the kernel's order is cap >= 1 (no EigenvectorError), and F, column r-1 of V^-1
+       (invertible mod p), has a unit coordinate and (xi - lam) F = U d_r e_r = 0 mod p^cap.
+       So the witness check holds, and PolynomialOperator.eigenvalue returns q(lam) = a*
+       mod p^cap, since psi = q(xi) gives psi F* = q(lam*) F*.
     4. HenselError needs a missing or longer slope-alpha segment, which the census gate
        rejects first, or N <= alpha, which the plan's N >= n + 2 alpha + kappa excludes.
     The test checks the two inequalities 1 and 2 rest on at every eigenvector_mod call of
@@ -1618,14 +1650,36 @@ def test_the_eigen_step_cannot_raise_by_the_smith_valuations(eigen_step_runs):
     """
     _, steps = eigen_step_runs
     assert len(steps) == 3440
-    top_slack = [vals[-1] - N for N, vals, dv, _ in steps]
-    minor_slack = [dv - sum(vals[:-1]) for N, vals, dv, _ in steps]
+    top_slack = [s.valuations[-1] - s.N for s in steps]
+    minor_slack = [s.dv - sum(s.valuations[:-1]) for s in steps]
     assert min(top_slack) == min(minor_slack) == 0
 
 
+def test_the_witness_is_solved_mod_p_to_the_cap_and_not_below(eigen_step_runs):
+    """Each side of every trial that reaches the eigen step calls eigenvector_mod(xi, lam, p,
+    cap) once, cap the trial's margin_cap, and the last Smith divisor of xi - lam I mod
+    p^cap is 0 on every call (step 3 above), so the witness is a unit kernel vector mod
+    p^cap. The control: the vector of the Smith form mod p^(cap - 1) fails the witness
+    check mod p^cap on all but one call of the shipped configs, so the check has teeth and
+    p^cap is, there, the least modulus that passes it."""
+    reports, steps = eigen_step_runs
+    caps = {(cid, t.index): t.margin_cap for cid, report in reports.items()
+            if report.plan.config.generator != "PLANTED"
+            for t in report.trials if t.status != REJECTED}
+    calls = Counter((s.cid, s.index) for s in steps)
+    assert calls.keys() == caps.keys() and set(calls.values()) == {2}
+    assert all(s.call == caps[s.cid, s.index] for s in steps)
+    assert all(s.top_divisor == 0 for s in steps)
+    failed = Counter(s.cid for s in steps if not s.passes_below)
+    made = Counter(s.cid for s in steps)
+    assert {cid: (failed[cid], made[cid]) for cid in ("prop_default.json", "prop_sharp.json")} == {
+        "prop_default.json": (92, 92), "prop_sharp.json": (57, 58)}
+
+
 def test_the_smith_form_mod_p_to_the_n_plus_dv_gives_the_vector_of_p_to_the_2n(eigen_step_runs):
-    """eigenvector_mod works mod p^(N + dv), and on every call of the corpus its vector is
-    the one the Smith form mod p^(2N) gives, reduced mod p^N.
+    """At each eigen step of the corpus, with N the plan's and dv the Hensel root's,
+    eigenvector_mod's vector from the Smith form mod p^(N + dv), reduced mod p^N
+    (eigenvector_at), is the one the Smith form mod p^(2N) gives, reduced mod p^N.
 
     Why: the first r - 1 pivot valuations are at most v_1 + ... + v_(r-1) <= dv (the
     test above), below both moduli, so both runs choose the same pivots, and their
@@ -1634,7 +1688,7 @@ def test_the_smith_form_mod_p_to_the_n_plus_dv_gives_the_vector_of_p_to_the_2n(e
     equality is not one that any modulus gives.
     """
     _, steps = eigen_step_runs
-    vectors = [vecs for *_, vecs in steps]
+    vectors = [s.vectors for s in steps]
     assert all(at_dv == at_2n for at_dv, at_2n, _ in vectors)
     assert (sum(at_dv != at_n for at_dv, _, at_n in vectors), len(vectors)) == (1633, 3440)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from padicslopes import family, newton
-from padicslopes.family import read_config, run_experiment
+from padicslopes.family import prepare_plan, read_config, run_experiment
 from padicslopes.lattice import IntMatrix, random_unimodular
 from padicslopes.newton import (
     KERNEL_MAX_RANK,
@@ -25,9 +25,9 @@ from padicslopes.padics import INFINITY, padic_valuation
 from padicslopes.rng import SplitMix64
 
 from oracles import (
-    charpoly_cofactor, charpoly_faddeev, diagonal, eigenvector_by_integer_snf, horner_mod,
-    kernel_mod, lower_hull_by_brute_force, poly_mul, poly_of_matrix_naive, unit_normalized,
-    valuation_by_division,
+    charpoly_cofactor, charpoly_faddeev, diagonal, eigenvector_at, eigenvector_by_integer_snf,
+    horner_mod, kernel_mod, lower_hull_by_brute_force, poly_mul, poly_of_matrix_naive,
+    unit_normalized, valuation_by_division,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -579,28 +579,30 @@ def test_only_planted_trials_hand_the_slope_root_over(name, planted, monkeypatch
 # --- eigenvectors and the commuting operator ---------------------------------------
 
 def test_eigenvector_examples():
-    # dv = v(cp'(lam)): cp'(5) is 5 - 125 and 5 - 25 for the first two, -2 at lam = 0
-    assert eigenvector_mod(diagonal([5, 125]), 5, 5, 4, 1) == (1, 0)
+    # mod 5^5, 5^(N + dv) at N = 4 and dv = v(cp'(lam)) = 1: cp'(5) is 5 - 125 and 5 - 25
+    # for the first two; at lam = 0, A - lam I = I is invertible mod 5
+    assert eigenvector_mod(diagonal([5, 125]), 5, 5, 5) == (1, 0)
 
     A = IntMatrix([[5, 1], [0, 25]])
-    F = eigenvector_mod(A, 5, 5, 4, 1)
+    F = eigenvector_mod(A, 5, 5, 5)
     assert F[0] % 5 != 0
     assert F[1] == 0  # proportional to (1, 0)
 
     with pytest.raises(EigenvectorError):
-        eigenvector_mod(IntMatrix.identity(2), 0, 5, 4, 0)
+        eigenvector_mod(IntMatrix.identity(2), 0, 5, 4)
 
 
 def assert_eigenvector_is_the_top_kernel_generator(A, lam, p, N, dv):
-    """eigenvector_mod(A, lam, p, N, dv), a primitive vector reduced mod p^N, is a unit
-    multiple of the last generator of the kernel oracle mod p^{2N}, reduced mod p^N,
-    or raises where the oracle finds no kernel; returns the oracle's generators."""
+    """eigenvector_at(A, lam, p, N, dv), eigenvector_mod's primitive vector mod p^(N + dv)
+    reduced mod p^N, is a unit multiple of the last generator of the kernel oracle mod
+    p^{2N}, reduced mod p^N, or eigenvector_mod raises where the oracle finds no kernel;
+    returns the oracle's generators."""
     gens = kernel_mod(A.shift(-lam), p, 2 * N)
     if not gens:
         with pytest.raises(EigenvectorError):
-            eigenvector_mod(A, lam, p, N, dv)
+            eigenvector_mod(A, lam, p, N + dv)
         return gens
-    F = eigenvector_mod(A, lam, p, N, dv)
+    F = eigenvector_at(A, lam, p, N, dv)
     assert F == tuple(x % p**N for x in F)
     # eigenvector_mod leaves F unscaled; the oracle's generator has first unit coordinate 1
     assert unit_normalized(F, p, p**N) == tuple(x % p**N for x in gens[-1].vector)
@@ -619,7 +621,7 @@ def planted_eigen_steps(config, monkeypatch):
         pairs[index] = pair
         return evaluate(plan, pair, index, seed)
 
-    def no_eigenvector_mod(A, lam, p, N, dv):
+    def no_eigenvector_mod(A, lam, p, M):
         raise AssertionError("a PLANTED trial solved for its eigenvector")
 
     monkeypatch.setattr(family, "_evaluate_proposition_pair", captured)
@@ -661,12 +663,21 @@ def test_eigenvector_is_the_top_kernel_generator_on_shipped_trials(name, monkeyp
         assert len(steps) == 2 * report.accepted > 0
         return
     mode = "constancy" if config.nprime is not None else "prop"
+    N = prepare_plan(config, mode).precision
     calls = []
 
-    def eigenvector(A, lam, p, N, dv):
-        # the trial's Smith form runs mod p^(N + dv), the oracle's mod p^(2N)
+    def eigenvector(A, lam, p, M):
+        # the library's vector at the plan's N and the Hensel root's dv, from a Smith form
+        # mod p^(N + dv), against the oracle's mod p^(2N); the trial's own call solves mod
+        # p^M, M = cap <= N - alpha - dv, for a unit kernel vector mod p^cap, its witness
+        root = lift(char_poly(A), p, config.alpha, N)
+        assert root.value == lam
+        dv = root.derivative_valuation
         calls.append(assert_eigenvector_is_the_top_kernel_generator(A, lam, p, N, dv))
-        return eigenvector_mod(A, lam, p, N, dv)
+        assert 1 <= M <= N - config.alpha - dv
+        F = eigenvector_mod(A, lam, p, M)
+        assert any(x % p for x in F) and all(x % p ** M == 0 for x in A.shift(-lam).apply(F))
+        return F
 
     monkeypatch.setattr(family, "eigenvector_mod", eigenvector)
     report = run_experiment(config, mode)
@@ -711,7 +722,7 @@ def test_eigenvector_conjugation_oracle():
     for _ in range(30):
         U, Ui = random_unimodular(2, rng)
         A = U * diagonal([p, p**3]) * Ui
-        F = eigenvector_mod(A, p, p, N, 1)  # cp'(p) = p - p^3
+        F = eigenvector_at(A, p, p, N, 1)  # cp'(p) = p - p^3
         truth = tuple(row[0] for row in U.rows)
         # F must be a unit multiple of U e_1 mod p^N: the top divisor of A - p I is 0,
         # so the kernel is exact
@@ -744,19 +755,22 @@ def test_eigenvector_matches_integer_snf_on_shipped_trials(name, monkeypatch):
             assert commuting_eigenvalue(psi, F, p, cap) == a_old == a
         assert len(steps) == 2 * report.accepted > 0
         return
-    # a POLYNOMIAL_PSI trial reads a = q(lam) behind eigenvector_mod's vector as its
-    # witness: psi applied to the integer-Smith vector gives that a too
+    # a POLYNOMIAL_PSI trial reads a = q(lam) behind eigenvector_mod's vector mod p^cap as
+    # its witness: psi applied to the integer-Smith vector, and to the library's vector at
+    # the plan's N and the Hensel root's dv, gives that a too
     reference, pairs, evaluate = {}, {}, family._evaluate_proposition_pair
+    N = prepare_plan(config, "prop").precision
 
-    def eigenvector(A, lam, p, N, dv):
-        vec = eigenvector_mod(A, lam, p, N, dv)
+    def eigenvector(A, lam, p, M):
         root = lift(char_poly(A), p, config.alpha, N)
-        assert root == (lam, dv)
+        assert root.value == lam
+        vec = eigenvector_at(A, lam, p, N, root.derivative_valuation)
         old = eigenvector_by_integer_snf(A, lam, p, N)
         m = p ** (N - root.derivative_valuation)
         assert all((x - y) % m == 0 for x, y in zip(unit_normalized(vec, p, p**N), old))
-        reference[A.rows, lam] = vec, old
-        return vec
+        witness = eigenvector_mod(A, lam, p, M)
+        reference[A.rows, lam] = vec, old, witness
+        return witness
 
     def captured(plan, pair, index, seed):
         pairs[index] = pair
@@ -772,9 +786,10 @@ def test_eigenvector_matches_integer_snf_on_shipped_trials(name, monkeypatch):
         pair = pairs[t.index]
         for A, psi, lam, a in ((pair.xi, pair.psi, t.lam, t.a),
                                (pair.xi_prime, pair.psi_prime, t.lam_prime, t.a_prime)):
-            vec, old = reference[A.rows, lam]
+            vec, old, witness = reference[A.rows, lam]
             assert commuting_eigenvalue(psi, old, p, t.margin_cap) == a, t.index
             assert commuting_eigenvalue(psi, vec, p, t.margin_cap) == a, t.index
+            assert commuting_eigenvalue(psi, witness, p, t.margin_cap) == a, t.index
             checked += 1
     assert checked == 2 * report.accepted > 0
 
@@ -784,7 +799,7 @@ def test_commuting_eigenvalue_examples():
     assert commuting_eigenvalue(IntMatrix.identity(2), F, 5, 3) == 1
 
     A = diagonal([5, 125])
-    vec = eigenvector_mod(A, 5, 5, 4, 1)
+    vec = eigenvector_mod(A, 5, 5, 4)
     assert commuting_eigenvalue(A, vec, 5, 3) == 5  # a = lambda
 
 
@@ -799,7 +814,7 @@ def test_commuting_eigenvalue_polynomial_functoriality():
         N = 12
         cp = char_poly(A)
         root = lift(cp, p, alpha, N)
-        vec = eigenvector_mod(A, root.value, p, N, root.derivative_valuation)
+        vec = eigenvector_at(A, root.value, p, N, root.derivative_valuation)
         coeffs = [rng.randint(-9, 9) for _ in range(r)]
         B = IntMatrix(poly_of_matrix_naive(coeffs, A.rows))
         cap = N - root.derivative_valuation - alpha
